@@ -473,8 +473,10 @@ std::string bugassist::renderSearchStats(const LocalizationReport &R) {
   Out += "propagations: " + std::to_string(S.Propagations) + "\n";
   Out += "restarts:     " + std::to_string(S.Restarts) + " (+" +
          std::to_string(S.RestartsBlocked) + " blocked)\n";
-  Out += "learnts:      " + std::to_string(S.LearnedClauses) + " learned, " +
-         std::to_string(S.DeletedClauses) + " deleted\n";
+  Out += "learnts:      " + std::to_string(S.LearnedClauses) + " learned\n";
+  // Every clause the arena freed: learnt reduction, but also elimination,
+  // subsumption and root-level simplification.
+  Out += "arena frees:  " + std::to_string(S.DeletedClauses) + "\n";
   if (S.VarsEliminated || S.ClausesSubsumed || S.LitsSelfSubsumed)
     Out += "simplify:     " + std::to_string(S.VarsEliminated) +
            " vars eliminated, " + std::to_string(S.ClausesSubsumed) +

@@ -90,10 +90,8 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
       std::swap(CL[NonFalse++], CL[I]);
   }
   if (Satisfied) {
-    Arena[CR] = Lit::fromCode((static_cast<int32_t>(Size) << 3) |
-                              (header(CR) & 7) | FreedBit);
-    ArenaWasted += HeaderWords + Size;
-    ++Stats.DeletedClauses;
+    setClauseSize(CR, Size);
+    freeClause(CR);
     return Ok;
   }
   ArenaWasted += Size - NonFalse;
@@ -105,9 +103,7 @@ bool Solver::strengthenClause(ClauseRef CR, Lit L) {
   }
   if (Size == 1) {
     Lit U = CL[0];
-    Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
-    ArenaWasted += HeaderWords + 1;
-    ++Stats.DeletedClauses;
+    freeClause(CR);
     uncheckedEnqueue(U, InvalidClause);
     Ok = (propagate() == InvalidClause);
     return Ok;
@@ -635,6 +631,9 @@ bool Simplifier::run(const Limits &L) {
     if (TotalElims)
       sweepLearnts();
     S.refreshTierGauges();
+    // Search, and any session cloned from this solver, starts on replayed
+    // watch lists.
+    S.flushAllWatches();
     S.checkGarbage();
   }
   return S.Ok;
@@ -649,6 +648,7 @@ bool Simplifier::eliminateOne(Var V, bool Forced) {
   if (S.Ok) {
     sweepLearnts();
     S.refreshTierGauges();
+    S.flushAllWatches();
     S.checkGarbage();
   }
   return S.ElimVars[V] != 0;

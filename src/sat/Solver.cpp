@@ -99,6 +99,8 @@ Var Solver::newVar() {
   Watches.emplace_back(); // negative literal
   BinWatches.emplace_back();
   BinWatches.emplace_back();
+  if (!WatchCommitted.empty())
+    WatchCommitted.resize(WatchCommitted.size() + 4, NoPendingEdits);
   heapInsert(V);
   return V;
 }
@@ -243,24 +245,19 @@ void Solver::attachClause(ClauseRef CR) {
   assert(clauseSize(CR) >= 2 && "cannot watch unit clause");
   // Size-2 clauses live in the dedicated binary lists: the Blocker IS the
   // implied literal, so propagation needs no arena access at all.
-  auto &Lists = clauseSize(CR) == 2 ? BinWatches : Watches;
-  Lists[(~CL[0]).code()].push_back({CR, CL[1]});
-  Lists[(~CL[1]).code()].push_back({CR, CL[0]});
+  bool Binary = clauseSize(CR) == 2;
+  for (int I = 0; I < 2; ++I) {
+    uint32_t Id = watchId(~CL[I], Binary);
+    flushWatchesIfFull(Id);
+    watchList(Id).push_back({CR, CL[1 - I]});
+  }
 }
 
 void Solver::detachClause(ClauseRef CR) {
   const Lit *CL = clauseLits(CR);
-  auto &Lists = clauseSize(CR) == 2 ? BinWatches : Watches;
-  for (int I = 0; I < 2; ++I) {
-    auto &WL = Lists[(~CL[I]).code()];
-    for (size_t J = 0; J < WL.size(); ++J) {
-      if (WL[J].CRef == CR) {
-        WL[J] = WL.back();
-        WL.pop_back();
-        break;
-      }
-    }
-  }
+  bool Binary = clauseSize(CR) == 2;
+  dropWatch(watchId(~CL[0], Binary), CR);
+  dropWatch(watchId(~CL[1], Binary), CR);
 }
 
 void Solver::rewatchAsBinary(ClauseRef CR) {
@@ -269,17 +266,129 @@ void Solver::rewatchAsBinary(ClauseRef CR) {
   // watched in BinWatches). The watched literals themselves are untouched
   // by trimming, so the stale entries are exactly at (~CL[0]) and (~CL[1]).
   const Lit *CL = clauseLits(CR);
-  for (int I = 0; I < 2; ++I) {
-    auto &WL = Watches[(~CL[I]).code()];
-    for (size_t J = 0; J < WL.size(); ++J) {
-      if (WL[J].CRef == CR) {
-        WL[J] = WL.back();
-        WL.pop_back();
-        break;
+  dropWatch(watchId(~CL[0], /*Binary=*/false), CR);
+  dropWatch(watchId(~CL[1], /*Binary=*/false), CR);
+  attachClause(CR);
+}
+
+void Solver::dropWatch(uint32_t Id, ClauseRef CR) {
+  flushWatchesIfFull(Id);
+  std::vector<Watcher> &WL = watchList(Id);
+  if (!hasPendingEdits(Id)) {
+    if (WL.size() <= EagerDetachMax) {
+      for (size_t J = 0; J < WL.size(); ++J) {
+        if (WL[J].CRef == CR) {
+          WL[J] = WL.back();
+          WL.pop_back();
+          break;
+        }
       }
+      return;
+    }
+    if (WatchCommitted.empty())
+      WatchCommitted.assign(2 * Watches.size(), NoPendingEdits);
+    WatchCommitted[Id] = static_cast<uint32_t>(WL.size());
+  }
+  WL.push_back({CR, NullLit});
+  // Bounds a list at twice its committed size, and makes each replay cost
+  // O(edits) amortized.
+  uint32_t Committed = WatchCommitted[Id];
+  if (WL.size() - Committed > Committed)
+    flushWatches(Id);
+}
+
+void Solver::flushWatchesIfFull(uint32_t Id) {
+  // A full buffer is replayed rather than grown once its edits are a
+  // sixteenth of its committed watchers: a deferred list then keeps about
+  // the capacity eager removal would have left, at amortized O(1) per edit.
+  if (!hasPendingEdits(Id))
+    return;
+  const std::vector<Watcher> &WL = watchList(Id);
+  uint32_t Committed = WatchCommitted[Id];
+  if (WL.size() == WL.capacity() && WL.size() - Committed >= Committed / 16)
+    flushWatches(Id);
+}
+
+void Solver::flushWatches(uint32_t Id) {
+  // Replays the edits against the committed prefix exactly as eager
+  // swap-with-back would have applied them one by one. Only the positions
+  // of clauses that some edit drops are tracked; the bitmap keeps the scan
+  // of the prefix at one bit test per watcher.
+  std::vector<Watcher> &WL = watchList(Id);
+  size_t Committed = WatchCommitted[Id];
+  WatchCommitted[Id] = NoPendingEdits;
+
+  // Every clause was allocated with at least two literals, so clause
+  // starts lie MinClauseWords apart and CR / MinClauseWords is a unique bit.
+  constexpr size_t MinClauseWords = HeaderWords + 2;
+  size_t Bits = Arena.size() / MinClauseWords + 1;
+  if (DropMarks.size() * 64 < Bits)
+    DropMarks.resize((Bits + 63) / 64, 0);
+  auto Bit = [](ClauseRef CR) {
+    return static_cast<size_t>(CR) / MinClauseWords;
+  };
+  auto Marked = [&](ClauseRef CR) {
+    return (DropMarks[Bit(CR) >> 6] >> (Bit(CR) & 63)) & 1;
+  };
+  auto Flip = [&](ClauseRef CR) {
+    DropMarks[Bit(CR) >> 6] ^= uint64_t(1) << (Bit(CR) & 63);
+  };
+  // While the replay runs, a dropped clause's activity word holds the
+  // index of its slot (the way garbage collection parks forwarding refs
+  // there); the slot keeps the word and the clause's current position.
+  for (size_t R = Committed; R < WL.size(); ++R) {
+    ClauseRef CR = WL[R].CRef;
+    if (WL[R].Blocker == NullLit && !Marked(CR)) {
+      Flip(CR);
+      ReplaySlots.push_back({CR, Arena[CR + 1], -1});
+      Arena[CR + 1] =
+          Lit::fromCode(static_cast<int32_t>(ReplaySlots.size() - 1));
     }
   }
-  attachClause(CR);
+  auto Pos = [&](ClauseRef CR) -> int32_t & {
+    return ReplaySlots[static_cast<size_t>(Arena[CR + 1].code())].At;
+  };
+
+  for (size_t J = 0; J < Committed; ++J)
+    if (Marked(WL[J].CRef))
+      Pos(WL[J].CRef) = static_cast<int32_t>(J);
+  // In place: the replayed list WL[0, N) never outgrows the edits read so
+  // far (N <= R), so a push overwrites at most the edit it came from.
+  size_t N = Committed;
+  for (size_t R = Committed, End = WL.size(); R < End; ++R) {
+    Watcher E = WL[R];
+    if (E.Blocker != NullLit) {
+      WL[N] = E;
+      if (Marked(E.CRef))
+        Pos(E.CRef) = static_cast<int32_t>(N);
+      ++N;
+      continue;
+    }
+    int32_t &At = Pos(E.CRef);
+    if (At < 0)
+      continue; // not watched here: the eager scan finds nothing either
+    size_t J = static_cast<size_t>(At);
+    At = -1;
+    WL[J] = WL[--N];
+    if (J < N && Marked(WL[J].CRef))
+      Pos(WL[J].CRef) = static_cast<int32_t>(J);
+  }
+  WL.resize(N);
+
+  for (const ReplaySlot &Slot : ReplaySlots) {
+    Flip(Slot.CR);
+    Arena[Slot.CR + 1] = Slot.Parked;
+  }
+  ReplaySlots.clear();
+}
+
+void Solver::flushAllWatches() {
+  for (uint32_t Id = 0; Id < WatchCommitted.size(); ++Id)
+    flushWatchesIfPending(Id);
+  // A solver at rest -- a cached base session, each clone of it -- carries
+  // no replay state; the next deferred removal allocates it again.
+  WatchCommitted = std::vector<uint32_t>();
+  DropMarks = std::vector<uint64_t>();
 }
 
 bool Solver::isLocked(ClauseRef CR) const {
@@ -294,6 +403,12 @@ bool Solver::isLocked(ClauseRef CR) const {
 
 void Solver::removeClause(ClauseRef CR) {
   detachClause(CR);
+  freeClause(CR);
+}
+
+void Solver::freeClause(ClauseRef CR) {
+  if (!clauseLearnt(CR))
+    ProblemClauseFreed = true;
   Arena[CR] = Lit::fromCode(header(CR) | FreedBit);
   ArenaWasted += HeaderWords + clauseSize(CR);
   ++Stats.DeletedClauses;
@@ -313,6 +428,11 @@ Solver::ClauseRef Solver::propagate() {
   while (PropagationHead < static_cast<int>(Trail.size())) {
     Lit P = Trail[PropagationHead++];
     ++Stats.Propagations;
+    // Both lists of P are read below, so their pending edits replay first.
+    // The replacement watches pushed while scanning land on other lists,
+    // where a push is itself an edit: appending it is all it takes.
+    flushWatchesIfPending(watchId(P, /*Binary=*/true));
+    flushWatchesIfPending(watchId(P, /*Binary=*/false));
 
     // Binary fast path: the Blocker is the whole remaining clause, so each
     // watcher resolves with one value() lookup -- no header load, no
@@ -820,6 +940,16 @@ void Solver::simplifyLevel0() {
     Ok = false;
     return;
   }
+  // MiniSAT's simpDB_assigns gate. Clauses added since the last full scan
+  // hold no root-assigned literal: addClause, resolvents and imports are
+  // simplified against the root on entry, and learnts never contain a
+  // level-0 literal. So without a new root assignment or a freed problem
+  // clause the scan below would change nothing.
+  if (static_cast<int64_t>(Trail.size()) == SimpDbAssigns &&
+      !ProblemClauseFreed) {
+    refreshTierGauges();
+    return;
+  }
   auto SimplifySet = [&](std::vector<ClauseRef> &Set) {
     size_t J = 0;
     for (ClauseRef CR : Set) {
@@ -866,6 +996,8 @@ void Solver::simplifyLevel0() {
   SimplifySet(MidLearnts);
   SimplifySet(LocalLearnts);
   refreshTierGauges();
+  SimpDbAssigns = static_cast<int64_t>(Trail.size());
+  ProblemClauseFreed = false;
 }
 
 void Solver::reduceDB() {
@@ -1064,6 +1196,7 @@ void Solver::forceGarbageCollect() {
 }
 
 void Solver::garbageCollect() {
+  flushAllWatches(); // drop records name clauses about to be reclaimed
   std::vector<Lit> To;
   To.reserve(Arena.size() - ArenaWasted);
 

@@ -45,6 +45,12 @@
 /// whole clause (the Blocker is the other literal), so the propagation fast
 /// path over them never touches the arena.
 ///
+/// Removing a clause from a long watch list is deferred (MiniSAT's lazy
+/// detach, kept exact to the order): entries past a list's committed count
+/// are pending edits, replayed in order before the list is next read, so
+/// every list is always read in the order eager removal would have left it
+/// (see the watch-list section of the private state below).
+///
 /// For portfolio solving (maxsat/Portfolio.h) the solver additionally
 /// supports cooperative cancellation -- interrupt() raises an atomic flag
 /// polled once per search-loop iteration -- and glucose-syrup-style learnt
@@ -487,6 +493,7 @@ public:
 
 private:
   friend class Simplifier;
+  friend struct SolverTestAccess; // white-box watch-list checks in tests
   // --- clause storage -----------------------------------------------------
   //
   // Clauses live in one flat arena of 32-bit words (stored as Lit for
@@ -494,7 +501,8 @@ private:
   // ClauseRef is the word offset of the header. Header layout:
   // size << 3 | Reloced << 2 | Learnt << 1 | Freed. The activity word
   // holds float bits (learnt clauses) or, after relocation during garbage
-  // collection, the forwarding ClauseRef into the new arena. The lbd word
+  // collection, the forwarding ClauseRef into the new arena (and, while a
+  // watch-list replay runs, a dropped clause's replay slot). The lbd word
   // packs the clause's Literal Block Distance with its retention flags:
   // bits 0..19 LBD, bit 20 Touched (used in a conflict since the last
   // reduction), bits 21..23 Age (reductions survived without being used).
@@ -575,6 +583,33 @@ private:
   void detachClause(ClauseRef CR);
   void rewatchAsBinary(ClauseRef CR);
   void removeClause(ClauseRef CR);
+  /// Marks a problem or learnt clause freed in the arena (no watch work).
+  void freeClause(ClauseRef CR);
+
+  // --- deferred watch detach ---------------------------------------------
+  /// A watch list id: Lit code * 2, plus 1 for the binary family.
+  static uint32_t watchId(Lit L, bool Binary) {
+    return static_cast<uint32_t>(L.code()) * 2 + (Binary ? 1 : 0);
+  }
+  std::vector<Watcher> &watchList(uint32_t Id) {
+    return (Id & 1 ? BinWatches : Watches)[Id >> 1];
+  }
+  /// Removes \p CR's watcher from list \p Id, as eager swap-with-back
+  /// would: at once on a short clean list, else as a drop record.
+  void dropWatch(uint32_t Id, ClauseRef CR);
+  /// Replays list \p Id's pending edits (the list must have some).
+  void flushWatches(uint32_t Id);
+  /// Replays list \p Id's edits when they fill its buffer (see .cpp).
+  void flushWatchesIfFull(uint32_t Id);
+  bool hasPendingEdits(uint32_t Id) const {
+    return !WatchCommitted.empty() && WatchCommitted[Id] != NoPendingEdits;
+  }
+  void flushWatchesIfPending(uint32_t Id) {
+    if (hasPendingEdits(Id))
+      flushWatches(Id);
+  }
+  /// Replays every list's pending edits.
+  void flushAllWatches();
   void importSharedClauses();
   void addImportedClause(const std::vector<Lit> &Lits, uint32_t Lbd);
   /// The binary fast path never normalizes clause literals during
@@ -650,6 +685,35 @@ private:
   // other literal, so propagation over them never touches the arena (no
   // header load, no literal scan) -- see the fast path in propagate().
   std::vector<std::vector<Watcher>> BinWatches; // indexed by Lit code
+
+  // Deferred detach. Invariant: while WatchCommitted[Id] holds a count C
+  // (not NoPendingEdits), list Id is C committed watchers followed by
+  // pending edits -- drop records {CR, NullLit} and plain pushed watchers
+  // -- and the edits are replayed in their original order before the list
+  // is next read (propagate, garbageCollect, the end of a simplification
+  // pass). Replay reproduces exactly the order eager swap-with-back removal
+  // would have produced. That exactness is load-bearing: propagation order
+  // steers the search, so an order-preserving compaction (MiniSAT's
+  // cleanAll) changes the models found and with them the BMC
+  // counterexamples and the reports built on them.
+  static constexpr uint32_t NoPendingEdits = UINT32_MAX;
+  /// Clean lists up to this length keep the eager scan: replay bookkeeping
+  /// would cost more than the scan it saves.
+  static constexpr size_t EagerDetachMax = 64;
+  /// By watchId; NoPendingEdits = clean. Empty while every list is clean
+  /// (released by flushAllWatches, allocated by the next deferral).
+  std::vector<uint32_t> WatchCommitted;
+  // Replay scratch: a ClauseRef bitmap of the clauses the edits drop (all
+  // zero outside flushWatches), and per dropped clause its parked activity
+  // word and current position in the list being replayed.
+  struct ReplaySlot {
+    ClauseRef CR;
+    Lit Parked;
+    int32_t At;
+  };
+  std::vector<uint64_t> DropMarks;
+  std::vector<ReplaySlot> ReplaySlots;
+
   std::vector<LBool> Assigns;
   std::vector<int> VarLevel;
   std::vector<ClauseRef> Reason;
@@ -676,6 +740,12 @@ private:
   /// Lit::fromCode(n), then a single default unit [lit][size word 1].
   /// extendModel walks it backwards (MiniSAT's elimclauses layout).
   std::vector<Lit> ElimStack;
+  // simplifyLevel0's gate (MiniSAT's simpDB_assigns): the root trail size
+  // at the last full clause-database scan, and whether a problem clause was
+  // freed since (its stale entry must still leave ProblemClauses, whose
+  // size seeds MaxLearnts).
+  int64_t SimpDbAssigns = -1;
+  bool ProblemClauseFreed = false;
   bool PreprocessedOnce = false;     // load-time pass already ran
   uint64_t LastInprocConflicts = 0;  // Stats.Conflicts at the last pass
   std::vector<char> Seen;

@@ -6,7 +6,9 @@
 
 #include "core/LoopDiagnosis.h"
 
+#include "core/Pipeline.h"
 #include "lang/Sema.h"
+#include "programs/TcasMutants.h"
 
 #include <gtest/gtest.h>
 
@@ -166,4 +168,50 @@ TEST(LoopDiagnosis, NoLoopMeansNoIterationSuspects) {
   ASSERT_FALSE(R.All.empty());
   for (const IterationSuspect &IS : R.All)
     EXPECT_EQ(IS.Iteration, 0u);
+}
+
+// The search path is pinned, not only the report: the solver's bookkeeping
+// (watch-list maintenance, root-level simplification) may get cheaper, but
+// it must hand the search the same clauses in the same order, or the
+// counterexample BMC finds -- and every report built on it -- moves. The
+// program is the sum loop of the deep-unwind benchmark workload at its
+// variant 2 (fault threshold 36); the figures were recorded before
+// watch-list removal became deferred.
+TEST(SearchPath, DeepUnwindSumLoopIsPinned) {
+  const char *Src = "int main(int n, int k) {\n"
+                    "  assume(n >= 0 && n <= 60);\n"
+                    "  int i = 0;\n"
+                    "  int s = 0;\n"
+                    "  while (i < n) {\n"
+                    "    s = s + k;\n"
+                    "    i = i + 1;\n"
+                    "  }\n"
+                    "  if (n > 36)\n"
+                    "    s = s + 1;\n"
+                    "  assert(s == n * k);\n"
+                    "  return s;\n"
+                    "}\n";
+  PipelineRequest Req;
+  Req.Unroll.MaxLoopUnwind = 200;
+  Req.Unroll.BitWidth = 8;
+  Req.Localize.MaxDiagnoses = 8;
+  PipelineResult R = runLocalizePipeline(Src, Req);
+  ASSERT_EQ(R.Status, PipelineStatus::Localized) << R.Message;
+  EXPECT_EQ(renderInputVector(R.FailingInput), "42,-113");
+  EXPECT_EQ(R.Report.AllLines, (std::vector<uint32_t>{4, 5, 6, 7, 9, 10}));
+  EXPECT_EQ(R.Report.SatCalls, 23u);
+  EXPECT_EQ(R.Report.Search.Conflicts, 117u);
+  EXPECT_EQ(R.Report.Search.Decisions, 12334u);
+  EXPECT_EQ(R.Report.Search.Propagations, 197436u);
+}
+
+TEST(SearchPath, TcasV2LocalizeCountersArePinned) {
+  // `bugassist localize` on TCAS v2 with default options.
+  PipelineResult R =
+      runLocalizePipeline(tcasMutants()[1].Source, PipelineRequest());
+  ASSERT_EQ(R.Status, PipelineStatus::Localized) << R.Message;
+  EXPECT_EQ(R.Report.SatCalls, 33u);
+  EXPECT_EQ(R.Report.Search.Conflicts, 6u);
+  EXPECT_EQ(R.Report.Search.Decisions, 103u);
+  EXPECT_EQ(R.Report.Search.Propagations, 21029u);
 }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -79,6 +80,48 @@ std::vector<Clause> randomInstance(Rng &R, int NumVars, int NumClauses,
 }
 
 } // namespace
+
+namespace bugassist {
+
+/// White-box access to the solver's watch lists (Solver befriends it).
+struct SolverTestAccess {
+  using ClauseRef = Solver::ClauseRef;
+  using Entry = std::pair<ClauseRef, int32_t>; // clause, blocker code
+
+  static std::vector<Entry> readList(Solver &S, Lit L, bool Binary) {
+    uint32_t Id = Solver::watchId(L, Binary);
+    S.flushWatchesIfPending(Id);
+    std::vector<Entry> Out;
+    for (const Solver::Watcher &W : S.watchList(Id))
+      Out.push_back({W.CRef, W.Blocker.code()});
+    return Out;
+  }
+  static bool hasPendingEdits(const Solver &S, Lit L, bool Binary) {
+    return S.hasPendingEdits(Solver::watchId(L, Binary));
+  }
+  static const std::vector<ClauseRef> &problemClauses(const Solver &S) {
+    return S.ProblemClauses;
+  }
+  static std::vector<Lit> lits(const Solver &S, ClauseRef CR) {
+    const Lit *CL = S.clauseLits(CR);
+    return std::vector<Lit>(CL, CL + S.clauseSize(CR));
+  }
+  static bool freed(const Solver &S, ClauseRef CR) {
+    return S.clauseFreed(CR);
+  }
+  static void removeClause(Solver &S, ClauseRef CR) { S.removeClause(CR); }
+  static bool strengthen(Solver &S, ClauseRef CR, Lit L) {
+    return S.strengthenClause(CR, L);
+  }
+  /// What simplifyLevel0 does to a clause whose literals past the watched
+  /// two all became false: shrink it, then move it to the binary lists.
+  static void trimToBinary(Solver &S, ClauseRef CR) {
+    S.setClauseSize(CR, 2);
+    S.rewatchAsBinary(CR);
+  }
+};
+
+} // namespace bugassist
 
 TEST(Solver, EmptyFormulaIsSat) {
   Solver S;
@@ -631,4 +674,113 @@ TEST(SolverFaultInject, InjectedBadAllocPropagatesOutOfSolve) {
   faultinject::ScopedFault Fault(faultinject::Event::Allocation,
                                  faultinject::Fault::BadAlloc, 1);
   EXPECT_THROW(S.solve(), std::bad_alloc);
+}
+
+// Deferred watch detach must leave every list exactly as eager
+// swap-with-back removal would: propagation order steers the search. A
+// reference applies the same edits eagerly in the test while thousands of
+// clauses sharing one watched literal are removed, added, strengthened and
+// moved to the binary lists, with reads interleaved.
+TEST(SolverWatches, DeferredDetachReplaysInEagerOrder) {
+  using Access = SolverTestAccess;
+  using ClauseRef = Access::ClauseRef;
+  using Entry = Access::Entry;
+  constexpr int NumVars = 120;
+  const Lit Shared = mkLit(0); // the smallest literal: every clause watches it
+
+  Solver::Options O;
+  O.Preprocess = false;
+  Solver S(O);
+  S.ensureVars(NumVars);
+  Rng R(20240611);
+
+  // The reference: list id -> eager contents, mirrored from the solver's
+  // lists once loading is done and edited only by the test from then on.
+  std::map<std::pair<int32_t, bool>, std::vector<Entry>> Ref;
+  auto RefList = [&](Lit L, bool Binary) -> std::vector<Entry> & {
+    return Ref[{L.code(), Binary}];
+  };
+  auto RefPush = [&](ClauseRef CR, bool Binary) {
+    std::vector<Lit> CL = Access::lits(S, CR);
+    RefList(~CL[0], Binary).push_back({CR, CL[1].code()});
+    RefList(~CL[1], Binary).push_back({CR, CL[0].code()});
+  };
+  auto RefDrop = [&](ClauseRef CR, const std::vector<Lit> &CL, bool Binary) {
+    for (int I = 0; I < 2; ++I) {
+      std::vector<Entry> &WL = RefList(~CL[I], Binary);
+      for (size_t J = 0; J < WL.size(); ++J)
+        if (WL[J].first == CR) {
+          WL[J] = WL.back();
+          WL.pop_back();
+          break;
+        }
+    }
+  };
+  auto RandomClause = [&](int Size) {
+    Clause C{Shared};
+    while (static_cast<int>(C.size()) < Size) {
+      Var V = static_cast<Var>(1 + R.below(NumVars - 1));
+      bool Fresh = std::none_of(C.begin(), C.end(),
+                                [&](Lit L) { return L.var() == V; });
+      if (Fresh)
+        C.push_back(mkLit(V, R.chance(1, 2)));
+    }
+    return C;
+  };
+  auto SizeOf = [&] { return static_cast<int>(2 + R.below(4)); };
+
+  for (int I = 0; I < 3000; ++I)
+    ASSERT_TRUE(S.addClause(RandomClause(SizeOf())));
+  for (int V = 0; V < NumVars; ++V)
+    for (bool Neg : {false, true})
+      for (bool Binary : {false, true})
+        RefList(mkLit(V, Neg), Binary) =
+            Access::readList(S, mkLit(V, Neg), Binary);
+  ASSERT_GT(RefList(~Shared, false).size(), 1000u);
+  ASSERT_GT(RefList(~Shared, true).size(), 500u);
+
+  std::vector<ClauseRef> Live(Access::problemClauses(S));
+  bool SawPending = false;
+  for (int Op = 0; Op < 6000; ++Op) {
+    size_t Pick = R.below(Live.size());
+    ClauseRef CR = Live[Pick];
+    std::vector<Lit> CL = Access::lits(S, CR);
+    bool Binary = CL.size() == 2;
+    uint64_t Kind = R.below(100);
+    if (Kind < 40 && Live.size() > 200) {
+      Access::removeClause(S, CR);
+      RefDrop(CR, CL, Binary);
+      Live[Pick] = Live.back();
+      Live.pop_back();
+    } else if (Kind < 70) {
+      ASSERT_TRUE(S.addClause(RandomClause(SizeOf())));
+      ClauseRef New = Access::problemClauses(S).back();
+      RefPush(New, Access::lits(S, New).size() == 2);
+      Live.push_back(New);
+    } else if (Kind < 85 && CL.size() >= 3) {
+      ASSERT_TRUE(Access::strengthen(S, CR, CL[R.below(CL.size())]));
+      ASSERT_FALSE(Access::freed(S, CR));
+      RefDrop(CR, CL, Binary);
+      RefPush(CR, Access::lits(S, CR).size() == 2);
+    } else if (Kind < 95 && CL.size() >= 3) {
+      Access::trimToBinary(S, CR);
+      RefDrop(CR, CL, /*Binary=*/false);
+      RefPush(CR, /*Binary=*/true);
+    } else if (Kind >= 95) {
+      // An interleaved read replays the shared lists mid-stream.
+      for (bool B : {false, true})
+        ASSERT_EQ(Access::readList(S, ~Shared, B), RefList(~Shared, B))
+            << "after op " << Op;
+    }
+    SawPending |= Access::hasPendingEdits(S, ~Shared, false) ||
+                  Access::hasPendingEdits(S, ~Shared, true);
+  }
+  EXPECT_TRUE(SawPending) << "no removal took the deferred path";
+
+  for (auto &[Key, Want] : Ref)
+    EXPECT_EQ(Access::readList(S, Lit::fromCode(Key.first), Key.second), Want)
+        << "list of literal code " << Key.first
+        << (Key.second ? " (binary)" : "");
+  // The replayed solver still decides the formula.
+  EXPECT_EQ(S.solve(), LBool::True);
 }
