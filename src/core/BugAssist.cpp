@@ -25,8 +25,8 @@ LocalizationReport bugassist::enumerateCoMSSesOn(MaxSatSession &Session,
   // Query-wide resource budget: one deadline / conflict cap / arena cap
   // covers the whole enumeration. Exhaustion mid-round surfaces as an
   // Unknown solve(), which flags the report Incomplete below.
-  if (Opts.hasBudget())
-    Session.setBudget(Opts.solverBudget());
+  if (Opts.Budget.any())
+    Session.setBudget(Opts.Budget.solverBudget());
   while (Report.Diagnoses.size() < Opts.MaxDiagnoses) {
     MaxSatResult R = Session.solve();
     Report.SatCalls += R.SatCalls;

@@ -73,6 +73,34 @@ struct LocalizationReport {
   std::vector<uint64_t> PortfolioWins;
 };
 
+/// A resource budget for one whole query, as the user states it (the CLI's
+/// --timeout / --max-conflicts / --max-memory-mb, serve's per-request
+/// fields): unlike a per-call conflict budget it covers every solve of the
+/// query. 0 = unlimited for each knob.
+struct QueryBudget {
+  /// Wall-clock deadline, in seconds.
+  double TimeoutSeconds = 0;
+  /// Total conflict cap.
+  uint64_t MaxConflicts = 0;
+  /// Clause-arena cap per solver, in mebibytes.
+  uint64_t MaxMemoryMb = 0;
+
+  /// True when any knob is set.
+  bool any() const {
+    return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0;
+  }
+  /// The Solver::Budget equivalent. The deadline starts ticking at the
+  /// moment of this call.
+  Solver::Budget solverBudget() const {
+    Solver::Budget B;
+    B.MaxConflicts = MaxConflicts;
+    B.MaxArenaBytes = MaxMemoryMb << 20;
+    if (TimeoutSeconds > 0)
+      B.setDeadlineIn(TimeoutSeconds);
+    return B;
+  }
+};
+
 struct LocalizeOptions {
   /// Stop after this many CoMSSes (the paper iterates interactively).
   size_t MaxDiagnoses = 16;
@@ -90,32 +118,10 @@ struct LocalizeOptions {
   /// load and restart boundaries. Canonicalized diagnoses are identical
   /// with it on or off; turn off to debug or to bound preprocessing cost.
   bool Preprocess = true;
-  // --- query-wide resource budget (0 = unlimited for each knob) ------------
-  // When any knob is set and the budget is exhausted mid-enumeration, the
-  // report carries the diagnoses completed so far with Incomplete = true
-  // instead of running forever or aborting.
-  /// Wall-clock deadline for the whole enumeration, in seconds.
-  double TimeoutSeconds = 0;
-  /// Total conflict cap across the whole enumeration (unlike
-  /// ConflictBudget, which is per SAT call).
-  uint64_t MaxConflicts = 0;
-  /// Clause-arena cap per solver, in mebibytes.
-  uint64_t MaxMemoryMb = 0;
-
-  /// True when any budget knob is set.
-  bool hasBudget() const {
-    return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0;
-  }
-  /// The Solver::Budget equivalent. The deadline starts ticking at the
-  /// moment of this call.
-  Solver::Budget solverBudget() const {
-    Solver::Budget B;
-    B.MaxConflicts = MaxConflicts;
-    B.MaxArenaBytes = MaxMemoryMb << 20;
-    if (TimeoutSeconds > 0)
-      B.setDeadlineIn(TimeoutSeconds);
-    return B;
-  }
+  /// Query-wide resource budget. When it is set and runs out
+  /// mid-enumeration, the report carries the diagnoses completed so far
+  /// with Incomplete = true instead of running forever or aborting.
+  QueryBudget Budget;
 };
 
 /// Algorithm 1's enumeration loop on a prebuilt instance whose soft

@@ -1,0 +1,46 @@
+//===- Answer.h - MaxSAT/SAT answer lines -----------------------*- C++ -*-===//
+//
+// Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The `o` / `s` / `v` answer lines of the `maxsat` and `sat` commands, in
+/// the MaxSAT-Evaluation / SAT-competition format, and the engine rule of
+/// `maxsat`. The CLI and serve both render through here, so a serve body is
+/// the one-shot stdout minus the CLI's `c` comment lines by construction.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef BUGASSIST_MAXSAT_ANSWER_H
+#define BUGASSIST_MAXSAT_ANSWER_H
+
+#include "maxsat/MaxSat.h"
+#include "maxsat/Portfolio.h"
+
+#include <string>
+#include <string_view>
+
+namespace bugassist {
+
+/// The engine of a `maxsat` query: "linear" and "fumalik" force theirs,
+/// "auto" picks linear search as soon as a soft weight differs from 1
+/// (Fu-Malik ignores weights). \returns true for linear search.
+bool useLinearSearch(std::string_view Engine, bool AnyNonUnitWeight);
+
+/// `o <cost>` / `s OPTIMUM FOUND` / `s UNSATISFIABLE` / `s UNKNOWN` and the
+/// `v` model line (when \p Model). A budget-stopped run reports its best
+/// upper bound and witness; with \p Comments the proven lower bound is
+/// added as a `c lower bound` line.
+std::string renderMaxSatAnswer(const MaxSatResult &R, int NumVars, bool Model,
+                               bool Comments);
+
+/// `s SATISFIABLE` / `s UNSATISFIABLE` / `s UNKNOWN` and the `0`-terminated
+/// `v` line (when \p Model). With \p WinnerComment the race winner is
+/// added as a `c winner=worker N` line.
+std::string renderSatAnswer(const SatRaceResult &R, int NumVars, bool Model,
+                            bool WinnerComment);
+
+} // namespace bugassist
+
+#endif // BUGASSIST_MAXSAT_ANSWER_H

@@ -20,7 +20,9 @@
 #include "serve/LocalizeServer.h"
 
 #include "cnf/DimacsReader.h"
+#include "core/OptionTable.h"
 #include "core/Pipeline.h"
+#include "maxsat/Answer.h"
 #include "maxsat/Portfolio.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
@@ -67,99 +69,24 @@ uint64_t elapsedMs(Clock::time_point Start) {
 
 // --- requests ----------------------------------------------------------------
 
-enum class Cmd { Localize, Repair, MaxSat, Sat };
-
-const char *cmdName(Cmd C) {
-  switch (C) {
-  case Cmd::Localize: return "localize";
-  case Cmd::Repair:   return "repair";
-  case Cmd::MaxSat:   return "maxsat";
-  case Cmd::Sat:      return "sat";
-  }
-  return "unknown";
-}
-
 /// One request line, decoded. Invalid lines never become one of these --
 /// the reader answers them directly.
 struct Request {
   std::string Id;
-  Cmd Command = Cmd::Localize;
-
-  // localize / repair: resolved program text + the per-query pipeline
-  // request (repair reads the shared Entry/Unroll/Encode/Localize/
-  // CheckObligations fields out of Pipeline).
+  /// The decoded fields of every option the request's `cmd` takes
+  /// (core/OptionTable.h); Opts.Cmd is the command.
+  CommandOptions Opts{Command::Localize};
+  /// The program: mini-C text (localize / repair) or DIMACS (maxsat / sat).
   std::string Source;
-  PipelineRequest Pipeline;
-  bool Json = false;
-
-  // repair: failing inputs with per-test goldens + Algorithm 2 knobs
-  // (only the mutation/budget members of RepairOpts are request-settable;
-  // CandidateLines/Unroll/Localize are overwritten by the pipeline).
-  std::vector<InputVector> RepairInputs;
-  std::vector<int64_t> RepairGoldens;
-  RepairOptions RepairOpts;
-
-  // maxsat / sat: resolved DIMACS text + output options.
-  std::string Dimacs;
-  std::string Engine = "auto";
-  bool Model = true;
-
-  // Per-request resource budget (every command).
-  double TimeoutSeconds = 0;
-  uint64_t MaxConflicts = 0;
-  uint64_t MaxMemoryMb = 0;
 
   /// Set by the first attempt to record this request's outcome in the
   /// summary counters; retries of a crashed worker re-compute the
   /// response (emission is idempotent) but must not re-count it.
   mutable std::atomic<bool> Tallied{false};
 
-  bool hasBudget() const {
-    return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0;
-  }
-  Solver::Budget solverBudget() const {
-    Solver::Budget B;
-    B.MaxConflicts = MaxConflicts;
-    B.MaxArenaBytes = MaxMemoryMb << 20;
-    if (TimeoutSeconds > 0)
-      B.setDeadlineIn(TimeoutSeconds);
-    return B;
-  }
+  const char *cmd() const { return commandName(Opts.Cmd); }
+  const QueryBudget &budget() const { return Opts.Query.Localize.Budget; }
 };
-
-/// Field-level validators. Each returns false with \p Error set; the
-/// messages quote the field name so a typo is findable in the batch.
-bool wantString(const JsonValue &V, const char *Name, std::string &Out,
-                std::string &Error) {
-  if (!V.isString()) {
-    Error = std::string("field '") + Name + "' must be a string";
-    return false;
-  }
-  Out = V.Text;
-  return true;
-}
-
-bool wantBool(const JsonValue &V, const char *Name, bool &Out,
-              std::string &Error) {
-  if (!V.isBool()) {
-    Error = std::string("field '") + Name + "' must be a boolean";
-    return false;
-  }
-  Out = V.BoolVal;
-  return true;
-}
-
-bool wantInt(const JsonValue &V, const char *Name, int64_t Min, int64_t Max,
-             int64_t &Out, std::string &Error) {
-  auto I = V.asInt64();
-  if (!I || *I < Min || *I > Max) {
-    Error = std::string("field '") + Name + "' must be an integer in [" +
-            std::to_string(Min) + ", " + std::to_string(Max) + "]";
-    return false;
-  }
-  Out = *I;
-  return true;
-}
 
 /// Decodes one request object. \p Req.Id is always usable afterwards (the
 /// explicit id when one parsed, else the 1-based request number), so even
@@ -174,204 +101,67 @@ bool parseRequest(const JsonValue &Root, size_t Index, Request &Req,
     return false;
   }
   if (const JsonValue *Id = Root.find("id")) {
-    if (!wantString(*Id, "id", Req.Id, Error))
+    if (!Id->isString()) {
+      Error = "field 'id' must be a string";
       return false;
+    }
+    Req.Id = Id->Text;
   }
   const JsonValue *CmdV = Root.find("cmd");
-  std::string CmdStr;
-  if (!CmdV || !wantString(*CmdV, "cmd", CmdStr, Error)) {
-    if (Error.empty())
-      Error = "missing required field 'cmd'";
+  if (!CmdV || !CmdV->isString()) {
+    Error = CmdV ? "field 'cmd' must be a string"
+                 : "missing required field 'cmd'";
     return false;
   }
-  if (CmdStr == "localize")
-    Req.Command = Cmd::Localize;
-  else if (CmdStr == "repair")
-    Req.Command = Cmd::Repair;
-  else if (CmdStr == "maxsat")
-    Req.Command = Cmd::MaxSat;
-  else if (CmdStr == "sat")
-    Req.Command = Cmd::Sat;
-  else {
+  Command C;
+  if (!parseServedCommand(CmdV->Text, C)) {
     Error = "field 'cmd' must be \"localize\", \"repair\", \"maxsat\", or "
             "\"sat\"";
     return false;
   }
-  // Program-shaped commands share the source/encoding/localize fields.
-  const bool Prog =
-      Req.Command == Cmd::Localize || Req.Command == Cmd::Repair;
+  Req.Opts.Cmd = C;
+  // Program-shaped commands take mini-C; maxsat/sat take DIMACS.
+  const bool Prog = C == Command::Localize || C == Command::Repair;
+  const char *Inline = Prog ? "source" : C == Command::MaxSat ? "wcnf" : "cnf";
 
-  int ProgramSources = 0; // source/file/tcas (localize), wcnf/cnf/file
+  int ProgramSources = 0; // source/tcas/file, or wcnf/cnf/file
   for (const auto &[Key, Val] : Root.Members) {
-    int64_t N = 0;
-    if (Key == "id" || Key == "cmd") {
-      // handled above
-    } else if (Key == "timeout") {
-      auto D = Val.asDouble();
-      // Same bounds as the CLI's --timeout: anything over 1e9 seconds is
-      // a typo, not a deadline.
-      if (!D || !(*D > 0) || *D > 1e9) {
-        Error = "field 'timeout' must be a positive number of seconds";
+    if (Key == "id" || Key == "cmd")
+      continue; // handled above
+    if (Key == Inline || Key == "file") {
+      if (!Val.isString()) {
+        Error = "field '" + Key + "' must be a string";
         return false;
       }
-      Req.TimeoutSeconds = *D;
-    } else if (Key == "max_conflicts") {
-      if (!wantInt(Val, "max_conflicts", 1, INT64_MAX, N, Error))
-        return false;
-      Req.MaxConflicts = static_cast<uint64_t>(N);
-    } else if (Key == "max_memory_mb") {
-      // Capped so MaxMemoryMb << 20 cannot overflow uint64_t.
-      if (!wantInt(Val, "max_memory_mb", 1, 1ll << 30, N, Error))
-        return false;
-      Req.MaxMemoryMb = static_cast<uint64_t>(N);
-    } else if (Prog && Key == "source") {
-      if (!wantString(Val, "source", Req.Source, Error))
-        return false;
+      Req.Source = Val.Text;
+      if (Key == "file") {
+        auto Text = readFileToString(Val.Text);
+        if (!Text) {
+          Error = "cannot read file '" + Val.Text + "'";
+          Code = ErrorCode::FileUnreadable;
+          return false;
+        }
+        Req.Source = std::move(*Text);
+      }
       ++ProgramSources;
     } else if (Prog && Key == "tcas") {
-      if (!wantInt(Val, "tcas", 0, 41, N, Error))
+      int64_t N = 0, Last = static_cast<int64_t>(tcasMutants().size());
+      if (!Val.isNumber() || !parseBoundedInt(Val.Text, 0, Last, N)) {
+        Error = "field 'tcas' must be an integer in [0, " +
+                std::to_string(Last) + "]";
         return false;
+      }
       Req.Source = N == 0 ? tcasSource()
                           : tcasMutants()[static_cast<size_t>(N - 1)].Source;
       ++ProgramSources;
-    } else if (Key == "file") {
-      std::string Path;
-      if (!wantString(Val, "file", Path, Error))
-        return false;
-      auto Text = readFileToString(Path);
-      if (!Text) {
-        Error = "cannot read file '" + Path + "'";
-        Code = ErrorCode::FileUnreadable;
-        return false;
-      }
-      (Prog ? Req.Source : Req.Dimacs) =
-          std::move(*Text);
-      ++ProgramSources;
-    } else if (Prog && Key == "entry") {
-      if (!wantString(Val, "entry", Req.Pipeline.Entry, Error))
-        return false;
-    } else if (Req.Command == Cmd::Localize && Key == "input") {
-      std::string Text, ParseError;
-      if (!wantString(Val, "input", Text, Error))
-        return false;
-      auto In = parseInputVector(Text, ParseError);
-      if (!In) {
-        Error = "bad 'input': " + ParseError;
-        return false;
-      }
-      Req.Pipeline.Input = std::move(*In);
-    } else if (Req.Command == Cmd::Localize && Key == "golden") {
-      if (!wantInt(Val, "golden", INT64_MIN, INT64_MAX, N, Error))
-        return false;
-      Req.Pipeline.GoldenReturn = N;
-    } else if (Prog && Key == "check_obligations") {
-      if (!wantBool(Val, "check_obligations", Req.Pipeline.CheckObligations,
-                    Error))
-        return false;
-    } else if (Prog && Key == "bounds") {
-      if (!wantBool(Val, "bounds", Req.Pipeline.Unroll.CheckArrayBounds,
-                    Error))
-        return false;
-    } else if (Prog && Key == "unwind") {
-      if (!wantInt(Val, "unwind", 1, 1000000, N, Error))
-        return false;
-      Req.Pipeline.Unroll.MaxLoopUnwind = static_cast<int>(N);
-    } else if (Prog && Key == "bitwidth") {
-      if (!wantInt(Val, "bitwidth", 1, 64, N, Error))
-        return false;
-      Req.Pipeline.Unroll.BitWidth = static_cast<int>(N);
-    } else if (Prog && Key == "hard_lines") {
-      std::string Spec;
-      if (!wantString(Val, "hard_lines", Spec, Error))
-        return false;
-      if (!parseHardLinesSpec(Spec, Req.Pipeline.Unroll.HardLines)) {
-        Error = "bad 'hard_lines' spec '" + Spec + "'";
-        return false;
-      }
-    } else if (Prog && Key == "max_diagnoses") {
-      if (!wantInt(Val, "max_diagnoses", 1, INT64_MAX, N, Error))
-        return false;
-      Req.Pipeline.Localize.MaxDiagnoses = static_cast<size_t>(N);
-    } else if (Prog && Key == "weighted") {
-      if (!wantBool(Val, "weighted", Req.Pipeline.Localize.Weighted, Error))
-        return false;
-    } else if (Prog && Key == "json") {
-      if (!wantBool(Val, "json", Req.Json, Error))
-        return false;
-    } else if (Req.Command == Cmd::Repair && Key == "inputs") {
-      if (Val.K != JsonValue::Kind::Array) {
-        Error = "field 'inputs' must be an array of input strings";
-        return false;
-      }
-      for (const JsonValue &E : Val.Elements) {
-        std::string Text, ParseError;
-        if (!wantString(E, "inputs", Text, Error))
-          return false;
-        auto In = parseInputVector(Text, ParseError);
-        if (!In) {
-          Error = "bad 'inputs' entry: " + ParseError;
-          return false;
-        }
-        Req.RepairInputs.push_back(std::move(*In));
-      }
-    } else if (Req.Command == Cmd::Repair && Key == "goldens") {
-      if (Val.K != JsonValue::Kind::Array) {
-        Error = "field 'goldens' must be an array of integers";
-        return false;
-      }
-      for (const JsonValue &E : Val.Elements) {
-        if (!wantInt(E, "goldens", INT64_MIN, INT64_MAX, N, Error))
-          return false;
-        Req.RepairGoldens.push_back(N);
-      }
-    } else if (Req.Command == Cmd::Repair && Key == "off_by_one") {
-      if (!wantBool(Val, "off_by_one", Req.RepairOpts.OffByOne, Error))
-        return false;
-    } else if (Req.Command == Cmd::Repair && Key == "op_swap") {
-      if (!wantBool(Val, "op_swap", Req.RepairOpts.OperatorSwap, Error))
-        return false;
-    } else if (Req.Command == Cmd::Repair && Key == "prescreen") {
-      if (!wantBool(Val, "prescreen", Req.RepairOpts.PrescreenLines, Error))
-        return false;
-    } else if (Req.Command == Cmd::Repair && Key == "max_candidates") {
-      if (!wantInt(Val, "max_candidates", 1, INT64_MAX, N, Error))
-        return false;
-      Req.RepairOpts.MaxCandidates = static_cast<size_t>(N);
-    } else if (Req.Command == Cmd::Repair && Key == "verify_budget") {
-      if (!wantInt(Val, "verify_budget", 0, INT64_MAX, N, Error))
-        return false;
-      Req.RepairOpts.VerifyBudget = static_cast<uint64_t>(N);
-    } else if (Req.Command == Cmd::MaxSat && Key == "wcnf") {
-      if (!wantString(Val, "wcnf", Req.Dimacs, Error))
-        return false;
-      ++ProgramSources;
-    } else if (Req.Command == Cmd::Sat && Key == "cnf") {
-      if (!wantString(Val, "cnf", Req.Dimacs, Error))
-        return false;
-      ++ProgramSources;
-    } else if (Req.Command == Cmd::MaxSat && Key == "engine") {
-      if (!wantString(Val, "engine", Req.Engine, Error))
-        return false;
-      if (Req.Engine != "auto" && Req.Engine != "fumalik" &&
-          Req.Engine != "linear") {
-        Error = "field 'engine' must be \"auto\", \"fumalik\", or "
-                "\"linear\"";
-        return false;
-      }
-    } else if (!Prog && Key == "model") {
-      if (!wantBool(Val, "model", Req.Model, Error))
-        return false;
-    } else {
-      // Strict by design: an unknown (or wrong-command) field is a typo
-      // the user wants to hear about, not silently-ignored noise.
-      Error = "unknown field '" + Key + "' for cmd \"" + CmdStr + "\"";
+    } else if (!applyRequestField(Key, Val, Req.Opts, Error)) {
       return false;
     }
   }
 
   const char *Wanted = Prog ? "'source', 'file', or 'tcas'"
-                            : Req.Command == Cmd::MaxSat ? "'wcnf' or 'file'"
-                                                         : "'cnf' or 'file'";
+                            : C == Command::MaxSat ? "'wcnf' or 'file'"
+                                                   : "'cnf' or 'file'";
   if (ProgramSources == 0) {
     Error = std::string("missing program: give exactly one of ") + Wanted;
     return false;
@@ -381,13 +171,13 @@ bool parseRequest(const JsonValue &Root, size_t Index, Request &Req,
             Wanted;
     return false;
   }
-  if (Req.Command == Cmd::Repair) {
-    if (Req.RepairInputs.empty()) {
+  if (C == Command::Repair) {
+    const RepairRequest &R = Req.Opts.Query;
+    if (R.Inputs.empty()) {
       Error = "repair requires a non-empty 'inputs' array";
       return false;
     }
-    if (!Req.RepairGoldens.empty() &&
-        Req.RepairGoldens.size() != Req.RepairInputs.size()) {
+    if (!R.Goldens.empty() && R.Goldens.size() != R.Inputs.size()) {
       Error = "'goldens' must match 'inputs' in length";
       return false;
     }
@@ -436,21 +226,6 @@ std::string frameResponse(const std::string &Id, const char *CmdStr,
   return Out;
 }
 
-/// MaxSAT-Evaluation model line; mirrors the CLI's printModelLine.
-void appendModelLine(std::string &Out, const std::vector<LBool> &Model,
-                     int NumVars, bool TrailingZero) {
-  Out += "v";
-  for (int V = 0; V < NumVars; ++V) {
-    Out += ' ';
-    if (Model[V] != LBool::True)
-      Out += '-';
-    Out += std::to_string(V + 1);
-  }
-  if (TrailingZero)
-    Out += " 0";
-  Out += '\n';
-}
-
 /// A computed response plus its summary classification. The class is
 /// applied to the counters exactly once per request (Request::Tallied),
 /// no matter how many crash retries re-compute the response.
@@ -465,7 +240,7 @@ Outcome respondError(const Request &Req, ErrorCode Code,
                      uint64_t ElapsedMs = 0) {
   ResponseStats St;
   St.ElapsedMs = ElapsedMs;
-  return {frameResponse(Req.Id, cmdName(Req.Command), "error",
+  return {frameResponse(Req.Id, Req.cmd(), "error",
                         /*Exit=*/1, Code, Cache, Message, "", St),
           Outcome::Error};
 }
@@ -562,19 +337,18 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
                         const WorkerCtx &Ctx) {
   auto Start = Clock::now();
   bool Hit = false;
+  const RepairRequest &Q = Req.Opts.Query;
   const CachedProgram &CP =
-      Cache.lookup(Req.Source, Req.Pipeline.Entry, Req.Pipeline.Unroll,
-                   Req.Pipeline.Encode, &Hit);
+      Cache.lookup(Req.Source, Q.Entry, Q.Unroll, Q.Encode, &Hit);
   const char *CacheStr = Hit ? "hit" : "miss";
   if (!CP.prepared())
     return respondError(Req, ErrorCode::CompileError,
                         "program does not compile: " + CP.error(), CacheStr,
                         elapsedMs(Start));
 
-  PipelineRequest R = Req.Pipeline;
-  R.Localize.TimeoutSeconds = Req.TimeoutSeconds;
-  R.Localize.MaxConflicts = Ctx.degradedConflicts(Req.MaxConflicts);
-  R.Localize.MaxMemoryMb = Req.MaxMemoryMb;
+  PipelineRequest R = Req.Opts.localizeRequest();
+  R.Localize.Budget.MaxConflicts =
+      Ctx.degradedConflicts(R.Localize.Budget.MaxConflicts);
 
   // The encode-once fast path: a clone of the cached base session, primed
   // with TF1 + the soft selectors, completed per-test inside the pipeline.
@@ -595,13 +369,13 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
 
   // Localized or NoCounterexample: the body is the one-shot CLI's stdout,
   // byte for byte.
-  std::string Body = renderLocalizeOutput(Res, Req.Json);
+  std::string Body = renderLocalizeOutput(Res, Req.Opts.Json);
   bool Incomplete = Res.Report.Incomplete;
   ResponseStats St;
   St.ElapsedMs = elapsedMs(Start);
   St.SatCalls = Res.Report.SatCalls;
   St.Search = Res.Report.Search;
-  return {frameResponse(Req.Id, cmdName(Req.Command),
+  return {frameResponse(Req.Id, Req.cmd(),
                         Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
                         Res.Code, CacheStr, "", Body, St),
           Incomplete ? Outcome::Incomplete : Outcome::Ok};
@@ -611,27 +385,18 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
                       const WorkerCtx &Ctx) {
   auto Start = Clock::now();
   bool Hit = false;
+  const RepairRequest &Q = Req.Opts.Query;
   const CachedProgram &CP =
-      Cache.lookup(Req.Source, Req.Pipeline.Entry, Req.Pipeline.Unroll,
-                   Req.Pipeline.Encode, &Hit);
+      Cache.lookup(Req.Source, Q.Entry, Q.Unroll, Q.Encode, &Hit);
   const char *CacheStr = Hit ? "hit" : "miss";
   if (!CP.prepared())
     return respondError(Req, ErrorCode::CompileError,
                         "program does not compile: " + CP.error(), CacheStr,
                         elapsedMs(Start));
 
-  RepairRequest R;
-  R.Entry = Req.Pipeline.Entry;
-  R.Unroll = Req.Pipeline.Unroll;
-  R.Encode = Req.Pipeline.Encode;
-  R.CheckObligations = Req.Pipeline.CheckObligations;
-  R.Localize = Req.Pipeline.Localize;
-  R.Localize.TimeoutSeconds = Req.TimeoutSeconds;
-  R.Localize.MaxConflicts = Ctx.degradedConflicts(Req.MaxConflicts);
-  R.Localize.MaxMemoryMb = Req.MaxMemoryMb;
-  R.Inputs = Req.RepairInputs;
-  R.Goldens = Req.RepairGoldens;
-  R.Repair = Req.RepairOpts;
+  RepairRequest R = Q;
+  R.Localize.Budget.MaxConflicts =
+      Ctx.degradedConflicts(R.Localize.Budget.MaxConflicts);
 
   // Same encode-once fast path as localize: the cached base session
   // serves the localization stage; candidate verification solvers are
@@ -652,13 +417,13 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
                         CacheStr, elapsedMs(Start));
 
   // The body is the one-shot CLI's stdout, byte for byte.
-  std::string Body = renderRepairOutput(Res, Req.Json);
+  std::string Body = renderRepairOutput(Res, Req.Opts.Json);
   bool Incomplete = Res.Code == ErrorCode::BudgetExhausted;
   ResponseStats St;
   St.ElapsedMs = elapsedMs(Start);
   St.SatCalls = Res.Report.SatCalls + Res.Repair.Stats.PrescreenSatCalls;
   St.Search = Res.Report.Search;
-  return {frameResponse(Req.Id, cmdName(Req.Command),
+  return {frameResponse(Req.Id, Req.cmd(),
                         Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
                         Res.Code, CacheStr, "", Body, St),
           Incomplete ? Outcome::Incomplete : Outcome::Ok};
@@ -667,23 +432,19 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
 Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
   auto Start = Clock::now();
   DimacsParseError Err;
-  auto Parsed = parseDimacs(Req.Dimacs, Err);
+  auto Parsed = parseDimacs(Req.Source, Err);
   if (!Parsed)
     return respondError(Req, ErrorCode::BadDimacs, "bad wcnf: " + Err.render(),
                         nullptr, elapsedMs(Start));
 
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
-  // Engine dispatch matches the CLI: Fu-Malik ignores weights, so weighted
-  // instances force linear search unless fumalik was explicitly requested.
-  bool Weighted =
-      Req.Engine == "linear" || (Req.Engine == "auto" && AnyWeight);
-  std::unique_ptr<MaxSatSession> Session =
-      makeMaxSatSession(Inst, Weighted, /*ConflictBudget=*/0,
-                        Solver::Options(), /*Canonical=*/true);
-  Solver::Budget B = Req.solverBudget();
+  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+      Inst, useLinearSearch(Req.Opts.Engine, AnyWeight), /*ConflictBudget=*/0,
+      Solver::Options(), /*Canonical=*/true);
+  Solver::Budget B = Req.budget().solverBudget();
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
-  if (Req.hasBudget() || Ctx.Degraded)
+  if (Req.budget().any() || Ctx.Degraded)
     Session->setBudget(B);
   std::optional<FlightGuard> Flight;
   if (Ctx.Flights)
@@ -693,33 +454,14 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
   Flight.reset();
 
   // The CLI's o/s/v lines with the `c` comment lines removed.
-  std::string Body;
-  switch (R.Status) {
-  case MaxSatStatus::Optimum:
-    Body = "o " + std::to_string(R.Cost) + "\ns OPTIMUM FOUND\n";
-    if (Req.Model)
-      appendModelLine(Body, R.Model, Inst.NumVars, /*TrailingZero=*/false);
-    break;
-  case MaxSatStatus::HardUnsat:
-    Body = "s UNSATISFIABLE\n";
-    break;
-  case MaxSatStatus::Unknown:
-    if (R.UpperBound != UINT64_MAX) {
-      Body = "o " + std::to_string(R.UpperBound) + "\ns UNKNOWN\n";
-      if (Req.Model && !R.BestModel.empty())
-        appendModelLine(Body, R.BestModel, Inst.NumVars,
-                        /*TrailingZero=*/false);
-    } else {
-      Body = "s UNKNOWN\n";
-    }
-    break;
-  }
+  std::string Body =
+      renderMaxSatAnswer(R, Inst.NumVars, Req.Opts.Model, /*Comments=*/false);
   bool Incomplete = R.Status == MaxSatStatus::Unknown;
   ResponseStats St;
   St.ElapsedMs = elapsedMs(Start);
   St.SatCalls = R.SatCalls;
   St.Search = R.Search;
-  return {frameResponse(Req.Id, cmdName(Req.Command),
+  return {frameResponse(Req.Id, Req.cmd(),
                         Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
                         Incomplete ? ErrorCode::BudgetExhausted
                                    : ErrorCode::Ok,
@@ -730,7 +472,7 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
 Outcome processSat(const Request &Req, const WorkerCtx &Ctx) {
   auto Start = Clock::now();
   DimacsParseError Err;
-  auto Parsed = parseDimacs(Req.Dimacs, Err);
+  auto Parsed = parseDimacs(Req.Source, Err);
   if (!Parsed)
     return respondError(Req, ErrorCode::BadDimacs, "bad cnf: " + Err.render(),
                         nullptr, elapsedMs(Start));
@@ -745,29 +487,22 @@ Outcome processSat(const Request &Req, const WorkerCtx &Ctx) {
   // cannot reach them via the flight table; its deadline rides in as a
   // budget deadline instead, which the solver polls at the same cadence
   // as the interrupt flag.
-  Solver::Budget B = Req.solverBudget();
+  Solver::Budget B = Req.budget().solverBudget();
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
-  if (Ctx.WatchdogSeconds > 0 && Req.TimeoutSeconds <= 0)
+  if (Ctx.WatchdogSeconds > 0 && Req.budget().TimeoutSeconds <= 0)
     B.setDeadlineIn(Ctx.WatchdogSeconds);
   SatRaceResult R =
       racePortfolioSat(Clauses, Parsed->NumVars, /*Threads=*/1,
                        Solver::Options(), B);
-  std::string Body;
-  if (R.Result == LBool::True)
-    Body = "s SATISFIABLE\n";
-  else if (R.Result == LBool::False)
-    Body = "s UNSATISFIABLE\n";
-  else
-    Body = "s UNKNOWN\n";
-  if (Req.Model && R.Result == LBool::True)
-    appendModelLine(Body, R.Model, Parsed->NumVars, /*TrailingZero=*/true);
+  std::string Body = renderSatAnswer(R, Parsed->NumVars, Req.Opts.Model,
+                                     /*WinnerComment=*/false);
 
   bool Incomplete = R.Result == LBool::Undef;
   ResponseStats St;
   St.ElapsedMs = elapsedMs(Start);
   St.SatCalls = 1;
   St.Search = R.Aggregate;
-  return {frameResponse(Req.Id, cmdName(Req.Command),
+  return {frameResponse(Req.Id, Req.cmd(),
                         Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
                         Incomplete ? ErrorCode::BudgetExhausted
                                    : ErrorCode::Ok,
@@ -777,15 +512,17 @@ Outcome processSat(const Request &Req, const WorkerCtx &Ctx) {
 
 Outcome processRequest(const Request &Req, FormulaCache &Cache,
                        const WorkerCtx &Ctx) {
-  switch (Req.Command) {
-  case Cmd::Localize:
+  switch (Req.Opts.Cmd) {
+  case Command::Localize:
     return processLocalize(Req, Cache, Ctx);
-  case Cmd::Repair:
+  case Command::Repair:
     return processRepair(Req, Cache, Ctx);
-  case Cmd::MaxSat:
+  case Command::MaxSat:
     return processMaxSat(Req, Ctx);
-  case Cmd::Sat:
+  case Command::Sat:
     return processSat(Req, Ctx);
+  default:
+    break;
   }
   return respondError(Req, ErrorCode::Internal, "unreachable");
 }
@@ -883,7 +620,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       // so the client still gets exactly one response for the id.
       ResponseStats St;
       tallyAndEmit(Index, Req,
-                   {frameResponse(Req.Id, cmdName(Req.Command), "cancelled",
+                   {frameResponse(Req.Id, Req.cmd(), "cancelled",
                                   /*Exit=*/2, ErrorCode::Cancelled, nullptr,
                                   "request drained before execution", "", St),
                     Outcome::Cancelled});
@@ -1061,12 +798,11 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       // Malformed request: answered inline (ordering still holds -- the
       // emitter serializes), with cmd "unknown" unless a valid cmd parsed.
       std::string CmdText = "unknown";
+      Command C;
       if (Root)
-        if (const JsonValue *C = Root->find("cmd"))
-          if (C->isString() && (C->Text == "localize" ||
-                                C->Text == "repair" ||
-                                C->Text == "maxsat" || C->Text == "sat"))
-            CmdText = C->Text;
+        if (const JsonValue *CmdV = Root->find("cmd"))
+          if (CmdV->isString() && parseServedCommand(CmdV->Text, C))
+            CmdText = CmdV->Text;
       ++T.Errors;
       ResponseStats St;
       emitNoThrow(Index, frameResponse(Req->Id, CmdText.c_str(), "error",

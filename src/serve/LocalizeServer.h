@@ -8,12 +8,12 @@
 /// The long-lived batch driver behind `bugassist serve` (docs/SERVE.md is
 /// the wire-format reference, docs/ARCHITECTURE.md the design rationale).
 /// One LocalizeServer::run() call reads JSON-lines requests (localize /
-/// maxsat / sat, each with optional per-request budgets) from a stream
-/// until EOF, answers them on a work-stealing pool of Threads workers, and
-/// writes framed responses -- header line, verbatim body bytes, stats
-/// trailer line -- to the output stream *in request order*. The same call
-/// serves both front-ends: `--batch FILE` hands it an ifstream, the daemon
-/// loop hands it stdin.
+/// repair / maxsat / sat, each with optional per-request budgets) from a
+/// stream until EOF, answers them on a work-stealing pool of Threads
+/// workers, and writes framed responses -- header line, verbatim body
+/// bytes, stats trailer line -- to the output stream *in request order*.
+/// The same call serves both front-ends: `--batch FILE` hands it an
+/// ifstream, the daemon loop hands it stdin.
 ///
 /// Per the determinism contract, a localize body is byte-identical to the
 /// stdout of the equivalent one-shot `bugassist localize` run, at every

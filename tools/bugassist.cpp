@@ -42,8 +42,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "cnf/DimacsReader.h"
+#include "core/OptionTable.h"
 #include "core/Pipeline.h"
 #include "lang/Sema.h"
+#include "maxsat/Answer.h"
 #include "maxsat/MaxSat.h"
 #include "maxsat/Portfolio.h"
 #include "mutate/FuzzSweep.h"
@@ -55,15 +57,14 @@
 #include "support/FileUtil.h"
 #include "support/Rng.h"
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace bugassist;
@@ -79,294 +80,20 @@ constexpr int ExitInputError = 1;
 constexpr int ExitBudgetExhausted = 2;
 
 int usage(const char *Argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s <command> [args]\n"
-      "\n"
-      "commands:\n"
-      "  localize <prog.ba> [options]   fault-localize a mini-C program\n"
-      "    --entry NAME          entry function (default: main)\n"
-      "    --input \"V,[A,B],..\"  failing input; omitted: find one by BMC\n"
-      "    --golden N            expected return value for --input\n"
-      "    --no-obligations      ignore assert/bounds obligations\n"
-      "    --no-bounds           do not encode array-bounds obligations\n"
-      "    --unwind N            loop unwinding bound (default: 16)\n"
-      "    --bitwidth W          word width in bits (default: 16)\n"
-      "    --hard-lines SPEC     never-blamed lines, e.g. 3,10-12\n"
-      "    --max-diagnoses N     CoMSS cap (default: 16)\n"
-      "    --weighted            weighted linear-search MaxSAT engine\n"
-      "    --threads N           portfolio width (default: 1)\n"
-      "    --no-preprocess       disable clause-database simplification\n"
-      "    --json                JSON report instead of text\n"
-      "    --stats               append solver statistics (nondeterministic)\n"
-      "  repair <prog.ba> [options]     localize, then suggest a validated fix\n"
-      "    --input \"V,[A,B],..\"  failing input (repeatable; first drives\n"
-      "                          localization, all screen candidates)\n"
-      "    --golden N            expected return for the matching --input\n"
-      "                          (repeatable; count must match --input)\n"
-      "    --no-off-by-one       skip constant +/-1 mutations\n"
-      "    --no-op-swap          skip near-miss operator swaps\n"
-      "    --max-candidates N    candidate mutants to try (default: 256)\n"
-      "    --verify-budget N     conflict cap per BMC re-verification\n"
-      "    --no-prescreen        skip the pooled per-line SAT prescreen\n"
-      "    plus localize's --entry/--unwind/--bitwidth/--hard-lines/\n"
-      "    --max-diagnoses/--weighted/--threads/--no-preprocess/\n"
-      "    --no-obligations/--no-bounds/--json\n"
-      "  fuzz <tcas|prog.ba> [options]  differential mutant sweep (scorecard\n"
-      "                                 JSON on stdout; exit 1 on any report\n"
-      "                                 mismatch between configurations)\n"
-      "    --seed N              mutation stream seed (default: 1)\n"
-      "    --count N             mutants to generate (default: 100)\n"
-      "    --pool N              test-pool size (default: 400 tcas, 256 file)\n"
-      "    --threads N           the K in the 1-vs-K differential (default: 4)\n"
-      "    --classes a,b,..      restrict fault classes (op,const,assign,\n"
-      "                          code,addcode,init,index,branch)\n"
-      "    --max-diagnoses N     CoMSS cap per localization (default: 8)\n"
-      "    --max-tests N         failing tests kept per mutant (default: 4)\n"
-      "    --no-repair           skip Algorithm 2 repair on hits\n"
-      "    --max-candidates N    repair candidate cap (default: 64)\n"
-      "    --verify-budget N     repair BMC conflict cap (default: 200000)\n"
-      "    --progress            progress counter on stderr\n"
-      "    plus --entry/--unwind/--bitwidth/--no-bounds/--hard-lines\n"
-      "    (file subjects only; tcas fixes its own harness options)\n"
-      "  maxsat <file.wcnf> [--threads N] [--engine fumalik|linear]\n"
-      "                     [--no-model] [--no-preprocess] [--stats]\n"
-      "  sat <file.cnf> [--threads N] [--no-model] [--no-preprocess]\n"
-      "  serve [--batch FILE] [--threads N] [--max-retries N]\n"
-      "        [--watchdog SECONDS] [--faults SPEC]\n"
-      "                     batch localization service: JSON-lines\n"
-      "                     requests from FILE (or stdin as a daemon),\n"
-      "                     framed responses on stdout in request order,\n"
-      "                     each program parsed/encoded once (docs/SERVE.md).\n"
-      "                     Crashed workers respawn and retry the in-flight\n"
-      "                     request --max-retries times; --watchdog bounds\n"
-      "                     each request's wall time; SIGINT/SIGTERM drain\n"
-      "                     gracefully. --faults (or BUGASSIST_FAULTS) arms\n"
-      "                     a test-only fault-injection campaign\n"
-      "  dump-tcas [N]      print TCAS source (0: correct, 1..41: mutants)\n"
-      "  dump-tcas --list   list the mutant catalog\n"
-      "\n"
-      "resource budgets (localize, repair, maxsat, sat):\n"
-      "  --timeout SECONDS     wall-clock deadline (fractional ok)\n"
-      "  --max-conflicts N     total conflict cap\n"
-      "  --max-memory-mb N     clause-arena cap per solver, in MiB\n"
-      "on exhaustion the best-so-far result is printed and the exit code\n"
-      "is 2 (0: complete, 1: input/usage error)\n",
-      Argv0);
-  return 1;
-}
-
-/// `--flag value` / `--flag=value` matcher over argv. On a match the value
-/// is stored and \p I advanced past whatever was consumed.
-bool matchValueFlag(int Argc, char **Argv, int &I, const char *Name,
-                    std::string &Out) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Argv[I], Name, Len) != 0)
-    return false;
-  if (Argv[I][Len] == '=') {
-    Out = Argv[I] + Len + 1;
-    return true;
-  }
-  if (Argv[I][Len] == '\0' && I + 1 < Argc) {
-    Out = Argv[++I];
-    return true;
-  }
-  return false;
-}
-
-bool parseSizeT(const std::string &S, size_t &Out) {
-  // strtoull silently negates "-N"; reject any sign explicitly.
-  if (S.empty() || S[0] == '-' || S[0] == '+')
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = static_cast<size_t>(V);
-  return true;
-}
-
-bool parseInt64(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parsePositiveDouble(const std::string &S, double &Out) {
-  if (S.empty() || S[0] == '-' || S[0] == '+')
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  double V = std::strtod(S.c_str(), &End);
-  if (End != S.c_str() + S.size() || errno == ERANGE || !(V > 0) ||
-      V > 1e9) // anything bigger is a typo, not a deadline
-    return false;
-  Out = V;
-  return true;
-}
-
-/// The three budget flags shared by localize / maxsat / sat.
-struct BudgetFlags {
-  double TimeoutSeconds = 0;
-  uint64_t MaxConflicts = 0;
-  uint64_t MaxMemoryMb = 0;
-
-  bool any() const {
-    return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0;
-  }
-  /// The Solver::Budget equivalent; the deadline starts ticking now.
-  Solver::Budget solverBudget() const {
-    Solver::Budget B;
-    B.MaxConflicts = MaxConflicts;
-    B.MaxArenaBytes = MaxMemoryMb << 20;
-    if (TimeoutSeconds > 0)
-      B.setDeadlineIn(TimeoutSeconds);
-    return B;
-  }
-};
-
-/// Tries the budget flags at Argv[I]. \returns 0 when Argv[I] is not a
-/// budget flag, 1 on success, -1 on a bad value (diagnostic printed).
-int matchBudgetFlag(int Argc, char **Argv, int &I, BudgetFlags &B) {
-  std::string V;
-  if (matchValueFlag(Argc, Argv, I, "--timeout", V)) {
-    if (!parsePositiveDouble(V, B.TimeoutSeconds)) {
-      std::fprintf(stderr, "bugassist: bad --timeout value '%s'\n", V.c_str());
-      return -1;
-    }
-    return 1;
-  }
-  if (matchValueFlag(Argc, Argv, I, "--max-conflicts", V)) {
-    size_t N;
-    if (!parseSizeT(V, N) || N < 1) {
-      std::fprintf(stderr, "bugassist: bad --max-conflicts value '%s'\n",
-                   V.c_str());
-      return -1;
-    }
-    B.MaxConflicts = N;
-    return 1;
-  }
-  if (matchValueFlag(Argc, Argv, I, "--max-memory-mb", V)) {
-    size_t N;
-    // Capped so MaxMemoryMb << 20 cannot overflow uint64_t.
-    if (!parseSizeT(V, N) || N < 1 || N > (1ull << 30)) {
-      std::fprintf(stderr, "bugassist: bad --max-memory-mb value '%s'\n",
-                   V.c_str());
-      return -1;
-    }
-    B.MaxMemoryMb = N;
-    return 1;
-  }
-  return 0;
+  std::fputs(renderUsage(Argv0).c_str(), stderr);
+  return ExitInputError;
 }
 
 // --- localize ----------------------------------------------------------------
 
-int cmdLocalize(int Argc, char **Argv, const char *Argv0) {
-  if (Argc < 1)
-    return usage(Argv0);
-  std::string Path = Argv[0];
-  PipelineRequest R;
-  R.CheckObligations = true;
-  bool Json = false, Stats = false;
-  BudgetFlags Budget;
-  std::string V;
-  for (int I = 1; I < Argc; ++I) {
-    if (int M = matchBudgetFlag(Argc, Argv, I, Budget)) {
-      if (M < 0)
-        return ExitInputError;
-    } else if (matchValueFlag(Argc, Argv, I, "--entry", V)) {
-      R.Entry = V;
-    } else if (matchValueFlag(Argc, Argv, I, "--input", V)) {
-      std::string Error;
-      auto In = parseInputVector(V, Error);
-      if (!In) {
-        std::fprintf(stderr, "bugassist: bad --input: %s\n", Error.c_str());
-        return 1;
-      }
-      R.Input = std::move(*In);
-    } else if (matchValueFlag(Argc, Argv, I, "--golden", V)) {
-      int64_t G;
-      if (!parseInt64(V, G)) {
-        std::fprintf(stderr, "bugassist: bad --golden value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.GoldenReturn = G;
-    } else if (std::strcmp(Argv[I], "--no-obligations") == 0) {
-      R.CheckObligations = false;
-    } else if (std::strcmp(Argv[I], "--no-bounds") == 0) {
-      R.Unroll.CheckArrayBounds = false;
-    } else if (matchValueFlag(Argc, Argv, I, "--unwind", V)) {
-      size_t N;
-      // Capped well below INT_MAX: the unrolled trace grows linearly in
-      // the bound, so anything bigger is a typo, not a request.
-      if (!parseSizeT(V, N) || N < 1 || N > 1000000) {
-        std::fprintf(stderr, "bugassist: bad --unwind value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Unroll.MaxLoopUnwind = static_cast<int>(N);
-    } else if (matchValueFlag(Argc, Argv, I, "--bitwidth", V)) {
-      size_t W;
-      if (!parseSizeT(V, W) || W < 1 || W > 64) {
-        std::fprintf(stderr, "bugassist: bad --bitwidth value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Unroll.BitWidth = static_cast<int>(W);
-    } else if (matchValueFlag(Argc, Argv, I, "--hard-lines", V)) {
-      if (!parseHardLinesSpec(V, R.Unroll.HardLines)) {
-        std::fprintf(stderr, "bugassist: bad --hard-lines spec '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-    } else if (matchValueFlag(Argc, Argv, I, "--max-diagnoses", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1) {
-        std::fprintf(stderr, "bugassist: bad --max-diagnoses value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Localize.MaxDiagnoses = N;
-    } else if (std::strcmp(Argv[I], "--weighted") == 0) {
-      R.Localize.Weighted = true;
-    } else if (matchValueFlag(Argc, Argv, I, "--threads", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 64) {
-        std::fprintf(stderr, "bugassist: bad --threads value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Localize.Threads = N;
-    } else if (std::strcmp(Argv[I], "--no-preprocess") == 0) {
-      R.Localize.Preprocess = false;
-    } else if (std::strcmp(Argv[I], "--json") == 0) {
-      Json = true;
-    } else if (std::strcmp(Argv[I], "--stats") == 0) {
-      Stats = true;
-    } else {
-      std::fprintf(stderr, "bugassist: unknown localize option '%s'\n",
-                   Argv[I]);
-      return 1;
-    }
-  }
+int cmdLocalize(const std::string &Path, CommandOptions &O) {
   auto Source = readFileToString(Path);
   if (!Source) {
     std::fprintf(stderr, "bugassist: cannot read '%s'\n", Path.c_str());
     return 1;
   }
 
-  R.Localize.TimeoutSeconds = Budget.TimeoutSeconds;
-  R.Localize.MaxConflicts = Budget.MaxConflicts;
-  R.Localize.MaxMemoryMb = Budget.MaxMemoryMb;
-  PipelineResult Res = runLocalizePipeline(*Source, R);
+  PipelineResult Res = runLocalizePipeline(*Source, O.localizeRequest());
   switch (Res.Status) {
   case PipelineStatus::CompileError:
     std::fprintf(stderr, "bugassist: %s does not compile:\n%s", Path.c_str(),
@@ -383,11 +110,11 @@ int cmdLocalize(int Argc, char **Argv, const char *Argv0) {
 
   // The canonical output bytes, shared with serve mode so batch responses
   // diff clean against one-shot runs.
-  std::string Body = renderLocalizeOutput(Res, Json);
+  std::string Body = renderLocalizeOutput(Res, O.Json);
   std::fwrite(Body.data(), 1, Body.size(), stdout);
   if (Res.Status == PipelineStatus::NoCounterexample)
     return 0;
-  if (Stats)
+  if (O.Stats)
     std::printf("%s", renderSearchStats(Res.Report).c_str());
   // The partial report was still printed (INCOMPLETE-marked); the exit
   // code tells scripts the enumeration did not finish.
@@ -396,113 +123,8 @@ int cmdLocalize(int Argc, char **Argv, const char *Argv0) {
 
 // --- repair ------------------------------------------------------------------
 
-int cmdRepair(int Argc, char **Argv, const char *Argv0) {
-  if (Argc < 1)
-    return usage(Argv0);
-  std::string Path = Argv[0];
-  RepairRequest R;
-  R.CheckObligations = true;
-  bool Json = false;
-  BudgetFlags Budget;
-  std::string V;
-  for (int I = 1; I < Argc; ++I) {
-    if (int M = matchBudgetFlag(Argc, Argv, I, Budget)) {
-      if (M < 0)
-        return ExitInputError;
-    } else if (matchValueFlag(Argc, Argv, I, "--entry", V)) {
-      R.Entry = V;
-    } else if (matchValueFlag(Argc, Argv, I, "--input", V)) {
-      std::string Error;
-      auto In = parseInputVector(V, Error);
-      if (!In) {
-        std::fprintf(stderr, "bugassist: bad --input: %s\n", Error.c_str());
-        return 1;
-      }
-      R.Inputs.push_back(std::move(*In));
-    } else if (matchValueFlag(Argc, Argv, I, "--golden", V)) {
-      int64_t G;
-      if (!parseInt64(V, G)) {
-        std::fprintf(stderr, "bugassist: bad --golden value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Goldens.push_back(G);
-    } else if (std::strcmp(Argv[I], "--no-obligations") == 0) {
-      R.CheckObligations = false;
-    } else if (std::strcmp(Argv[I], "--no-bounds") == 0) {
-      R.Unroll.CheckArrayBounds = false;
-    } else if (matchValueFlag(Argc, Argv, I, "--unwind", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 1000000) {
-        std::fprintf(stderr, "bugassist: bad --unwind value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Unroll.MaxLoopUnwind = static_cast<int>(N);
-    } else if (matchValueFlag(Argc, Argv, I, "--bitwidth", V)) {
-      size_t W;
-      if (!parseSizeT(V, W) || W < 1 || W > 64) {
-        std::fprintf(stderr, "bugassist: bad --bitwidth value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Unroll.BitWidth = static_cast<int>(W);
-    } else if (matchValueFlag(Argc, Argv, I, "--hard-lines", V)) {
-      if (!parseHardLinesSpec(V, R.Unroll.HardLines)) {
-        std::fprintf(stderr, "bugassist: bad --hard-lines spec '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-    } else if (matchValueFlag(Argc, Argv, I, "--max-diagnoses", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1) {
-        std::fprintf(stderr, "bugassist: bad --max-diagnoses value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Localize.MaxDiagnoses = N;
-    } else if (std::strcmp(Argv[I], "--weighted") == 0) {
-      R.Localize.Weighted = true;
-    } else if (matchValueFlag(Argc, Argv, I, "--threads", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 64) {
-        std::fprintf(stderr, "bugassist: bad --threads value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Localize.Threads = N;
-    } else if (std::strcmp(Argv[I], "--no-preprocess") == 0) {
-      R.Localize.Preprocess = false;
-    } else if (std::strcmp(Argv[I], "--no-off-by-one") == 0) {
-      R.Repair.OffByOne = false;
-    } else if (std::strcmp(Argv[I], "--no-op-swap") == 0) {
-      R.Repair.OperatorSwap = false;
-    } else if (std::strcmp(Argv[I], "--no-prescreen") == 0) {
-      R.Repair.PrescreenLines = false;
-    } else if (matchValueFlag(Argc, Argv, I, "--max-candidates", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1) {
-        std::fprintf(stderr, "bugassist: bad --max-candidates value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Repair.MaxCandidates = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--verify-budget", V)) {
-      size_t N;
-      if (!parseSizeT(V, N)) {
-        std::fprintf(stderr, "bugassist: bad --verify-budget value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      R.Repair.VerifyBudget = N;
-    } else if (std::strcmp(Argv[I], "--json") == 0) {
-      Json = true;
-    } else {
-      std::fprintf(stderr, "bugassist: unknown repair option '%s'\n",
-                   Argv[I]);
-      return 1;
-    }
-  }
+int cmdRepair(const std::string &Path, CommandOptions &O) {
+  const RepairRequest &R = O.Query;
   if (R.Inputs.empty()) {
     std::fprintf(stderr, "bugassist: repair requires at least one --input\n");
     return 1;
@@ -518,10 +140,6 @@ int cmdRepair(int Argc, char **Argv, const char *Argv0) {
     std::fprintf(stderr, "bugassist: cannot read '%s'\n", Path.c_str());
     return 1;
   }
-
-  R.Localize.TimeoutSeconds = Budget.TimeoutSeconds;
-  R.Localize.MaxConflicts = Budget.MaxConflicts;
-  R.Localize.MaxMemoryMb = Budget.MaxMemoryMb;
 
   std::string Error;
   auto Prepared = prepareProgram(*Source, R.Entry, R.Unroll, R.Encode, Error);
@@ -542,7 +160,7 @@ int cmdRepair(int Argc, char **Argv, const char *Argv0) {
     break;
   }
   // Canonical output bytes, shared with serve's `repair` command.
-  std::string Body = renderRepairOutput(Res, Json);
+  std::string Body = renderRepairOutput(Res, O.Json);
   std::fwrite(Body.data(), 1, Body.size(), stdout);
   return Res.Code == ErrorCode::BudgetExhausted ? ExitBudgetExhausted
                                                 : ExitComplete;
@@ -576,137 +194,33 @@ std::vector<InputVector> genericTestPool(const FunctionDecl &Entry,
   return Pool;
 }
 
-int cmdFuzz(int Argc, char **Argv, const char *Argv0) {
-  if (Argc < 1)
-    return usage(Argv0);
-  std::string Target = Argv[0];
-  FuzzOptions Opts;
-  Opts.Threads = 4;
-  size_t PoolSize = 0; // 0 = subject default
-  std::string Entry = "main";
-  UnrollOptions Unroll;
-  bool UnrollFlagSeen = false, ShowProgress = false;
-  std::set<uint32_t> HardLines;
-  std::string V;
-  for (int I = 1; I < Argc; ++I) {
-    if (matchValueFlag(Argc, Argv, I, "--seed", V)) {
-      size_t N;
-      if (!parseSizeT(V, N)) {
-        std::fprintf(stderr, "bugassist: bad --seed value '%s'\n", V.c_str());
+int cmdFuzz(const std::string &Target, CommandOptions &O) {
+  FuzzOptions &Opts = O.Fuzz;
+  for (const std::string &List : O.FuzzClasses)
+    for (size_t Pos = 0; Pos < List.size();) {
+      size_t Comma = List.find(',', Pos);
+      if (Comma == std::string::npos)
+        Comma = List.size();
+      std::string Name = List.substr(Pos, Comma - Pos);
+      ErrorType T;
+      if (!errorTypeFromName(Name.c_str(), T)) {
+        std::fprintf(stderr, "bugassist: unknown fault class '%s'\n",
+                     Name.c_str());
         return 1;
       }
-      Opts.Seed = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--count", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 100000) {
-        std::fprintf(stderr, "bugassist: bad --count value '%s'\n", V.c_str());
-        return 1;
-      }
-      Opts.Count = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--pool", V)) {
-      if (!parseSizeT(V, PoolSize) || PoolSize < 1 || PoolSize > 1000000) {
-        std::fprintf(stderr, "bugassist: bad --pool value '%s'\n", V.c_str());
-        return 1;
-      }
-    } else if (matchValueFlag(Argc, Argv, I, "--threads", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 64) {
-        std::fprintf(stderr, "bugassist: bad --threads value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Opts.Threads = static_cast<int>(N);
-    } else if (matchValueFlag(Argc, Argv, I, "--classes", V)) {
-      for (size_t Pos = 0; Pos < V.size();) {
-        size_t Comma = V.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = V.size();
-        std::string Name = V.substr(Pos, Comma - Pos);
-        ErrorType T;
-        if (!errorTypeFromName(Name.c_str(), T)) {
-          std::fprintf(stderr, "bugassist: unknown fault class '%s'\n",
-                       Name.c_str());
-          return 1;
-        }
-        Opts.Classes.push_back(T);
-        Pos = Comma + 1;
-      }
-    } else if (matchValueFlag(Argc, Argv, I, "--max-diagnoses", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1) {
-        std::fprintf(stderr, "bugassist: bad --max-diagnoses value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Opts.MaxDiagnoses = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--max-tests", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1) {
-        std::fprintf(stderr, "bugassist: bad --max-tests value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Opts.MaxFailingTests = N;
-    } else if (std::strcmp(Argv[I], "--no-repair") == 0) {
-      Opts.TryRepair = false;
-    } else if (matchValueFlag(Argc, Argv, I, "--max-candidates", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1) {
-        std::fprintf(stderr, "bugassist: bad --max-candidates value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Opts.RepairMaxCandidates = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--verify-budget", V)) {
-      size_t N;
-      if (!parseSizeT(V, N)) {
-        std::fprintf(stderr, "bugassist: bad --verify-budget value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Opts.RepairVerifyBudget = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--entry", V)) {
-      Entry = V;
-    } else if (matchValueFlag(Argc, Argv, I, "--unwind", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 1000000) {
-        std::fprintf(stderr, "bugassist: bad --unwind value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Unroll.MaxLoopUnwind = static_cast<int>(N);
-      UnrollFlagSeen = true;
-    } else if (matchValueFlag(Argc, Argv, I, "--bitwidth", V)) {
-      size_t W;
-      if (!parseSizeT(V, W) || W < 1 || W > 64) {
-        std::fprintf(stderr, "bugassist: bad --bitwidth value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-      Unroll.BitWidth = static_cast<int>(W);
-      UnrollFlagSeen = true;
-    } else if (std::strcmp(Argv[I], "--no-bounds") == 0) {
-      Unroll.CheckArrayBounds = false;
-      UnrollFlagSeen = true;
-    } else if (matchValueFlag(Argc, Argv, I, "--hard-lines", V)) {
-      if (!parseHardLinesSpec(V, HardLines)) {
-        std::fprintf(stderr, "bugassist: bad --hard-lines spec '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-    } else if (std::strcmp(Argv[I], "--progress") == 0) {
-      ShowProgress = true;
-    } else {
-      std::fprintf(stderr, "bugassist: unknown fuzz option '%s'\n", Argv[I]);
-      return 1;
+      Opts.Classes.push_back(T);
+      Pos = Comma + 1;
     }
-  }
+  const UnrollOptions &Unroll = O.Query.Unroll;
 
   FuzzSubject Subject;
   std::unique_ptr<Program> Owned;
   DiagEngine Diags;
   if (Target == "tcas") {
-    if (UnrollFlagSeen)
+    const UnrollOptions Default;
+    if (Unroll.MaxLoopUnwind != Default.MaxLoopUnwind ||
+        Unroll.BitWidth != Default.BitWidth ||
+        Unroll.CheckArrayBounds != Default.CheckArrayBounds)
       std::fprintf(stderr,
                    "bugassist: note: tcas subject fixes unroll options; "
                    "--unwind/--bitwidth/--no-bounds ignored\n");
@@ -717,8 +231,10 @@ int cmdFuzz(int Argc, char **Argv, const char *Argv0) {
     }
     Subject.Name = "tcas";
     Subject.Unroll = tcasUnrollOptions();
+    Subject.Unroll.HardLines.insert(Unroll.HardLines.begin(),
+                                    Unroll.HardLines.end());
     Subject.CheckObligations = false; // golden-return methodology
-    Subject.Pool = tcasTestPool(PoolSize ? PoolSize : 400);
+    Subject.Pool = tcasTestPool(O.FuzzPool ? O.FuzzPool : 400);
   } else {
     auto Source = readFileToString(Target);
     if (!Source) {
@@ -731,6 +247,7 @@ int cmdFuzz(int Argc, char **Argv, const char *Argv0) {
                    Target.c_str(), Diags.render().c_str());
       return 1;
     }
+    const std::string &Entry = O.Query.Entry;
     const FunctionDecl *EntryFn = Owned->findFunction(Entry);
     if (!EntryFn) {
       std::fprintf(stderr, "bugassist: no function '%s' in %s\n",
@@ -743,15 +260,13 @@ int cmdFuzz(int Argc, char **Argv, const char *Argv0) {
     Subject.Unroll = Unroll;
     Subject.CheckObligations = true;
     Subject.Pool =
-        genericTestPool(*EntryFn, PoolSize ? PoolSize : 256, 20110601);
+        genericTestPool(*EntryFn, O.FuzzPool ? O.FuzzPool : 256, 20110601);
   }
   Subject.Base = Owned.get();
   Subject.ProtectedLines = Subject.Unroll.HardLines;
-  Subject.ProtectedLines.insert(HardLines.begin(), HardLines.end());
-  Subject.Unroll.HardLines.insert(HardLines.begin(), HardLines.end());
 
   FuzzProgress Progress;
-  if (ShowProgress)
+  if (O.FuzzProgress)
     Progress = [](size_t Done, size_t Total) {
       if (Done % 10 == 0 || Done == Total)
         std::fprintf(stderr, "fuzz: %zu/%zu\n", Done, Total);
@@ -767,53 +282,8 @@ int cmdFuzz(int Argc, char **Argv, const char *Argv0) {
 
 // --- maxsat / sat ------------------------------------------------------------
 
-void printModelLine(const std::vector<LBool> &Model, int NumVars,
-                    bool TrailingZero) {
-  std::printf("v");
-  for (int V = 0; V < NumVars; ++V)
-    std::printf(" %s%d", Model[V] == LBool::True ? "" : "-", V + 1);
-  if (TrailingZero)
-    std::printf(" 0");
-  std::printf("\n");
-}
-
-int cmdMaxsat(int Argc, char **Argv, const char *Argv0) {
-  if (Argc < 1)
-    return usage(Argv0);
-  std::string Path = Argv[0], Engine = "auto", V;
-  size_t Threads = 1;
-  bool Model = true, Stats = false, Preprocess = true;
-  BudgetFlags Budget;
-  for (int I = 1; I < Argc; ++I) {
-    if (int M = matchBudgetFlag(Argc, Argv, I, Budget)) {
-      if (M < 0)
-        return ExitInputError;
-    } else if (matchValueFlag(Argc, Argv, I, "--threads", V)) {
-      if (!parseSizeT(V, Threads) || Threads < 1 || Threads > 64) {
-        std::fprintf(stderr, "bugassist: bad --threads value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-    } else if (matchValueFlag(Argc, Argv, I, "--engine", V)) {
-      Engine = V;
-      if (Engine != "fumalik" && Engine != "linear") {
-        std::fprintf(stderr, "bugassist: --engine must be fumalik or "
-                             "linear, got '%s'\n",
-                     Engine.c_str());
-        return 1;
-      }
-    } else if (std::strcmp(Argv[I], "--no-model") == 0) {
-      Model = false;
-    } else if (std::strcmp(Argv[I], "--no-preprocess") == 0) {
-      Preprocess = false;
-    } else if (std::strcmp(Argv[I], "--stats") == 0) {
-      Stats = true;
-    } else {
-      std::fprintf(stderr, "bugassist: unknown maxsat option '%s'\n",
-                   Argv[I]);
-      return 1;
-    }
-  }
+int cmdMaxsat(const std::string &Path, CommandOptions &O) {
+  const LocalizeOptions &Knobs = O.Query.Localize;
 
   DimacsParseError Err;
   auto Parsed = readDimacsFile(Path, Err);
@@ -826,55 +296,31 @@ int cmdMaxsat(int Argc, char **Argv, const char *Argv0) {
   bool FromWcnf = Parsed->Weighted;
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
-  // Fu-Malik ignores weights, so weighted instances force linear search.
-  bool Weighted = Engine == "linear" || (Engine == "auto" && AnyWeight);
-  if (!Weighted && Engine == "fumalik" && AnyWeight)
+  bool Weighted = useLinearSearch(O.Engine, AnyWeight);
+  if (!Weighted && O.Engine == "fumalik" && AnyWeight)
     std::printf("c warning: fumalik engine ignores the non-unit weights\n");
   std::printf("c %s: %d vars, %zu hard, %zu soft%s, engine=%s, threads=%zu\n",
               Path.c_str(), Inst.NumVars, Inst.Hard.size(), Inst.Soft.size(),
               FromWcnf ? "" : " (cnf)",
-              Weighted ? "linear" : "fumalik", Threads);
+              Weighted ? "linear" : "fumalik", Knobs.Threads);
 
   Solver::Options SOpts;
-  SOpts.Preprocess = Preprocess;
+  SOpts.Preprocess = Knobs.Preprocess;
   std::unique_ptr<MaxSatSession> Session;
-  if (Threads > 1)
-    Session = makePortfolioSession(Inst, Weighted, Threads,
+  if (Knobs.Threads > 1)
+    Session = makePortfolioSession(Inst, Weighted, Knobs.Threads,
                                    /*ConflictBudget=*/0, SOpts);
   else
     Session = makeMaxSatSession(Inst, Weighted, /*ConflictBudget=*/0,
                                 SOpts, /*Canonical=*/true);
-  if (Budget.any())
-    Session->setBudget(Budget.solverBudget());
+  if (Knobs.Budget.any())
+    Session->setBudget(Knobs.Budget.solverBudget());
   MaxSatResult R = Session->solve();
 
-  switch (R.Status) {
-  case MaxSatStatus::Optimum:
-    std::printf("o %llu\ns OPTIMUM FOUND\n",
-                static_cast<unsigned long long>(R.Cost));
-    if (Model)
-      printModelLine(R.Model, Inst.NumVars, /*TrailingZero=*/false);
-    break;
-  case MaxSatStatus::HardUnsat:
-    std::printf("s UNSATISFIABLE\n");
-    break;
-  case MaxSatStatus::Unknown:
-    // Anytime output: the o-line reports the best (timing-dependent)
-    // upper bound witnessed before the budget bit, v its model.
-    if (R.UpperBound != UINT64_MAX) {
-      std::printf("o %llu\n", static_cast<unsigned long long>(R.UpperBound));
-      if (R.LowerBound > 0)
-        std::printf("c lower bound %llu\n",
-                    static_cast<unsigned long long>(R.LowerBound));
-      std::printf("s UNKNOWN\n");
-      if (Model && !R.BestModel.empty())
-        printModelLine(R.BestModel, Inst.NumVars, /*TrailingZero=*/false);
-    } else {
-      std::printf("s UNKNOWN\n");
-    }
-    break;
-  }
-  if (Stats) {
+  std::fputs(renderMaxSatAnswer(R, Inst.NumVars, O.Model, /*Comments=*/true)
+                 .c_str(),
+             stdout);
+  if (O.Stats) {
     const SolverStats &S = R.Search;
     std::printf("c sat_calls=%llu conflicts=%llu propagations=%llu "
                 "restarts=%llu\n",
@@ -893,32 +339,8 @@ int cmdMaxsat(int Argc, char **Argv, const char *Argv0) {
                                            : ExitComplete;
 }
 
-int cmdSat(int Argc, char **Argv, const char *Argv0) {
-  if (Argc < 1)
-    return usage(Argv0);
-  std::string Path = Argv[0], V;
-  size_t Threads = 1;
-  bool Model = true, Preprocess = true;
-  BudgetFlags Budget;
-  for (int I = 1; I < Argc; ++I) {
-    if (int M = matchBudgetFlag(Argc, Argv, I, Budget)) {
-      if (M < 0)
-        return ExitInputError;
-    } else if (matchValueFlag(Argc, Argv, I, "--threads", V)) {
-      if (!parseSizeT(V, Threads) || Threads < 1 || Threads > 64) {
-        std::fprintf(stderr, "bugassist: bad --threads value '%s'\n",
-                     V.c_str());
-        return 1;
-      }
-    } else if (std::strcmp(Argv[I], "--no-model") == 0) {
-      Model = false;
-    } else if (std::strcmp(Argv[I], "--no-preprocess") == 0) {
-      Preprocess = false;
-    } else {
-      std::fprintf(stderr, "bugassist: unknown sat option '%s'\n", Argv[I]);
-      return 1;
-    }
-  }
+int cmdSat(const std::string &Path, CommandOptions &O) {
+  const LocalizeOptions &Knobs = O.Query.Localize;
 
   DimacsParseError Err;
   auto Parsed = readDimacsFile(Path, Err);
@@ -938,23 +360,17 @@ int cmdSat(int Argc, char **Argv, const char *Argv0) {
       Clauses.push_back(std::move(C.Lits));
   }
   std::printf("c %s: %d vars, %zu clauses, threads=%zu\n", Path.c_str(),
-              Parsed->NumVars, Clauses.size(), Threads);
+              Parsed->NumVars, Clauses.size(), Knobs.Threads);
 
   // Threads <= 1 degenerates to a plain single solver on this thread.
   Solver::Options SOpts;
-  SOpts.Preprocess = Preprocess;
-  SatRaceResult R = racePortfolioSat(Clauses, Parsed->NumVars, Threads,
-                                     SOpts, Budget.solverBudget());
-  if (R.Result == LBool::True)
-    std::printf("s SATISFIABLE\n");
-  else if (R.Result == LBool::False)
-    std::printf("s UNSATISFIABLE\n");
-  else
-    std::printf("s UNKNOWN\n");
-  if (Threads > 1 && R.Winner >= 0)
-    std::printf("c winner=worker %d\n", R.Winner);
-  if (Model && R.Result == LBool::True)
-    printModelLine(R.Model, Parsed->NumVars, /*TrailingZero=*/true);
+  SOpts.Preprocess = Knobs.Preprocess;
+  SatRaceResult R = racePortfolioSat(Clauses, Parsed->NumVars, Knobs.Threads,
+                                     SOpts, Knobs.Budget.solverBudget());
+  std::fputs(renderSatAnswer(R, Parsed->NumVars, O.Model,
+                             /*WinnerComment=*/Knobs.Threads > 1)
+                 .c_str(),
+             stdout);
   return R.Result == LBool::Undef ? ExitBudgetExhausted : ExitComplete;
 }
 
@@ -976,46 +392,8 @@ void installDrainHandlers() {
   sigaction(SIGTERM, &SA, nullptr);
 }
 
-int cmdServe(int Argc, char **Argv, const char *Argv0) {
-  ServeOptions SO;
-  std::string BatchPath, V;
-  // Test-only fault campaign: the env var arms one for a whole harness
-  // run; an explicit --faults flag overrides it.
-  std::string FaultSpec;
-  if (const char *Env = std::getenv("BUGASSIST_FAULTS"))
-    FaultSpec = Env;
-  for (int I = 0; I < Argc; ++I) {
-    if (matchValueFlag(Argc, Argv, I, "--batch", V)) {
-      BatchPath = V;
-    } else if (matchValueFlag(Argc, Argv, I, "--threads", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N < 1 || N > 64) {
-        std::fprintf(stderr, "bugassist: bad --threads value '%s'\n",
-                     V.c_str());
-        return ExitInputError;
-      }
-      SO.Threads = N;
-    } else if (matchValueFlag(Argc, Argv, I, "--max-retries", V)) {
-      size_t N;
-      if (!parseSizeT(V, N) || N > 16) {
-        std::fprintf(stderr, "bugassist: bad --max-retries value '%s'\n",
-                     V.c_str());
-        return ExitInputError;
-      }
-      SO.MaxRetries = static_cast<int>(N);
-    } else if (matchValueFlag(Argc, Argv, I, "--watchdog", V)) {
-      if (!parsePositiveDouble(V, SO.WatchdogSeconds)) {
-        std::fprintf(stderr, "bugassist: bad --watchdog value '%s'\n",
-                     V.c_str());
-        return ExitInputError;
-      }
-    } else if (matchValueFlag(Argc, Argv, I, "--faults", V)) {
-      FaultSpec = V;
-    } else {
-      std::fprintf(stderr, "bugassist: unknown serve option '%s'\n", Argv[I]);
-      return usage(Argv0);
-    }
-  }
+int cmdServe(const std::string &, CommandOptions &O) {
+  const std::string &FaultSpec = O.ServeFaults, &BatchPath = O.ServeBatch;
 
   if (!FaultSpec.empty()) {
     std::string Error;
@@ -1026,7 +404,7 @@ int cmdServe(int Argc, char **Argv, const char *Argv0) {
   }
   installDrainHandlers();
 
-  LocalizeServer Server(SO);
+  LocalizeServer Server(O.Serve);
   if (BatchPath.empty()) {
     // Daemon loop: requests on stdin until EOF, responses flushed as their
     // turn in the request order arrives.
@@ -1060,7 +438,7 @@ int cmdDumpTcas(int Argc, char **Argv) {
   }
   int64_t Version = 0;
   if (Argc >= 1 && std::strcmp(Argv[0], "golden") != 0 &&
-      (!parseInt64(Argv[0], Version) || Version < 0 || Version > 41)) {
+      !parseBoundedInt(Argv[0], 0, tcasMutants().size(), Version)) {
     std::fprintf(stderr,
                  "bugassist: dump-tcas takes 0/golden or a version 1..41\n");
     return 1;
@@ -1080,24 +458,38 @@ int main(int argc, char **argv) {
   if (argc < 2)
     return usage(argv[0]);
   const char *Cmd = argv[1];
-  if (std::strcmp(Cmd, "localize") == 0)
-    return cmdLocalize(argc - 2, argv + 2, argv[0]);
-  if (std::strcmp(Cmd, "repair") == 0)
-    return cmdRepair(argc - 2, argv + 2, argv[0]);
-  if (std::strcmp(Cmd, "fuzz") == 0)
-    return cmdFuzz(argc - 2, argv + 2, argv[0]);
-  if (std::strcmp(Cmd, "maxsat") == 0)
-    return cmdMaxsat(argc - 2, argv + 2, argv[0]);
-  if (std::strcmp(Cmd, "sat") == 0)
-    return cmdSat(argc - 2, argv + 2, argv[0]);
-  if (std::strcmp(Cmd, "serve") == 0)
-    return cmdServe(argc - 2, argv + 2, argv[0]);
   if (std::strcmp(Cmd, "dump-tcas") == 0)
     return cmdDumpTcas(argc - 2, argv + 2);
   if (std::strcmp(Cmd, "--help") == 0 || std::strcmp(Cmd, "-h") == 0 ||
       std::strcmp(Cmd, "help") == 0) {
     usage(argv[0]);
     return 0;
+  }
+  using Runner = int (*)(const std::string &, CommandOptions &);
+  static const std::pair<Command, Runner> Commands[] = {
+      {Command::Localize, cmdLocalize}, {Command::Repair, cmdRepair},
+      {Command::Fuzz, cmdFuzz},         {Command::MaxSat, cmdMaxsat},
+      {Command::Sat, cmdSat},           {Command::Serve, cmdServe}};
+  for (const auto &[C, Run] : Commands) {
+    if (std::strcmp(Cmd, commandName(C)) != 0)
+      continue;
+    // Every command but serve names its subject (a file, or fuzz's `tcas`)
+    // before the options.
+    int First = C == Command::Serve ? 2 : 3;
+    if (argc < First)
+      return usage(argv[0]);
+    CommandOptions O(C);
+    // Test-only fault campaign: the env var arms one for a whole harness
+    // run; an explicit --faults flag overrides it.
+    if (const char *Env = std::getenv("BUGASSIST_FAULTS");
+        Env && C == Command::Serve)
+      O.ServeFaults = Env;
+    std::string Error;
+    if (!parseCommandLine(argc - First, argv + First, O, Error)) {
+      std::fprintf(stderr, "bugassist: %s\n", Error.c_str());
+      return ExitInputError;
+    }
+    return Run(First == 3 ? argv[2] : "", O);
   }
   std::fprintf(stderr, "bugassist: unknown command '%s'\n", Cmd);
   return usage(argv[0]);
