@@ -127,7 +127,7 @@ const std::vector<OptionRow> Table = {
            "expected return value for --input",
            SET(O.Query.Goldens.push_back(X.Int))),
 
-    switchRow("--stats", nullptr, InLocalize | InMaxSat,
+    switchRow("--stats", nullptr, InLocalize | InMaxSat | InSat,
               "append solver statistics (nondeterministic)",
               SET(O.Stats = X.Bool)),
 

@@ -145,10 +145,30 @@ PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
   return Res;
 }
 
+std::string noFunctionMessage(const std::string &Entry) {
+  return "no function '" + Entry + "' in the program";
+}
+
+/// Rejects a request whose entry function \p Prog does not define, before
+/// anything unrolls it. \returns true (with \p Res filled) when rejected.
+template <typename ResultT>
+bool rejectMissingEntry(const Program &Prog, const std::string &Entry,
+                        ResultT &Res) {
+  if (Prog.findFunction(Entry))
+    return false;
+  Res.Status = PipelineStatus::InputNotFailing;
+  Res.Code = ErrorCode::BadRequest;
+  Res.Message = noFunctionMessage(Entry);
+  return true;
+}
+
 } // namespace
 
 PipelineResult bugassist::runLocalizePipeline(const Program &Prog,
                                               const PipelineRequest &R) {
+  PipelineResult Res;
+  if (rejectMissingEntry(Prog, R.Entry, Res))
+    return Res;
   BugAssistDriver Driver(Prog, R.Entry, R.Unroll, R.Encode);
   return runOnDriver(Prog, Driver, R, /*Session=*/nullptr);
 }
@@ -170,11 +190,20 @@ PipelineResult bugassist::runLocalizePipeline(std::string_view Source,
 std::unique_ptr<PreparedProgram>
 bugassist::prepareProgram(std::string_view Source, const std::string &Entry,
                           const UnrollOptions &Unroll,
-                          const EncodeOptions &Encode, std::string &Error) {
+                          const EncodeOptions &Encode, std::string &Error,
+                          ErrorCode *Code) {
   DiagEngine Diags;
   std::unique_ptr<Program> Prog = parseAndAnalyze(Source, Diags);
   if (!Prog) {
     Error = Diags.render();
+    if (Code)
+      *Code = ErrorCode::CompileError;
+    return nullptr;
+  }
+  if (!Prog->findFunction(Entry)) {
+    Error = noFunctionMessage(Entry);
+    if (Code)
+      *Code = ErrorCode::BadRequest;
     return nullptr;
   }
   auto P = std::make_unique<PreparedProgram>();
@@ -527,6 +556,8 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
                                                   const RepairRequest &R,
                                                   MaxSatSession *Session) {
   RepairPipelineResult Out;
+  if (rejectMissingEntry(*P.Prog, R.Entry, Out))
+    return Out;
   if (R.Inputs.empty()) {
     Out.Status = PipelineStatus::InputNotFailing;
     Out.Code = ErrorCode::BadRequest;

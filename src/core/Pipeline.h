@@ -103,14 +103,16 @@ struct PreparedProgram {
 };
 
 /// Runs parse -> sema -> unroll -> encode once. \returns nullptr and fills
-/// \p Error with the rendered diagnostics when the source does not
-/// compile. \p Unroll.BitWidth is propagated into the encoder exactly as
-/// the one-shot pipeline does.
+/// \p Error when the source does not compile (the rendered diagnostics;
+/// \p Code, when given, is set to CompileError) or defines no function
+/// \p Entry (Code BadRequest). \p Unroll.BitWidth is propagated into the
+/// encoder exactly as the one-shot pipeline does.
 std::unique_ptr<PreparedProgram> prepareProgram(std::string_view Source,
                                                 const std::string &Entry,
                                                 const UnrollOptions &Unroll,
                                                 const EncodeOptions &Encode,
-                                                std::string &Error);
+                                                std::string &Error,
+                                                ErrorCode *Code = nullptr);
 
 /// The back half of the pipeline on a prepared program. \p R's Entry,
 /// Unroll, and Encode fields MUST equal the prepare-time values (serve

@@ -193,6 +193,10 @@ void Simplifier::collect() {
   Queue.clear();
   QueueHead = 0;
   InQueue.clear();
+  Mark.assign(2 * static_cast<size_t>(S.numVars()), 0);
+  Stamp = 0;
+  Dirty.assign(S.numVars(), 1);
+  TriedAt.assign(S.numVars(), NotTried);
   for (ClauseRef CR : S.ProblemClauses) {
     if (S.clauseFreed(CR))
       continue;
@@ -235,6 +239,7 @@ bool Simplifier::entrySatisfied(int EI) {
   const Lit *CL = S.clauseLits(E.CR);
   for (uint32_t I = 0; I < E.Size; ++I) {
     if (S.value(CL[I]) == LBool::True) {
+      touchEntry(EI);
       E.Dead = true;
       if (!S.isLocked(E.CR))
         S.removeClause(E.CR);
@@ -297,6 +302,7 @@ uint64_t Simplifier::backwardCheck(int EI) {
       continue;
     if (Flip == NullLit) {
       // E (subseteq) D: D is redundant. D is unsatisfied, hence unlocked.
+      touchEntry(DI);
       S.removeClause(D.CR);
       D.Dead = true;
       ++S.Stats.ClausesSubsumed;
@@ -344,6 +350,7 @@ bool Simplifier::subsumeOrStrengthen(int CI, int DI, Lit &Flip) {
 void Simplifier::strengthenEntry(int EI, Lit L) {
   Entry &E = Cs[EI];
   ++S.Stats.LitsSelfSubsumed;
+  touchEntry(EI);
   S.strengthenClause(E.CR, L);
   if (!S.Ok)
     return;
@@ -376,8 +383,20 @@ uint64_t Simplifier::bveSweep() {
   for (const auto &P : Order) {
     if (aborted() || !S.Ok)
       break;
-    if (tryEliminate(P.second, /*Forced=*/false))
+    Var V = P.second;
+    // Unchanged clauses under an unchanged root assignment: the attempt
+    // would fail exactly as the last one did.
+    uint32_t Trail = static_cast<uint32_t>(S.Trail.size());
+    if (!Dirty[V] && TriedAt[V] == Trail)
+      continue;
+    if (tryEliminate(V, /*Forced=*/false)) {
       ++Elims;
+    } else {
+      // Any satisfied clause the attempt removed is already gone, so the
+      // state it failed on is the state a re-attempt would see.
+      Dirty[V] = 0;
+      TriedAt[V] = Trail;
+    }
   }
   return Elims;
 }
@@ -396,7 +415,8 @@ bool Simplifier::tryEliminate(Var V, bool Forced) {
     return false; // root-fixed: its clauses simplify away instead
 
   // Gather the live occurrences, validated against the arena.
-  std::vector<int> Pos, Neg;
+  Pos.clear();
+  Neg.clear();
   for (int EI : Occ[V]) {
     if (Cs[EI].Dead || S.clauseFreed(Cs[EI].CR) || entrySatisfied(EI))
       continue;
@@ -415,36 +435,27 @@ bool Simplifier::tryEliminate(Var V, bool Forced) {
   }
   if (!Forced && Pos.size() + Neg.size() > Lim.MaxOccurrences)
     return false;
+  if (!countResolvents(V, Forced))
+    return false;
 
-  // Count (and keep) the surviving resolvents; bail out as soon as the
-  // bounded-growth criterion fails. Tautological and root-satisfied
-  // resolvents do not count -- that asymmetry is what makes elimination
-  // fire on real encodings (Tseitin definitions resolve mostly to
-  // tautologies).
-  std::vector<std::vector<Lit>> Resolvents;
-  for (int PI : Pos) {
-    for (int NI : Neg) {
-      if (!resolve(PI, NI, V))
-        continue;
-      if (!Forced && Scratch.size() > Lim.MaxResolventSize)
-        return false;
-      Resolvents.push_back(Scratch);
-      if (!Forced && Resolvents.size() > Pos.size() + Neg.size())
-        return false;
-    }
-  }
-
-  // Commit. Order matters: capture the reconstruction clauses before the
-  // originals are freed, free the originals before resolvents allocate
-  // (allocClause may grow the arena and invalidate literal pointers).
+  // Commit. Order matters: build the resolvents and capture the
+  // reconstruction clauses before the originals are freed, free the
+  // originals before resolvents allocate (allocClause may grow the arena
+  // and invalidate literal pointers).
+  ResLits.clear();
+  ResEnds.clear();
+  for (const auto &PN : Pairs)
+    buildResolvent(PN.first, PN.second, V);
   bool StoreNeg = Pos.size() > Neg.size();
   pushReconstruction(V, StoreNeg ? Neg : Pos,
                      StoreNeg ? mkLit(V) : mkLit(V, true));
   for (int EI : Pos) {
+    touchEntry(EI);
     S.removeClause(Cs[EI].CR);
     Cs[EI].Dead = true;
   }
   for (int EI : Neg) {
+    touchEntry(EI);
     S.removeClause(Cs[EI].CR);
     Cs[EI].Dead = true;
   }
@@ -461,52 +472,118 @@ bool Simplifier::tryEliminate(Var V, bool Forced) {
     (void)Top;
     S.Activity[V] = 0.0;
   }
-  for (const auto &R : Resolvents) {
-    addResolvent(R);
+  size_t Begin = 0;
+  for (size_t End : ResEnds) {
+    addResolvent(ResLits.data() + Begin, End - Begin);
     if (!S.Ok)
       break;
+    Begin = End;
   }
   return true;
 }
 
-bool Simplifier::resolve(int PI, int NI, Var V) {
-  Scratch.clear();
-  auto Side = [&](int EI, Lit Pivot) -> bool {
+uint32_t Simplifier::freshStamp(size_t Reserve) {
+  if (Stamp > UINT32_MAX - 1 - Reserve) {
+    std::fill(Mark.begin(), Mark.end(), 0);
+    Stamp = 0;
+  }
+  return ++Stamp;
+}
+
+bool Simplifier::countResolvents(Var V, bool Forced) {
+  // Tautological and root-satisfied resolvents do not count -- that
+  // asymmetry is what makes elimination fire on real encodings (Tseitin
+  // definitions resolve mostly to tautologies). Nothing is built here: the
+  // positive clause's literals carry its stamp, and each pair's literals
+  // from the negative side a stamp of their own, so a complement under
+  // either stamp is a tautology and a literal under either counts once
+  // (as the sort and dedup in buildResolvent keep it once).
+  Pairs.clear();
+  const size_t Bound = Pos.size() + Neg.size();
+  for (int PI : Pos) {
+    const uint32_t PStamp = freshStamp(Neg.size());
+    const Entry &P = Cs[PI];
+    const Lit *PL = S.clauseLits(P.CR);
+    uint32_t PSize = 0;
+    bool Skip = false; // every resolvent with P is satisfied/tautological
+    for (uint32_t I = 0; I < P.Size && !Skip; ++I) {
+      Lit L = PL[I];
+      LBool B = S.value(L);
+      if (L == mkLit(V) || B == LBool::False)
+        continue; // the pivot; root-false literals can never help
+      if (B == LBool::True || Mark[(~L).code()] == PStamp)
+        Skip = true;
+      else if (Mark[L.code()] != PStamp) {
+        Mark[L.code()] = PStamp;
+        ++PSize;
+      }
+    }
+    if (Skip)
+      continue;
+    for (int NI : Neg) {
+      const uint32_t NStamp = ++Stamp;
+      const Entry &N = Cs[NI];
+      const Lit *NL = S.clauseLits(N.CR);
+      uint32_t Size = PSize;
+      bool Drop = false;
+      for (uint32_t I = 0; I < N.Size && !Drop; ++I) {
+        Lit L = NL[I];
+        LBool B = S.value(L);
+        if (L == mkLit(V, true) || B == LBool::False)
+          continue;
+        uint32_t Comp = Mark[(~L).code()];
+        uint32_t &Own = Mark[L.code()];
+        if (B == LBool::True || Comp == PStamp || Comp == NStamp)
+          Drop = true;
+        else if (Own != PStamp && Own != NStamp) {
+          Own = NStamp;
+          ++Size;
+        }
+      }
+      if (Drop)
+        continue;
+      if (!Forced && (Size > Lim.MaxResolventSize || Pairs.size() >= Bound))
+        return false;
+      Pairs.push_back({PI, NI});
+    }
+  }
+  return true;
+}
+
+void Simplifier::buildResolvent(int PI, int NI, Var V) {
+  size_t Begin = ResLits.size();
+  auto Side = [&](int EI, Lit Pivot) {
     const Entry &E = Cs[EI];
     const Lit *CL = S.clauseLits(E.CR);
     for (uint32_t I = 0; I < E.Size; ++I) {
       Lit L = CL[I];
-      if (L == Pivot)
-        continue;
-      if (S.value(L) == LBool::True)
-        return false; // resolvent already satisfied at the root
-      if (S.value(L) == LBool::False)
-        continue; // root-false literals can never help
-      Scratch.push_back(L);
+      assert(S.value(L) != LBool::True && "counted pair is satisfied");
+      if (L != Pivot && S.value(L) != LBool::False)
+        ResLits.push_back(L);
     }
-    return true;
   };
-  if (!Side(PI, mkLit(V)) || !Side(NI, mkLit(V, true)))
-    return false;
-  std::sort(Scratch.begin(), Scratch.end());
-  size_t J = 0;
-  for (size_t I = 0; I < Scratch.size(); ++I) {
-    if (J > 0 && Scratch[I] == Scratch[J - 1])
+  Side(PI, mkLit(V));
+  Side(NI, mkLit(V, true));
+  std::sort(ResLits.begin() + Begin, ResLits.end());
+  size_t J = Begin;
+  for (size_t I = Begin; I < ResLits.size(); ++I) {
+    if (J > Begin && ResLits[I] == ResLits[J - 1])
       continue; // duplicate
-    if (J > 0 && Scratch[I] == ~Scratch[J - 1])
-      return false; // tautology
-    Scratch[J++] = Scratch[I];
+    assert((J == Begin || ResLits[I] != ~ResLits[J - 1]) &&
+           "counted pair is tautological");
+    ResLits[J++] = ResLits[I];
   }
-  Scratch.resize(J);
-  return true;
+  ResLits.resize(J);
+  ResEnds.push_back(J);
 }
 
-void Simplifier::addResolvent(const std::vector<Lit> &Lits) {
+void Simplifier::addResolvent(const Lit *Lits, size_t N) {
   // Units enqueued by an earlier resolvent may have touched this one:
   // re-simplify against the current root assignment (mirrors addClause;
   // the literals are already sorted, deduplicated, and non-tautological).
   Scratch.clear();
-  for (Lit L : Lits) {
+  for (size_t I = 0; I < N; ++I) {
+    Lit L = Lits[I];
     if (S.value(L) == LBool::True)
       return; // satisfied meanwhile
     if (S.value(L) == LBool::False)
@@ -530,10 +607,17 @@ void Simplifier::addResolvent(const std::vector<Lit> &Lits) {
   Cs.push_back({CR, signatureOf(CR), static_cast<uint32_t>(Scratch.size()),
                 false});
   InQueue.push_back(0);
+  touchEntry(Idx);
   const Lit *CL = S.clauseLits(CR);
   for (uint32_t I = 0; I < Cs[Idx].Size; ++I)
     Occ[CL[I].var()].push_back(Idx);
   enqueue(Idx); // resolvents feed the next subsumption round
+}
+
+void Simplifier::touchEntry(int EI) {
+  const Lit *CL = S.clauseLits(Cs[EI].CR);
+  for (uint32_t I = 0; I < Cs[EI].Size; ++I)
+    Dirty[CL[I].var()] = 1;
 }
 
 void Simplifier::pushReconstruction(Var V, const std::vector<int> &StoredSide,

@@ -32,6 +32,21 @@
 ///    Solver::extendModel can restore v's value in any model of the
 ///    reduced formula (MiniSAT's elimclauses scheme).
 ///
+///    An attempt decides before it builds anything. It marks each positive
+///    clause's literals in a per-pass array indexed by literal code and
+///    scans each negative partner against it: a marked complement is a
+///    tautology, and the unmarked literals give the resolvent's size. The
+///    growth bounds apply to these counts; only when they hold are the
+///    surviving pairs built, in (positive, negative) order, sorted and
+///    deduplicated. Later sweeps of a pass skip a variable whose last
+///    attempt failed while none of its clauses was added, removed or
+///    strengthened and the root trail stayed put: a re-attempt would see
+///    the same clauses and fail the same way, and a failed attempt has no
+///    effect of its own. Neither shortcut changes the result: the same
+///    variables go in the same order, with the same resolvents, the same
+///    reconstruction stack and the same statistics as building every
+///    resolvent and retrying every variable.
+///
 /// The frozen-variable contract (Solver::setFrozen) is what makes this
 /// sound *incrementally*: elimination is equisatisfiable, not equivalent,
 /// so variables the outside world will still talk about -- assumptions,
@@ -57,6 +72,7 @@
 #include "cnf/Lit.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace bugassist {
@@ -108,6 +124,23 @@ private:
   size_t QueueHead = 0;
   std::vector<char> InQueue;
   std::vector<Lit> Scratch; // resolvent / stored-clause assembly buffer
+  // BVE attempt buffers, reused across the pass: the live occurrence
+  // sides, the resolvent pairs that survive counting, and the committed
+  // resolvents (flat literals, each ending at its ResEnds offset).
+  std::vector<int> Pos, Neg;
+  std::vector<std::pair<int, int>> Pairs;
+  std::vector<Lit> ResLits;
+  std::vector<size_t> ResEnds;
+  // Resolvent counting: Mark[lit code] == Stamp marks a literal of the
+  // clause (or pair) being counted; a fresh stamp clears every mark.
+  std::vector<uint32_t> Mark;
+  uint32_t Stamp = 0;
+  // Re-sweep filter: Dirty[v] is set when a clause over v is added,
+  // removed or strengthened; TriedAt[v] is the root trail length at v's
+  // last failed attempt (NotTried before one).
+  static constexpr uint32_t NotTried = UINT32_MAX;
+  std::vector<char> Dirty;
+  std::vector<uint32_t> TriedAt;
   // Variables assumed by the in-flight solve() are frozen for this pass
   // only (the assumptions of *future* solves must be frozen by the caller).
   std::vector<char> TempFrozen;
@@ -134,11 +167,19 @@ private:
   /// One left-to-right BVE sweep over all variables. \returns eliminations.
   uint64_t bveSweep();
   bool tryEliminate(Var V, bool Forced);
-  /// Builds the resolvent of Cs[PI] and Cs[NI] on \p V into Scratch.
-  /// \returns false if tautological or root-satisfied (skip it).
-  bool resolve(int PI, int NI, Var V);
+  /// Records in Pairs every (Pos, Neg) pair on \p V whose resolvent is
+  /// neither tautological nor root-satisfied. \returns false as soon as
+  /// a bound fails (never when \p Forced).
+  bool countResolvents(Var V, bool Forced);
+  /// Appends the sorted, deduplicated resolvent of Cs[PI] and Cs[NI] on
+  /// \p V to ResLits (a pair that survived countResolvents).
+  void buildResolvent(int PI, int NI, Var V);
   /// Installs a committed resolvent as a new problem clause + entry.
-  void addResolvent(const std::vector<Lit> &Lits);
+  void addResolvent(const Lit *Lits, size_t N);
+  /// Sets Dirty for every variable of entry \p EI (before it changes).
+  void touchEntry(int EI);
+  /// A stamp no Mark entry holds yet, with room for \p Reserve more.
+  uint32_t freshStamp(size_t Reserve);
   /// Pushes one side's clauses + the default unit for \p V (see
   /// Solver::ElimStack layout).
   void pushReconstruction(Var V, const std::vector<int> &StoredSide,

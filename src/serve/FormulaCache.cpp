@@ -134,7 +134,8 @@ const CachedProgram &FormulaCache::lookup(const std::string &Source,
     if (faultinject::active() &&
         faultinject::onEvent(faultinject::Event::CacheFill))
       throw std::runtime_error("injected cache-fill fault");
-    P->Prepared = prepareProgram(Source, Entry, Unroll, Encode, P->Error);
+    P->Prepared =
+        prepareProgram(Source, Entry, Unroll, Encode, P->Error, &P->Code);
   });
   return *P;
 }

@@ -49,8 +49,10 @@ class CachedProgram {
 public:
   /// The prepared program, or nullptr when the source did not compile.
   const PreparedProgram *prepared() const { return Prepared.get(); }
-  /// Rendered diagnostics when prepared() is nullptr.
+  /// Rendered diagnostics (CompileError) or the missing-entry message
+  /// (BadRequest) when prepared() is nullptr.
   const std::string &error() const { return Error; }
+  ErrorCode errorCode() const { return Code; }
 
   /// A fresh session for one query: a clone of the per-engine base session
   /// (built on first use). \returns nullptr only when the engine does not
@@ -65,6 +67,7 @@ private:
   std::once_flag Built;
   std::unique_ptr<PreparedProgram> Prepared;
   std::string Error;
+  ErrorCode Code = ErrorCode::Ok;
 
   /// Base sessions indexed by Weighted, built lazily under BaseMu and
   /// immutable afterwards (cloned, never solved).

@@ -333,6 +333,17 @@ struct WorkerCtx {
 
 // --- per-command processing --------------------------------------------------
 
+/// The error frame for a cache entry that holds no prepared program.
+Outcome respondUnprepared(const Request &Req, const CachedProgram &CP,
+                          const char *Cache, uint64_t ElapsedMs) {
+  if (CP.errorCode() == ErrorCode::BadRequest)
+    return respondError(Req, ErrorCode::BadRequest, CP.error(), Cache,
+                        ElapsedMs);
+  return respondError(Req, ErrorCode::CompileError,
+                      "program does not compile: " + CP.error(), Cache,
+                      ElapsedMs);
+}
+
 Outcome processLocalize(const Request &Req, FormulaCache &Cache,
                         const WorkerCtx &Ctx) {
   auto Start = Clock::now();
@@ -342,9 +353,7 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
       Cache.lookup(Req.Source, Q.Entry, Q.Unroll, Q.Encode, &Hit);
   const char *CacheStr = Hit ? "hit" : "miss";
   if (!CP.prepared())
-    return respondError(Req, ErrorCode::CompileError,
-                        "program does not compile: " + CP.error(), CacheStr,
-                        elapsedMs(Start));
+    return respondUnprepared(Req, CP, CacheStr, elapsedMs(Start));
 
   PipelineRequest R = Req.Opts.localizeRequest();
   R.Localize.Budget.MaxConflicts =
@@ -390,9 +399,7 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
       Cache.lookup(Req.Source, Q.Entry, Q.Unroll, Q.Encode, &Hit);
   const char *CacheStr = Hit ? "hit" : "miss";
   if (!CP.prepared())
-    return respondError(Req, ErrorCode::CompileError,
-                        "program does not compile: " + CP.error(), CacheStr,
-                        elapsedMs(Start));
+    return respondUnprepared(Req, CP, CacheStr, elapsedMs(Start));
 
   RepairRequest R = Q;
   R.Localize.Budget.MaxConflicts =

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <unistd.h>
@@ -169,6 +170,25 @@ TEST(BugassistCli, LocalizeRejectsNonFailingInput) {
   std::remove(Prog.c_str());
 }
 
+// A program without the requested entry function is a bad request: every
+// command that unrolls it exits 1 with empty stdout instead of crashing.
+TEST(BugassistCli, MissingEntryFunctionExitsOneWithNoOutput) {
+  std::string Prog = writeTempFile("int f(int x) { return x; }\n");
+  for (const char *Args : {" localize %s --input 1", " localize %s --entry g",
+                           " repair %s --input 1",
+                           " repair %s --entry g --input 1"}) {
+    std::string Cmd = Cli + Args;
+    Cmd.replace(Cmd.find("%s"), 2, Prog);
+    int Exit = 0;
+    std::string Out = runCommand(Cmd + " 2>/dev/null", Exit);
+    EXPECT_EQ(exitStatus(Exit), 1) << Cmd;
+    EXPECT_TRUE(Out.empty()) << Cmd << ": " << Out;
+    std::string Err = runCommand(Cmd + " 2>&1 >/dev/null", Exit);
+    EXPECT_NE(Err.find("no function '"), std::string::npos) << Cmd << Err;
+  }
+  std::remove(Prog.c_str());
+}
+
 // --- sat / dump-tcas ----------------------------------------------------------
 
 TEST(BugassistCli, SatDecidesCheckedInInstances) {
@@ -182,6 +202,26 @@ TEST(BugassistCli, SatDecidesCheckedInInstances) {
                    Exit);
   EXPECT_EQ(Exit, 0);
   EXPECT_NE(Out.find("s UNSATISFIABLE\n"), std::string::npos) << Out;
+}
+
+// sat --stats appends maxsat's two counter lines after the answer; the
+// buffered adder miter proves the inprocessing counters are live.
+TEST(BugassistCli, SatStatsPrintsTheCounterLines) {
+  int Exit = 0;
+  std::string Out = runCommand(
+      Cli + " sat " + Instances + "/adder_miter8.cnf --no-model --stats", Exit);
+  EXPECT_EQ(exitStatus(Exit), 0);
+  size_t Answer = Out.find("s UNSATISFIABLE\n");
+  size_t Calls = Out.find("\nc sat_calls=1 conflicts=");
+  size_t Elim = Out.find("\nc vars_eliminated=");
+  ASSERT_NE(Answer, std::string::npos) << Out;
+  ASSERT_NE(Calls, std::string::npos) << Out;
+  ASSERT_NE(Elim, std::string::npos) << Out;
+  EXPECT_LT(Answer, Calls);
+  EXPECT_LT(Calls, Elim);
+  EXPECT_NE(Out.find(" clauses_subsumed=", Elim), std::string::npos) << Out;
+  const char *Count = Out.c_str() + Elim + std::strlen("\nc vars_eliminated=");
+  EXPECT_GT(std::strtoull(Count, nullptr, 10), 0u) << Out;
 }
 
 // --- resource budgets & the exit-code contract --------------------------------

@@ -175,8 +175,9 @@ TEST(LoopDiagnosis, NoLoopMeansNoIterationSuspects) {
 // it must hand the search the same clauses in the same order, or the
 // counterexample BMC finds -- and every report built on it -- moves. The
 // program is the sum loop of the deep-unwind benchmark workload at its
-// variant 2 (fault threshold 36); the figures were recorded before
-// watch-list removal became deferred.
+// variant 2 (fault threshold 36); the search figures were recorded before
+// watch-list removal became deferred, the elimination counters before
+// variable elimination counted its resolvents instead of building them.
 TEST(SearchPath, DeepUnwindSumLoopIsPinned) {
   const char *Src = "int main(int n, int k) {\n"
                     "  assume(n >= 0 && n <= 60);\n"
@@ -203,6 +204,10 @@ TEST(SearchPath, DeepUnwindSumLoopIsPinned) {
   EXPECT_EQ(R.Report.Search.Conflicts, 117u);
   EXPECT_EQ(R.Report.Search.Decisions, 12334u);
   EXPECT_EQ(R.Report.Search.Propagations, 197436u);
+  EXPECT_EQ(R.Report.Search.VarsEliminated, 13122u);
+  EXPECT_EQ(R.Report.Search.ClausesSubsumed, 2965u);
+  EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 4438u);
+  EXPECT_EQ(R.Report.Search.ReconstructBytes, 2226632u);
 }
 
 TEST(SearchPath, TcasV2LocalizeCountersArePinned) {
@@ -214,4 +219,8 @@ TEST(SearchPath, TcasV2LocalizeCountersArePinned) {
   EXPECT_EQ(R.Report.Search.Conflicts, 6u);
   EXPECT_EQ(R.Report.Search.Decisions, 103u);
   EXPECT_EQ(R.Report.Search.Propagations, 21029u);
+  EXPECT_EQ(R.Report.Search.VarsEliminated, 1468u);
+  EXPECT_EQ(R.Report.Search.ClausesSubsumed, 770u);
+  EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 999u);
+  EXPECT_EQ(R.Report.Search.ReconstructBytes, 133712u);
 }

@@ -423,6 +423,40 @@ TEST(ServeLib, MalformedRequestsAreRejectedWithoutKillingTheDaemon) {
   EXPECT_EQ(R.Summary.ExitCode, 1);
 }
 
+// Requests naming an entry function the program lacks are bad requests:
+// the daemon answers each with an error frame and goes on to the next. Run
+// through the CLI so a crash would show as a lost process, not a test abort.
+TEST(ServeCli, MissingEntryFunctionIsABadRequestAndTheBatchGoesOn) {
+  std::string Src = jsonEscape("int f(int x) { return x; }\n");
+  std::string Batch = writeTempFile(
+      "{\"id\":\"nomain\",\"cmd\":\"localize\",\"source\":\"" + Src +
+      "\",\"input\":\"1\"}\n"
+      "{\"id\":\"g\",\"cmd\":\"localize\",\"source\":\"" + Src +
+      "\",\"entry\":\"g\"}\n"
+      "{\"id\":\"repair-g\",\"cmd\":\"repair\",\"source\":\"" + Src +
+      "\",\"entry\":\"g\",\"inputs\":[\"1\"]}\n"
+      "{\"id\":\"tcas\"," + tcasV2RequestFields() + "}\n");
+  int Exit = 0;
+  std::string Out = runCommand(
+      Cli + " serve --batch " + Batch + " --threads 2 2>/dev/null", Exit);
+  EXPECT_EQ(exitStatus(Exit), 1); // the aggregate code: some request failed
+  std::vector<Frame> Frames = parseFrames(Out);
+  ASSERT_EQ(Frames.size(), 4u) << Out;
+  const char *Ids[] = {"nomain", "g", "repair-g"};
+  const char *Names[] = {"main", "g", "g"};
+  for (size_t I = 0; I < 3; ++I) {
+    EXPECT_EQ(Frames[I].Id, Ids[I]);
+    EXPECT_EQ(Frames[I].Status, "error") << Frames[I].Id;
+    EXPECT_EQ(Frames[I].Code, "bad-request") << Frames[I].Id;
+    EXPECT_EQ(Frames[I].ErrorField,
+              std::string("no function '") + Names[I] + "' in the program");
+    EXPECT_TRUE(Frames[I].Body.empty()) << Frames[I].Id;
+  }
+  EXPECT_EQ(Frames[3].Id, "tcas");
+  EXPECT_EQ(Frames[3].Status, "ok") << Frames[3].ErrorField;
+  std::remove(Batch.c_str());
+}
+
 // --- protocol details ---------------------------------------------------------
 
 TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {

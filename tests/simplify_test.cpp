@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sat/Simplifier.h"
 #include "sat/Solver.h"
 
 #include "cnf/Cnf.h"
@@ -31,6 +32,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace bugassist;
@@ -223,6 +225,482 @@ TEST(Simplify, CloneInheritsReconstructionStack) {
   EXPECT_TRUE(Copy.isEliminated(X));
   EXPECT_TRUE(modelSatisfies(
       Copy, {{mkLit(A), mkLit(X)}, {~mkLit(X), mkLit(B)}, {~mkLit(A)}}));
+}
+
+// --- identity differential ---------------------------------------------------
+
+namespace bugassist {
+
+/// The elimination pass as it was before resolvent counting and dirty
+/// re-sweeps: every resolvent of an attempt is materialized before the
+/// bounds are checked, and every sweep retries every variable. The
+/// subsumption, reconstruction and learnt-sweep steps are copied verbatim,
+/// so any difference from Simplifier comes from the elimination loop.
+/// Solver befriends SolverTestAccess, which is all this copy needs.
+struct SolverTestAccess {
+  using ClauseRef = Solver::ClauseRef;
+  struct Entry {
+    ClauseRef CR;
+    uint64_t Sig;
+    uint32_t Size;
+    bool Dead;
+  };
+
+  Solver &S;
+  Simplifier::Limits Lim;
+  std::vector<Entry> Cs;
+  std::vector<std::vector<int>> Occ;
+  std::vector<int> Queue;
+  size_t QueueHead = 0;
+  std::vector<char> InQueue;
+  std::vector<Lit> Scratch;
+  std::vector<char> TempFrozen;
+
+  SolverTestAccess(Solver &S, const Simplifier::Limits &L) : S(S), Lim(L) {}
+
+  // Observable state the two passes must agree on.
+  static std::vector<std::vector<Lit>> problemLits(const Solver &S) {
+    std::vector<std::vector<Lit>> Out;
+    for (ClauseRef CR : S.ProblemClauses)
+      if (!S.clauseFreed(CR))
+        Out.emplace_back(S.clauseLits(CR), S.clauseLits(CR) + S.clauseSize(CR));
+    return Out;
+  }
+  static const std::vector<Lit> &elimStack(const Solver &S) {
+    return S.ElimStack;
+  }
+  static const std::vector<Lit> &trail(const Solver &S) { return S.Trail; }
+
+  bool varTouchable(Var V) const {
+    return S.value(V) == LBool::Undef && !S.ElimVars[V] && !S.isFrozen(V) &&
+           !TempFrozen[V];
+  }
+
+  uint64_t signatureOf(ClauseRef CR) const {
+    uint64_t Sig = 0;
+    for (uint32_t I = 0; I < S.clauseSize(CR); ++I)
+      Sig |= 1ull << (S.clauseLits(CR)[I].var() & 63);
+    return Sig;
+  }
+
+  bool run() {
+    if (!S.Ok || S.propagate() != Solver::InvalidClause) {
+      S.Ok = false;
+      return false;
+    }
+    S.simplifyLevel0();
+    if (!S.Ok)
+      return false;
+    TempFrozen.assign(S.numVars(), 0);
+    for (Lit L : S.CurAssumptions)
+      TempFrozen[L.var()] = 1;
+    collect();
+    uint64_t TotalElims = 0;
+    for (int Round = 0; Round < Lim.MaxRounds; ++Round) {
+      uint64_t Subs = subsumptionFixpoint();
+      if (!S.Ok)
+        break;
+      uint64_t Elims = bveSweep();
+      TotalElims += Elims;
+      if (!S.Ok || (Subs == 0 && Elims == 0))
+        break;
+    }
+    if (S.Ok) {
+      if (TotalElims)
+        sweepLearnts();
+      S.refreshTierGauges();
+      S.flushAllWatches();
+      S.checkGarbage();
+    }
+    return S.Ok;
+  }
+
+  void collect() {
+    Occ.assign(S.numVars(), {});
+    for (ClauseRef CR : S.ProblemClauses) {
+      if (S.clauseFreed(CR))
+        continue;
+      const Lit *CL = S.clauseLits(CR);
+      uint32_t Size = S.clauseSize(CR);
+      bool Satisfied = false;
+      for (uint32_t I = 0; I < Size; ++I)
+        Satisfied = Satisfied || S.value(CL[I]) == LBool::True;
+      if (Satisfied)
+        continue;
+      int Idx = static_cast<int>(Cs.size());
+      Cs.push_back({CR, signatureOf(CR), Size, false});
+      InQueue.push_back(0);
+      for (uint32_t I = 0; I < Size; ++I)
+        Occ[CL[I].var()].push_back(Idx);
+      enqueue(Idx);
+    }
+  }
+
+  void enqueue(int EI) {
+    if (InQueue[EI])
+      return;
+    InQueue[EI] = 1;
+    Queue.push_back(EI);
+  }
+
+  bool entrySatisfied(int EI) {
+    Entry &E = Cs[EI];
+    if (E.Dead)
+      return true;
+    if (S.clauseFreed(E.CR)) {
+      E.Dead = true;
+      return true;
+    }
+    const Lit *CL = S.clauseLits(E.CR);
+    for (uint32_t I = 0; I < E.Size; ++I) {
+      if (S.value(CL[I]) == LBool::True) {
+        E.Dead = true;
+        if (!S.isLocked(E.CR))
+          S.removeClause(E.CR);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  uint64_t subsumptionFixpoint() {
+    uint64_t Changes = 0;
+    while (QueueHead < Queue.size() && S.Ok) {
+      int EI = Queue[QueueHead++];
+      InQueue[EI] = 0;
+      Changes += backwardCheck(EI);
+    }
+    if (QueueHead >= Queue.size()) {
+      Queue.clear();
+      QueueHead = 0;
+    }
+    return Changes;
+  }
+
+  uint64_t backwardCheck(int EI) {
+    Entry &E = Cs[EI];
+    if (E.Dead || S.clauseFreed(E.CR) || entrySatisfied(EI))
+      return 0;
+    if (E.Size > Lim.MaxClauseSize)
+      return 0;
+    const Lit *CL = S.clauseLits(E.CR);
+    Var Best = CL[0].var();
+    for (uint32_t I = 1; I < E.Size; ++I)
+      if (Occ[CL[I].var()].size() < Occ[Best].size())
+        Best = CL[I].var();
+    uint64_t Changes = 0;
+    auto &List = Occ[Best];
+    for (size_t OI = 0; OI < List.size(); ++OI) {
+      int DI = List[OI];
+      if (DI == EI)
+        continue;
+      Entry &D = Cs[DI];
+      if (D.Dead || S.clauseFreed(D.CR) || D.Size < E.Size ||
+          (E.Sig & ~D.Sig) || entrySatisfied(DI))
+        continue;
+      Lit Flip = NullLit;
+      if (!subsumeOrStrengthen(EI, DI, Flip))
+        continue;
+      ++Changes;
+      if (Flip == NullLit) {
+        S.removeClause(D.CR);
+        D.Dead = true;
+        ++S.Stats.ClausesSubsumed;
+      } else {
+        strengthenEntry(DI, ~Flip);
+        if (!S.Ok)
+          break;
+      }
+    }
+    return Changes;
+  }
+
+  bool subsumeOrStrengthen(int CI, int DI, Lit &Flip) {
+    const Lit *CL = S.clauseLits(Cs[CI].CR);
+    const Lit *DL = S.clauseLits(Cs[DI].CR);
+    Flip = NullLit;
+    for (uint32_t I = 0; I < Cs[CI].Size; ++I) {
+      bool Found = false;
+      for (uint32_t J = 0; J < Cs[DI].Size && !Found; ++J) {
+        if (DL[J] == CL[I]) {
+          Found = true;
+        } else if (DL[J] == ~CL[I]) {
+          if (Flip != NullLit)
+            return false;
+          Flip = CL[I];
+          Found = true;
+        }
+      }
+      if (!Found)
+        return false;
+    }
+    return true;
+  }
+
+  void strengthenEntry(int EI, Lit L) {
+    Entry &E = Cs[EI];
+    ++S.Stats.LitsSelfSubsumed;
+    S.strengthenClause(E.CR, L);
+    if (!S.Ok)
+      return;
+    if (S.clauseFreed(E.CR)) {
+      E.Dead = true;
+      return;
+    }
+    E.Size = S.clauseSize(E.CR);
+    E.Sig = signatureOf(E.CR);
+    enqueue(EI);
+  }
+
+  uint64_t bveSweep() {
+    std::vector<std::pair<uint32_t, Var>> Order;
+    for (Var V = 0; V < S.numVars(); ++V) {
+      size_t N = Occ[V].size();
+      if (varTouchable(V) && N != 0 && N <= Lim.MaxOccurrences)
+        Order.push_back({static_cast<uint32_t>(N), V});
+    }
+    std::sort(Order.begin(), Order.end());
+    uint64_t Elims = 0;
+    for (const auto &P : Order) {
+      if (!S.Ok)
+        break;
+      Elims += tryEliminate(P.second);
+    }
+    return Elims;
+  }
+
+  bool tryEliminate(Var V) {
+    if (S.ElimVars[V] || S.isFrozen(V) || TempFrozen[V] ||
+        S.value(V) != LBool::Undef)
+      return false;
+    std::vector<int> Pos, Neg;
+    for (int EI : Occ[V]) {
+      if (Cs[EI].Dead || S.clauseFreed(Cs[EI].CR) || entrySatisfied(EI))
+        continue;
+      const Lit *CL = S.clauseLits(Cs[EI].CR);
+      for (uint32_t I = 0; I < Cs[EI].Size; ++I) {
+        if (CL[I] == mkLit(V)) {
+          Pos.push_back(EI);
+          break;
+        }
+        if (CL[I] == mkLit(V, true)) {
+          Neg.push_back(EI);
+          break;
+        }
+      }
+    }
+    if (Pos.size() + Neg.size() > Lim.MaxOccurrences)
+      return false;
+    std::vector<std::vector<Lit>> Resolvents;
+    for (int PI : Pos) {
+      for (int NI : Neg) {
+        if (!resolve(PI, NI, V))
+          continue;
+        if (Scratch.size() > Lim.MaxResolventSize)
+          return false;
+        Resolvents.push_back(Scratch);
+        if (Resolvents.size() > Pos.size() + Neg.size())
+          return false;
+      }
+    }
+    bool StoreNeg = Pos.size() > Neg.size();
+    pushReconstruction(V, StoreNeg ? Neg : Pos,
+                       StoreNeg ? mkLit(V) : mkLit(V, true));
+    for (int EI : Pos) {
+      S.removeClause(Cs[EI].CR);
+      Cs[EI].Dead = true;
+    }
+    for (int EI : Neg) {
+      S.removeClause(Cs[EI].CR);
+      Cs[EI].Dead = true;
+    }
+    S.ElimVars[V] = 1;
+    ++S.Stats.VarsEliminated;
+    S.Stats.ReconstructBytes = S.ElimStack.size() * sizeof(Lit);
+    if (S.HeapIndex[V] != -1) {
+      S.Activity[V] = 1e300;
+      S.heapDecrease(V);
+      S.heapPop();
+      S.Activity[V] = 0.0;
+    }
+    for (const auto &R : Resolvents) {
+      addResolvent(R);
+      if (!S.Ok)
+        break;
+    }
+    return true;
+  }
+
+  bool resolve(int PI, int NI, Var V) {
+    Scratch.clear();
+    auto Side = [&](int EI, Lit Pivot) {
+      const Lit *CL = S.clauseLits(Cs[EI].CR);
+      for (uint32_t I = 0; I < Cs[EI].Size; ++I) {
+        if (CL[I] == Pivot || S.value(CL[I]) == LBool::False)
+          continue;
+        if (S.value(CL[I]) == LBool::True)
+          return false;
+        Scratch.push_back(CL[I]);
+      }
+      return true;
+    };
+    if (!Side(PI, mkLit(V)) || !Side(NI, mkLit(V, true)))
+      return false;
+    std::sort(Scratch.begin(), Scratch.end());
+    size_t J = 0;
+    for (size_t I = 0; I < Scratch.size(); ++I) {
+      if (J > 0 && Scratch[I] == Scratch[J - 1])
+        continue;
+      if (J > 0 && Scratch[I] == ~Scratch[J - 1])
+        return false;
+      Scratch[J++] = Scratch[I];
+    }
+    Scratch.resize(J);
+    return true;
+  }
+
+  void addResolvent(const std::vector<Lit> &Lits) {
+    Scratch.clear();
+    for (Lit L : Lits) {
+      if (S.value(L) == LBool::True)
+        return;
+      if (S.value(L) != LBool::False)
+        Scratch.push_back(L);
+    }
+    if (Scratch.empty()) {
+      S.Ok = false;
+      return;
+    }
+    if (Scratch.size() == 1) {
+      S.uncheckedEnqueue(Scratch[0], Solver::InvalidClause);
+      if (S.propagate() != Solver::InvalidClause)
+        S.Ok = false;
+      return;
+    }
+    ClauseRef CR = S.allocClause(Scratch, /*Learnt=*/false);
+    S.ProblemClauses.push_back(CR);
+    S.attachClause(CR);
+    int Idx = static_cast<int>(Cs.size());
+    Cs.push_back({CR, signatureOf(CR), static_cast<uint32_t>(Scratch.size()),
+                  false});
+    InQueue.push_back(0);
+    for (Lit L : Scratch)
+      Occ[L.var()].push_back(Idx);
+    enqueue(Idx);
+  }
+
+  void pushReconstruction(Var V, const std::vector<int> &StoredSide,
+                          Lit Default) {
+    for (int EI : StoredSide) {
+      const Lit *CL = S.clauseLits(Cs[EI].CR);
+      Scratch.clear();
+      Lit Pivot = NullLit;
+      for (uint32_t I = 0; I < Cs[EI].Size; ++I) {
+        if (CL[I].var() == V)
+          Pivot = CL[I];
+        else if (S.value(CL[I]) != LBool::False)
+          Scratch.push_back(CL[I]);
+      }
+      S.ElimStack.push_back(Pivot);
+      S.ElimStack.insert(S.ElimStack.end(), Scratch.begin(), Scratch.end());
+      S.ElimStack.push_back(
+          Lit::fromCode(static_cast<int32_t>(Scratch.size() + 1)));
+    }
+    S.ElimStack.push_back(Default);
+    S.ElimStack.push_back(Lit::fromCode(1));
+  }
+
+  void sweepLearnts() {
+    auto Sweep = [&](std::vector<ClauseRef> &Set) {
+      size_t J = 0;
+      for (ClauseRef CR : Set) {
+        if (S.clauseFreed(CR))
+          continue;
+        bool Ghost = false;
+        for (uint32_t I = 0; I < S.clauseSize(CR); ++I)
+          Ghost = Ghost || S.ElimVars[S.clauseLits(CR)[I].var()];
+        if (Ghost && !S.isLocked(CR)) {
+          S.removeClause(CR);
+          continue;
+        }
+        Set[J++] = CR;
+      }
+      Set.resize(J);
+    };
+    Sweep(S.CoreLearnts);
+    Sweep(S.MidLearnts);
+    Sweep(S.LocalLearnts);
+  }
+};
+
+} // namespace bugassist
+
+namespace {
+
+/// A random CNF shaped to keep all three rounds of a pass busy: short
+/// clauses over a small variable range (so subsumption and strengthening
+/// fire between sweeps), a share of frozen variables and a few units (so
+/// root assignments and frozen skips interleave with eliminations).
+void loadIdentityInstance(Solver &S, uint64_t Seed) {
+  Rng R(Seed);
+  int NumVars = 20 + static_cast<int>(R.below(40));
+  S.ensureVars(NumVars);
+  for (Var V = 0; V < NumVars; ++V)
+    if (R.chance(1, 8))
+      S.setFrozen(V, true);
+  int NumClauses = NumVars * (2 + static_cast<int>(R.below(3)));
+  for (int I = 0; I < NumClauses; ++I) {
+    int Len = R.chance(1, 24) ? 1 : 2 + static_cast<int>(R.below(4));
+    Clause C;
+    for (int K = 0; K < Len; ++K)
+      C.push_back(mkLit(static_cast<Var>(R.below(NumVars)), R.chance(1, 2)));
+    if (!S.addClause(C))
+      return;
+  }
+}
+
+} // namespace
+
+// The pass must eliminate the same variables in the same order, with the
+// same resolvents, as materializing every resolvent and retrying every
+// variable: identical surviving clauses (literal order included), root
+// trail, reconstruction stack and counters, under the default limits and
+// under tight ones that make the growth bounds and re-sweeps decide.
+TEST(SimplifyIdentity, MatchesMaterializeEverythingRetryEverything) {
+  Simplifier::Limits Default;
+  Simplifier::Limits Tight;
+  Tight.MaxOccurrences = 10;
+  Tight.MaxResolventSize = 4;
+  Tight.MaxClauseSize = 6;
+  uint64_t Eliminated = 0;
+  for (const Simplifier::Limits &L : {Default, Tight}) {
+    for (uint64_t Seed = 1; Seed <= 400; ++Seed) {
+      Solver A, B;
+      loadIdentityInstance(A, Seed);
+      loadIdentityInstance(B, Seed);
+      Simplifier Simp(A);
+      bool OkA = Simp.run(L);
+      SolverTestAccess Ref(B, L);
+      bool OkB = Ref.run();
+      ASSERT_EQ(OkA, OkB) << "seed " << Seed;
+      ASSERT_EQ(SolverTestAccess::trail(A), SolverTestAccess::trail(B))
+          << "seed " << Seed;
+      ASSERT_EQ(SolverTestAccess::problemLits(A),
+                SolverTestAccess::problemLits(B))
+          << "seed " << Seed;
+      ASSERT_EQ(SolverTestAccess::elimStack(A), SolverTestAccess::elimStack(B))
+          << "seed " << Seed;
+      const SolverStats &SA = A.stats(), &SB = B.stats();
+      ASSERT_EQ(SA.VarsEliminated, SB.VarsEliminated) << "seed " << Seed;
+      ASSERT_EQ(SA.ClausesSubsumed, SB.ClausesSubsumed) << "seed " << Seed;
+      ASSERT_EQ(SA.LitsSelfSubsumed, SB.LitsSelfSubsumed) << "seed " << Seed;
+      ASSERT_EQ(SA.ReconstructBytes, SB.ReconstructBytes) << "seed " << Seed;
+      ASSERT_EQ(SA.Propagations, SB.Propagations) << "seed " << Seed;
+      ASSERT_EQ(A.solve(), B.solve()) << "seed " << Seed;
+      Eliminated += SA.VarsEliminated;
+    }
+  }
+  EXPECT_GT(Eliminated, 0u) << "the instances must exercise elimination";
 }
 
 // --- the frozen-variable contract --------------------------------------------

@@ -142,10 +142,16 @@ int cmdRepair(const std::string &Path, CommandOptions &O) {
   }
 
   std::string Error;
-  auto Prepared = prepareProgram(*Source, R.Entry, R.Unroll, R.Encode, Error);
+  ErrorCode Code = ErrorCode::Ok;
+  auto Prepared =
+      prepareProgram(*Source, R.Entry, R.Unroll, R.Encode, Error, &Code);
   if (!Prepared) {
-    std::fprintf(stderr, "bugassist: %s does not compile:\n%s", Path.c_str(),
-                 Error.c_str());
+    if (Code == ErrorCode::BadRequest)
+      std::fprintf(stderr, "bugassist: nothing to repair: %s\n",
+                   Error.c_str());
+    else
+      std::fprintf(stderr, "bugassist: %s does not compile:\n%s",
+                   Path.c_str(), Error.c_str());
     return 1;
   }
   RepairPipelineResult Res = runRepairPipeline(*Prepared, R);
@@ -282,6 +288,23 @@ int cmdFuzz(const std::string &Target, CommandOptions &O) {
 
 // --- maxsat / sat ------------------------------------------------------------
 
+/// The `--stats` block of maxsat and sat: two `c` lines, the second with
+/// the inprocessing counters.
+void printDimacsStats(uint64_t SatCalls, const SolverStats &S) {
+  std::printf("c sat_calls=%llu conflicts=%llu propagations=%llu "
+              "restarts=%llu\n",
+              static_cast<unsigned long long>(SatCalls),
+              static_cast<unsigned long long>(S.Conflicts),
+              static_cast<unsigned long long>(S.Propagations),
+              static_cast<unsigned long long>(S.Restarts));
+  std::printf("c vars_eliminated=%llu clauses_subsumed=%llu "
+              "lits_self_subsumed=%llu reconstruction_bytes=%llu\n",
+              static_cast<unsigned long long>(S.VarsEliminated),
+              static_cast<unsigned long long>(S.ClausesSubsumed),
+              static_cast<unsigned long long>(S.LitsSelfSubsumed),
+              static_cast<unsigned long long>(S.ReconstructBytes));
+}
+
 int cmdMaxsat(const std::string &Path, CommandOptions &O) {
   const LocalizeOptions &Knobs = O.Query.Localize;
 
@@ -320,21 +343,8 @@ int cmdMaxsat(const std::string &Path, CommandOptions &O) {
   std::fputs(renderMaxSatAnswer(R, Inst.NumVars, O.Model, /*Comments=*/true)
                  .c_str(),
              stdout);
-  if (O.Stats) {
-    const SolverStats &S = R.Search;
-    std::printf("c sat_calls=%llu conflicts=%llu propagations=%llu "
-                "restarts=%llu\n",
-                static_cast<unsigned long long>(R.SatCalls),
-                static_cast<unsigned long long>(S.Conflicts),
-                static_cast<unsigned long long>(S.Propagations),
-                static_cast<unsigned long long>(S.Restarts));
-    std::printf("c vars_eliminated=%llu clauses_subsumed=%llu "
-                "lits_self_subsumed=%llu reconstruction_bytes=%llu\n",
-                static_cast<unsigned long long>(S.VarsEliminated),
-                static_cast<unsigned long long>(S.ClausesSubsumed),
-                static_cast<unsigned long long>(S.LitsSelfSubsumed),
-                static_cast<unsigned long long>(S.ReconstructBytes));
-  }
+  if (O.Stats)
+    printDimacsStats(R.SatCalls, R.Search);
   return R.Status == MaxSatStatus::Unknown ? ExitBudgetExhausted
                                            : ExitComplete;
 }
@@ -371,6 +381,9 @@ int cmdSat(const std::string &Path, CommandOptions &O) {
                              /*WinnerComment=*/Knobs.Threads > 1)
                  .c_str(),
              stdout);
+  // One race is one solve call, as serve's sat trailer counts it.
+  if (O.Stats)
+    printDimacsStats(/*SatCalls=*/1, R.Aggregate);
   return R.Result == LBool::Undef ? ExitBudgetExhausted : ExitComplete;
 }
 
