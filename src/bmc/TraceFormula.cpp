@@ -143,9 +143,12 @@ TraceFormula::evaluateTest(const InputVector &Test,
 
 std::optional<InputVector>
 TraceFormula::findCounterexample(const Spec &S, bool &Decided,
-                                 uint64_t ConflictBudget) const {
+                                 uint64_t ConflictBudget,
+                                 const Solver::Budget &Budget) const {
   Decided = false;
   Solver Solve;
+  if (!Budget.unlimited())
+    Solve.setBudget(Budget);
   if (!Solve.addFormula(EP.Formula))
     return std::nullopt;
 

@@ -66,10 +66,11 @@ public:
   /// Searches for an input violating \p S with every statement enabled
   /// (bounded model checking; Section 4.1). \returns the counterexample
   /// input, std::nullopt if none exists within the encoding bounds, and
-  /// leaves \p Decided false when the conflict budget ran out.
-  std::optional<InputVector> findCounterexample(const Spec &S,
-                                                bool &Decided,
-                                                uint64_t ConflictBudget = 0) const;
+  /// leaves \p Decided false when the conflict budget or \p Budget (e.g.
+  /// a request deadline) ran out.
+  std::optional<InputVector>
+  findCounterexample(const Spec &S, bool &Decided, uint64_t ConflictBudget = 0,
+                     const Solver::Budget &Budget = Solver::Budget()) const;
 
   /// \returns the source line of clause group \p G.
   uint32_t lineOfGroup(GroupId G) const { return EP.Formula.group(G).Line; }

@@ -91,6 +91,15 @@ LocalizationReport bugassist::enumerateCoMSSesOn(MaxSatSession &Session,
   return Report;
 }
 
+std::unique_ptr<MaxSatSession>
+bugassist::makeLocalizationSession(const MaxSatInstance &Inst,
+                                   const LocalizeOptions &Opts) {
+  Solver::Options SOpts;
+  SOpts.Preprocess = Opts.Preprocess;
+  return makeMaxSatSession(Inst, Opts.Weighted, Opts.ConflictBudget, SOpts,
+                           /*Canonical=*/true);
+}
+
 LocalizationReport bugassist::enumerateCoMSSes(MaxSatInstance Inst,
                                                const CnfFormula &F,
                                                const LocalizeOptions &Opts) {
@@ -106,16 +115,15 @@ LocalizationReport bugassist::enumerateCoMSSes(MaxSatInstance Inst,
   // thread count.
   std::unique_ptr<MaxSatSession> Session;
   PortfolioSession *Portfolio = nullptr;
-  Solver::Options SOpts;
-  SOpts.Preprocess = Opts.Preprocess;
   if (Opts.Threads > 1) {
+    Solver::Options SOpts;
+    SOpts.Preprocess = Opts.Preprocess;
     auto P = makePortfolioSession(Inst, Opts.Weighted, Opts.Threads,
                                   Opts.ConflictBudget, SOpts);
     Portfolio = P.get();
     Session = std::move(P);
   } else {
-    Session = makeMaxSatSession(Inst, Opts.Weighted, Opts.ConflictBudget,
-                                SOpts, /*Canonical=*/true);
+    Session = makeLocalizationSession(Inst, Opts);
   }
   LocalizationReport Report = enumerateCoMSSesOn(*Session, F, Opts);
   if (Portfolio)

@@ -30,6 +30,7 @@
 #include "lang/Ast.h"
 #include "maxsat/MaxSat.h"
 
+#include <chrono>
 #include <optional>
 #include <set>
 #include <string>
@@ -84,19 +85,40 @@ struct QueryBudget {
   uint64_t MaxConflicts = 0;
   /// Clause-arena cap per solver, in mebibytes.
   uint64_t MaxMemoryMb = 0;
+  /// The instant TimeoutSeconds counts from. Unset, every solverBudget()
+  /// call starts its own clock; a request with several stages (repair)
+  /// pins it once through startClock() so all of them share one deadline.
+  std::optional<std::chrono::steady_clock::time_point> Started;
 
   /// True when any knob is set.
   bool any() const {
     return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0;
   }
-  /// The Solver::Budget equivalent. The deadline starts ticking at the
-  /// moment of this call.
-  Solver::Budget solverBudget() const {
+  /// Starts the deadline clock now (no-op once started).
+  void startClock() {
+    if (!Started)
+      Started = std::chrono::steady_clock::now();
+  }
+  /// The deadline alone, for solvers that keep their own conflict and
+  /// memory limits (repair's prescreen and candidate verification).
+  Solver::Budget deadline() const {
     Solver::Budget B;
+    if (TimeoutSeconds > 0)
+      B.setDeadlineAfter(Started ? *Started : std::chrono::steady_clock::now(),
+                         TimeoutSeconds);
+    return B;
+  }
+  /// True once the deadline has passed (never without a timeout).
+  bool expired() const {
+    Solver::Budget B = deadline();
+    return B.HasDeadline && std::chrono::steady_clock::now() >= B.Deadline;
+  }
+  /// The Solver::Budget equivalent: deadline() plus the conflict and arena
+  /// caps.
+  Solver::Budget solverBudget() const {
+    Solver::Budget B = deadline();
     B.MaxConflicts = MaxConflicts;
     B.MaxArenaBytes = MaxMemoryMb << 20;
-    if (TimeoutSeconds > 0)
-      B.setDeadlineIn(TimeoutSeconds);
     return B;
   }
 };
@@ -128,6 +150,14 @@ struct LocalizeOptions {
 /// clauses mirror \p F's clause groups (soft index == group id).
 LocalizationReport enumerateCoMSSes(MaxSatInstance Inst, const CnfFormula &F,
                                     const LocalizeOptions &Opts = {});
+
+/// The width-1 session enumerateCoMSSes runs Algorithm 1 on, over \p Inst:
+/// Opts picks the engine (Weighted), the per-call conflict budget and
+/// preprocessing; optima are canonical. Never solved on return, so it can
+/// be preprocessed and cloned before the enumeration starts.
+std::unique_ptr<MaxSatSession>
+makeLocalizationSession(const MaxSatInstance &Inst,
+                        const LocalizeOptions &Opts = {});
 
 /// Algorithm 1's enumeration loop on an *existing* session whose soft
 /// clauses mirror \p F's clause groups. The serve-mode seam: the caller

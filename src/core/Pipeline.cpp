@@ -70,12 +70,11 @@ lineHits(const LocalizationReport &R) {
   return Order;
 }
 
-/// The query-answering back half shared by the one-shot and prepared
-/// paths: judge the input (or find one by BMC), then enumerate CoMSSes --
-/// on \p Session when given, else on a session built from scratch.
-PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
-                           const PipelineRequest &R, MaxSatSession *Session) {
-  PipelineResult Res;
+/// The front of every query: judge the given input concretely (or find
+/// one by BMC) and fill Res.FailingInput / Res.SpecUsed. \returns false
+/// with Res filled when there is nothing to localize.
+bool judgeInput(const Program &Prog, const BugAssistDriver &Driver,
+                const PipelineRequest &R, PipelineResult &Res) {
   Res.SpecUsed.CheckObligations = R.CheckObligations;
   Res.SpecUsed.GoldenReturn = R.GoldenReturn;
 
@@ -89,13 +88,13 @@ PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
       Res.Status = PipelineStatus::InputNotFailing;
       Res.Code = ErrorCode::InputNotFailing;
       Res.Message = "input does not match the entry function's parameters";
-      return Res;
+      return false;
     }
     if (Run.Status == ExecStatus::AssumeFail) {
       Res.Status = PipelineStatus::InputNotFailing;
       Res.Code = ErrorCode::InputNotFailing;
       Res.Message = "input rejected by an assume(): execution infeasible";
-      return Res;
+      return false;
     }
     if (!violatesSpec(Run, R)) {
       Res.Status = PipelineStatus::InputNotFailing;
@@ -120,7 +119,7 @@ PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
       } else {
         Res.Message = "input satisfies every obligation; the spec holds";
       }
-      return Res;
+      return false;
     }
     Res.FailingInput = *R.Input;
   } else {
@@ -130,11 +129,21 @@ PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
       Res.Status = PipelineStatus::NoCounterexample;
       Res.Code = ErrorCode::Ok;
       Res.Message = "no spec violation found within the unwinding bounds";
-      return Res;
+      return false;
     }
     Res.FailingInput = *Cex;
   }
+  return true;
+}
 
+/// The query-answering back half shared by the one-shot and prepared
+/// paths: judge the input, then enumerate CoMSSes -- on \p Session when
+/// given, else on a session built from scratch.
+PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
+                           const PipelineRequest &R, MaxSatSession *Session) {
+  PipelineResult Res;
+  if (!judgeInput(Prog, Driver, R, Res))
+    return Res;
   if (Session)
     Res.Report = localizeFault(*Session, Driver.formula(), Res.FailingInput,
                                Res.SpecUsed, R.Localize);
@@ -571,9 +580,8 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
     return Out;
   }
 
-  // Localize Inputs[0] through the standard seam: this judges the input
-  // concretely (InputNotFailing when it meets the spec) and yields the
-  // canonical report the candidate lines come from.
+  // One deadline for the whole request: judging, localization, the
+  // prescreen and every candidate's verification answer to it.
   PipelineRequest L;
   L.Entry = R.Entry;
   L.Unroll = R.Unroll;
@@ -583,14 +591,48 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
     L.GoldenReturn = R.Goldens[0];
   L.CheckObligations = R.CheckObligations;
   L.Localize = R.Localize;
-  PipelineResult LR = runLocalizePipeline(P, L, Session);
-  Out.Status = LR.Status;
-  Out.Code = LR.Code;
-  Out.Message = LR.Message;
+  L.Localize.Budget.startClock();
+
+  // Judge Inputs[0] concretely (InputNotFailing when it meets the spec).
+  PipelineResult LR;
+  const TraceFormula &TF = P.Driver->formula();
+  if (!judgeInput(*P.Prog, *P.Driver, L, LR)) {
+    Out.Status = LR.Status;
+    Out.Code = LR.Code;
+    Out.Message = LR.Message;
+    return Out;
+  }
+
+  // Localize on one session and prescreen on a clone of it taken before
+  // its first solve, so the formula is loaded and preprocessed once. A
+  // cloned base session (serve) gets the test bound on both copies; the
+  // one-shot width-1 session is built with it, and preprocessed under the
+  // request budget before the clone. A portfolio cannot be cloned: the
+  // prescreen then builds its own session inside repairProgram.
+  std::unique_ptr<MaxSatSession> Prescreen;
+  if (Session) {
+    if (R.Repair.PrescreenLines)
+      Prescreen = Session->clone();
+    if (Prescreen)
+      for (const Clause &C : TF.testClauses(LR.FailingInput, LR.SpecUsed))
+        Prescreen->addHardClause(C);
+    LR.Report = localizeFault(*Session, TF, LR.FailingInput, LR.SpecUsed,
+                              L.Localize);
+  } else if (L.Localize.Threads <= 1) {
+    std::unique_ptr<MaxSatSession> Own = makeLocalizationSession(
+        TF.localizationInstance(LR.FailingInput, LR.SpecUsed), L.Localize);
+    if (L.Localize.Budget.any())
+      Own->setBudget(L.Localize.Budget.solverBudget());
+    Own->solver().preprocess();
+    if (R.Repair.PrescreenLines)
+      Prescreen = Own->clone();
+    LR.Report = enumerateCoMSSesOn(*Own, TF.encoded().Formula, L.Localize);
+  } else {
+    LR.Report = P.Driver->localize(LR.FailingInput, LR.SpecUsed, L.Localize);
+  }
+  Out.Status = PipelineStatus::Localized;
   Out.FailingInput = LR.FailingInput;
   Out.Report = std::move(LR.Report);
-  if (LR.Status != PipelineStatus::Localized)
-    return Out;
 
   // Candidate lines in first-seen diagnosis order: the first CoMSS is the
   // most likely fix location and gets mutated first.
@@ -604,11 +646,11 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
   RepairOptions RO = R.Repair;
   RO.CandidateLines = std::move(Lines);
   RO.Unroll = R.Unroll;
-  RO.Localize = R.Localize;
+  RO.Localize = L.Localize;
   const std::vector<int64_t> *Goldens =
       R.Goldens.empty() ? nullptr : &R.Goldens;
   Out.Repair = repairProgram(*P.Prog, *P.Driver, R.Entry, R.Inputs,
-                             LR.SpecUsed, Goldens, RO);
+                             LR.SpecUsed, Goldens, RO, Prescreen.get());
 
   if (Out.Report.Incomplete || (Out.Repair.Truncated && !Out.Repair.Found))
     Out.Code = ErrorCode::BudgetExhausted;

@@ -164,8 +164,13 @@ struct RepairPipelineResult {
 /// localizes it (on \p Session when given -- serve's cloned session pool),
 /// derives candidate lines from the report in first-seen diagnosis order,
 /// and runs the pooled repairProgram overload against P.Driver's formula
-/// (prescreen + no localization rebuild). Requirements on \p R's
-/// Entry/Unroll/Encode and on \p Session match runLocalizePipeline.
+/// (prescreen + no localization rebuild). The prescreen solves on a clone
+/// of the localization session taken before its first solve: of \p
+/// Session, or of the width-1 session built, budgeted and preprocessed
+/// here once; a portfolio localization (Threads > 1) leaves repairProgram
+/// to build its own. R.Localize.Budget's timeout bounds the whole request
+/// (see repairProgram). Requirements on \p R's Entry/Unroll/Encode and on
+/// \p Session match runLocalizePipeline.
 RepairPipelineResult runRepairPipeline(const PreparedProgram &P,
                                        const RepairRequest &R,
                                        MaxSatSession *Session = nullptr);

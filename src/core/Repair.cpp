@@ -9,7 +9,6 @@
 #include "lang/AstPrinter.h"
 #include "lang/AstWalk.h"
 #include "lang/Sema.h"
-#include "sat/Solver.h"
 
 #include <functional>
 #include <set>
@@ -105,23 +104,21 @@ std::unique_ptr<Program> applyMutation(const Program &P, const Mutation &M) {
 /// clause group of line L over-approximates any single-line mutation of L
 /// within the encoding bounds, so if the failing test still cannot pass
 /// (UNSAT), every candidate on L is doomed and is dropped before any
-/// mutant formula gets built. One incremental solver carries the hard
-/// clauses once; each line costs one solve under assumptions. Undef
-/// (budget exhausted) keeps the line -- the filter only removes certainties.
-void prescreenLines(const BugAssistDriver &Driver,
-                    const InputVector &FailingTest, const Spec &S,
+/// mutant formula gets built. \p Session is a never-solved localization
+/// session with the failing test bound; each line costs one solve of its
+/// solver under selector assumptions. The session's own additions -- the
+/// soft clauses' guards or relaxation literals -- are never assumed, so
+/// each answer is the satisfiability of the trace formula itself. Undef
+/// (budget exhausted) keeps the line -- the filter only removes
+/// certainties.
+void prescreenLines(MaxSatSession &Session, const CnfFormula &F,
                     std::vector<uint32_t> &Lines, uint64_t ConflictBudget,
-                    RepairStats &Stats) {
-  const TraceFormula &TF = Driver.formula();
-  MaxSatInstance Inst = TF.localizationInstance(FailingTest, S);
-  const CnfFormula &F = TF.encoded().Formula;
-  Solver Solve;
-  Solve.ensureVars(Inst.NumVars);
-  for (const Clause &C : Inst.Hard)
-    if (!Solve.addClause(C))
-      return; // hard core is contradictory; leave the funnel untouched
-  if (ConflictBudget)
-    Solve.setConflictBudget(ConflictBudget);
+                    const Solver::Budget &Deadline, RepairStats &Stats) {
+  Solver &Solve = Session.solver();
+  if (!Solve.okay())
+    return; // hard core is contradictory; leave the funnel untouched
+  Solve.setConflictBudget(ConflictBudget);
+  Solve.setBudget(Deadline);
   std::vector<uint32_t> Kept;
   std::vector<Lit> Assumptions;
   for (uint32_t L : Lines) {
@@ -140,15 +137,21 @@ void prescreenLines(const BugAssistDriver &Driver,
 
 /// Shared Algorithm 2 body. \p PreparedDriver selects the pooled path:
 /// localization and the line prescreen run on its ready-made formula
-/// instead of rebuilding.
+/// instead of rebuilding; the prescreen on \p Prescreen when given.
 RepairResult repairCore(const Program &Prog,
                         const BugAssistDriver *PreparedDriver,
-                        const std::string &Entry,
+                        MaxSatSession *Prescreen, const std::string &Entry,
                         const std::vector<InputVector> &FailingTests,
                         const Spec &S,
                         const std::vector<int64_t> *GoldenPerTest,
                         const RepairOptions &Opts) {
   RepairResult Result;
+
+  // One deadline for the whole request: localization, the prescreen and
+  // every candidate's verification answer to it.
+  LocalizeOptions Localize = Opts.Localize;
+  Localize.Budget.startClock();
+  const QueryBudget &Clock = Localize.Budget;
 
   Spec S0 = S;
   if (GoldenPerTest && !GoldenPerTest->empty())
@@ -161,11 +164,11 @@ RepairResult repairCore(const Program &Prog,
   if (Lines.empty() && !FailingTests.empty()) {
     LocalizationReport R;
     if (PreparedDriver) {
-      R = PreparedDriver->localize(FailingTests[0], S0, Opts.Localize);
+      R = PreparedDriver->localize(FailingTests[0], S0, Localize);
     } else {
       BugAssistDriver Driver(Prog, Entry, Opts.Unroll);
       ++Result.Stats.FormulaBuilds;
-      R = Driver.localize(FailingTests[0], S0, Opts.Localize);
+      R = Driver.localize(FailingTests[0], S0, Localize);
     }
     std::set<uint32_t> Seen;
     for (const Diagnosis &D : R.Diagnoses)
@@ -176,9 +179,17 @@ RepairResult repairCore(const Program &Prog,
   Result.SuspectLines = Lines;
   Result.Stats.LinesConsidered = Lines.size();
 
-  if (PreparedDriver && Opts.PrescreenLines && !FailingTests.empty())
-    prescreenLines(*PreparedDriver, FailingTests[0], S0, Lines,
-                   Opts.VerifyBudget, Result.Stats);
+  if (PreparedDriver && Opts.PrescreenLines && !FailingTests.empty()) {
+    const TraceFormula &TF = PreparedDriver->formula();
+    std::unique_ptr<MaxSatSession> Own;
+    if (!Prescreen) {
+      Own = makeLocalizationSession(
+          TF.localizationInstance(FailingTests[0], S0), Localize);
+      Prescreen = Own.get();
+    }
+    prescreenLines(*Prescreen, TF.encoded().Formula, Lines, Opts.VerifyBudget,
+                   Clock.deadline(), Result.Stats);
+  }
 
   // Step 2: plan and screen mutations.
   std::vector<Mutation> Plan =
@@ -193,7 +204,7 @@ RepairResult repairCore(const Program &Prog,
     IOpts.MaxSteps = Opts.MaxInterpSteps;
 
   for (const Mutation &M : Plan) {
-    if (Result.CandidatesTried >= Opts.MaxCandidates) {
+    if (Result.CandidatesTried >= Opts.MaxCandidates || Clock.expired()) {
       Result.Truncated = true;
       break;
     }
@@ -237,7 +248,8 @@ RepairResult repairCore(const Program &Prog,
       TraceFormula TF(encodeProgram(UP, EO));
       ++Result.Stats.FormulaBuilds;
       bool Decided = false;
-      auto Cex = TF.findCounterexample(VerifySpec, Decided, Opts.VerifyBudget);
+      auto Cex = TF.findCounterexample(VerifySpec, Decided, Opts.VerifyBudget,
+                                       Clock.deadline());
       if (Cex.has_value() || !Decided) {
         ++Result.Stats.BmcRejected;
         continue;
@@ -263,8 +275,8 @@ RepairResult bugassist::repairProgram(const Program &Prog,
                                       const Spec &S,
                                       const std::vector<int64_t> *GoldenPerTest,
                                       const RepairOptions &Opts) {
-  return repairCore(Prog, nullptr, Entry, FailingTests, S, GoldenPerTest,
-                    Opts);
+  return repairCore(Prog, nullptr, nullptr, Entry, FailingTests, S,
+                    GoldenPerTest, Opts);
 }
 
 RepairResult bugassist::repairProgram(const Program &Prog,
@@ -273,7 +285,8 @@ RepairResult bugassist::repairProgram(const Program &Prog,
                                       const std::vector<InputVector> &FailingTests,
                                       const Spec &S,
                                       const std::vector<int64_t> *GoldenPerTest,
-                                      const RepairOptions &Opts) {
-  return repairCore(Prog, &Driver, Entry, FailingTests, S, GoldenPerTest,
-                    Opts);
+                                      const RepairOptions &Opts,
+                                      MaxSatSession *Prescreen) {
+  return repairCore(Prog, &Driver, Prescreen, Entry, FailingTests, S,
+                    GoldenPerTest, Opts);
 }

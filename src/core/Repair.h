@@ -52,8 +52,9 @@ struct RepairOptions {
   /// isValidCorrection semantics -- if freeing every clause of a line
   /// cannot make the failing test pass within the encoding bounds, no
   /// single-line mutation there can either, and all its candidates are
-  /// skipped without building a single mutant formula. One incremental
-  /// solver serves all lines via assumptions.
+  /// skipped without building a single mutant formula. One localization
+  /// session with the first failing test bound serves all lines via
+  /// selector assumptions.
   bool PrescreenLines = true;
 };
 
@@ -84,8 +85,9 @@ struct RepairResult {
   size_t CandidatesTried = 0;
   /// Lines localization proposed (useful when no repair validated).
   std::vector<uint32_t> SuspectLines;
-  /// MaxCandidates stopped the search before the plan was exhausted; the
-  /// "no repair" answer is budget-truncated, not a decided negative.
+  /// MaxCandidates or the request deadline (Localize.Budget's timeout)
+  /// stopped the search before the plan was exhausted; the "no repair"
+  /// answer is budget-truncated, not a decided negative.
   bool Truncated = false;
   RepairStats Stats;
 };
@@ -96,6 +98,12 @@ struct RepairResult {
 /// This overload rebuilds the trace formula from scratch for localization
 /// and for every candidate verification (the reference path; see the
 /// pooled overload below for the serve/CLI production path).
+///
+/// Both overloads answer to one deadline, Opts.Localize.Budget's timeout
+/// counted from the call (or from an earlier QueryBudget::startClock):
+/// localization, the prescreen and every verification solver stop at it,
+/// and the candidate loop checks it between candidates; expiry ends the
+/// search with Truncated.
 RepairResult repairProgram(const Program &Prog, const std::string &Entry,
                            const std::vector<InputVector> &FailingTests,
                            const Spec &S,
@@ -106,16 +114,25 @@ RepairResult repairProgram(const Program &Prog, const std::string &Entry,
 /// with Opts.Unroll (core/Pipeline.h's PreparedProgram supplies both, and
 /// serve's FormulaCache shares one across requests). Localization reuses
 /// Driver's formula instead of rebuilding, and candidate lines are
-/// prescreened on one incremental solver over that formula (see
-/// RepairOptions::PrescreenLines) before any per-candidate rebuild.
-/// Results are identical to the rebuild overload whenever both decide --
-/// the prescreen only removes candidates that could never validate.
+/// prescreened (see RepairOptions::PrescreenLines) before any
+/// per-candidate rebuild.
+///
+/// The prescreen solves on \p Prescreen when given: a never-solved
+/// localization session over Driver's formula with FailingTests[0] bound
+/// under S (GoldenPerTest[0] as its golden) -- runRepairPipeline passes a
+/// clone of the session it localizes on, already loaded and preprocessed.
+/// It is consumed. Without one (a portfolio localization, a direct call),
+/// a width-1 session is built from localizationInstance once. Either way
+/// the answers are SAT/UNSAT of the same formula, so results are identical
+/// to the rebuild overload whenever both decide -- the prescreen only
+/// removes candidates that could never validate.
 RepairResult repairProgram(const Program &Prog, const BugAssistDriver &Driver,
                            const std::string &Entry,
                            const std::vector<InputVector> &FailingTests,
                            const Spec &S,
                            const std::vector<int64_t> *GoldenPerTest = nullptr,
-                           const RepairOptions &Opts = {});
+                           const RepairOptions &Opts = {},
+                           MaxSatSession *Prescreen = nullptr);
 
 } // namespace bugassist
 

@@ -61,9 +61,39 @@ private:
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
 
+  // --- nesting cap -----------------------------------------------------------
+  // Statements and expressions recurse once per nesting level, here and in
+  // every pass after parsing, so a pathological input (thousands of nested
+  // parentheses) must be a compile error rather than a stack overflow. A
+  // left-associative operator chain builds one tree level per operator, so
+  // its operators count as levels too. A fixed cap, far above anything a
+  // real program nests.
+  static constexpr int MaxNesting = 256;
+
+  /// Enters one nesting level. \returns false past the cap (reporting the
+  /// error once, at the first level too deep).
+  bool enterLevel() {
+    if (++Depth == MaxNesting + 1)
+      Diags.error(peek().Loc, "nesting deeper than " +
+                                  std::to_string(MaxNesting) + " levels");
+    return Depth <= MaxNesting;
+  }
+
+  /// Leaves every level entered during its lifetime.
+  class LevelScope {
+  public:
+    explicit LevelScope(Parser &P) : P(P), Saved(P.Depth) {}
+    ~LevelScope() { P.Depth = Saved; }
+
+  private:
+    Parser &P;
+    int Saved;
+  };
+
   std::vector<Token> Tokens;
   DiagEngine &Diags;
   size_t Pos = 0;
+  int Depth = 0;
 };
 
 /// Precedence table for binary operators; higher binds tighter.
@@ -258,6 +288,9 @@ StmtPtr Parser::parseSimpleAssignNoSemi() {
 
 StmtPtr Parser::parseStmt() {
   SourceLoc Loc = peek().Loc;
+  LevelScope Level(*this);
+  if (!enterLevel())
+    return nullptr;
 
   if (check(TokenKind::LBrace))
     return parseBlock();
@@ -400,6 +433,9 @@ StmtPtr Parser::parseStmt() {
 }
 
 ExprPtr Parser::parseConditional() {
+  LevelScope Level(*this);
+  if (!enterLevel())
+    return nullptr;
   ExprPtr Cond = parseBinary(1);
   if (!Cond)
     return nullptr;
@@ -417,6 +453,7 @@ ExprPtr Parser::parseConditional() {
 }
 
 ExprPtr Parser::parseBinary(int MinPrec) {
+  LevelScope Level(*this);
   ExprPtr Lhs = parseUnary();
   if (!Lhs)
     return nullptr;
@@ -424,6 +461,8 @@ ExprPtr Parser::parseBinary(int MinPrec) {
     int Prec = binPrec(peek().Kind);
     if (Prec == 0 || Prec < MinPrec)
       return Lhs;
+    if (!enterLevel()) // Lhs becomes one level deeper
+      return nullptr;
     Token OpTok = advance();
     ExprPtr Rhs = parseBinary(Prec + 1);
     if (!Rhs)
@@ -435,22 +474,20 @@ ExprPtr Parser::parseBinary(int MinPrec) {
 
 ExprPtr Parser::parseUnary() {
   SourceLoc Loc = peek().Loc;
-  if (accept(TokenKind::Minus)) {
-    ExprPtr E = parseUnary();
-    return E ? std::make_unique<UnaryExpr>(UnaryOp::Neg, std::move(E), Loc)
-             : nullptr;
-  }
-  if (accept(TokenKind::Bang)) {
-    ExprPtr E = parseUnary();
-    return E ? std::make_unique<UnaryExpr>(UnaryOp::LogNot, std::move(E), Loc)
-             : nullptr;
-  }
-  if (accept(TokenKind::Tilde)) {
-    ExprPtr E = parseUnary();
-    return E ? std::make_unique<UnaryExpr>(UnaryOp::BitNot, std::move(E), Loc)
-             : nullptr;
-  }
-  return parsePostfix();
+  std::optional<UnaryOp> Op;
+  if (accept(TokenKind::Minus))
+    Op = UnaryOp::Neg;
+  else if (accept(TokenKind::Bang))
+    Op = UnaryOp::LogNot;
+  else if (accept(TokenKind::Tilde))
+    Op = UnaryOp::BitNot;
+  if (!Op)
+    return parsePostfix();
+  LevelScope Level(*this);
+  if (!enterLevel())
+    return nullptr;
+  ExprPtr E = parseUnary();
+  return E ? std::make_unique<UnaryExpr>(*Op, std::move(E), Loc) : nullptr;
 }
 
 ExprPtr Parser::parsePostfix() {

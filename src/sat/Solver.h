@@ -336,10 +336,14 @@ public:
     }
     /// Sets the deadline to now + \p Seconds on the steady clock.
     void setDeadlineIn(double Seconds) {
+      setDeadlineAfter(std::chrono::steady_clock::now(), Seconds);
+    }
+    /// Sets the deadline to \p From + \p Seconds.
+    void setDeadlineAfter(std::chrono::steady_clock::time_point From,
+                          double Seconds) {
       Deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(Seconds));
+          From + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(Seconds));
       HasDeadline = true;
     }
   };

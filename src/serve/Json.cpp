@@ -68,9 +68,16 @@ public:
   }
 
 private:
+  /// Nesting cap: objects and arrays recurse once per level (here and in
+  /// JsonValue's destructor), so a hostile line of thousands of nested
+  /// arrays is rejected instead of overflowing the stack. A request is an
+  /// object of scalars; no valid one nests more than a couple of levels.
+  static constexpr int MaxDepth = 256;
+
   std::string_view Text;
   std::string &Error;
   size_t Pos = 0;
+  int Depth = 0;
 
   bool fail(const std::string &Msg) {
     if (Error.empty())
@@ -96,9 +103,15 @@ private:
       return fail("unexpected end of input");
     switch (Text[Pos]) {
     case '{':
-      return parseObject(Out);
-    case '[':
-      return parseArray(Out);
+    case '[': {
+      if (Depth == MaxDepth)
+        return fail("nesting deeper than " + std::to_string(MaxDepth) +
+                    " levels");
+      ++Depth;
+      bool Ok = Text[Pos] == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
+    }
     case '"':
       Out.K = JsonValue::Kind::String;
       return parseString(Out.Text);

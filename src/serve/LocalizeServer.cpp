@@ -393,22 +393,25 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
 Outcome processRepair(const Request &Req, FormulaCache &Cache,
                       const WorkerCtx &Ctx) {
   auto Start = Clock::now();
+  RepairRequest R = Req.Opts.Query;
+  R.Localize.Budget.startClock(); // `timeout` counts from the request start
   bool Hit = false;
-  const RepairRequest &Q = Req.Opts.Query;
   const CachedProgram &CP =
-      Cache.lookup(Req.Source, Q.Entry, Q.Unroll, Q.Encode, &Hit);
+      Cache.lookup(Req.Source, R.Entry, R.Unroll, R.Encode, &Hit);
   const char *CacheStr = Hit ? "hit" : "miss";
   if (!CP.prepared())
     return respondUnprepared(Req, CP, CacheStr, elapsedMs(Start));
 
-  RepairRequest R = Q;
   R.Localize.Budget.MaxConflicts =
       Ctx.degradedConflicts(R.Localize.Budget.MaxConflicts);
 
   // Same encode-once fast path as localize: the cached base session
-  // serves the localization stage; candidate verification solvers are
-  // internal to repairProgram and bounded by verify_budget, so the
-  // watchdog rides the localization solve only.
+  // serves the localization stage, and runRepairPipeline prescreens lines
+  // on a clone of it. The request's `timeout` is one deadline over the
+  // whole repair (localization, prescreen, each candidate's verification,
+  // the candidate loop). The watchdog rides the localization solve only:
+  // the prescreen and verification solvers are internal to repairProgram
+  // and bounded by verify_budget and that deadline.
   std::unique_ptr<MaxSatSession> Session =
       CP.cloneSession(R.Localize.Weighted);
   std::optional<FlightGuard> Flight;

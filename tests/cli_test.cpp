@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -474,6 +475,39 @@ TEST(BugassistCli, RepairExitCodeContract) {
             std::string::npos)
       << Out;
   std::remove(Hard.c_str());
+}
+
+TEST(BugassistCli, RepairTimeoutBoundsTheWholeRequest) {
+  // Without a timeout this repair runs for tens of seconds, almost all of
+  // it in candidate unroll/encode/BMC verification after localization has
+  // finished. --timeout 2 is one deadline over the whole request: the
+  // candidate loop stops at it with the budget-truncated answer (exit 2).
+  std::string Prog = writeTempFile("int main(int n, int k) {\n"
+                                   "  assume(n >= 0 && n <= 60);\n"
+                                   "  int i = 0;\n"
+                                   "  int s = 0;\n"
+                                   "  while (i < n) {\n"
+                                   "    s = s + k;\n"
+                                   "    i = i + 1;\n"
+                                   "  }\n"
+                                   "  if (n > 36)\n"
+                                   "    s = s + 1;\n"
+                                   "  assert(s == n * k);\n"
+                                   "  return s;\n"
+                                   "}\n");
+  int Exit = 0;
+  auto Begin = std::chrono::steady_clock::now();
+  std::string Out = runCommand(Cli + " repair " + Prog +
+                                   " --unwind 1000 --bitwidth 8"
+                                   " --input \"42,-31\" --timeout 2",
+                               Exit);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Begin)
+                       .count();
+  EXPECT_EQ(exitStatus(Exit), 2) << Out;
+  EXPECT_LT(Seconds, 10.0);
+  EXPECT_NE(Out.find("failing input: 42,-31\n"), std::string::npos) << Out;
+  std::remove(Prog.c_str());
 }
 
 // --- fuzz ---------------------------------------------------------------------

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace bugassist;
 
 namespace {
@@ -183,6 +186,49 @@ TEST(Parser, SyntaxErrors) {
   parseFails("int f() { if x) return 1; }");
   parseFails("int 3x;");
   parseFails("garbage");
+}
+
+TEST(Parser, NestingCapIsACompileErrorNotACrash) {
+  // Every shape that recurses once per level -- parentheses, prefix
+  // operators, blocks, nested ifs, ternary chains, index nesting, and a
+  // left-associative operator chain (one tree level per operator) -- is
+  // rejected past the fixed cap with one diagnostic instead of overflowing
+  // the stack here or in a later pass.
+  auto Rep = [](const char *S, int N) {
+    std::string Out;
+    for (int I = 0; I < N; ++I)
+      Out += S;
+    return Out;
+  };
+  const int Deep = 20000;
+  const std::vector<std::string> Hostile = {
+      "int main(int x) { return " + Rep("(", Deep) + "x" + Rep(")", Deep) +
+          "; }",
+      "int main(int x) { return " + Rep("-", Deep) + "x; }",
+      "int main(int x) { " + Rep("{", Deep) + "x = 1;" + Rep("}", Deep) +
+          " return x; }",
+      "int main(int x) { " + Rep("if (x > 0) ", Deep) + "x = 1; return x; }",
+      "int main(int x) { return " + Rep("x > 1 ? 1 : ", Deep) + "0; }",
+      "int a[4]; int main(int x) { return " + Rep("a[", Deep) + "0" +
+          Rep("]", Deep) + "; }",
+      "int main(int x) { return x" + Rep("+x", Deep) + "; }",
+  };
+  for (const std::string &Src : Hostile) {
+    DiagEngine Diags;
+    EXPECT_EQ(parseProgram(Src, Diags), nullptr) << Src.substr(0, 60);
+    std::string Rendered = Diags.render();
+    EXPECT_NE(Rendered.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << Rendered;
+    EXPECT_EQ(Rendered.find("error", Rendered.find("error") + 1),
+              std::string::npos)
+        << "one diagnostic, not one per level: " << Rendered.substr(0, 200);
+  }
+
+  // Below the cap the same shapes parse.
+  parseOk("int main(int x) { return " + Rep("(", 240) + "x" + Rep(")", 240) +
+          "; }");
+  parseOk("int main(int x) { return x" + Rep("+x", 240) + "; }");
 }
 
 TEST(Parser, RoundTripThroughPrinter) {

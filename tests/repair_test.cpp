@@ -313,3 +313,63 @@ TEST(RepairPooled, TcasV5OffByOneKnownAnswer) {
   EXPECT_NE(R.Suggestion.Description.find("2 -> 1"), std::string::npos)
       << R.Suggestion.Description;
 }
+
+TEST(RepairPrescreen, KeepsExactlyTheValidCorrectionLinesOnTcas) {
+  // The prescreen answers "can freeing line L alone make the failing test
+  // pass?" -- isValidCorrection(TF, test, spec, {L}) -- on a localization
+  // session rather than a private solver. Over every TCAS version with a
+  // failing pool test, both prescreen homes must agree with that oracle:
+  // the clone of the localization session runRepairPipeline takes (one
+  // line set, compared by count), and the session repairProgram builds
+  // for itself (one line at a time, compared line by line).
+  size_t Versions = 0, LinesChecked = 0, LinesRuledOut = 0;
+  for (const TcasMutant &V : tcasMutants()) {
+    auto P = compile(V.Source);
+    FailingTests FT = tcasFailingTests(*P, 1);
+    if (FT.Inputs.empty())
+      continue;
+    ++Versions;
+    Spec S;
+    S.CheckObligations = false;
+    S.GoldenReturn = FT.Goldens[0];
+
+    PreparedProgram Prep;
+    Prep.Driver =
+        std::make_unique<BugAssistDriver>(*P, "main", tcasUnrollOptions());
+    Prep.Prog = std::move(P);
+    const TraceFormula &TF = Prep.Driver->formula();
+
+    RepairRequest RR;
+    RR.Unroll = tcasUnrollOptions();
+    RR.CheckObligations = false;
+    RR.Inputs = FT.Inputs;
+    RR.Goldens = FT.Goldens;
+    RR.Repair.MaxCandidates = 0; // the prescreen is all this test reads
+    RepairPipelineResult Res = runRepairPipeline(Prep, RR);
+    ASSERT_EQ(Res.Status, PipelineStatus::Localized) << "v" << V.Version;
+    const RepairStats &St = Res.Repair.Stats;
+    EXPECT_EQ(St.PrescreenSatCalls, Res.Repair.SuspectLines.size());
+
+    size_t Invalid = 0;
+    for (uint32_t L : Res.Repair.SuspectLines) {
+      bool Valid = isValidCorrection(TF, FT.Inputs[0], S, {L});
+      Invalid += !Valid;
+      RepairOptions RO;
+      RO.Unroll = tcasUnrollOptions();
+      RO.CandidateLines = {L};
+      RO.MaxCandidates = 0;
+      RepairResult One = repairProgram(*Prep.Prog, *Prep.Driver, "main",
+                                       {FT.Inputs[0]}, S, nullptr, RO);
+      EXPECT_EQ(One.Stats.PrescreenSatCalls, 1u);
+      EXPECT_EQ(One.Stats.LinesScreenedOut, Valid ? 0u : 1u)
+          << "v" << V.Version << " line " << L;
+      ++LinesChecked;
+    }
+    EXPECT_EQ(St.LinesScreenedOut, Invalid) << "v" << V.Version;
+    LinesRuledOut += Invalid;
+  }
+  // The sweep must actually exercise both verdicts.
+  EXPECT_GE(Versions, 30u);
+  EXPECT_GT(LinesRuledOut, 0u);
+  EXPECT_LT(LinesRuledOut, LinesChecked);
+}

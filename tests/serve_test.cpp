@@ -957,3 +957,76 @@ TEST(ServeRepair, RequestValidationRejectsBadTestVectors) {
             std::string::npos)
       << R.Frames[2].Body;
 }
+
+TEST(ServeRepair, TcasFramesMatchOneShotCliAtWidthsOneAndTwo) {
+  // The prescreen runs on a clone of the request's cloned base session in
+  // serve and on a clone of the one-shot session in the CLI; the bodies,
+  // `prescreen:` counters included, must still be the same bytes.
+  const TcasFailure &F = tcasV2Failure();
+  std::string Flags = " --no-obligations --no-bounds --bitwidth 16"
+                      " --hard-lines 69-84 --max-diagnoses 24";
+  int Exit = 0;
+  std::string V2 = writeTempFile(runCommand(Cli + " dump-tcas 2", Exit));
+  ASSERT_EQ(exitStatus(Exit), 0);
+  std::string Expected =
+      runCommand(Cli + " repair " + V2 + " --input \"" + F.Input +
+                     "\" --golden " + std::to_string(F.Golden) + Flags,
+                 Exit);
+  ASSERT_EQ(exitStatus(Exit), 0) << Expected;
+  ASSERT_NE(Expected.find("\nprescreen: "), std::string::npos) << Expected;
+  ASSERT_EQ(Expected.find("prescreen: 0 of"), std::string::npos)
+      << "the prescreen must rule lines out here to be compared at all";
+
+  std::string Fields =
+      "\"cmd\":\"repair\",\"tcas\":2,\"inputs\":[\"" + F.Input +
+      "\"],\"goldens\":[" + std::to_string(F.Golden) +
+      "],\"check_obligations\":false,\"bounds\":false,\"bitwidth\":16,"
+      "\"hard_lines\":\"69-84\",\"max_diagnoses\":24";
+  std::string Batch = "{\"id\":\"r1\"," + Fields + "}\n" +
+                      "{\"id\":\"r2\"," + Fields + "}\n";
+  for (size_t Threads : {1u, 2u}) {
+    LibRun R = runServe(Batch, Threads);
+    ASSERT_EQ(R.Frames.size(), 2u);
+    for (const Frame &Fr : R.Frames) {
+      EXPECT_EQ(Fr.Status, "ok") << Fr.ErrorField;
+      EXPECT_EQ(Fr.Body, Expected) << "width " << Threads << " id " << Fr.Id;
+    }
+  }
+  std::remove(V2.c_str());
+}
+
+// Hostile nesting is rejected per request: a 20,000-deep expression is a
+// compile error, a line of 50,000 nested JSON arrays is a bad request, and
+// the request after them is still answered. Run through the CLI so a stack
+// overflow would show as a lost process with missing frames.
+TEST(ServeCli, DeepNestingIsRejectedAndTheBatchGoesOn) {
+  std::string DeepSource = "int main(int x) {\n  return " +
+                           std::string(20000, '(') + "x" +
+                           std::string(20000, ')') + ";\n}\n";
+  std::string Batch = writeTempFile(
+      "{\"id\":\"deep-src\",\"cmd\":\"localize\",\"source\":\"" +
+      jsonEscape(DeepSource) + "\",\"input\":\"1\",\"golden\":2}\n" +
+      std::string(50000, '[') + std::string(50000, ']') + "\n" +
+      "{\"id\":\"after\",\"cmd\":\"sat\",\"cnf\":\"" +
+      jsonEscape("p cnf 1 1\n1 0\n") + "\"}\n");
+  int Exit = 0;
+  std::string Out = runCommand(
+      Cli + " serve --batch " + Batch + " --threads 2 2>/dev/null", Exit);
+  EXPECT_EQ(exitStatus(Exit), 1); // the aggregate code: some request failed
+  std::vector<Frame> Frames = parseFrames(Out);
+  ASSERT_EQ(Frames.size(), 3u) << Out.substr(0, 500);
+  EXPECT_EQ(Frames[0].Id, "deep-src");
+  EXPECT_EQ(Frames[0].Code, "compile-error");
+  EXPECT_NE(Frames[0].ErrorField.find("nesting deeper than"),
+            std::string::npos)
+      << Frames[0].ErrorField;
+  EXPECT_EQ(Frames[1].Status, "error");
+  EXPECT_EQ(Frames[1].Code, "bad-request");
+  EXPECT_NE(Frames[1].ErrorField.find("nesting deeper than"),
+            std::string::npos)
+      << Frames[1].ErrorField;
+  EXPECT_EQ(Frames[2].Id, "after");
+  EXPECT_EQ(Frames[2].Status, "ok");
+  EXPECT_EQ(Frames[2].Body, "s SATISFIABLE\nv 1 0\n");
+  std::remove(Batch.c_str());
+}

@@ -124,6 +124,8 @@ int cmdLocalize(const std::string &Path, CommandOptions &O) {
 // --- repair ------------------------------------------------------------------
 
 int cmdRepair(const std::string &Path, CommandOptions &O) {
+  // --timeout bounds the whole command, parsing and encoding included.
+  O.Query.Localize.Budget.startClock();
   const RepairRequest &R = O.Query;
   if (R.Inputs.empty()) {
     std::fprintf(stderr, "bugassist: repair requires at least one --input\n");
