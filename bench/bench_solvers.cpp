@@ -7,10 +7,6 @@
 // partial MaxSAT on localization-shaped instances, and -- the headline --
 // the Fu-Malik TCAS localization workload run both through the incremental
 // one-persistent-solver engine and the seed's rebuilt-per-round baseline.
-// `--threads N` (default 4) additionally races the N-worker portfolio
-// (diversified solvers + glue sharing, maxsat/Portfolio.h) on the
-// conflict-heavy SAT workloads and on the TCAS localization, recording the
-// per-worker win counts and exchange traffic.
 //
 // Every workload is emitted as machine-readable JSON (BENCH_solvers.json:
 // wall time, conflicts, propagations, SatCalls) so the perf trajectory is
@@ -18,13 +14,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchArgs.h"
 #include "cnf/DimacsReader.h"
 #include "core/BugAssist.h"
 #include "core/Pipeline.h"
 #include "lang/Sema.h"
 #include "maxsat/MaxSat.h"
-#include "maxsat/Portfolio.h"
 #include "maxsat/ReferenceMaxSat.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
@@ -60,12 +54,6 @@ struct WorkloadResult {
   uint64_t ClausesSubsumed = 0;
   uint64_t Extra = 0; ///< workload-specific (cost, diagnoses, ...)
   const char *ExtraKey = nullptr;
-  // Portfolio workloads only.
-  size_t Workers = 0;    ///< portfolio width (0 = single solver)
-  uint64_t Exported = 0; ///< clauses pushed into the exchange
-  uint64_t Imported = 0; ///< foreign clauses injected at restarts
-  int Winner = -1;       ///< winning worker of the (last) race
-  std::vector<uint64_t> Wins; ///< races won per worker
 
   void addSearch(const SolverStats &S) {
     Conflicts += S.Conflicts;
@@ -76,8 +64,6 @@ struct WorkloadResult {
     LbdCount += S.LbdCount;
     VarsEliminated += S.VarsEliminated;
     ClausesSubsumed += S.ClausesSubsumed;
-    Exported += S.ClausesExported;
-    Imported += S.ClausesImported;
   }
   double avgLbd() const {
     return LbdCount ? static_cast<double>(LbdSum) /
@@ -100,15 +86,6 @@ void record(WorkloadResult R) {
   if (R.ExtraKey)
     std::printf("  %s=%llu", R.ExtraKey,
                 static_cast<unsigned long long>(R.Extra));
-  if (!R.Wins.empty()) {
-    std::printf("  shared=%llu/%llu wins=[",
-                static_cast<unsigned long long>(R.Exported),
-                static_cast<unsigned long long>(R.Imported));
-    for (size_t I = 0; I < R.Wins.size(); ++I)
-      std::printf("%s%llu", I ? "," : "",
-                  static_cast<unsigned long long>(R.Wins[I]));
-    std::printf("]");
-  }
   std::printf("\n");
   Results.push_back(std::move(R));
 }
@@ -195,52 +172,6 @@ void benchPigeonhole(int Holes, const Solver::Options &Opts) {
   record(std::move(W));
 }
 
-// --- portfolio workloads ----------------------------------------------------
-
-void recordRace(WorkloadResult &W, const SatRaceResult &R) {
-  W.addSearch(R.Aggregate);
-  W.Winner = R.Winner;
-  if (W.Wins.empty())
-    W.Wins.assign(R.PerWorker.size(), 0);
-  if (R.Winner >= 0 && static_cast<size_t>(R.Winner) < W.Wins.size())
-    ++W.Wins[static_cast<size_t>(R.Winner)];
-}
-
-/// Races the portfolio on the pigeonhole refutation -- the conflict-heavy
-/// UNSAT workload where diversification plus glue sharing has to prove
-/// itself against the single solver above.
-void benchPigeonholePortfolio(int Holes, size_t Threads) {
-  WorkloadResult W;
-  W.Name = "sat_pigeonhole_h" + std::to_string(Holes) + "_portfolio_t" +
-           std::to_string(Threads);
-  W.Workers = Threads;
-  auto Cs = pigeonholeClauses(Holes);
-  Timer T;
-  SatRaceResult R = racePortfolioSat(Cs, (Holes + 1) * Holes, Threads);
-  W.WallSeconds = T.seconds();
-  W.SatCalls = 1;
-  recordRace(W, R);
-  record(std::move(W));
-}
-
-void benchPhaseTransitionPortfolio(int Vars, int Rounds, size_t Threads) {
-  WorkloadResult W;
-  W.Name = "sat_phase_transition_v" + std::to_string(Vars) + "_portfolio_t" +
-           std::to_string(Threads);
-  W.Workers = Threads;
-  Timer T;
-  uint64_t Seed = 1;
-  for (int I = 0; I < Rounds; ++I) {
-    Rng R(Seed++);
-    auto Cs = random3Sat(R, Vars, static_cast<int>(Vars * 4.26));
-    SatRaceResult Race = racePortfolioSat(Cs, Vars, Threads);
-    ++W.SatCalls;
-    recordRace(W, Race);
-  }
-  W.WallSeconds = T.seconds();
-  record(std::move(W));
-}
-
 // --- MaxSAT workloads -------------------------------------------------------
 
 /// Localization-shaped MaxSAT: a chain of "statements" y_{i+1} = f(y_i)
@@ -278,11 +209,11 @@ void benchMaxSat(const std::string &Name, const MaxSatInstance &Inst, Fn Solve) 
 // --- external DIMACS / WCNF instances (--wcnf DIR) --------------------------
 
 /// Sweeps every *.cnf / *.wcnf file in \p Dir (sorted by name) through the
-/// solver substrate: CNF instances are decided (raced over the portfolio
-/// when Threads > 1), WCNF instances are optimized with the auto-selected
-/// MaxSAT engine. This is how MaxSAT-Evaluation benchmark directories
-/// become bench workloads without any code changes.
-void benchWcnfSweep(const std::string &Dir, size_t Threads) {
+/// solver substrate: CNF instances are decided, WCNF instances are
+/// optimized with the auto-selected MaxSAT engine. This is how
+/// MaxSAT-Evaluation benchmark directories become bench workloads without
+/// any code changes.
+void benchWcnfSweep(const std::string &Dir) {
   std::vector<std::string> Files;
   DIR *D = opendir(Dir.c_str());
   if (!D) {
@@ -321,52 +252,30 @@ void benchWcnfSweep(const std::string &Dir, size_t Threads) {
       Opts.Preprocess = Preprocess;
       WorkloadResult W;
       W.Name = "dimacs_" + Name;
-      if (Threads > 1)
-        W.Name += "_t" + std::to_string(Threads);
       if (!Preprocess)
         W.Name += "_nopre";
 
       auto RunOnce = [&](WorkloadResult &Out) {
         if (Parsed->Soft.empty()) {
           Timer T;
-          if (Threads > 1) {
-            Out.Workers = Threads;
-            SatRaceResult R =
-                racePortfolioSat(Parsed->Hard, Parsed->NumVars, Threads, Opts);
-            Out.SatCalls = 1;
-            recordRace(Out, R);
-            Out.Extra = R.Result == LBool::True;
-          } else {
-            Solver S{Opts};
-            S.ensureVars(Parsed->NumVars);
-            bool Ok = true;
-            for (const Clause &C : Parsed->Hard)
-              Ok = Ok && S.addClause(C);
-            Out.Extra = Ok && S.solve() == LBool::True;
-            Out.SatCalls = 1;
-            Out.addSearch(S.stats());
-          }
+          Solver S{Opts};
+          S.ensureVars(Parsed->NumVars);
+          bool Ok = true;
+          for (const Clause &C : Parsed->Hard)
+            Ok = Ok && S.addClause(C);
+          Out.Extra = Ok && S.solve() == LBool::True;
+          Out.SatCalls = 1;
+          Out.addSearch(S.stats());
           Out.WallSeconds = T.seconds();
           Out.ExtraKey = "sat";
         } else {
           bool AnyWeight = false;
           MaxSatInstance Inst = toMaxSatInstance(*Parsed, &AnyWeight);
           Timer T;
-          MaxSatResult R;
-          if (Threads > 1) {
-            Out.Workers = Threads;
-            auto Session = makePortfolioSession(Inst, AnyWeight, Threads,
-                                                /*ConflictBudget=*/0, Opts);
-            R = Session->solve();
-            const PortfolioStats &PS = Session->portfolioStats();
-            Out.Wins = PS.WinsByWorker;
-            Out.Winner = PS.LastWinner;
-          } else {
-            auto Session = makeMaxSatSession(Inst, AnyWeight,
-                                             /*ConflictBudget=*/0, Opts,
-                                             /*Canonical=*/true);
-            R = Session->solve();
-          }
+          auto Session = makeMaxSatSession(Inst, AnyWeight,
+                                           /*ConflictBudget=*/0, Opts,
+                                           /*Canonical=*/true);
+          MaxSatResult R = Session->solve();
           Out.WallSeconds = T.seconds();
           Out.SatCalls = R.SatCalls;
           Out.addSearch(R.Search);
@@ -444,7 +353,7 @@ void sessionEnumerate(const MaxSatInstance &Inst, const CnfFormula &F,
 }
 
 void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
-                           size_t MaxDiagnoses, size_t Threads) {
+                           size_t MaxDiagnoses) {
   DiagEngine Diags;
   auto Golden = parseAndAnalyze(tcasSource(), Diags);
   if (!Golden) {
@@ -454,12 +363,9 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
   auto Pool = tcasTestPool(400);
   auto GoldenOut = goldenOutputs(*Golden, Pool, "main", tcasExecOptions());
 
-  WorkloadResult Inc, Pf, Lbd, Seed, Reb;
+  WorkloadResult Inc, Lbd, Seed, Reb;
   Inc.Name = "tcas_fumalik_localize_incremental";
   Inc.ExtraKey = "diagnoses";
-  Pf.Name = "tcas_fumalik_localize_portfolio_t" + std::to_string(Threads);
-  Pf.ExtraKey = "diagnoses";
-  Pf.Workers = Threads;
   Lbd.Name = "tcas_fumalik_comss_lbd_tiers";
   Lbd.ExtraKey = "diagnoses";
   Seed.Name = "tcas_fumalik_comss_activity_halving";
@@ -496,21 +402,6 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
       Inc.addSearch(Rep.Search);
       Inc.Extra += Rep.Diagnoses.size();
 
-      if (Threads > 1) {
-        LocalizeOptions PLO = LO;
-        PLO.Threads = Threads;
-        Timer TP;
-        LocalizationReport PRep = Driver.localize(Failing.Inputs[Idx], S, PLO);
-        Pf.WallSeconds += TP.seconds();
-        Pf.SatCalls += PRep.SatCalls;
-        Pf.addSearch(PRep.Search);
-        Pf.Extra += PRep.Diagnoses.size();
-        if (Pf.Wins.empty())
-          Pf.Wins.assign(PRep.PortfolioWins.size(), 0);
-        for (size_t WI = 0; WI < PRep.PortfolioWins.size(); ++WI)
-          Pf.Wins[WI] += PRep.PortfolioWins[WI];
-      }
-
       MaxSatInstance Inst =
           Driver.formula().localizationInstance(Failing.Inputs[Idx], S);
       const CnfFormula &F = Driver.formula().encoded().Formula;
@@ -538,17 +429,10 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
   double WorkReb = static_cast<double>(Reb.Conflicts + Reb.Propagations);
   double WallInc = Inc.WallSeconds, WallLbd = Lbd.WallSeconds,
          WallSeed = Seed.WallSeconds, WallReb = Reb.WallSeconds;
-  double WallPf = Pf.WallSeconds;
   record(std::move(Inc));
-  if (Threads > 1)
-    record(std::move(Pf));
   record(std::move(Lbd));
   record(std::move(Seed));
   record(std::move(Reb));
-  if (Threads > 1)
-    std::printf("tcas portfolio (t=%zu) vs single session: wall %.2fx "
-                "(identical diagnoses by construction)\n",
-                Threads, WallPf > 0 ? WallInc / WallPf : 0.0);
   std::printf("tcas incremental vs rebuilt (%zu mutants): "
               "conflicts+propagations %.2fx, wall %.2fx\n",
               MutantsUsed, WorkInc > 0 ? WorkReb / WorkInc : 0.0,
@@ -590,24 +474,6 @@ void writeJson(const char *Path) {
     if (W.ExtraKey)
       std::fprintf(F, ", \"%s\": %llu", W.ExtraKey,
                    static_cast<unsigned long long>(W.Extra));
-    if (W.Workers)
-      // Wall times of a race wider than the machine measure scheduler
-      // time-slicing, not parallel speedup; tag them so the perf tracker
-      // compares like with like.
-      std::fprintf(F, ", \"workers\": %zu, \"serialized\": %s", W.Workers,
-                   Cores && W.Workers > Cores ? "true" : "false");
-    if (!W.Wins.empty()) {
-      std::fprintf(F, ", \"shared_exported\": %llu, \"shared_imported\": %llu",
-                   static_cast<unsigned long long>(W.Exported),
-                   static_cast<unsigned long long>(W.Imported));
-      if (W.Winner >= 0)
-        std::fprintf(F, ", \"last_winner\": %d", W.Winner);
-      std::fprintf(F, ", \"wins\": [");
-      for (size_t J = 0; J < W.Wins.size(); ++J)
-        std::fprintf(F, "%s%llu", J ? ", " : "",
-                     static_cast<unsigned long long>(W.Wins[J]));
-      std::fprintf(F, "]");
-    }
     std::fprintf(F, "}%s\n", I + 1 < Results.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
@@ -621,7 +487,6 @@ int main(int argc, char **argv) {
   const char *JsonPath = "BENCH_solvers.json";
   const char *WcnfDir = nullptr;
   bool Quick = false, Smoke = false;
-  size_t Threads = 4; // portfolio width for the *_portfolio workloads
   for (int I = 1; I < argc; ++I) {
     if (std::strncmp(argv[I], "--json=", 7) == 0)
       JsonPath = argv[I] + 7;
@@ -633,8 +498,6 @@ int main(int argc, char **argv) {
       Quick = true;
     else if (std::strcmp(argv[I], "--smoke") == 0)
       Smoke = Quick = true; // smoke: CI-sized subset of the quick run
-    else
-      matchThreadsFlag(argc, argv, I, Threads);
   }
 
   int PhaseVars = Smoke ? 60 : 100;
@@ -647,12 +510,6 @@ int main(int argc, char **argv) {
   }
   if (!Quick)
     benchPigeonhole(8, Solver::Options()); // the larger refutation
-  if (Threads > 1) {
-    benchPhaseTransitionPortfolio(PhaseVars, PhaseRounds, Threads);
-    benchPigeonholePortfolio(Holes, Threads);
-    if (!Quick)
-      benchPigeonholePortfolio(8, Threads);
-  }
 
   std::vector<int> ChainLens = Smoke ? std::vector<int>{100}
                                      : std::vector<int>{200, 800};
@@ -671,13 +528,13 @@ int main(int argc, char **argv) {
 
   benchTcasLocalization(/*NumMutants=*/Quick ? 1 : 6,
                         /*TestsPerMutant=*/Quick ? 1 : 2,
-                        /*MaxDiagnoses=*/Smoke ? 8 : 24, Threads);
+                        /*MaxDiagnoses=*/Smoke ? 8 : 24);
 
   // External DIMACS/WCNF instances ride along after the standard suite,
   // each solved with inprocessing on and off (the *_nopre twin) so the
   // recorded JSON carries its own preprocessing baseline.
   if (WcnfDir)
-    benchWcnfSweep(WcnfDir, Threads);
+    benchWcnfSweep(WcnfDir);
 
   writeJson(JsonPath);
   return 0;

@@ -14,13 +14,11 @@
 //
 // By default each version replays at most 5 failing tests so the whole
 // table regenerates in minutes; `--full` replays every failing test (the
-// paper's 1440 runs), `--tests=N` picks another cap, `--threads N` races
-// an N-worker portfolio per MaxSAT query (identical results, see
-// maxsat/Portfolio.h), `--legend` prints Table 2.
+// paper's 1440 runs), `--tests=N` picks another cap, `--legend` prints
+// Table 2.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchArgs.h"
 #include "core/BugAssist.h"
 #include "core/Pipeline.h"
 #include "lang/Sema.h"
@@ -59,7 +57,6 @@ void printLegend() {
 
 int main(int argc, char **argv) {
   size_t TestCap = 5;
-  size_t Threads = 1;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--legend") == 0) {
       printLegend();
@@ -69,8 +66,6 @@ int main(int argc, char **argv) {
       TestCap = SIZE_MAX;
     else if (std::strncmp(argv[I], "--tests=", 8) == 0)
       TestCap = static_cast<size_t>(std::atol(argv[I] + 8));
-    else
-      matchThreadsFlag(argc, argv, I, Threads);
   }
 
   DiagEngine Diags;
@@ -113,7 +108,6 @@ int main(int argc, char **argv) {
     BugAssistDriver Driver(*Faulty, "main", tcasUnrollOptions());
     LocalizeOptions LO;
     LO.MaxDiagnoses = 24;
-    LO.Threads = Threads; // >1: portfolio per MaxSAT query (same results)
 
     size_t Runs = std::min(TestCap, Failing.Inputs.size());
     size_t Detect = 0;

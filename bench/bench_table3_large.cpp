@@ -16,7 +16,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchArgs.h"
 #include "core/BugAssist.h"
 #include "lang/Sema.h"
 #include "programs/LargeBenchmarks.h"
@@ -63,8 +62,6 @@ UnrollOptions baseOpts(const LargeBenchmark &B) {
   O.HardLines = B.HardLines;
   return O;
 }
-
-size_t PortfolioThreads = 1; // --threads N: portfolio per MaxSAT query
 
 /// Runs one Table 3 row. \p Reduction is a combination of 'D', 'C', 'S'.
 RowResult runRow(const LargeBenchmark &B, const char *Reduction,
@@ -167,7 +164,6 @@ RowResult runRow(const LargeBenchmark &B, const char *Reduction,
   // exponentially hard (the paper's row 4 ran 11 hours); bound each call
   // so the whole table regenerates in minutes.
   LO.ConflictBudget = 400000;
-  LO.Threads = PortfolioThreads;
   LocalizationReport Rep = localizeFault(TF, Input, S, LO);
   Row.Seconds = T.seconds();
   Row.Faults = Rep.AllLines.size();
@@ -192,9 +188,7 @@ void printRow(int N, const char *Name, const char *Reduction,
 
 } // namespace
 
-int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    matchThreadsFlag(argc, argv, I, PortfolioThreads);
+int main() {
   std::printf("Table 3: BugAssist on larger benchmark programs "
               "(S=slice, C=concretize, D=ddmin)\n\n");
   std::printf("%-16s %4s %6s  %-4s %8s %8s %9s %9s %9s %9s %7s %5s %9s\n",

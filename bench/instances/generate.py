@@ -10,9 +10,9 @@ of unoptimized Tseitin output -- netlists full of single-fanout
 definitions -- and it is exactly what the SatELite-style pass removes:
 each buffer has two occurrences per polarity, so bounded variable
 elimination collapses whole chains back to the core.  Without the pass,
-every implication crawls the full chain and every solver in a portfolio
-pays to load and search the bloated clause database; with it, one
-prototype is simplified once and the workers inherit the shrunken formula.
+every implication crawls the full chain and the solver pays to load and
+search the bloated clause database; with it, the search runs on the
+shrunken formula.
 
   php_soft8.wcnf      soft pigeonhole PHP(8,7), optimum 1
   php_weighted8.wcnf  same core with non-unit weights, optimum 1

@@ -250,7 +250,7 @@ private:
     for (const auto &Sub : B->stmts())
       execStmt(Sub.get());
   }
-  void unrollLoop(const WhileStmt *W, int Iteration);
+  void unrollLoop(const WhileStmt *W);
   void mergeBranches(SsaId CondId, std::vector<StorageCell> ThenState,
                      std::vector<StorageCell> ElseState, size_t PrefixSize,
                      uint32_t Line);
@@ -416,45 +416,56 @@ void Unroller::mergeBranches(SsaId CondId, std::vector<StorageCell> ThenState,
   }
 }
 
-void Unroller::unrollLoop(const WhileStmt *W, int Iteration) {
+void Unroller::unrollLoop(const WhileStmt *W) {
   uint32_t Line = W->loc().Line;
   int Bound = Opts.MaxLoopUnwind;
   auto It = Opts.LoopUnwindByLine.find(Line);
   if (It != Opts.LoopUnwindByLine.end())
     Bound = It->second;
-  if (Iteration > Bound) {
-    // Unwinding bound: evaluate the condition once more (hard) and assume
-    // it is false on every path still active here.
-    StmtCtx Ctx{DefRole::SpecEval, Line};
-    SsaId CondId = materialize(evalExpr(W->cond(), Ctx), true, Ctx,
-                               "unwind check");
-    SsaId NotCond = emitDef(DefRole::SpecEval, true, foldNot(useOf(CondId)),
-                            Line, "unwind assumption");
-    UP.Assumptions.push_back({effGuard(Line), NotCond, W->loc()});
-    return;
+
+  // Iteration k is `if (cond) { body; <iteration k + 1> }`. Nesting is
+  // unrolled with an explicit stack, not recursion, so the bound is not
+  // limited by the call stack: enter every iteration going forward, emit
+  // the unwind check innermost, then join the iterations innermost first.
+  // The SSA order is exactly that of the nested ifs.
+  struct OpenIteration {
+    SsaId CondId;
+    std::vector<StorageCell> Before; ///< storage when the condition held
+    SsaId OuterGuard;
+    uint32_t SavedUnwind;
+  };
+  std::vector<OpenIteration> Open;
+  for (int Iteration = 1; Iteration <= Bound; ++Iteration) {
+    uint32_t SavedUnwind = CurUnwind;
+    CurUnwind = static_cast<uint32_t>(Iteration);
+    UP.MaxUnwinding = std::max(UP.MaxUnwinding, CurUnwind);
+
+    StmtCtx Ctx{DefRole::CondEval, Line};
+    SsaId CondId =
+        materialize(evalExpr(W->cond(), Ctx), true, Ctx, "loop cond");
+    Open.push_back({CondId, Storage, CurGuard, SavedUnwind});
+    CurGuard = guardAnd(CurGuard, useOf(CondId), Line);
+    execStmt(W->body());
   }
 
-  uint32_t SavedUnwind = CurUnwind;
-  CurUnwind = static_cast<uint32_t>(Iteration);
-  UP.MaxUnwinding = std::max(UP.MaxUnwinding, CurUnwind);
+  // Unwinding bound: evaluate the condition once more (hard) and assume it
+  // is false on every path still active here.
+  StmtCtx Ctx{DefRole::SpecEval, Line};
+  SsaId CondId =
+      materialize(evalExpr(W->cond(), Ctx), true, Ctx, "unwind check");
+  SsaId NotCond = emitDef(DefRole::SpecEval, true, foldNot(useOf(CondId)),
+                          Line, "unwind assumption");
+  UP.Assumptions.push_back({effGuard(Line), NotCond, W->loc()});
 
-  StmtCtx Ctx{DefRole::CondEval, Line};
-  SsaId CondId = materialize(evalExpr(W->cond(), Ctx), true, Ctx, "loop cond");
-
-  std::vector<StorageCell> Before = Storage;
-  SsaId OuterGuard = CurGuard;
-  CurGuard = guardAnd(OuterGuard, useOf(CondId), Line);
-
-  execStmt(W->body());
-  unrollLoop(W, Iteration + 1);
-
-  std::vector<StorageCell> After = std::move(Storage);
-  size_t PrefixSize = Before.size();
-  Storage = Before;
-  CurGuard = OuterGuard;
-  CurUnwind = SavedUnwind;
-  mergeBranches(CondId, std::move(After), std::move(Storage), PrefixSize,
-                Line);
+  for (; !Open.empty(); Open.pop_back()) {
+    OpenIteration &Top = Open.back();
+    std::vector<StorageCell> After = std::move(Storage);
+    size_t PrefixSize = Top.Before.size();
+    CurGuard = Top.OuterGuard;
+    CurUnwind = Top.SavedUnwind;
+    mergeBranches(Top.CondId, std::move(After), std::move(Top.Before),
+                  PrefixSize, Line);
+  }
 }
 
 void Unroller::execStmt(const Stmt *S) {
@@ -558,7 +569,7 @@ void Unroller::execStmt(const Stmt *S) {
   }
 
   case Stmt::WhileStmtKind:
-    unrollLoop(cast<WhileStmt>(S), 1);
+    unrollLoop(cast<WhileStmt>(S));
     return;
 
   case Stmt::ReturnStmtKind: {

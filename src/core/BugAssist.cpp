@@ -7,7 +7,6 @@
 #include "core/BugAssist.h"
 
 #include "bmc/Encoder.h"
-#include "maxsat/Portfolio.h"
 #include "sat/Solver.h"
 
 #include <algorithm>
@@ -108,27 +107,9 @@ LocalizationReport bugassist::enumerateCoMSSes(MaxSatInstance Inst,
 
   // Algorithm 1, lines 7-14, on ONE incremental MaxSAT session: the solver
   // (hard formula, learned clauses, heuristic state) persists across
-  // diagnoses, and each blocking clause beta is added incrementally. With
-  // Threads > 1 the session is a portfolio of diversified persistent
-  // workers racing each solve. Either way the sessions canonicalize their
-  // optima, so the enumeration is deterministic and identical at every
-  // thread count.
-  std::unique_ptr<MaxSatSession> Session;
-  PortfolioSession *Portfolio = nullptr;
-  if (Opts.Threads > 1) {
-    Solver::Options SOpts;
-    SOpts.Preprocess = Opts.Preprocess;
-    auto P = makePortfolioSession(Inst, Opts.Weighted, Opts.Threads,
-                                  Opts.ConflictBudget, SOpts);
-    Portfolio = P.get();
-    Session = std::move(P);
-  } else {
-    Session = makeLocalizationSession(Inst, Opts);
-  }
-  LocalizationReport Report = enumerateCoMSSesOn(*Session, F, Opts);
-  if (Portfolio)
-    Report.PortfolioWins = Portfolio->portfolioStats().WinsByWorker;
-  return Report;
+  // diagnoses, and each blocking clause beta is added incrementally. The
+  // session canonicalizes its optima, so the enumeration is deterministic.
+  return enumerateCoMSSesOn(*makeLocalizationSession(Inst, Opts), F, Opts);
 }
 
 LocalizationReport bugassist::localizeFault(const TraceFormula &TF,

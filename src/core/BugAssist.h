@@ -66,12 +66,8 @@ struct LocalizationReport {
   bool Incomplete = false;
   uint64_t SatCalls = 0;
   /// Cumulative statistics of the incremental MaxSAT session's solver
-  /// (conflicts, propagations, ...) over the whole enumeration; for a
-  /// portfolio run, summed over all workers (including the clause-exchange
-  /// counters ClausesExported / ClausesImported).
+  /// (conflicts, propagations, ...) over the whole enumeration.
   SolverStats Search;
-  /// Portfolio runs only: races won per worker (empty when Threads == 1).
-  std::vector<uint64_t> PortfolioWins;
 };
 
 /// A resource budget for one whole query, as the user states it (the CLI's
@@ -130,11 +126,6 @@ struct LocalizeOptions {
   bool Weighted = false;
   /// Per-SAT-call conflict budget (0 = unlimited).
   uint64_t ConflictBudget = 0;
-  /// Portfolio width: > 1 races this many diversified persistent MaxSAT
-  /// sessions per solve with learnt-clause sharing (maxsat/Portfolio.h).
-  /// Sessions canonicalize their optima, so diagnoses of unbudgeted runs
-  /// are identical at every thread count.
-  size_t Threads = 1;
   /// Run SatELite-style clause-database simplification (subsumption,
   /// self-subsuming resolution, bounded variable elimination) at solver
   /// load and restart boundaries. Canonicalized diagnoses are identical
@@ -151,7 +142,7 @@ struct LocalizeOptions {
 LocalizationReport enumerateCoMSSes(MaxSatInstance Inst, const CnfFormula &F,
                                     const LocalizeOptions &Opts = {});
 
-/// The width-1 session enumerateCoMSSes runs Algorithm 1 on, over \p Inst:
+/// The session enumerateCoMSSes runs Algorithm 1 on, over \p Inst:
 /// Opts picks the engine (Weighted), the per-call conflict budget and
 /// preprocessing; optima are canonical. Never solved on return, so it can
 /// be preprocessed and cloned before the enumeration starts.
@@ -162,10 +153,9 @@ makeLocalizationSession(const MaxSatInstance &Inst,
 /// Algorithm 1's enumeration loop on an *existing* session whose soft
 /// clauses mirror \p F's clause groups. The serve-mode seam: the caller
 /// builds (or clones) the session once and this runs the blocking loop on
-/// it, installing Opts' query-wide budget first. Opts.Threads is ignored
-/// -- the session's own parallelism (if any) applies. Sessions
-/// canonicalize their optima, so the report depends only on the formula,
-/// never on which session produced it.
+/// it, installing Opts' query-wide budget first. Sessions canonicalize
+/// their optima, so the report depends only on the formula, never on which
+/// session produced it.
 LocalizationReport enumerateCoMSSesOn(MaxSatSession &Session,
                                       const CnfFormula &F,
                                       const LocalizeOptions &Opts = {});

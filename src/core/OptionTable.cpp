@@ -82,13 +82,6 @@ const std::vector<OptionRow> Table = {
            "clause-arena cap per solver, in MiB",
            SET(O.Query.Localize.Budget.MaxMemoryMb = X.Int)),
 
-    intRow("--threads", nullptr, Solving | InFuzz | InServe, 1, 64,
-           "portfolio width (default: 1); fuzz: the K of the\n"
-           "1-vs-K differential (default: 4); serve: pool width",
-           SET(if (O.Cmd == Command::Fuzz) O.Fuzz.Threads = X.Int;
-               else if (O.Cmd == Command::Serve) O.Serve.Threads = X.Int;
-               else O.Query.Localize.Threads = X.Int)),
-
     row("--entry", "entry", OptionKind::Text, Encoding, "NAME",
         "entry function (default: main)", SET(O.Query.Entry = X.Text)),
     // Capped well below INT_MAX: the unrolled trace grows linearly in the
@@ -187,6 +180,9 @@ const std::vector<OptionRow> Table = {
     switchRow("--no-model", "model", InMaxSat | InSat, "suppress the v line",
               SET(O.Model = X.Bool)),
 
+    intRow("--threads", nullptr, InServe, 1, 64,
+           "worker pool width (default: 1)",
+           SET(O.Serve.Threads = X.Int)),
     row("--batch", nullptr, OptionKind::Text, InServe, "FILE",
         "answer the JSON-lines requests in FILE and exit\n"
         "(default: a daemon on stdin)",
@@ -447,7 +443,7 @@ std::string bugassist::renderUsage(const char *Argv0) {
        "stdout, exit 1 on any report mismatch"},
       {"maxsat <file.wcnf> [options]",
        "partial (weighted) MaxSAT, o/s/v lines"},
-      {"sat <file.cnf> [options]", "plain SAT, raced over the portfolio"},
+      {"sat <file.cnf> [options]", "plain SAT, s/v lines"},
       {"serve [options]", "batch localization service (docs/SERVE.md)"},
       {"dump-tcas [N | --list]",
        "print TCAS source (0: correct, 1..41: mutants)\n"

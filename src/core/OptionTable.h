@@ -55,8 +55,7 @@ struct CommandOptions {
   /// localize, repair, fuzz: the program's entry, encoding and tests, and
   /// the localize and repair knobs. localize takes its input and golden
   /// from the back of Inputs/Goldens (localizeRequest). The solver knobs
-  /// in Query.Localize (Threads, Preprocess, Budget) also drive maxsat and
-  /// sat.
+  /// in Query.Localize (Preprocess, Budget) also drive maxsat and sat.
   RepairRequest Query;
   FuzzOptions Fuzz;
   size_t FuzzPool = 0; ///< 0 = the subject's default pool size

@@ -521,15 +521,6 @@ std::string bugassist::renderSearchStats(const LocalizationReport &R) {
            " clauses subsumed, " + std::to_string(S.LitsSelfSubsumed) +
            " lits self-subsumed, " + std::to_string(S.ReconstructBytes) +
            " reconstruction bytes\n";
-  if (S.ClausesExported || S.ClausesImported)
-    Out += "exchange:     " + std::to_string(S.ClausesExported) +
-           " exported, " + std::to_string(S.ClausesImported) + " imported\n";
-  if (!R.PortfolioWins.empty()) {
-    Out += "races won:   ";
-    for (uint64_t W : R.PortfolioWins)
-      Out += ' ' + std::to_string(W);
-    Out += '\n';
-  }
   return Out;
 }
 
@@ -606,19 +597,18 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
   // Localize on one session and prescreen on a clone of it taken before
   // its first solve, so the formula is loaded and preprocessed once. A
   // cloned base session (serve) gets the test bound on both copies; the
-  // one-shot width-1 session is built with it, and preprocessed under the
-  // request budget before the clone. A portfolio cannot be cloned: the
-  // prescreen then builds its own session inside repairProgram.
+  // one-shot session is built with it, and preprocessed under the request
+  // budget before the clone.
   std::unique_ptr<MaxSatSession> Prescreen;
   if (Session) {
-    if (R.Repair.PrescreenLines)
+    if (R.Repair.PrescreenLines) {
       Prescreen = Session->clone();
-    if (Prescreen)
       for (const Clause &C : TF.testClauses(LR.FailingInput, LR.SpecUsed))
         Prescreen->addHardClause(C);
+    }
     LR.Report = localizeFault(*Session, TF, LR.FailingInput, LR.SpecUsed,
                               L.Localize);
-  } else if (L.Localize.Threads <= 1) {
+  } else {
     std::unique_ptr<MaxSatSession> Own = makeLocalizationSession(
         TF.localizationInstance(LR.FailingInput, LR.SpecUsed), L.Localize);
     if (L.Localize.Budget.any())
@@ -627,8 +617,6 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
     if (R.Repair.PrescreenLines)
       Prescreen = Own->clone();
     LR.Report = enumerateCoMSSesOn(*Own, TF.encoded().Formula, L.Localize);
-  } else {
-    LR.Report = P.Driver->localize(LR.FailingInput, LR.SpecUsed, L.Localize);
   }
   Out.Status = PipelineStatus::Localized;
   Out.FailingInput = LR.FailingInput;

@@ -18,9 +18,9 @@
 ///  * renderLocalizationReport / renderLocalizationJson -- the canonical
 ///    serializations of a LocalizationReport. The CLI prints these
 ///    verbatim, so a library caller can diff its own report against CLI
-///    output byte for byte (the reports are deterministic at every
-///    portfolio width; solver statistics, which are not, are rendered
-///    separately via renderSearchStats).
+///    output byte for byte (the reports are deterministic; solver
+///    statistics, which depend on search history, are rendered separately
+///    via renderSearchStats).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,8 +121,8 @@ std::unique_ptr<PreparedProgram> prepareProgram(std::string_view Source,
 /// vary. When \p Session is non-null it must be a fresh, never-solved
 /// session over Driver->formula().sharedInstance() -- e.g. a clone() of a
 /// cached base session -- and the enumeration runs on it (R.Localize's
-/// Threads/Weighted/ConflictBudget session knobs are then fixed by the
-/// session itself; its budget knobs still apply). Reports are canonical,
+/// Weighted/ConflictBudget session knobs are then fixed by the session
+/// itself; its budget knobs still apply). Reports are canonical,
 /// so both paths produce byte-identical output.
 PipelineResult runLocalizePipeline(const PreparedProgram &P,
                                    const PipelineRequest &R,
@@ -166,9 +166,8 @@ struct RepairPipelineResult {
 /// and runs the pooled repairProgram overload against P.Driver's formula
 /// (prescreen + no localization rebuild). The prescreen solves on a clone
 /// of the localization session taken before its first solve: of \p
-/// Session, or of the width-1 session built, budgeted and preprocessed
-/// here once; a portfolio localization (Threads > 1) leaves repairProgram
-/// to build its own. R.Localize.Budget's timeout bounds the whole request
+/// Session, or of the session built, budgeted and preprocessed here once.
+/// R.Localize.Budget's timeout bounds the whole request
 /// (see repairProgram). Requirements on \p R's Entry/Unroll/Encode and on
 /// \p Session match runLocalizePipeline.
 RepairPipelineResult runRepairPipeline(const PreparedProgram &P,
@@ -247,15 +246,16 @@ bool parseHardLinesSpec(std::string_view Spec, std::set<uint32_t> &Out);
 
 /// Canonical text form of a report: one line per diagnosis, the suspect
 /// union, per-line hit counts, and the termination reason. Deterministic
-/// at every thread count (no solver statistics).
+/// (no solver statistics).
 std::string renderLocalizationReport(const LocalizationReport &R);
 
 /// Canonical JSON form of the same data.
 std::string renderLocalizationJson(const LocalizationReport &R);
 
-/// Solver statistics block (conflicts, propagations, portfolio wins...).
-/// NOT deterministic across thread counts or machines; kept out of the
-/// canonical report so that byte-for-byte comparisons stay meaningful.
+/// Solver statistics block (conflicts, propagations, simplification...).
+/// Depends on search history (a cloned session searches differently from
+/// a fresh one); kept out of the canonical report so that byte-for-byte
+/// comparisons stay meaningful.
 std::string renderSearchStats(const LocalizationReport &R);
 
 /// The canonical stdout of a localize run: exactly what `bugassist

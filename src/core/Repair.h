@@ -121,8 +121,8 @@ RepairResult repairProgram(const Program &Prog, const std::string &Entry,
 /// localization session over Driver's formula with FailingTests[0] bound
 /// under S (GoldenPerTest[0] as its golden) -- runRepairPipeline passes a
 /// clone of the session it localizes on, already loaded and preprocessed.
-/// It is consumed. Without one (a portfolio localization, a direct call),
-/// a width-1 session is built from localizationInstance once. Either way
+/// It is consumed. Without one (a direct call), a session is built from
+/// localizationInstance once. Either way
 /// the answers are SAT/UNSAT of the same formula, so results are identical
 /// to the rebuild overload whenever both decide -- the prescreen only
 /// removes candidates that could never validate.

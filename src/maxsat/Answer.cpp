@@ -57,13 +57,33 @@ std::string bugassist::renderMaxSatAnswer(const MaxSatResult &R, int NumVars,
   return Out;
 }
 
-std::string bugassist::renderSatAnswer(const SatRaceResult &R, int NumVars,
-                                       bool Model, bool WinnerComment) {
+SatAnswer bugassist::solveSat(const std::vector<Clause> &Clauses,
+                              int NumVars, const Solver::Options &Opts,
+                              const Solver::Budget &Bud) {
+  Solver S(Opts);
+  S.ensureVars(NumVars);
+  for (const Clause &C : Clauses)
+    if (!S.addClause(C))
+      break; // root-level UNSAT: solve() reports False immediately
+  if (!Bud.unlimited())
+    S.setBudget(Bud);
+  S.preprocess();
+  SatAnswer A;
+  A.Result = S.solve();
+  if (A.Result == LBool::True) {
+    A.Model.reserve(static_cast<size_t>(NumVars));
+    for (Var V = 0; V < NumVars; ++V)
+      A.Model.push_back(S.modelValue(V));
+  }
+  A.Stats = S.stats();
+  return A;
+}
+
+std::string bugassist::renderSatAnswer(const SatAnswer &R, int NumVars,
+                                       bool Model) {
   std::string Out = R.Result == LBool::True    ? "s SATISFIABLE\n"
                     : R.Result == LBool::False ? "s UNSATISFIABLE\n"
                                                : "s UNKNOWN\n";
-  if (WinnerComment && R.Winner >= 0)
-    Out += "c winner=worker " + std::to_string(R.Winner) + "\n";
   if (Model && R.Result == LBool::True)
     appendModelLine(Out, R.Model, NumVars, /*TrailingZero=*/true);
   return Out;

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The `o` / `s` / `v` answer lines of the `maxsat` and `sat` commands, in
-/// the MaxSAT-Evaluation / SAT-competition format, and the engine rule of
-/// `maxsat`. The CLI and serve both render through here, so a serve body is
-/// the one-shot stdout minus the CLI's `c` comment lines by construction.
+/// the MaxSAT-Evaluation / SAT-competition format, the engine rule of
+/// `maxsat`, and the one-solver decision of `sat`. The CLI and serve both
+/// solve and render through here, so a serve body is the one-shot stdout
+/// minus the CLI's `c` comment lines by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,6 @@
 #define BUGASSIST_MAXSAT_ANSWER_H
 
 #include "maxsat/MaxSat.h"
-#include "maxsat/Portfolio.h"
 
 #include <string>
 #include <string_view>
@@ -35,11 +35,25 @@ bool useLinearSearch(std::string_view Engine, bool AnyNonUnitWeight);
 std::string renderMaxSatAnswer(const MaxSatResult &R, int NumVars, bool Model,
                                bool Comments);
 
+/// Outcome of one `sat` query.
+struct SatAnswer {
+  LBool Result = LBool::Undef;
+  /// The model over the original variables [0, NumVars); empty unless
+  /// Result is True.
+  std::vector<LBool> Model;
+  SolverStats Stats;
+};
+
+/// Decides \p Clauses on one solver: load them, install \p Bud (when set,
+/// so preprocessing counts against it too), preprocess (self-gated on
+/// Options::Preprocess), solve.
+SatAnswer solveSat(const std::vector<Clause> &Clauses, int NumVars,
+                   const Solver::Options &Opts,
+                   const Solver::Budget &Bud = Solver::Budget());
+
 /// `s SATISFIABLE` / `s UNSATISFIABLE` / `s UNKNOWN` and the `0`-terminated
-/// `v` line (when \p Model). With \p WinnerComment the race winner is
-/// added as a `c winner=worker N` line.
-std::string renderSatAnswer(const SatRaceResult &R, int NumVars, bool Model,
-                            bool WinnerComment);
+/// `v` line (when \p Model).
+std::string renderSatAnswer(const SatAnswer &R, int NumVars, bool Model);
 
 } // namespace bugassist
 

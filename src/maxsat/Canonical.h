@@ -10,9 +10,9 @@
 /// (program) order, so falsification lands on the latest statements. This
 /// pins the reported CoMSS deterministically regardless of
 /// search-heuristic history -- essential once heuristic state persists
-/// across solve() calls (PR 1), and doubly so once a portfolio can return
-/// whichever worker answered first: every worker canonicalizes to the same
-/// set, so localization results are identical at every thread count.
+/// across solve() calls, and once serve answers from clones of a cached
+/// session: every session canonicalizes to the same set, so localization
+/// results do not depend on which session produced them.
 ///
 /// The routine is engine-agnostic: the linear-search session probes under
 /// its PB-counter bound, Fu-Malik under its live assumption guards; both

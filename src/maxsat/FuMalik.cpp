@@ -225,7 +225,7 @@ private:
   ///
   /// Probe answers are a pure function of (hard clauses, optimum), not of
   /// this session's relaxation history, which is what makes the canonical
-  /// set identical across diversified portfolio workers: every
+  /// set identical across sessions with different search histories: every
   /// original-optimal falsified set F is representable in ANY terminal
   /// relaxation structure. Inductively, a partial witness falsifying the
   /// unmatched remainder G of F (guards of G off, earlier elements of F

@@ -129,10 +129,7 @@ struct MaxSatResult {
   uint64_t SatCalls = 0;
   /// True when a conflict budget truncated the canonicalization pass: the
   /// optimum (cost) is still proven, but FalsifiedSoft may not be the
-  /// canonical set. A portfolio never lets such a result win a race; note
-  /// that budgeted runs are best-effort regardless -- where a budget bites
-  /// under clause exchange is timing-dependent -- so the byte-identical
-  /// thread-count guarantee applies to unbudgeted runs.
+  /// canonical set.
   bool CanonicalTruncated = false;
   // --- anytime bounds (meaningful on every status) --------------------------
   // On Optimum both bounds equal Cost and BestModel is the optimal model.
@@ -166,8 +163,7 @@ struct MaxSatResult {
 ///    plus every clause added so far, and engine state (learnt clauses,
 ///    activities, relaxations, PB bounds) carries over between calls.
 ///  * Calls must come from one thread at a time; a session is not
-///    internally synchronized. (PortfolioSession is itself a
-///    MaxSatSession and manages its workers' threads internally.)
+///    internally synchronized.
 ///  * After addHardClause() returns false -- or solve() reports
 ///    HardUnsat -- the hard formula is permanently unsatisfiable; further
 ///    solve() calls keep reporting HardUnsat.
@@ -192,14 +188,14 @@ public:
   /// totals are snapshotted into MaxSatResult::Search by solve().
   virtual const SolverStats &stats() const = 0;
 
-  /// The persistent solver behind this session. Exposed so a portfolio can
-  /// interrupt a racing worker, install clause-exchange hooks, and
-  /// aggregate solver state; ordinary callers should not steer the solver
-  /// mid-session.
+  /// The persistent solver behind this session. Exposed so callers can
+  /// preprocess a never-solved session and so serve's watchdog can
+  /// interrupt a running solve; ordinary callers should not steer the
+  /// solver mid-session.
   virtual Solver &solver() = 0;
 
   /// Installs a query-wide resource budget (sat/Solver.h's Solver::Budget)
-  /// on the session's solver(s). When it is exhausted mid-solve() the
+  /// on the session's solver. When it is exhausted mid-solve() the
   /// session returns an anytime result: Status Unknown with the
   /// LowerBound/UpperBound/BestModel fields carrying the best-so-far
   /// knowledge. Re-install (or clear) before each user query; the
@@ -225,11 +221,7 @@ public:
   /// optimum cost and canonical falsified-soft set depend only on the
   /// formula, so localization reports stay byte-identical (see
   /// docs/SERVE.md, "Determinism contract").
-  ///
-  /// \returns nullptr when the engine does not support cloning (portfolio
-  /// and reference sessions); callers must fall back to building a fresh
-  /// session from the full instance.
-  virtual std::unique_ptr<MaxSatSession> clone() const { return nullptr; }
+  virtual std::unique_ptr<MaxSatSession> clone() const = 0;
 };
 
 /// Creates a Fu-Malik core-guided session (unweighted; weights ignored).
@@ -240,8 +232,8 @@ public:
 /// \p Canonical the reported optimum is canonicalized (greedily prefer
 /// satisfying soft clauses in index order, see Canonical.h), making the
 /// reported CoMSS independent of search history -- the localization
-/// drivers and every portfolio worker enable this so results are
-/// byte-identical at any thread count.
+/// drivers enable this so results are byte-identical whichever session
+/// (fresh or cloned) produced them.
 std::unique_ptr<MaxSatSession>
 makeFuMalikSession(const MaxSatInstance &Inst, uint64_t ConflictBudget = 0,
                    const Solver::Options &SolverOpts = Solver::Options(),

@@ -10,18 +10,6 @@
 
 using namespace bugassist;
 
-namespace {
-
-/// The three differential configurations every mutant is localized under.
-/// Reports are canonical, so all three must render byte-identically.
-struct Config {
-  const char *Name;
-  int Threads;
-  bool Preprocess;
-};
-
-} // namespace
-
 FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
                                    const FuzzOptions &Opts,
                                    const FuzzProgress &Progress) {
@@ -46,12 +34,6 @@ FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
   std::vector<int64_t> GoldenOut =
       goldenOutputs(*Subject.Base, Subject.Pool, Subject.Entry, EO);
 
-  const Config Configs[] = {
-      {"threads=1", 1, true},
-      {"threads=K", Opts.Threads, true},
-      {"no-preprocess", 1, false},
-  };
-
   size_t Done = 0;
   for (GeneratedMutant &M : Mutants) {
     FuzzClassStats &Row = Res.PerClass[static_cast<size_t>(M.Spec.Type)];
@@ -67,7 +49,7 @@ FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
       continue; // behavior-preserving (or pool-invisible) mutant
     }
 
-    // Encode the mutant once; all three configs and the repair run share
+    // Encode the mutant once; both configs and the repair run share
     // this prepared driver -- the encode-once seam under test.
     PreparedProgram P;
     P.Prog = std::move(M.Prog);
@@ -91,8 +73,6 @@ FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
       PipelineRequest R = Base;
       R.Input = FT.Inputs[T];
       R.GoldenReturn = FT.Goldens[T];
-      R.Localize.Threads = Configs[0].Threads;
-      R.Localize.Preprocess = Configs[0].Preprocess;
       PipelineResult PR = runLocalizePipeline(P, R);
       if (PR.Status == PipelineStatus::Localized) {
         FirstRes = std::move(PR);
@@ -107,29 +87,20 @@ FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
     }
     ++Row.Failing;
 
-    // Differential: the remaining configs must reproduce config 0's
-    // canonical report byte for byte.
-    std::string FirstText = renderLocalizeOutput(FirstRes, /*Json=*/false);
-    bool Mismatch = false;
-    for (size_t C = 1; C < 3; ++C) {
-      PipelineRequest R = Base;
-      R.Input = FT.Inputs[UsedTest];
-      R.GoldenReturn = FT.Goldens[UsedTest];
-      R.Localize.Threads = Configs[C].Threads;
-      R.Localize.Preprocess = Configs[C].Preprocess;
-      PipelineResult PR = runLocalizePipeline(P, R);
-      std::string Text = renderLocalizeOutput(PR, /*Json=*/false);
-      if (Text != FirstText) {
-        Mismatch = true;
-        Res.MismatchNotes.push_back(
-            std::string(errorTypeName(M.Spec.Type)) + " mutant (" +
-            M.Spec.Description + "): report at " + Configs[C].Name +
-            " differs from " + Configs[0].Name);
-      }
-    }
-    if (Mismatch) {
+    // Differential: reports are canonical, so localizing without
+    // preprocessing must reproduce the default report byte for byte.
+    PipelineRequest NoPre = Base;
+    NoPre.Input = FT.Inputs[UsedTest];
+    NoPre.GoldenReturn = FT.Goldens[UsedTest];
+    NoPre.Localize.Preprocess = false;
+    if (renderLocalizeOutput(runLocalizePipeline(P, NoPre), /*Json=*/false) !=
+        renderLocalizeOutput(FirstRes, /*Json=*/false)) {
       ++Row.Mismatches;
       ++Res.TotalMismatches;
+      Res.MismatchNotes.push_back(
+          std::string(errorTypeName(M.Spec.Type)) + " mutant (" +
+          M.Spec.Description +
+          "): report at no-preprocess differs from default");
     }
 
     if (!FirstRes.Report.Diagnoses.empty())
@@ -195,7 +166,6 @@ std::string bugassist::renderFuzzScorecard(const FuzzSubject &Subject,
   Out += "  \"requested\": " + std::to_string(Opts.Count) + ",\n";
   Out += "  \"generated\": " + std::to_string(Res.Generated) + ",\n";
   Out += "  \"pool\": " + std::to_string(Subject.Pool.size()) + ",\n";
-  Out += "  \"threads\": " + std::to_string(Opts.Threads) + ",\n";
   Out += "  \"classes\": [";
   bool FirstRow = true;
   for (ErrorType T : AllErrorTypes) {

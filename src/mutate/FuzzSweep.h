@@ -10,11 +10,11 @@
 /// sweep:
 ///
 ///  1. segregates failing tests against the golden version (Section 6.1);
-///  2. localizes one failing test three times -- single-threaded,
-///     portfolio width K, and with preprocessing disabled -- and asserts
-///     the three canonical reports are byte-identical (any divergence is
-///     a determinism bug in the portfolio/canonicalizer/preprocessor, and
-///     is surfaced as a mismatch, never swallowed);
+///  2. localizes one failing test twice -- with the default solver and
+///     with preprocessing disabled -- and asserts the two canonical
+///     reports are byte-identical (any divergence is a determinism bug in
+///     the canonicalizer/preprocessor, and is surfaced as a mismatch,
+///     never swallowed);
 ///  3. scores whether the ground-truth fault line appears in the
 ///     diagnosis (Table 1's "hit");
 ///  4. on hits, attempts Algorithm 2 repair through the pooled
@@ -63,8 +63,6 @@ struct FuzzOptions {
   uint64_t Seed = 1;
   /// Mutants to generate.
   size_t Count = 100;
-  /// The K in the width-1-vs-K differential (also the serve-parity width).
-  int Threads = 4;
   size_t MaxDiagnoses = 8;
   /// Failing tests kept per mutant (screening depth for repair).
   size_t MaxFailingTests = 4;

@@ -35,30 +35,6 @@ Solver::Solver(const Options &O) : Opts(O) {
   RandBranchThreshold = static_cast<uint32_t>(Freq * 1024.0);
 }
 
-void Solver::adoptOptions(const Options &O) {
-  assert(decisionLevel() == 0 && "adoptOptions only at the root level");
-  Opts = O;
-  RandState = O.RandSeed | 1;
-  double Freq = std::min(1.0, std::max(0.0, O.RandomBranchFreq));
-  RandBranchThreshold = static_cast<uint32_t>(Freq * 1024.0);
-  for (Var V = 0; V < static_cast<Var>(Assigns.size()); ++V) {
-    if (Assigns[V] != LBool::Undef)
-      continue;
-    bool Phase = false;
-    switch (Opts.InitPhase) {
-    case Options::PhaseInit::False:
-      break;
-    case Options::PhaseInit::True:
-      Phase = true;
-      break;
-    case Options::PhaseInit::Random:
-      Phase = nextRand() & 1;
-      break;
-    }
-    SavedPhase[V] = Phase;
-  }
-}
-
 float Solver::clauseActivity(ClauseRef CR) const {
   float A;
   int32_t Bits = Arena[CR + 1].code();
@@ -79,18 +55,7 @@ Var Solver::newVar() {
   Reason.push_back(InvalidClause);
   Activity.push_back(0.0);
   HeapIndex.push_back(-1);
-  bool Phase = false;
-  switch (Opts.InitPhase) {
-  case Options::PhaseInit::False:
-    break;
-  case Options::PhaseInit::True:
-    Phase = true;
-    break;
-  case Options::PhaseInit::Random:
-    Phase = nextRand() & 1;
-    break;
-  }
-  SavedPhase.push_back(Phase);
+  SavedPhase.push_back(false); // fresh variables start negative (MiniSAT)
   Released.push_back(false);
   FrozenVars.push_back(0);
   ElimVars.push_back(0);
@@ -671,8 +636,8 @@ void Solver::cancelUntil(int Level) {
 
 Lit Solver::pickBranchLit() {
   Var Next = NullVar;
-  // Occasional random decisions diversify restarts (and, in a portfolio,
-  // decorrelate workers; the frequency is an Options knob).
+  // Occasional random decisions diversify restarts (the frequency is an
+  // Options knob).
   if ((nextRand() & 1023) < RandBranchThreshold && !heapEmpty()) {
     Var Cand = Heap[nextRand() % Heap.size()];
     if (value(Cand) == LBool::Undef)
@@ -775,7 +740,7 @@ LBool Solver::search() {
 
   for (;;) {
     if (InterruptRequested.load(std::memory_order_relaxed))
-      return LBool::Undef; // cooperative cancellation (portfolio racing)
+      return LBool::Undef; // cooperative cancellation (interrupt())
     if (BudgetArmed && (BudgetExhaustedFlag || --BudgetPollCountdown <= 0)) {
       BudgetPollCountdown = BudgetPollPeriod;
       if (pollBudget())
@@ -803,22 +768,6 @@ LBool Solver::search() {
         claBumpActivity(CR);
         uncheckedEnqueue(Learnt[0], CR);
         ++Stats.LearnedClauses;
-      }
-      if (Export && Lbd <= Opts.ShareLbdMax &&
-          Learnt.size() <= Opts.ShareMaxSize) {
-        // Only clauses over the shared variable prefix travel: learnts
-        // touching session-local auxiliaries stay private (they are only
-        // implied by this worker's guard/counter structure).
-        bool Shareable = true;
-        for (Lit L : Learnt)
-          if (L.var() >= ShareVarLimit) {
-            Shareable = false;
-            break;
-          }
-        if (Shareable) {
-          Export(Learnt, Lbd);
-          ++Stats.ClausesExported;
-        }
       }
       varDecayActivity();
       claDecayActivity();
@@ -879,7 +828,6 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
       Opts.MaxLearntsBase, static_cast<double>(ProblemClauses.size()) / 3.0);
 
   simplifyLevel0();
-  importSharedClauses(); // foreign clauses land at the root, like restarts
   if (Ok && Opts.Preprocess && !PreprocessedOnce)
     preprocess(); // load-time pass; restart boundaries re-run it below
   if (!Ok) {
@@ -904,9 +852,6 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
       ++Stats.Restarts;
       if (ConflictBudget != 0 && ConflictsThisSolve >= ConflictBudget)
         break;
-      // Restart boundary: the solver is at decision level 0, the one place
-      // foreign clauses can be injected soundly and attached watchable.
-      importSharedClauses();
       if (Ok && Opts.Preprocess && Opts.InprocessIntervalConflicts != 0 &&
           Stats.Conflicts - LastInprocConflicts >=
               Opts.InprocessIntervalConflicts)
@@ -1127,60 +1072,6 @@ std::vector<uint32_t> Solver::learntLbds() const {
       if (!clauseFreed(CR))
         Lbds.push_back(clauseLbd(CR));
   return Lbds;
-}
-
-// --- portfolio clause exchange ----------------------------------------------
-
-void Solver::importSharedClauses() {
-  if (!Import || !Ok)
-    return;
-  assert(decisionLevel() == 0 && "imports only at the root level");
-  std::vector<Lit> C;
-  uint32_t Lbd = 0;
-  bool Any = false;
-  while (Ok && Import(C, Lbd)) {
-    addImportedClause(C, Lbd);
-    Any = true;
-  }
-  if (Ok && Any && propagate() != InvalidClause)
-    Ok = false;
-}
-
-void Solver::addImportedClause(const std::vector<Lit> &Lits, uint32_t Lbd) {
-  // Root-level simplification mirrors addClause, but the clause enters the
-  // learnt tiers under its advertised LBD instead of the problem set: an
-  // imported clause is a lemma, and the retention policy may drop it again.
-  std::vector<Lit> C(Lits);
-  for (Lit L : C) {
-    ensureVars(L.var() + 1);
-    // The exchange prefix is structurally frozen, so foreign clauses never
-    // mention eliminated variables; drop defensively rather than corrupt.
-    if (ElimVars[L.var()])
-      return;
-  }
-  std::sort(C.begin(), C.end());
-  std::vector<Lit> Simplified;
-  Lit Prev = NullLit;
-  for (Lit L : C) {
-    if (value(L) == LBool::True || L == ~Prev)
-      return; // satisfied at the root or tautological
-    if (value(L) == LBool::False || L == Prev)
-      continue;
-    Simplified.push_back(L);
-    Prev = L;
-  }
-  if (Simplified.empty()) {
-    Ok = false; // shared clauses are implied: the formula is UNSAT
-    return;
-  }
-  ++Stats.ClausesImported;
-  if (Simplified.size() == 1) {
-    uncheckedEnqueue(Simplified[0], InvalidClause);
-    return; // caller propagates after the batch
-  }
-  ClauseRef CR = allocClause(Simplified, /*Learnt=*/true);
-  pushLearnt(CR, std::max<uint32_t>(Lbd, 1));
-  attachClause(CR);
 }
 
 // --- arena garbage collection ----------------------------------------------

@@ -51,13 +51,9 @@
 /// every list is always read in the order eager removal would have left it
 /// (see the watch-list section of the private state below).
 ///
-/// For portfolio solving (maxsat/Portfolio.h) the solver additionally
-/// supports cooperative cancellation -- interrupt() raises an atomic flag
-/// polled once per search-loop iteration -- and glucose-syrup-style learnt
-/// sharing: export/import hooks push low-LBD learnts over a shared variable
-/// prefix into an exchange buffer and inject foreign clauses at restart
-/// boundaries. Diversification knobs (RNG seed, random-branch frequency,
-/// initial phase, plus the restart/retention policy mix) live in Options.
+/// A running solve() can be cancelled from another thread: interrupt()
+/// raises an atomic flag polled once per search-loop iteration (serve's
+/// watchdog uses it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +65,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -90,9 +85,6 @@ struct SolverStats {
   uint64_t LbdSum = 0;   ///< sum of learn-time LBDs over all conflicts
   uint64_t LbdCount = 0; ///< conflicts that recorded an LBD (incl. units)
   uint64_t LbdTightened = 0; ///< reason-clause LBDs improved during analysis
-  // Portfolio clause exchange (0 unless share hooks are installed).
-  uint64_t ClausesExported = 0; ///< learnts pushed through the export hook
-  uint64_t ClausesImported = 0; ///< foreign clauses injected at restarts
   // Live tier gauges (LbdTiers retention; seed policy reports all as Local).
   uint64_t CoreLearnts = 0;
   uint64_t MidLearnts = 0;
@@ -111,34 +103,6 @@ struct SolverStats {
     return LbdCount
                ? static_cast<double>(LbdSum) / static_cast<double>(LbdCount)
                : 0.0;
-  }
-
-  /// Field-complete summation, kept next to the field list so a new
-  /// counter cannot silently go missing from portfolio aggregates. (The
-  /// tier gauges are instantaneous counts; summing them reads as the
-  /// fleet-wide live-clause population.)
-  SolverStats &operator+=(const SolverStats &O) {
-    Conflicts += O.Conflicts;
-    Decisions += O.Decisions;
-    Propagations += O.Propagations;
-    Restarts += O.Restarts;
-    RestartsBlocked += O.RestartsBlocked;
-    LearnedClauses += O.LearnedClauses;
-    DeletedClauses += O.DeletedClauses;
-    GcRuns += O.GcRuns;
-    LbdSum += O.LbdSum;
-    LbdCount += O.LbdCount;
-    LbdTightened += O.LbdTightened;
-    ClausesExported += O.ClausesExported;
-    ClausesImported += O.ClausesImported;
-    CoreLearnts += O.CoreLearnts;
-    MidLearnts += O.MidLearnts;
-    LocalLearnts += O.LocalLearnts;
-    VarsEliminated += O.VarsEliminated;
-    ClausesSubsumed += O.ClausesSubsumed;
-    LitsSelfSubsumed += O.LitsSelfSubsumed;
-    ReconstructBytes += O.ReconstructBytes;
-    return *this;
   }
 };
 
@@ -167,13 +131,8 @@ public:
   ///  * The LBD tier cuts trade memory against re-learning: raising
   ///    CoreLbdCut keeps more clauses forever; raising MidMaxAge gives
   ///    mid-tier clauses more reductions to prove themselves.
-  ///  * The diversification knobs (RandSeed / RandomBranchFreq /
-  ///    InitPhase) exist so portfolio workers explore different parts of
-  ///    the search space; diversifiedOptions (maxsat/Portfolio.h) is the
-  ///    fixed 8-way recipe over them and is the intended way to set them.
-  ///  * The share knobs only matter once setShareHooks installed an
-  ///    exchange; ShareLbdMax = 2 exports "glue" clauses only, which is
-  ///    the Glucose-syrup sweet spot between traffic and usefulness.
+  ///  * RandSeed / RandomBranchFreq set the occasional random decision
+  ///    that diversifies restarts.
   struct Options {
     enum class RestartPolicy : uint8_t {
       Luby,      ///< fixed Luby sequence scaled by LubyUnit (seed behavior)
@@ -183,23 +142,13 @@ public:
       ActivityHalving, ///< drop the lowest-activity half (seed behavior)
       LbdTiers         ///< core/mid/local tiers keyed by LBD
     };
-    enum class PhaseInit : uint8_t {
-      False, ///< MiniSAT default: fresh variables start negative
-      True,  ///< fresh variables start positive
-      Random ///< fresh variables draw their phase from the solver RNG
-    };
 
     RestartPolicy Restart = RestartPolicy::GlucoseEma;
     RetentionPolicy Retention = RetentionPolicy::LbdTiers;
 
-    // -- portfolio diversification ----
-    uint64_t RandSeed = 0x1234567890abcdefull; ///< decision/phase RNG seed
+    // -- random decisions ----
+    uint64_t RandSeed = 0x1234567890abcdefull; ///< decision RNG seed
     double RandomBranchFreq = 0.02; ///< fraction of random decisions [0, 1]
-    PhaseInit InitPhase = PhaseInit::False; ///< saved phase of fresh vars
-
-    // -- learnt-clause sharing (only consulted once hooks are set) ----
-    uint32_t ShareLbdMax = 2;   ///< export learnts with LBD <= this
-    uint32_t ShareMaxSize = 32; ///< never export clauses longer than this
 
     // -- Luby restarts ----
     uint64_t LubyUnit = 100; ///< conflicts per Luby step
@@ -224,7 +173,7 @@ public:
     /// Run SatELite-style simplification (bounded variable elimination +
     /// subsumption + self-subsuming resolution) once at the first solve()
     /// and again at restart boundaries. Variables that outside code will
-    /// assume, release, or share must be frozen first (setFrozen); the
+    /// assume or release must be frozen first (setFrozen); the
     /// MaxSAT sessions register their control variables automatically.
     bool Preprocess = true;
     /// Conflicts between inprocessing passes at restart boundaries
@@ -252,7 +201,7 @@ public:
 
   /// Solvers are copyable *between* solve() calls (root level): the copy
   /// gets an independent arena, watch lists, learnt tiers, activities,
-  /// saved phases, budget, and share hooks, and continues exactly where
+  /// saved phases and budget, and continues exactly where
   /// the original stood. This is the substrate of serve-mode session
   /// cloning (maxsat/MaxSat.h `MaxSatSession::clone`): one base solver is
   /// loaded with the shared hard clauses once and copied per query, which
@@ -373,7 +322,7 @@ public:
       BudgetExhaustedFlag = true;
   }
 
-  // --- cooperative cancellation (portfolio racing) -------------------------
+  // --- cooperative cancellation -------------------------------------------
 
   /// Asks a running solve() to stop at the next search-loop iteration; the
   /// call returns Undef. Safe to call from any thread; the flag is sticky
@@ -390,37 +339,7 @@ public:
     return InterruptRequested.load(std::memory_order_relaxed);
   }
 
-  // --- learnt-clause sharing (glucose-syrup-style portfolio exchange) ------
-
-  /// Export hook: receives each learnt clause (post-minimization) with
-  /// LBD <= Options::ShareLbdMax whose variables are all < ShareVarLimit.
-  using ExportFn = std::function<void(const std::vector<Lit> &, uint32_t Lbd)>;
-  /// Import hook: pulls one foreign clause at a time (returns false when
-  /// drained). Drained at solve() entry and at every restart boundary, at
-  /// decision level 0; imported clauses enter the learnt tiers with the
-  /// advertised LBD. Hooks may be called from the solving thread only, but
-  /// their implementations (e.g. ClauseExchange) are expected to be
-  /// thread-safe so several solvers can share one buffer.
-  using ImportFn = std::function<bool(std::vector<Lit> &, uint32_t &Lbd)>;
-
-  /// Installs the exchange hooks. Only clauses whose variables are all
-  /// below \p ShareVarLimit are exported -- portfolio sessions pass the
-  /// number of *original* problem variables, so clauses over session-local
-  /// auxiliaries (guards, relaxation selectors, counter internals) never
-  /// leak into solvers where they would be unsound.
-  void setShareHooks(ExportFn Export, ImportFn Import, Var ShareVarLimit) {
-    this->Export = std::move(Export);
-    this->Import = std::move(Import);
-    this->ShareVarLimit = ShareVarLimit;
-  }
-
   const SolverStats &stats() const { return Stats; }
-
-  /// Zeroes the statistics counters (the formula and search state stay).
-  /// Portfolio construction copies workers from one preprocessed
-  /// prototype and resets the copies, so aggregated stats count the
-  /// shared simplification pass once, not once per worker.
-  void clearStats() { Stats = SolverStats(); }
 
   /// LBDs of the live learnt clauses across all tiers, in no particular
   /// order. Introspection surface for tests and benches; under the seed
@@ -447,17 +366,6 @@ public:
   /// evaluates cheaply.
   void boostActivity(Var V, double Amount = 1.0);
 
-  /// Pseudo-random tie breaking seed for restarts/decisions.
-  void setRandomSeed(uint64_t Seed) { RandState = Seed | 1; }
-
-  /// Swaps in a new option block at the root level: re-seeds the RNG and
-  /// re-draws the saved phase of every unassigned variable under the new
-  /// InitPhase policy (exactly what newVar would have done). This is how
-  /// portfolio workers are re-diversified after being copy-constructed
-  /// from one shared, already-preprocessed prototype (maxsat/Portfolio.cpp)
-  /// instead of each paying for clause loading and the simplification pass.
-  void adoptOptions(const Options &O);
-
   // --- inprocessing (sat/Simplifier.{h,cpp}) -------------------------------
 
   /// Marks \p V as off-limits for variable elimination. The frozen-variable
@@ -469,13 +377,9 @@ public:
   /// elimination of its remaining occurrences is sound and desirable).
   void setFrozen(Var V, bool Frozen);
 
-  /// True if \p V is frozen -- explicitly, or structurally because it lies
-  /// in the clause-exchange original-variable prefix of an installed share
-  /// hook (imported clauses may mention any prefix variable at any time).
+  /// True if \p V is frozen (setFrozen).
   bool isFrozen(Var V) const {
-    if (V < static_cast<Var>(FrozenVars.size()) && FrozenVars[V])
-      return true;
-    return (Export || Import) && V < ShareVarLimit;
+    return V < static_cast<Var>(FrozenVars.size()) && FrozenVars[V];
   }
 
   /// True once \p V has been eliminated by the simplifier. Eliminated
@@ -614,8 +518,6 @@ private:
   }
   /// Replays every list's pending edits.
   void flushAllWatches();
-  void importSharedClauses();
-  void addImportedClause(const std::vector<Lit> &Lits, uint32_t Lbd);
   /// The binary fast path never normalizes clause literals during
   /// propagation, so a binary reason clause may have the implied literal at
   /// either position; callers reading reasons positionally fix it up here.
@@ -809,9 +711,6 @@ private:
   };
 
   CopyableAtomicBool InterruptRequested;
-  ExportFn Export;
-  ImportFn Import;
-  Var ShareVarLimit = 0; // only clauses with all vars below this are exported
 
   SolverStats Stats;
 };

@@ -55,10 +55,7 @@ public:
   ErrorCode errorCode() const { return Code; }
 
   /// A fresh session for one query: a clone of the per-engine base session
-  /// (built on first use). \returns nullptr only when the engine does not
-  /// support cloning -- the caller then falls back to the fresh-session
-  /// path inside runLocalizePipeline, which is always correct, just not
-  /// load-once. Requires prepared() != nullptr.
+  /// (built on first use). Requires prepared() != nullptr.
   std::unique_ptr<MaxSatSession> cloneSession(bool Weighted) const;
 
 private:

@@ -23,7 +23,6 @@
 #include "core/OptionTable.h"
 #include "core/Pipeline.h"
 #include "maxsat/Answer.h"
-#include "maxsat/Portfolio.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
 #include "serve/FormulaCache.h"
@@ -361,12 +360,10 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
 
   // The encode-once fast path: a clone of the cached base session, primed
   // with TF1 + the soft selectors, completed per-test inside the pipeline.
-  // cloneSession can only return nullptr for engines without clone(), and
-  // the pipeline then transparently builds a session from scratch.
   std::unique_ptr<MaxSatSession> Session =
       CP.cloneSession(R.Localize.Weighted);
   std::optional<FlightGuard> Flight;
-  if (Session && Ctx.Flights)
+  if (Ctx.Flights)
     Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
                    Ctx.WatchdogSeconds);
   PipelineResult Res = runLocalizePipeline(*CP.prepared(), R, Session.get());
@@ -415,7 +412,7 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
   std::unique_ptr<MaxSatSession> Session =
       CP.cloneSession(R.Localize.Weighted);
   std::optional<FlightGuard> Flight;
-  if (Session && Ctx.Flights)
+  if (Ctx.Flights)
     Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
                    Ctx.WatchdogSeconds);
   RepairPipelineResult Res =
@@ -493,25 +490,22 @@ Outcome processSat(const Request &Req, const WorkerCtx &Ctx) {
   for (DimacsSoftClause &C : Parsed->Soft)
     Clauses.push_back(std::move(C.Lits));
 
-  // The raced solvers are internal to racePortfolioSat, so the watchdog
-  // cannot reach them via the flight table; its deadline rides in as a
-  // budget deadline instead, which the solver polls at the same cadence
-  // as the interrupt flag.
+  // The solver is internal to solveSat, so the watchdog cannot reach it
+  // via the flight table; its deadline rides in as a budget deadline
+  // instead, which the solver polls at the same cadence as the interrupt
+  // flag.
   Solver::Budget B = Req.budget().solverBudget();
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
   if (Ctx.WatchdogSeconds > 0 && Req.budget().TimeoutSeconds <= 0)
     B.setDeadlineIn(Ctx.WatchdogSeconds);
-  SatRaceResult R =
-      racePortfolioSat(Clauses, Parsed->NumVars, /*Threads=*/1,
-                       Solver::Options(), B);
-  std::string Body = renderSatAnswer(R, Parsed->NumVars, Req.Opts.Model,
-                                     /*WinnerComment=*/false);
+  SatAnswer R = solveSat(Clauses, Parsed->NumVars, Solver::Options(), B);
+  std::string Body = renderSatAnswer(R, Parsed->NumVars, Req.Opts.Model);
 
   bool Incomplete = R.Result == LBool::Undef;
   ResponseStats St;
   St.ElapsedMs = elapsedMs(Start);
   St.SatCalls = 1;
-  St.Search = R.Aggregate;
+  St.Search = R.Stats;
   return {frameResponse(Req.Id, Req.cmd(),
                         Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
                         Incomplete ? ErrorCode::BudgetExhausted

@@ -76,6 +76,26 @@ TEST(Unroller, LoopUnwindingBoundsDefs) {
   EXPECT_EQ(U3.Assumptions.size(), 1u);
 }
 
+TEST(Unroller, DeepUnwindingDoesNotRecurse) {
+  // Each iteration nests inside the previous one's guard. Unrolling keeps
+  // that nesting on an explicit stack, so a bound far beyond what one
+  // call frame per iteration could survive still unrolls, 4 defs per
+  // iteration (condition, path guard, body, join) plus 7.
+  auto P = compile("int main(int n) {"
+                   "  int i = 0;"
+                   "  while (i < n) { i = i + 1; }"
+                   "  return i;"
+                   "}");
+  UnrollOptions O;
+  O.MaxLoopUnwind = 1000;
+  EXPECT_EQ(unrollProgram(*P, "main", O).Defs.size(), 4007u);
+  O.MaxLoopUnwind = 200000;
+  UnrolledProgram Deep = unrollProgram(*P, "main", O);
+  EXPECT_EQ(Deep.Defs.size(), 800007u);
+  EXPECT_EQ(Deep.MaxUnwinding, 200000u);
+  EXPECT_EQ(Deep.Assumptions.size(), 1u);
+}
+
 TEST(Unroller, AssertMakesObligation) {
   auto P = compile("int main(int x) { assert(x < 10); return x; }");
   UnrolledProgram UP = unrollProgram(*P, "main");

@@ -319,12 +319,6 @@ TEST(BugassistCli, MaxsatKnownOptima) {
   EXPECT_EQ(Exit, 0);
   EXPECT_NE(Out.find("o 2\ns OPTIMUM FOUND\n"), std::string::npos) << Out;
 
-  // The portfolio must agree with the single session.
-  Out = runCommand(
-      Cli + " maxsat " + Instances + "/weighted.wcnf --threads 2", Exit);
-  EXPECT_EQ(Exit, 0);
-  EXPECT_NE(Out.find("o 2\ns OPTIMUM FOUND\n"), std::string::npos) << Out;
-
   // UNSAT hard part.
   Out = runCommand(Cli + " maxsat " + Instances + "/unsat_hard.wcnf", Exit);
   EXPECT_EQ(Exit, 0);

@@ -42,7 +42,7 @@ using clitest::runCommand;
 namespace {
 
 /// Fails on every input and has no loops, so any accepted knob value
-/// (unwind 1e6, bitwidth 1, 64 threads) still runs in milliseconds.
+/// (unwind 1e6, bitwidth 1) still runs in milliseconds.
 const char *Program = "int main(int x) {\n"
                       "  assert(x == 0);\n"
                       "  return x;\n"
@@ -259,6 +259,27 @@ TEST(OptionParity, ChoicesAgreeOnArgvAndJson) {
     EXPECT_EQ(Headers[0].find("status")->Text, Valid ? "ok" : "error")
         << Engine;
   }
+}
+
+TEST(OptionParity, ThreadsSizesOnlyTheServePool) {
+  // Every query runs on one solver; --threads is serve's pool width alone.
+  TempProgram Prog;
+  for (Command C : {Command::Localize, Command::Repair, Command::MaxSat,
+                    Command::Sat, Command::Fuzz}) {
+    EXPECT_EQ(findFlag(C, "--threads"), nullptr) << commandName(C);
+    int Raw = 0;
+    std::string Out = runCommand(Cli + " " + cliPrefix(C, Prog.Path) +
+                                     " --threads 2 2>/dev/null",
+                                 Raw);
+    EXPECT_EQ(exitStatus(Raw), 1) << commandName(C);
+    EXPECT_TRUE(Out.empty()) << commandName(C) << ": " << Out;
+  }
+  const OptionRow *Row = findFlag(Command::Serve, "--threads");
+  ASSERT_TRUE(Row);
+  EXPECT_EQ(Row->Key, nullptr); // a process option, not a request field
+  for (const char *Width : {"1", "64"})
+    EXPECT_TRUE(cliAccepts(cliPrefix(Command::Serve, ""), *Row, Width))
+        << Width;
 }
 
 TEST(OptionParity, EachCommandMapsAFlagOrKeyToOneRow) {

@@ -4,7 +4,7 @@
 //
 // Holds `bugassist serve` to its documented contract (docs/SERVE.md): a
 // batch of requests produces bodies byte-identical to the equivalent
-// one-shot CLI runs at every --threads width, each distinct program is
+// one-shot CLI runs at every pool width (--threads), each distinct program is
 // parsed and encoded exactly once (cache counters asserted), a budget
 // exhaustion returns INCOMPLETE without poisoning the pool, and a
 // malformed request line is rejected without killing the daemon loop.

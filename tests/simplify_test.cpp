@@ -10,8 +10,7 @@
 // is a hard error, releaseVar unfreezes), a brute-force differential on
 // random instances, and CLI differentials: every checked-in instance
 // answers identically with and without --no-preprocess, and the TCAS
-// localization report is byte-identical at --threads 1/2/4 both with and
-// without preprocessing.
+// localization report is byte-identical with and without preprocessing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -209,7 +208,7 @@ TEST(Simplify, RandomDifferentialAgainstBruteForce) {
   }
 }
 
-// Solver copies (the portfolio / serve clone path) must carry the
+// Solver copies (the serve clone path) must carry the
 // reconstruction stack: a clone of a preprocessed solver extends models
 // exactly like the original.
 TEST(Simplify, CloneInheritsReconstructionStack) {
@@ -819,11 +818,10 @@ TEST(SimplifyCliDifferential, EveryInstanceAnswersIdenticallyWithoutPreprocess) 
   }
 }
 
-TEST(SimplifyCliDifferential, TcasLocalizationIsByteIdenticalAcrossWidths) {
+TEST(SimplifyCliDifferential, TcasLocalizationIgnoresPreprocessing) {
   // TCAS v2 with the same deterministic failing input the CI smoke uses.
-  // One canonical report at every (threads, preprocessing) combination:
-  // canonicalized optima make the diagnosis sequence independent of both
-  // the portfolio width and the per-worker eliminations.
+  // One canonical report with and without preprocessing: canonicalized
+  // optima make the diagnosis sequence independent of the eliminations.
   int Exit = 0;
   std::string Source = runCommand(Cli + " dump-tcas 2", Exit);
   ASSERT_EQ(exitStatus(Exit), 0);
@@ -838,20 +836,12 @@ TEST(SimplifyCliDifferential, TcasLocalizationIsByteIdenticalAcrossWidths) {
       " --input \"1052,1,0,6677,118,1329,0,790,890,0,2,1\" --golden 2"
       " --no-obligations --no-bounds --bitwidth 16 --hard-lines 69-84"
       " --max-diagnoses 24";
-  std::string First;
-  for (size_t Threads : {1u, 2u, 4u}) {
-    for (const char *Extra : {"", " --no-preprocess"}) {
-      std::string Out = runCommand(
-          Base + " --threads " + std::to_string(Threads) + Extra, Exit);
-      ASSERT_EQ(exitStatus(Exit), 0) << "threads " << Threads << Extra;
-      ASSERT_NE(Out.find("diagnosis 1 "), std::string::npos);
-      if (First.empty())
-        First = Out;
-      else
-        EXPECT_EQ(Out, First)
-            << "report diverged at --threads " << Threads << Extra;
-    }
-  }
+  std::string On = runCommand(Base, Exit);
+  ASSERT_EQ(exitStatus(Exit), 0);
+  ASSERT_NE(On.find("diagnosis 1 "), std::string::npos);
+  std::string Off = runCommand(Base + " --no-preprocess", Exit);
+  ASSERT_EQ(exitStatus(Exit), 0);
+  EXPECT_EQ(Off, On) << "report diverged at --no-preprocess";
   std::remove(Path.c_str());
 }
 

@@ -17,27 +17,26 @@
 //
 //   bugassist fuzz <tcas|prog.ba> [--seed N] [--count N] ...
 //       deterministic differential sweep: seeded mutants of a golden
-//       subject, each localized at --threads 1 and K and with
-//       preprocessing off (reports must be byte-identical), scored
+//       subject, each localized with preprocessing on and off (reports
+//       must be byte-identical), scored
 //       against the known fault line, repaired on hits; Table-1-style
 //       JSON scorecard per fault class.
 //
-//   bugassist maxsat <file.wcnf> [--threads N]
+//   bugassist maxsat <file.wcnf>
 //       partial (weighted) MaxSAT on a DIMACS/WCNF instance, MaxSAT-
 //       Evaluation-style output (o/s/v lines).
 //
-//   bugassist sat <file.cnf> [--threads N]
-//       plain SAT, raced over the portfolio when --threads > 1.
+//   bugassist sat <file.cnf>
+//       plain SAT on one solver (SAT-competition-style s/v lines).
 //
 //   bugassist dump-tcas [N | --list]
 //       prints the checked-in TCAS sources (0 = correct version, 1..41 =
 //       the faulty Siemens-style mutants) so they can be fed back into
 //       `bugassist localize`.
 //
-// The localize report is byte-identical at every --threads width: the
-// portfolio canonicalizes its optima (see maxsat/Canonical.h), and solver
-// statistics -- the only nondeterministic output -- are printed only under
-// --stats.
+// The localize report is canonical: the session canonicalizes its optima
+// (see maxsat/Canonical.h), and solver statistics -- which depend on search
+// history -- are printed only under --stats.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +46,6 @@
 #include "lang/Sema.h"
 #include "maxsat/Answer.h"
 #include "maxsat/MaxSat.h"
-#include "maxsat/Portfolio.h"
 #include "mutate/FuzzSweep.h"
 #include "programs/FaultCatalog.h"
 #include "programs/Tcas.h"
@@ -324,20 +322,14 @@ int cmdMaxsat(const std::string &Path, CommandOptions &O) {
   bool Weighted = useLinearSearch(O.Engine, AnyWeight);
   if (!Weighted && O.Engine == "fumalik" && AnyWeight)
     std::printf("c warning: fumalik engine ignores the non-unit weights\n");
-  std::printf("c %s: %d vars, %zu hard, %zu soft%s, engine=%s, threads=%zu\n",
+  std::printf("c %s: %d vars, %zu hard, %zu soft%s, engine=%s\n",
               Path.c_str(), Inst.NumVars, Inst.Hard.size(), Inst.Soft.size(),
-              FromWcnf ? "" : " (cnf)",
-              Weighted ? "linear" : "fumalik", Knobs.Threads);
+              FromWcnf ? "" : " (cnf)", Weighted ? "linear" : "fumalik");
 
   Solver::Options SOpts;
   SOpts.Preprocess = Knobs.Preprocess;
-  std::unique_ptr<MaxSatSession> Session;
-  if (Knobs.Threads > 1)
-    Session = makePortfolioSession(Inst, Weighted, Knobs.Threads,
-                                   /*ConflictBudget=*/0, SOpts);
-  else
-    Session = makeMaxSatSession(Inst, Weighted, /*ConflictBudget=*/0,
-                                SOpts, /*Canonical=*/true);
+  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+      Inst, Weighted, /*ConflictBudget=*/0, SOpts, /*Canonical=*/true);
   if (Knobs.Budget.any())
     Session->setBudget(Knobs.Budget.solverBudget());
   MaxSatResult R = Session->solve();
@@ -371,21 +363,17 @@ int cmdSat(const std::string &Path, CommandOptions &O) {
     for (DimacsSoftClause &C : Parsed->Soft)
       Clauses.push_back(std::move(C.Lits));
   }
-  std::printf("c %s: %d vars, %zu clauses, threads=%zu\n", Path.c_str(),
-              Parsed->NumVars, Clauses.size(), Knobs.Threads);
+  std::printf("c %s: %d vars, %zu clauses\n", Path.c_str(),
+              Parsed->NumVars, Clauses.size());
 
-  // Threads <= 1 degenerates to a plain single solver on this thread.
   Solver::Options SOpts;
   SOpts.Preprocess = Knobs.Preprocess;
-  SatRaceResult R = racePortfolioSat(Clauses, Parsed->NumVars, Knobs.Threads,
-                                     SOpts, Knobs.Budget.solverBudget());
-  std::fputs(renderSatAnswer(R, Parsed->NumVars, O.Model,
-                             /*WinnerComment=*/Knobs.Threads > 1)
-                 .c_str(),
-             stdout);
-  // One race is one solve call, as serve's sat trailer counts it.
+  SatAnswer R = solveSat(Clauses, Parsed->NumVars, SOpts,
+                         Knobs.Budget.solverBudget());
+  std::fputs(renderSatAnswer(R, Parsed->NumVars, O.Model).c_str(), stdout);
+  // One solve call, as serve's sat trailer counts it.
   if (O.Stats)
-    printDimacsStats(/*SatCalls=*/1, R.Aggregate);
+    printDimacsStats(/*SatCalls=*/1, R.Stats);
   return R.Result == LBool::Undef ? ExitBudgetExhausted : ExitComplete;
 }
 
