@@ -67,7 +67,6 @@ SatAnswer bugassist::solveSat(const std::vector<Clause> &Clauses,
       break; // root-level UNSAT: solve() reports False immediately
   if (!Bud.unlimited())
     S.setBudget(Bud);
-  S.preprocess();
   SatAnswer A;
   A.Result = S.solve();
   if (A.Result == LBool::True) {

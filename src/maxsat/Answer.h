@@ -45,8 +45,8 @@ struct SatAnswer {
 };
 
 /// Decides \p Clauses on one solver: load them, install \p Bud (when set,
-/// so preprocessing counts against it too), preprocess (self-gated on
-/// Options::Preprocess), solve.
+/// so the load-time preprocessing pass inside solve() counts against it
+/// too), solve.
 SatAnswer solveSat(const std::vector<Clause> &Clauses, int NumVars,
                    const Solver::Options &Opts,
                    const Solver::Budget &Bud = Solver::Budget());

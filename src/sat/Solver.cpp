@@ -29,12 +29,6 @@
 
 using namespace bugassist;
 
-Solver::Solver(const Options &O) : Opts(O) {
-  RandState = O.RandSeed | 1;
-  double Freq = std::min(1.0, std::max(0.0, O.RandomBranchFreq));
-  RandBranchThreshold = static_cast<uint32_t>(Freq * 1024.0);
-}
-
 float Solver::clauseActivity(ClauseRef CR) const {
   float A;
   int32_t Bits = Arena[CR + 1].code();
@@ -636,8 +630,7 @@ void Solver::cancelUntil(int Level) {
 
 Lit Solver::pickBranchLit() {
   Var Next = NullVar;
-  // Occasional random decisions diversify restarts (the frequency is an
-  // Options knob).
+  // Occasional random decisions (about 2%) diversify restarts.
   if ((nextRand() & 1023) < RandBranchThreshold && !heapEmpty()) {
     Var Cand = Heap[nextRand() % Heap.size()];
     if (value(Cand) == LBool::Undef)

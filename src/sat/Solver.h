@@ -131,8 +131,6 @@ public:
   ///  * The LBD tier cuts trade memory against re-learning: raising
   ///    CoreLbdCut keeps more clauses forever; raising MidMaxAge gives
   ///    mid-tier clauses more reductions to prove themselves.
-  ///  * RandSeed / RandomBranchFreq set the occasional random decision
-  ///    that diversifies restarts.
   struct Options {
     enum class RestartPolicy : uint8_t {
       Luby,      ///< fixed Luby sequence scaled by LubyUnit (seed behavior)
@@ -145,10 +143,6 @@ public:
 
     RestartPolicy Restart = RestartPolicy::GlucoseEma;
     RetentionPolicy Retention = RetentionPolicy::LbdTiers;
-
-    // -- random decisions ----
-    uint64_t RandSeed = 0x1234567890abcdefull; ///< decision RNG seed
-    double RandomBranchFreq = 0.02; ///< fraction of random decisions [0, 1]
 
     // -- Luby restarts ----
     uint64_t LubyUnit = 100; ///< conflicts per Luby step
@@ -197,7 +191,7 @@ public:
   };
 
   Solver() : Solver(Options()) {}
-  explicit Solver(const Options &O);
+  explicit Solver(const Options &O) : Opts(O) {}
 
   /// Solvers are copyable *between* solve() calls (root level): the copy
   /// gets an independent arena, watch lists, learnt tiers, activities,
@@ -691,8 +685,10 @@ private:
   double FastLbdBias = 0;
   double TrailEma = 0;
   double TrailBias = 0;
+  // Decision RNG: a fixed seed, and RandBranchThreshold random decisions
+  // per 1024 (about 2%).
   uint64_t RandState = 0x1234567890abcdefull;
-  uint32_t RandBranchThreshold = 20; // random decisions per 1024 (from Opts)
+  static constexpr uint32_t RandBranchThreshold = 20;
 
   /// std::atomic is not copyable; this wrapper snapshots the flag value so
   /// the defaulted Solver copy constructor (session cloning) stays

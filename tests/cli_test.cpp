@@ -294,13 +294,18 @@ TEST(BugassistCli, SatBudgetExhaustionExitsTwoWithUnknown) {
 
 TEST(BugassistCli, MaxsatBudgetExhaustionIsAnytime) {
   // budget/budget_hard.wcnf is soft-PHP(10, 9): optimum 1, refutation hopeless.
-  // A tiny deadline must exit 2 and still print an o-line upper bound
-  // with its witnessing v-line.
+  // A tiny deadline must exit 2 promptly and still print an o-line upper
+  // bound with its witnessing v-line.
   int Exit = 0;
+  auto Begin = std::chrono::steady_clock::now();
   std::string Out = runCommand(
       Cli + " maxsat " + Instances + "/budget/budget_hard.wcnf --timeout 0.05",
       Exit);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Begin)
+                       .count();
   EXPECT_EQ(exitStatus(Exit), 2);
+  EXPECT_LT(Seconds, 1.0) << "deadline not honored promptly";
   EXPECT_NE(Out.find("\no "), std::string::npos)
       << "no anytime upper bound\n" << Out;
   EXPECT_NE(Out.find("s UNKNOWN\n"), std::string::npos) << Out;

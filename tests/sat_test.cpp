@@ -7,7 +7,6 @@
 #include "sat/Solver.h"
 
 #include "cnf/Cnf.h"
-#include "maxsat/MaxSat.h"
 #include "support/FaultInject.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
@@ -484,28 +483,20 @@ namespace {
 
 /// Loads PHP(Holes + 1, Holes) -- hard enough that refutation needs real
 /// search for Holes >= 6, far beyond any test deadline for Holes >= 9.
-/// PHP(Holes + 1, Holes) over variables [0, (Holes + 1) * Holes).
-std::vector<Clause> pigeonholeClauses(int Holes) {
+void loadPigeonhole(Solver &S, int Holes) {
   int Pigeons = Holes + 1;
   auto VarOf = [Holes](int P, int H) { return P * Holes + H; };
-  std::vector<Clause> Cs;
+  S.ensureVars(Pigeons * Holes);
   for (int P = 0; P < Pigeons; ++P) {
     Clause C;
     for (int H = 0; H < Holes; ++H)
       C.push_back(mkLit(VarOf(P, H)));
-    Cs.push_back(std::move(C));
+    ASSERT_TRUE(S.addClause(C));
   }
   for (int H = 0; H < Holes; ++H)
     for (int P1 = 0; P1 < Pigeons; ++P1)
       for (int P2 = P1 + 1; P2 < Pigeons; ++P2)
-        Cs.push_back({~mkLit(VarOf(P1, H)), ~mkLit(VarOf(P2, H))});
-  return Cs;
-}
-
-void loadPigeonhole(Solver &S, int Holes) {
-  S.ensureVars((Holes + 1) * Holes);
-  for (const Clause &C : pigeonholeClauses(Holes))
-    ASSERT_TRUE(S.addClause(C));
+        ASSERT_TRUE(S.addClause({~mkLit(VarOf(P1, H)), ~mkLit(VarOf(P2, H))}));
 }
 
 } // namespace
@@ -559,31 +550,6 @@ TEST(SolverBudget, DeadlineStopsALongRefutationPromptly) {
   EXPECT_LT(T.seconds(), 5.0) << "deadline was not honored promptly";
 }
 
-TEST(SolverBudget, SoftPigeonholeSessionDeadlineIsAnytime) {
-  // soft-PHP(10, 9): every clause soft, so the first Fu-Malik core needs a
-  // PHP(10, 9) refutation -- far beyond any test budget -- while the empty
-  // hard part makes the harvest model instant. A 50 ms deadline must yield
-  // Unknown with a finite upper bound and a witness, well under a second.
-  MaxSatInstance Inst;
-  Inst.NumVars = 10 * 9;
-  for (Clause &C : pigeonholeClauses(9))
-    Inst.Soft.push_back({std::move(C), 1});
-  auto Session = makeMaxSatSession(Inst, /*Weighted=*/false,
-                                   /*ConflictBudget=*/0, Solver::Options(),
-                                   /*Canonical=*/true);
-  Solver::Budget B;
-  B.setDeadlineIn(0.05);
-  Session->setBudget(B);
-  Timer T;
-  MaxSatResult R = Session->solve();
-  double Elapsed = T.seconds();
-  ASSERT_EQ(R.Status, MaxSatStatus::Unknown);
-  EXPECT_NE(R.UpperBound, UINT64_MAX);
-  ASSERT_FALSE(R.BestModel.empty());
-  EXPECT_GE(R.UpperBound, 1u); // the optimum is 1
-  EXPECT_LT(Elapsed, 1.0) << "deadline not honored promptly";
-}
-
 TEST(SolverBudget, PropagationCapReturnsUndef) {
   Solver S;
   loadPigeonhole(S, 7);
@@ -618,26 +584,6 @@ TEST(SolverBudget, UnlimitedBudgetIsANoOp) {
 
 // --- interrupt edge cases ----------------------------------------------------
 
-TEST(SolverInterrupt, InterruptStopsALongRefutationPromptly) {
-  // PHP(10, 9) takes far longer than this test is allowed to: without the
-  // interrupt the solve would effectively hang.
-  Solver S;
-  loadPigeonhole(S, 9);
-
-  Timer Total;
-  LBool Result = LBool::True;
-  std::thread Runner([&] { Result = S.solve(); });
-  // Give the search a moment to get going, then cancel it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  S.interrupt();
-  Runner.join();
-
-  EXPECT_EQ(Result, LBool::Undef);
-  EXPECT_TRUE(S.interrupted());
-  // "Promptly": seconds, not the hours the full refutation would need.
-  EXPECT_LT(Total.seconds(), 10.0);
-}
-
 TEST(SolverInterrupt, InterruptBeforeSolveReturnsUndef) {
   Solver S;
   S.ensureVars(2);
@@ -666,12 +612,16 @@ TEST(SolverInterrupt, InterruptDuringLongImplicationChainPropagation) {
   for (int I = 0; I < ChainLen - 1; ++I)
     ASSERT_TRUE(S.addClause({~mkLit(Base + I), mkLit(Base + I + 1)}));
 
+  Timer Total;
   LBool Result = LBool::True;
   std::thread Runner([&] { Result = S.solve(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   S.interrupt();
   Runner.join();
   EXPECT_EQ(Result, LBool::Undef);
+  EXPECT_TRUE(S.interrupted());
+  // "Promptly": seconds, not the hours the PHP(10, 9) refutation would need.
+  EXPECT_LT(Total.seconds(), 10.0);
   // The unit head forces the whole chain at level 0.
   EXPECT_GE(S.stats().Propagations, static_cast<uint64_t>(ChainLen));
 }
