@@ -6,7 +6,7 @@
 // transition and on pigeonhole instances, Fu-Malik and linear-search
 // partial MaxSAT on localization-shaped instances, and -- the headline --
 // the Fu-Malik TCAS localization workload run both through the incremental
-// one-persistent-solver engine and the seed's rebuilt-per-round baseline.
+// one-persistent-solver engine and a rebuilt-per-diagnosis baseline.
 //
 // Every workload is emitted as machine-readable JSON (BENCH_solvers.json:
 // wall time, conflicts, propagations, SatCalls) so the perf trajectory is
@@ -19,7 +19,6 @@
 #include "core/Pipeline.h"
 #include "lang/Sema.h"
 #include "maxsat/MaxSat.h"
-#include "maxsat/ReferenceMaxSat.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
 #include "sat/Solver.h"
@@ -108,25 +107,15 @@ std::vector<Clause> random3Sat(Rng &R, int Vars, int Clauses) {
   return Cs;
 }
 
-/// Both clause-management policies run every conflict-heavy SAT workload,
-/// so the JSON tracks the Glucose-vs-seed comparison where reduceDB and
-/// restarts actually fire.
-const char *policySuffix(const Solver::Options &O) {
-  return O.Retention == Solver::Options::RetentionPolicy::LbdTiers
-             ? "_lbd_tiers"
-             : "_activity_halving";
-}
-
-void benchPhaseTransition(int Vars, int Rounds, const Solver::Options &Opts) {
+void benchPhaseTransition(int Vars, int Rounds) {
   WorkloadResult W;
-  W.Name = "sat_phase_transition_v" + std::to_string(Vars) +
-           policySuffix(Opts);
+  W.Name = "sat_phase_transition_v" + std::to_string(Vars);
   Timer T;
   uint64_t Seed = 1;
   for (int I = 0; I < Rounds; ++I) {
     Rng R(Seed++);
     auto Cs = random3Sat(R, Vars, static_cast<int>(Vars * 4.26));
-    Solver S{Opts};
+    Solver S;
     S.ensureVars(Vars);
     bool Ok = true;
     for (const Clause &C : Cs)
@@ -157,11 +146,11 @@ std::vector<Clause> pigeonholeClauses(int Holes) {
   return Cs;
 }
 
-void benchPigeonhole(int Holes, const Solver::Options &Opts) {
+void benchPigeonhole(int Holes) {
   WorkloadResult W;
-  W.Name = "sat_pigeonhole_h" + std::to_string(Holes) + policySuffix(Opts);
+  W.Name = "sat_pigeonhole_h" + std::to_string(Holes);
   Timer T;
-  Solver S{Opts};
+  Solver S;
   S.ensureVars((Holes + 1) * Holes);
   for (const Clause &C : pigeonholeClauses(Holes))
     S.addClause(C);
@@ -302,14 +291,14 @@ void benchWcnfSweep(const std::string &Dir) {
 
 // --- the TCAS Fu-Malik localization workload --------------------------------
 
-/// Algorithm 1's enumeration with the seed engine: the whole MaxSAT is
-/// rebuilt from scratch for every diagnosis AND every relaxation round
-/// rebuilds its solver. This is the baseline the incremental engine is
-/// measured against.
+/// Algorithm 1's enumeration without an incremental session: a fresh
+/// Fu-Malik solve per diagnosis on the instance plus the blocking clauses
+/// so far, so learned clauses never outlive one diagnosis. This is the
+/// baseline the incremental driver is measured against.
 void rebuiltEnumerate(MaxSatInstance Inst, const CnfFormula &F,
                       size_t MaxDiagnoses, WorkloadResult &W) {
   for (size_t Diagnoses = 0; Diagnoses < MaxDiagnoses;) {
-    MaxSatResult R = referenceSolveFuMalik(Inst);
+    MaxSatResult R = solveFuMalik(Inst);
     W.SatCalls += R.SatCalls;
     W.addSearch(R.Search);
     if (R.Status != MaxSatStatus::Optimum || R.FalsifiedSoft.empty())
@@ -323,35 +312,6 @@ void rebuiltEnumerate(MaxSatInstance Inst, const CnfFormula &F,
   }
 }
 
-/// Algorithm 1's enumeration over ONE incremental Fu-Malik session with the
-/// given solver policies: blocking clauses are added through the session so
-/// learned clauses survive every diagnosis. Running this once with the
-/// Glucose policies and once with the seed policies isolates the clause
-/// management change on identical workloads.
-void sessionEnumerate(const MaxSatInstance &Inst, const CnfFormula &F,
-                      size_t MaxDiagnoses, WorkloadResult &W,
-                      const Solver::Options &Opts) {
-  auto Session = makeFuMalikSession(Inst, /*ConflictBudget=*/0, Opts);
-  SolverStats Final; // session stats are cumulative; keep only the last
-  for (size_t Diagnoses = 0; Diagnoses < MaxDiagnoses;) {
-    MaxSatResult R = Session->solve();
-    W.SatCalls += R.SatCalls;
-    Final = R.Search;
-    if (R.Status != MaxSatStatus::Optimum || R.FalsifiedSoft.empty())
-      break;
-    Clause Blocking;
-    for (size_t SoftIdx : R.FalsifiedSoft)
-      Blocking.push_back(mkLit(F.group(static_cast<GroupId>(SoftIdx)).Selector));
-    // The CoMSS just found counts even when blocking it exhausts the hard
-    // formula, matching rebuiltEnumerate and the driver's enumeration.
-    ++Diagnoses;
-    ++W.Extra;
-    if (!Session->addHardClause(Blocking))
-      break;
-  }
-  W.addSearch(Final);
-}
-
 void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
                            size_t MaxDiagnoses) {
   DiagEngine Diags;
@@ -363,13 +323,9 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
   auto Pool = tcasTestPool(400);
   auto GoldenOut = goldenOutputs(*Golden, Pool, "main", tcasExecOptions());
 
-  WorkloadResult Inc, Lbd, Seed, Reb;
+  WorkloadResult Inc, Reb;
   Inc.Name = "tcas_fumalik_localize_incremental";
   Inc.ExtraKey = "diagnoses";
-  Lbd.Name = "tcas_fumalik_comss_lbd_tiers";
-  Lbd.ExtraKey = "diagnoses";
-  Seed.Name = "tcas_fumalik_comss_activity_halving";
-  Seed.ExtraKey = "diagnoses";
   Reb.Name = "tcas_fumalik_localize_rebuilt";
   Reb.ExtraKey = "diagnoses";
 
@@ -407,16 +363,8 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
       const CnfFormula &F = Driver.formula().encoded().Formula;
 
       Timer T2;
-      sessionEnumerate(Inst, F, MaxDiagnoses, Lbd, Solver::Options());
-      Lbd.WallSeconds += T2.seconds();
-
-      Timer T3;
-      sessionEnumerate(Inst, F, MaxDiagnoses, Seed, Solver::Options::seed());
-      Seed.WallSeconds += T3.seconds();
-
-      Timer T4;
       rebuiltEnumerate(Inst, F, MaxDiagnoses, Reb);
-      Reb.WallSeconds += T4.seconds();
+      Reb.WallSeconds += T2.seconds();
     }
   }
   if (MutantsUsed == 0) {
@@ -424,23 +372,14 @@ void benchTcasLocalization(size_t NumMutants, size_t TestsPerMutant,
     return;
   }
   double WorkInc = static_cast<double>(Inc.Conflicts + Inc.Propagations);
-  double WorkLbd = static_cast<double>(Lbd.Conflicts + Lbd.Propagations);
-  double WorkSeed = static_cast<double>(Seed.Conflicts + Seed.Propagations);
   double WorkReb = static_cast<double>(Reb.Conflicts + Reb.Propagations);
-  double WallInc = Inc.WallSeconds, WallLbd = Lbd.WallSeconds,
-         WallSeed = Seed.WallSeconds, WallReb = Reb.WallSeconds;
+  double WallInc = Inc.WallSeconds, WallReb = Reb.WallSeconds;
   record(std::move(Inc));
-  record(std::move(Lbd));
-  record(std::move(Seed));
   record(std::move(Reb));
   std::printf("tcas incremental vs rebuilt (%zu mutants): "
               "conflicts+propagations %.2fx, wall %.2fx\n",
               MutantsUsed, WorkInc > 0 ? WorkReb / WorkInc : 0.0,
               WallInc > 0 ? WallReb / WallInc : 0.0);
-  std::printf("tcas lbd-tiers vs activity-halving (CoMSS sessions): "
-              "conflicts+propagations %.2fx, wall %.2fx\n",
-              WorkLbd > 0 ? WorkSeed / WorkLbd : 0.0,
-              WallLbd > 0 ? WallSeed / WallLbd : 0.0);
 }
 
 void writeJson(const char *Path) {
@@ -503,13 +442,10 @@ int main(int argc, char **argv) {
   int PhaseVars = Smoke ? 60 : 100;
   int PhaseRounds = Smoke ? 2 : Quick ? 4 : 16;
   int Holes = Smoke ? 5 : Quick ? 6 : 7;
-  for (const Solver::Options &O :
-       {Solver::Options(), Solver::Options::seed()}) {
-    benchPhaseTransition(PhaseVars, PhaseRounds, O);
-    benchPigeonhole(Holes, O);
-  }
+  benchPhaseTransition(PhaseVars, PhaseRounds);
+  benchPigeonhole(Holes);
   if (!Quick)
-    benchPigeonhole(8, Solver::Options()); // the larger refutation
+    benchPigeonhole(8); // the larger refutation
 
   std::vector<int> ChainLens = Smoke ? std::vector<int>{100}
                                      : std::vector<int>{200, 800};
@@ -518,12 +454,8 @@ int main(int argc, char **argv) {
     std::string Suffix = "_chain" + std::to_string(Len);
     benchMaxSat("maxsat_fumalik_incremental" + Suffix, Chain,
                 [](const MaxSatInstance &I) { return solveFuMalik(I); });
-    benchMaxSat("maxsat_fumalik_rebuilt" + Suffix, Chain,
-                [](const MaxSatInstance &I) { return referenceSolveFuMalik(I); });
     benchMaxSat("maxsat_linear_incremental" + Suffix, Chain,
                 [](const MaxSatInstance &I) { return solveLinear(I); });
-    benchMaxSat("maxsat_linear_rebuilt" + Suffix, Chain,
-                [](const MaxSatInstance &I) { return referenceSolveLinear(I); });
   }
 
   benchTcasLocalization(/*NumMutants=*/Quick ? 1 : 6,

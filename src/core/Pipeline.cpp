@@ -622,23 +622,18 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
   Out.FailingInput = LR.FailingInput;
   Out.Report = std::move(LR.Report);
 
-  // Candidate lines in first-seen diagnosis order: the first CoMSS is the
-  // most likely fix location and gets mutated first.
-  std::vector<uint32_t> Lines;
-  std::set<uint32_t> Seen;
-  for (const Diagnosis &D : Out.Report.Diagnoses)
-    for (uint32_t Line : D.Lines)
-      if (Seen.insert(Line).second)
-        Lines.push_back(Line);
-
-  RepairOptions RO = R.Repair;
-  RO.CandidateLines = std::move(Lines);
-  RO.Unroll = R.Unroll;
-  RO.Localize = L.Localize;
-  const std::vector<int64_t> *Goldens =
-      R.Goldens.empty() ? nullptr : &R.Goldens;
-  Out.Repair = repairProgram(*P.Prog, *P.Driver, R.Entry, R.Inputs,
-                             LR.SpecUsed, Goldens, RO, Prescreen.get());
+  // No diagnosis leaves no line to mutate. repairProgram would read the
+  // empty line list as "localize first" and build a second session.
+  if (!Out.Report.Diagnoses.empty()) {
+    RepairOptions RO = R.Repair;
+    RO.CandidateLines = candidateLines(Out.Report);
+    RO.Unroll = R.Unroll;
+    RO.Localize = L.Localize;
+    const std::vector<int64_t> *Goldens =
+        R.Goldens.empty() ? nullptr : &R.Goldens;
+    Out.Repair = repairProgram(*P.Prog, *P.Driver, R.Entry, R.Inputs,
+                               LR.SpecUsed, Goldens, RO, Prescreen.get());
+  }
 
   if (Out.Report.Incomplete || (Out.Repair.Truncated && !Out.Repair.Found))
     Out.Code = ErrorCode::BudgetExhausted;

@@ -170,11 +170,7 @@ RepairResult repairCore(const Program &Prog,
       ++Result.Stats.FormulaBuilds;
       R = Driver.localize(FailingTests[0], S0, Localize);
     }
-    std::set<uint32_t> Seen;
-    for (const Diagnosis &D : R.Diagnoses)
-      for (uint32_t L : D.Lines)
-        if (Seen.insert(L).second)
-          Lines.push_back(L);
+    Lines = candidateLines(R);
   }
   Result.SuspectLines = Lines;
   Result.Stats.LinesConsidered = Lines.size();
@@ -268,6 +264,17 @@ RepairResult repairCore(const Program &Prog,
 }
 
 } // namespace
+
+std::vector<uint32_t>
+bugassist::candidateLines(const LocalizationReport &Report) {
+  std::vector<uint32_t> Lines;
+  std::set<uint32_t> Seen;
+  for (const Diagnosis &D : Report.Diagnoses)
+    for (uint32_t L : D.Lines)
+      if (Seen.insert(L).second)
+        Lines.push_back(L);
+  return Lines;
+}
 
 RepairResult bugassist::repairProgram(const Program &Prog,
                                       const std::string &Entry,

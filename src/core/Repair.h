@@ -92,6 +92,11 @@ struct RepairResult {
   RepairStats Stats;
 };
 
+/// The lines of \p Report's diagnoses in first-seen order, each once: the
+/// first CoMSS is the most likely fix location, so its lines are mutated
+/// first.
+std::vector<uint32_t> candidateLines(const LocalizationReport &Report);
+
 /// Algorithm 2 generalized to off-by-one and operator mutations.
 /// \p FailingTests drive both localization and candidate screening; the
 /// spec's GoldenReturn (if any) applies per test via \p GoldenPerTest.

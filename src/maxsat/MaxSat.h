@@ -226,9 +226,8 @@ public:
 
 /// Creates a Fu-Malik core-guided session (unweighted; weights ignored).
 /// \p ConflictBudget bounds each underlying SAT call (0 = unlimited);
-/// \p SolverOpts selects the persistent solver's search policies (defaults
-/// to the Glucose-style LBD retention + EMA restarts; pass
-/// Solver::Options::seed() to pin the original behavior). With
+/// \p SolverOpts tunes the persistent solver (Glucose-style LBD retention
+/// and EMA restarts; the defaults are what every front end runs). With
 /// \p Canonical the reported optimum is canonicalized (greedily prefer
 /// satisfying soft clauses in index order, see Canonical.h), making the
 /// reported CoMSS independent of search history -- the localization

@@ -139,11 +139,7 @@ FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
       RO.MaxCandidates = Opts.RepairMaxCandidates;
       RO.VerifyBudget = Opts.RepairVerifyBudget;
       RO.MaxInterpSteps = Opts.MaxInterpSteps;
-      std::set<uint32_t> Seen;
-      for (const Diagnosis &D : FirstRes.Report.Diagnoses)
-        for (uint32_t L : D.Lines)
-          if (Seen.insert(L).second)
-            RO.CandidateLines.push_back(L);
+      RO.CandidateLines = candidateLines(FirstRes.Report);
       Spec S;
       S.CheckObligations = Subject.CheckObligations;
       RepairResult RR = repairProgram(*P.Prog, *P.Driver, Subject.Entry,

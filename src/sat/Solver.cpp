@@ -646,31 +646,12 @@ Lit Solver::pickBranchLit() {
   return mkLit(Next, /*Negated=*/!SavedPhase[Next]);
 }
 
-uint64_t Solver::lubyScale(uint64_t I) {
-  // Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-  uint64_t K = 1;
-  while ((1ull << (K + 1)) <= I + 1)
-    ++K;
-  while ((1ull << K) - 1 != I + 1) {
-    I = I - ((1ull << K) - 1);
-    K = 1;
-    while ((1ull << (K + 1)) <= I + 1)
-      ++K;
-  }
-  return 1ull << (K - 1);
-}
-
 void Solver::pushLearnt(ClauseRef CR, uint32_t Lbd) {
   setClauseLbd(CR, Lbd);
-  if (Opts.Retention == Options::RetentionPolicy::ActivityHalving) {
-    LocalLearnts.push_back(CR);
-    ++Stats.LocalLearnts;
-    return;
-  }
   if (Lbd <= Opts.CoreLbdCut || clauseSize(CR) <= 2) {
     CoreLearnts.push_back(CR);
     ++Stats.CoreLearnts;
-  } else if (Lbd <= Opts.MidLbdCut) {
+  } else if (Lbd <= MidLbdCut) {
     MidLearnts.push_back(CR);
     ++Stats.MidLearnts;
   } else {
@@ -681,17 +662,15 @@ void Solver::pushLearnt(ClauseRef CR, uint32_t Lbd) {
 
 size_t Solver::reducibleLearnts() const {
   // Core clauses are permanent and never count against the reduction
-  // trigger; under the seed policy every learnt lives in Local.
+  // trigger.
   return MidLearnts.size() + LocalLearnts.size();
 }
 
 void Solver::onConflictLearnt(uint32_t Lbd) {
   Stats.LbdSum += Lbd;
   ++Stats.LbdCount;
-  if (Opts.Restart != Options::RestartPolicy::GlucoseEma)
-    return;
-  FastLbdEma += Opts.FastLbdAlpha * (static_cast<double>(Lbd) - FastLbdEma);
-  FastLbdBias += Opts.FastLbdAlpha * (1.0 - FastLbdBias);
+  FastLbdEma += FastLbdAlpha * (static_cast<double>(Lbd) - FastLbdEma);
+  FastLbdBias += FastLbdAlpha * (1.0 - FastLbdBias);
   double TrailSize = static_cast<double>(Trail.size());
   // Glucose blocking: an unusually deep trail at conflict time means the
   // solver is probably closing in on a model; cancel a pending restart
@@ -707,8 +686,8 @@ void Solver::onConflictLearnt(uint32_t Lbd) {
     // Drop the pending high-LBD signal: corrected fast EMA == lifetime avg.
     FastLbdEma = Stats.avgLearntLbd() * FastLbdBias;
   }
-  TrailEma += Opts.TrailAlpha * (TrailSize - TrailEma);
-  TrailBias += Opts.TrailAlpha * (1.0 - TrailBias);
+  TrailEma += TrailAlpha * (TrailSize - TrailEma);
+  TrailBias += TrailAlpha * (1.0 - TrailBias);
 }
 
 bool Solver::restartPending() const {
@@ -718,8 +697,6 @@ bool Solver::restartPending() const {
 }
 
 bool Solver::shouldRestart() const {
-  if (Opts.Restart == Options::RestartPolicy::Luby)
-    return ConflictsSinceRestart >= CurRestartBudget;
   // At least one conflict must separate restarts, or a standing EMA signal
   // would spin the search loop without ever deciding.
   uint64_t Warmup = Opts.RestartMinConflicts ? Opts.RestartMinConflicts : 1;
@@ -830,8 +807,7 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
   checkGarbage();
 
   LBool Result = LBool::Undef;
-  for (uint64_t RestartIdx = 0; Result == LBool::Undef; ++RestartIdx) {
-    CurRestartBudget = Opts.LubyUnit * lubyScale(RestartIdx);
+  while (Result == LBool::Undef) {
     ConflictsSinceRestart = 0;
     Result = search();
     if (Result == LBool::Undef) {
@@ -845,9 +821,8 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
       ++Stats.Restarts;
       if (ConflictBudget != 0 && ConflictsThisSolve >= ConflictBudget)
         break;
-      if (Ok && Opts.Preprocess && Opts.InprocessIntervalConflicts != 0 &&
-          Stats.Conflicts - LastInprocConflicts >=
-              Opts.InprocessIntervalConflicts)
+      if (Ok && Opts.Preprocess &&
+          Stats.Conflicts - LastInprocConflicts >= InprocessIntervalConflicts)
         preprocess(); // inprocessing under the same budget accounting
       if (!Ok) {
         Result = LBool::False;
@@ -938,44 +913,12 @@ void Solver::simplifyLevel0() {
   ProblemClauseFreed = false;
 }
 
-void Solver::reduceDB() {
-  if (Opts.Retention == Options::RetentionPolicy::LbdTiers)
-    reduceDbTiers();
-  else
-    reduceDbActivity();
-}
-
 void Solver::reduceLearntDb() {
   assert(decisionLevel() == 0 && "reduce only at the root level");
   reduceDB();
 }
 
-void Solver::reduceDbActivity() {
-  // Seed policy: remove the lowest-activity half of learnt clauses, keeping
-  // binary and locked (reason) clauses. Everything lives in Local.
-  std::sort(LocalLearnts.begin(), LocalLearnts.end(),
-            [&](ClauseRef A, ClauseRef B) {
-              return clauseActivity(A) < clauseActivity(B);
-            });
-  size_t J = 0;
-  for (size_t I = 0; I < LocalLearnts.size(); ++I) {
-    ClauseRef CR = LocalLearnts[I];
-    if (clauseFreed(CR))
-      continue;
-    bool Removable =
-        clauseSize(CR) > 2 && !isLocked(CR) && I < LocalLearnts.size() / 2;
-    if (Removable)
-      removeClause(CR);
-    else
-      LocalLearnts[J++] = CR;
-  }
-  LocalLearnts.resize(J);
-  MaxLearnts = MaxLearnts * 1.1 + 100;
-  refreshTierGauges();
-  checkGarbage();
-}
-
-void Solver::reduceDbTiers() {
+void Solver::reduceDB() {
   // Redistribute mid/local by their current (possibly tightened) LBD; the
   // core tier is permanent and never rescanned.
   std::vector<ClauseRef> Mid, Local;
@@ -987,7 +930,7 @@ void Solver::reduceDbTiers() {
       CoreLearnts.push_back(CR); // promoted for good
       return;
     }
-    if (Lbd <= Opts.MidLbdCut) {
+    if (Lbd <= MidLbdCut) {
       if (clauseTouched(CR)) {
         // Used in a conflict since the last reduction: stays mid, young.
         setClauseTouched(CR, false);
@@ -996,12 +939,8 @@ void Solver::reduceDbTiers() {
         return;
       }
       if (FromMid) {
-        // The stored age saturates at AgeMask, so a configured MidMaxAge
-        // beyond the field's range degrades to AgeMask + 1 instead of
-        // wrapping into immortality.
         uint32_t Age = clauseAge(CR) + 1;
-        uint32_t MaxAge = std::min(Opts.MidMaxAge, AgeMask + 1);
-        if (Age < MaxAge) {
+        if (Age < MidMaxAge) {
           setClauseAge(CR, Age);
           Mid.push_back(CR);
           return;

@@ -28,10 +28,9 @@
 /// restart when the search degrades, and a trail-size EMA *blocks* pending
 /// restarts when the assignment is unusually deep (the solver is probably
 /// closing in on a model -- crucial for the SAT-heavy linear-search phase of
-/// MaxSAT). Both policies are selectable through Solver::Options; the
-/// seed's Luby restarts + activity-halving deletion remain available so the
-/// rebuild-per-round reference engines and differential tests can pin the
-/// original behavior.
+/// MaxSAT). This is the solver's only search policy; Solver::Options
+/// exposes the few scalars tests tune to force its restart, blocking and
+/// reduction paths.
 ///
 /// The solver is designed to stay alive across many solve() calls: clauses
 /// can be added between calls, learned clauses / VSIDS activity / saved
@@ -85,7 +84,7 @@ struct SolverStats {
   uint64_t LbdSum = 0;   ///< sum of learn-time LBDs over all conflicts
   uint64_t LbdCount = 0; ///< conflicts that recorded an LBD (incl. units)
   uint64_t LbdTightened = 0; ///< reason-clause LBDs improved during analysis
-  // Live tier gauges (LbdTiers retention; seed policy reports all as Local).
+  // Live learnt-tier gauges.
   uint64_t CoreLearnts = 0;
   uint64_t MidLearnts = 0;
   uint64_t LocalLearnts = 0;
@@ -116,51 +115,28 @@ struct SolverStats {
 /// \endcode
 class Solver {
 public:
-  /// Search-policy knobs. Defaults are the Glucose-style policies; seed()
-  /// pins the original Luby + activity-halving behavior for the reference
-  /// engines and differential tests.
+  /// Knobs of the one search policy (Glucose EMA restarts and LBD tier
+  /// retention). Only the knobs some caller sets are here; the EMA weights,
+  /// the mid-tier cut and age, and the inprocessing interval are private
+  /// constants.
   ///
   /// Orientation for tuners:
-  ///  * Restart/Retention select the *policies*; the grouped scalars below
-  ///    them only apply to the selected policy.
   ///  * The EMA restart scalars trade restart frequency against model
   ///    finding: a lower RestartMargin restarts more eagerly (good on
   ///    UNSAT-heavy refutations), a lower BlockMargin blocks restarts
   ///    sooner when the trail grows (good for the SAT-heavy linear-search
   ///    phase of MaxSAT).
-  ///  * The LBD tier cuts trade memory against re-learning: raising
-  ///    CoreLbdCut keeps more clauses forever; raising MidMaxAge gives
-  ///    mid-tier clauses more reductions to prove themselves.
+  ///  * Raising CoreLbdCut keeps more learnt clauses forever, trading
+  ///    memory against re-learning.
   struct Options {
-    enum class RestartPolicy : uint8_t {
-      Luby,      ///< fixed Luby sequence scaled by LubyUnit (seed behavior)
-      GlucoseEma ///< dual-EMA LBD trigger with trail-size blocking
-    };
-    enum class RetentionPolicy : uint8_t {
-      ActivityHalving, ///< drop the lowest-activity half (seed behavior)
-      LbdTiers         ///< core/mid/local tiers keyed by LBD
-    };
-
-    RestartPolicy Restart = RestartPolicy::GlucoseEma;
-    RetentionPolicy Retention = RetentionPolicy::LbdTiers;
-
-    // -- Luby restarts ----
-    uint64_t LubyUnit = 100; ///< conflicts per Luby step
-
     // -- Glucose EMA restarts ----
-    double FastLbdAlpha = 1.0 / 32;  ///< EMA weight of the recent-LBD signal
     double RestartMargin = 1.25;     ///< restart when fast > margin * lifetime
     uint64_t RestartMinConflicts = 50; ///< warmup conflicts after each restart
-    double TrailAlpha = 1.0 / 256;   ///< EMA weight of the trail-size signal
     double BlockMargin = 1.4;        ///< block when trail > margin * trail EMA
     uint64_t BlockMinConflicts = 100; ///< conflicts before blocking can fire
 
     // -- LBD tier retention ----
     uint32_t CoreLbdCut = 3; ///< LBD <= cut (or binary) => kept forever
-    uint32_t MidLbdCut = 6;  ///< LBD <= cut => mid tier, aged by usage
-    uint32_t MidMaxAge = 2;  ///< reductions a mid clause may sit unused
-
-    // -- shared ----
     double MaxLearntsBase = 1000.0; ///< floor of the first reduceDB trigger
 
     // -- inprocessing (sat/Simplifier.h) ----
@@ -170,24 +146,11 @@ public:
     /// assume or release must be frozen first (setFrozen); the
     /// MaxSAT sessions register their control variables automatically.
     bool Preprocess = true;
-    /// Conflicts between inprocessing passes at restart boundaries
-    /// (0 = preprocess at load only).
-    uint64_t InprocessIntervalConflicts = 20000;
     /// Skip the pass while the problem has fewer clauses than this: on a
     /// handful-of-clauses formula even building the occurrence lists
     /// costs more than simplification can ever recover. Tests that probe
     /// the pass on tiny hand-built formulas set it to 0.
     size_t PreprocessMinClauses = 16;
-
-    /// The seed solver's policies: Luby restarts, activity-halving deletion,
-    /// no preprocessing (the reference engines model the original solver).
-    static Options seed() {
-      Options O;
-      O.Restart = RestartPolicy::Luby;
-      O.Retention = RetentionPolicy::ActivityHalving;
-      O.Preprocess = false;
-      return O;
-    }
   };
 
   Solver() : Solver(Options()) {}
@@ -336,13 +299,12 @@ public:
   const SolverStats &stats() const { return Stats; }
 
   /// LBDs of the live learnt clauses across all tiers, in no particular
-  /// order. Introspection surface for tests and benches; under the seed
-  /// retention policy LBDs are still computed and reported.
+  /// order. Introspection surface for tests and benches.
   std::vector<uint32_t> learntLbds() const;
 
-  /// Forces a learned-clause reduction with the configured retention
-  /// policy. Must be called at the root level (between solve() calls);
-  /// normally reductions trigger automatically during search.
+  /// Forces a learned-clause reduction. Must be called at the root level
+  /// (between solve() calls); normally reductions trigger automatically
+  /// during search.
   void reduceLearntDb();
 
   /// Forces a relocating arena collection (normally triggered once a fifth
@@ -524,8 +486,6 @@ private:
   void pushLearnt(ClauseRef CR, uint32_t Lbd);
   size_t reducibleLearnts() const;
   void reduceDB();
-  void reduceDbActivity();
-  void reduceDbTiers();
   void refreshTierGauges();
   void simplifyLevel0();
   void checkGarbage();
@@ -567,16 +527,13 @@ private:
     return RandState;
   }
 
-  static uint64_t lubyScale(uint64_t I);
-
   // --- state ----------------------------------------------------------------
   Options Opts;
   bool Ok = true;
   std::vector<Lit> Arena; // flat clause storage (see layout above)
   size_t ArenaWasted = 0; // words occupied by freed/shrunk clauses
   std::vector<ClauseRef> ProblemClauses;
-  // Learnt tiers. The seed retention policy keeps everything in Local;
-  // LbdTiers distributes by LBD and Core is never scanned for deletion.
+  // Learnt tiers, distributed by LBD; Core is never scanned for deletion.
   std::vector<ClauseRef> CoreLearnts;
   std::vector<ClauseRef> MidLearnts;
   std::vector<ClauseRef> LocalLearnts;
@@ -673,7 +630,6 @@ private:
   int BudgetPollCountdown = 0;
   uint64_t ConflictsThisSolve = 0;
   uint64_t ConflictsSinceRestart = 0;
-  uint64_t CurRestartBudget = 0; // Luby policy: conflicts before restart
   double MaxLearnts = 0;
   // Restart EMAs persist across solve() calls, like the learnt clauses
   // whose quality they track. Each EMA carries a bias divisor (the Adam
@@ -685,6 +641,16 @@ private:
   double FastLbdBias = 0;
   double TrailEma = 0;
   double TrailBias = 0;
+  // Search-policy constants (no caller varies them).
+  static constexpr double FastLbdAlpha = 1.0 / 32; // recent-LBD EMA weight
+  static constexpr double TrailAlpha = 1.0 / 256;  // trail-size EMA weight
+  static constexpr uint32_t MidLbdCut = 6; // LBD <= cut => mid tier, aged
+  static constexpr uint32_t MidMaxAge = 2; // reductions a mid clause may idle
+  // The stored age saturates at AgeMask, so a larger MidMaxAge would never
+  // be reached and mid clauses would become immortal.
+  static_assert(MidMaxAge <= AgeMask + 1, "MidMaxAge exceeds the age field");
+  // Conflicts between inprocessing passes at restart boundaries.
+  static constexpr uint64_t InprocessIntervalConflicts = 20000;
   // Decision RNG: a fixed seed, and RandBranchThreshold random decisions
   // per 1024 (about 2%).
   uint64_t RandState = 0x1234567890abcdefull;

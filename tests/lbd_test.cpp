@@ -5,65 +5,23 @@
 // Covers the Glucose-style learned-clause machinery: LBD computation at
 // learn time on formulas with hand-checked decision-level signatures,
 // three-tier reduceDB retention (core clauses survive every reduction),
-// LBD preservation across relocating arena GC, EMA restart triggering and
-// trail-EMA restart blocking, and a differential check that seed-pinned
-// options (Luby + activity halving) reproduce seed-equivalent results.
+// LBD preservation across relocating arena GC, EMA restart triggering,
+// trail-EMA restart blocking, and the incremental re-refutation win of
+// tier retention.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sat/Solver.h"
 
 #include "cnf/Cnf.h"
-#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 using namespace bugassist;
 
 namespace {
-
-bool bruteForceSat(int NumVars, const std::vector<Clause> &Clauses) {
-  for (uint64_t Mask = 0; Mask < (1ull << NumVars); ++Mask) {
-    bool AllSat = true;
-    for (const Clause &C : Clauses) {
-      bool Sat = false;
-      for (Lit L : C) {
-        bool V = (Mask >> L.var()) & 1;
-        if (V != L.negated()) {
-          Sat = true;
-          break;
-        }
-      }
-      if (!Sat) {
-        AllSat = false;
-        break;
-      }
-    }
-    if (AllSat)
-      return true;
-  }
-  return false;
-}
-
-std::vector<Clause> randomInstance(Rng &R, int NumVars, int NumClauses,
-                                   int ClauseLen) {
-  std::vector<Clause> Cs;
-  for (int I = 0; I < NumClauses; ++I) {
-    Clause C;
-    std::set<Var> Used;
-    while (static_cast<int>(C.size()) < ClauseLen) {
-      Var V = static_cast<Var>(R.below(NumVars));
-      if (!Used.insert(V).second)
-        continue;
-      C.push_back(mkLit(V, R.chance(1, 2)));
-    }
-    Cs.push_back(std::move(C));
-  }
-  return Cs;
-}
 
 /// PHP(Holes+1, Holes): UNSAT, forces real conflict analysis and learning.
 void addPigeonhole(Solver &S, int Holes) {
@@ -228,85 +186,6 @@ TEST(Lbd, TrailEmaBlocksRestarts) {
   ASSERT_GT(S.stats().Conflicts, 10u);
   EXPECT_EQ(S.stats().Restarts, 0u);
   EXPECT_GT(S.stats().RestartsBlocked, 0u);
-}
-
-// Seed-pinned options must expose the seed policies and keep every learnt
-// clause in the local tier (no core promotion in activity-halving mode).
-TEST(Lbd, SeedOptionsPinSeedPolicies) {
-  Solver::Options O = Solver::Options::seed();
-  EXPECT_EQ(O.Restart, Solver::Options::RestartPolicy::Luby);
-  EXPECT_EQ(O.Retention, Solver::Options::RetentionPolicy::ActivityHalving);
-  Solver S(O);
-  addPigeonhole(S, 5);
-  ASSERT_EQ(S.solve(), LBool::False);
-  ASSERT_GT(S.stats().LearnedClauses, 0u);
-  EXPECT_EQ(S.stats().CoreLearnts, 0u);
-  EXPECT_EQ(S.stats().MidLearnts, 0u);
-  // LBDs are still computed and surfaced under the seed policy.
-  EXPECT_GT(S.stats().LbdSum, 0u);
-  EXPECT_GT(S.stats().avgLearntLbd(), 0.0);
-}
-
-// Differential property: the Luby-pinned seed configuration and the default
-// Glucose configuration agree with brute force -- and hence each other -- on
-// random instances around the phase transition, for plain solves and for
-// solves under assumptions (including core re-verification).
-TEST(Lbd, SeedAndGlucosePoliciesAgree) {
-  Rng R(2026);
-  for (int Round = 0; Round < 60; ++Round) {
-    int NumVars = 12;
-    auto Cs = randomInstance(R, NumVars, 51, 3);
-    Solver Seeded{Solver::Options::seed()};
-    // The assumption probes below assume vars 0..4 after an unassumed
-    // solve whose preprocessing pass may eliminate them; keep the pass off
-    // so the comparison isolates the retention/restart policies.
-    Solver::Options GlucoseOpts;
-    GlucoseOpts.Preprocess = false;
-    Solver Glucose{GlucoseOpts};
-    Seeded.ensureVars(NumVars);
-    Glucose.ensureVars(NumVars);
-    bool OkS = true, OkG = true;
-    for (const Clause &C : Cs) {
-      OkS = OkS && Seeded.addClause(C);
-      OkG = OkG && Glucose.addClause(C);
-    }
-    EXPECT_EQ(OkS, OkG);
-    bool Expected = bruteForceSat(NumVars, Cs);
-    if (!OkS || !OkG) {
-      EXPECT_FALSE(Expected);
-      continue;
-    }
-    LBool RS = Seeded.solve();
-    LBool RG = Glucose.solve();
-    ASSERT_NE(RS, LBool::Undef);
-    EXPECT_EQ(RS, RG) << "policies disagree on round " << Round;
-    EXPECT_EQ(RS == LBool::True, Expected);
-
-    // Under random assumptions both policies agree, and a seed-policy core
-    // re-verifies on a glucose-policy solver (and vice versa).
-    std::vector<Lit> Assumps;
-    for (Var V = 0; V < 5; ++V)
-      Assumps.push_back(mkLit(V, R.chance(1, 2)));
-    LBool AS = Seeded.solve(Assumps);
-    LBool AG = Glucose.solve(Assumps);
-    EXPECT_EQ(AS, AG);
-    if (AS == LBool::False && AG == LBool::False) {
-      Solver Check;
-      Check.ensureVars(NumVars);
-      bool OkC = true;
-      for (const Clause &C : Cs)
-        OkC = OkC && Check.addClause(C);
-      ASSERT_TRUE(OkC);
-      EXPECT_EQ(Check.solve(Seeded.conflictCore()), LBool::False);
-      Solver Check2{Solver::Options::seed()};
-      Check2.ensureVars(NumVars);
-      bool OkC2 = true;
-      for (const Clause &C : Cs)
-        OkC2 = OkC2 && Check2.addClause(C);
-      ASSERT_TRUE(OkC2);
-      EXPECT_EQ(Check2.solve(Glucose.conflictCore()), LBool::False);
-    }
-  }
 }
 
 // Incremental MaxSAT-style reuse under the tier policy: repeated refutation

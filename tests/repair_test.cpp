@@ -11,6 +11,7 @@
 #include "lang/Sema.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
+#include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
 
@@ -241,6 +242,47 @@ TEST(RepairPooled, PrescreenIsHarmlessWhenDisabled) {
   // The prescreen only ever narrows the candidate plan.
   EXPECT_LE(WithScreen.Stats.CandidatesPlanned,
             WithoutScreen.Stats.CandidatesPlanned);
+}
+
+TEST(RepairPipeline, EmptyReportTriesNoRepair) {
+  // A localization that ends with no diagnosis leaves repair no line to
+  // mutate. An interrupt injected at the localization session's first
+  // clause allocation stops the search before its first diagnosis. A
+  // second localization (a fresh session, the fault spent) would find the
+  // fix lines, so any suspect line here means repair localized again.
+  const char *Src = "int main(int x) {\n"
+                    "  assume(x >= 0 && x <= 20);\n"
+                    "  bool ok = x <= 10;\n"
+                    "  int y = ok ? x : 0;\n"
+                    "  assert(y < 10);\n"
+                    "  return y;\n"
+                    "}\n";
+  PreparedProgram Prep;
+  Prep.Prog = compile(Src);
+  Prep.Driver = std::make_unique<BugAssistDriver>(*Prep.Prog, "main");
+  RepairRequest RR;
+  RR.Inputs = {{InputValue::scalar(10)}};
+
+  RepairPipelineResult Res;
+  {
+    faultinject::ScopedFault Fault(faultinject::Event::Allocation,
+                                   faultinject::Fault::Interrupt, 1);
+    Res = runRepairPipeline(Prep, RR);
+  }
+  ASSERT_EQ(Res.Status, PipelineStatus::Localized);
+  EXPECT_TRUE(Res.Report.Diagnoses.empty());
+  EXPECT_TRUE(Res.Report.Incomplete);
+  EXPECT_EQ(Res.Code, ErrorCode::BudgetExhausted);
+  EXPECT_TRUE(Res.Repair.SuspectLines.empty());
+  EXPECT_EQ(Res.Repair.Stats.PrescreenSatCalls, 0u);
+  EXPECT_EQ(Res.Repair.CandidatesTried, 0u);
+  EXPECT_FALSE(Res.Repair.Found);
+
+  // Without the fault the same request localizes and repairs.
+  RepairPipelineResult Clean = runRepairPipeline(Prep, RR);
+  ASSERT_FALSE(Clean.Report.Diagnoses.empty());
+  EXPECT_FALSE(Clean.Repair.SuspectLines.empty());
+  EXPECT_TRUE(Clean.Repair.Found);
 }
 
 namespace {

@@ -11,6 +11,8 @@
 #include "support/Rng.h"
 #include "support/Timer.h"
 
+#include "BruteForce.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,31 +24,6 @@
 using namespace bugassist;
 
 namespace {
-
-/// Brute-force SAT check for <= 20 variables; the reference oracle for
-/// property tests.
-bool bruteForceSat(int NumVars, const std::vector<Clause> &Clauses) {
-  for (uint64_t Mask = 0; Mask < (1ull << NumVars); ++Mask) {
-    bool AllSat = true;
-    for (const Clause &C : Clauses) {
-      bool Sat = false;
-      for (Lit L : C) {
-        bool V = (Mask >> L.var()) & 1;
-        if (V != L.negated()) {
-          Sat = true;
-          break;
-        }
-      }
-      if (!Sat) {
-        AllSat = false;
-        break;
-      }
-    }
-    if (AllSat)
-      return true;
-  }
-  return false;
-}
 
 bool modelSatisfies(const Solver &S, const std::vector<Clause> &Clauses) {
   for (const Clause &C : Clauses) {
@@ -378,7 +355,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomSatCase{16, 68, 11}, RandomSatCase{16, 80, 12}));
 
 // Property: under random assumptions, an UNSAT answer's core re-verifies
-// as UNSAT when solved with exactly the core as assumptions.
+// as UNSAT when solved with exactly the core as assumptions, with
+// preprocessing on and off.
 TEST(Solver, CoreReverifies) {
   Rng R(777);
   for (int Round = 0; Round < 40; ++Round) {
@@ -406,6 +384,53 @@ TEST(Solver, CoreReverifies) {
       continue;
     EXPECT_EQ(S2.solve(Core), LBool::False)
         << "core failed to reverify (round " << Round << ")";
+  }
+
+  // Preprocessing off, on a solver that has already decided the formula
+  // without assumptions: the assumption probe then runs over the learnt
+  // clauses of the first solve. Both answers must match brute force and an
+  // UNSAT core must re-verify on a fresh default solver.
+  Rng R2(2026);
+  Solver::Options NoPre;
+  NoPre.Preprocess = false;
+  for (int Round = 0; Round < 60; ++Round) {
+    const int NumVars = 12;
+    auto Cs = randomInstance(R2, NumVars, 51, 3);
+    Solver S{NoPre};
+    S.ensureVars(NumVars);
+    bool Ok = true;
+    for (const Clause &C : Cs)
+      Ok = Ok && S.addClause(C);
+    bool Expected = bruteForceSat(NumVars, Cs);
+    if (!Ok) {
+      EXPECT_FALSE(Expected);
+      continue;
+    }
+    LBool Got = S.solve();
+    ASSERT_NE(Got, LBool::Undef);
+    EXPECT_EQ(Got == LBool::True, Expected) << "round " << Round;
+
+    std::vector<Lit> Assumps;
+    std::vector<Clause> Assumed = Cs;
+    for (Var V = 0; V < 5; ++V) {
+      Assumps.push_back(mkLit(V, R2.chance(1, 2)));
+      Assumed.push_back({Assumps.back()});
+    }
+    LBool Probe = S.solve(Assumps);
+    ASSERT_NE(Probe, LBool::Undef);
+    EXPECT_EQ(Probe == LBool::True, bruteForceSat(NumVars, Assumed))
+        << "assumption probe, round " << Round;
+    if (Probe != LBool::False)
+      continue;
+    Solver Check;
+    Check.ensureVars(NumVars);
+    bool OkC = true;
+    for (const Clause &C : Cs)
+      OkC = OkC && Check.addClause(C);
+    ASSERT_TRUE(OkC);
+    EXPECT_EQ(Check.solve(S.conflictCore()), LBool::False)
+        << "preprocessing-off core failed to reverify (round " << Round
+        << ")";
   }
 }
 

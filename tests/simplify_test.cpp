@@ -20,6 +20,7 @@
 #include "cnf/Cnf.h"
 #include "support/Rng.h"
 
+#include "BruteForce.h"
 #include "CliTestUtils.h"
 
 #include <gtest/gtest.h>
@@ -38,29 +39,6 @@ using namespace bugassist;
 using namespace bugassist::clitest;
 
 namespace {
-
-bool bruteForceSat(int NumVars, const std::vector<Clause> &Clauses) {
-  for (uint64_t Mask = 0; Mask < (1ull << NumVars); ++Mask) {
-    bool AllSat = true;
-    for (const Clause &C : Clauses) {
-      bool Sat = false;
-      for (Lit L : C) {
-        bool V = (Mask >> L.var()) & 1;
-        if (V != L.negated()) {
-          Sat = true;
-          break;
-        }
-      }
-      if (!Sat) {
-        AllSat = false;
-        break;
-      }
-    }
-    if (AllSat)
-      return true;
-  }
-  return false;
-}
 
 bool modelSatisfies(const Solver &S, const std::vector<Clause> &Clauses) {
   for (const Clause &C : Clauses) {
