@@ -648,7 +648,7 @@ Lit Solver::pickBranchLit() {
 
 void Solver::pushLearnt(ClauseRef CR, uint32_t Lbd) {
   setClauseLbd(CR, Lbd);
-  if (Lbd <= Opts.CoreLbdCut || clauseSize(CR) <= 2) {
+  if (Lbd <= CoreLbdCut || clauseSize(CR) <= 2) {
     CoreLearnts.push_back(CR);
     ++Stats.CoreLearnts;
   } else if (Lbd <= MidLbdCut) {
@@ -926,7 +926,7 @@ void Solver::reduceDB() {
     if (clauseFreed(CR))
       return;
     uint32_t Lbd = clauseLbd(CR);
-    if (Lbd <= Opts.CoreLbdCut || clauseSize(CR) <= 2) {
+    if (Lbd <= CoreLbdCut || clauseSize(CR) <= 2) {
       CoreLearnts.push_back(CR); // promoted for good
       return;
     }

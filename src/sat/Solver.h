@@ -20,7 +20,7 @@
 /// every learnt clause carries its Literal Block Distance -- the number of
 /// distinct decision levels among its literals -- computed at learn time and
 /// tightened whenever the clause serves as a reason in conflict analysis.
-/// Retention is three-tiered: *core* clauses (LBD <= CoreLbdCut, and all
+/// Retention is three-tiered: *core* clauses (LBD <= 3, and all
 /// binaries) are kept forever, *mid* clauses age out when they stop
 /// participating in conflicts, and the *local* tier is rotated aggressively
 /// by LBD-then-activity. Restarts follow glucose's dual-EMA scheme: a fast
@@ -117,8 +117,8 @@ class Solver {
 public:
   /// Knobs of the one search policy (Glucose EMA restarts and LBD tier
   /// retention). Only the knobs some caller sets are here; the EMA weights,
-  /// the mid-tier cut and age, and the inprocessing interval are private
-  /// constants.
+  /// the core and mid-tier cuts, the mid-tier age and the inprocessing
+  /// interval are private constants.
   ///
   /// Orientation for tuners:
   ///  * The EMA restart scalars trade restart frequency against model
@@ -126,8 +126,6 @@ public:
   ///    UNSAT-heavy refutations), a lower BlockMargin blocks restarts
   ///    sooner when the trail grows (good for the SAT-heavy linear-search
   ///    phase of MaxSAT).
-  ///  * Raising CoreLbdCut keeps more learnt clauses forever, trading
-  ///    memory against re-learning.
   struct Options {
     // -- Glucose EMA restarts ----
     double RestartMargin = 1.25;     ///< restart when fast > margin * lifetime
@@ -136,7 +134,6 @@ public:
     uint64_t BlockMinConflicts = 100; ///< conflicts before blocking can fire
 
     // -- LBD tier retention ----
-    uint32_t CoreLbdCut = 3; ///< LBD <= cut (or binary) => kept forever
     double MaxLearntsBase = 1000.0; ///< floor of the first reduceDB trigger
 
     // -- inprocessing (sat/Simplifier.h) ----
@@ -644,6 +641,7 @@ private:
   // Search-policy constants (no caller varies them).
   static constexpr double FastLbdAlpha = 1.0 / 32; // recent-LBD EMA weight
   static constexpr double TrailAlpha = 1.0 / 256;  // trail-size EMA weight
+  static constexpr uint32_t CoreLbdCut = 3; // LBD <= cut or binary => core
   static constexpr uint32_t MidLbdCut = 6; // LBD <= cut => mid tier, aged
   static constexpr uint32_t MidMaxAge = 2; // reductions a mid clause may idle
   // The stored age saturates at AgeMask, so a larger MidMaxAge would never

@@ -1,4 +1,4 @@
-//===- BruteForce.h - exhaustive SAT / MaxSAT oracles for tests -*- C++ -*-===//
+//===- BruteForce.h - Test oracles and random CNF ---------------*- C++ -*-===//
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
@@ -7,7 +7,8 @@
 /// \file
 /// The reference oracles the solver and MaxSAT property tests compare
 /// against: plain enumeration of all 2^NumVars assignments, so they only
-/// suit small instances (a few dozen thousand assignments at most).
+/// suit small instances (a few dozen thousand assignments at most). Also
+/// the random k-CNF generator and model check those tests share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +16,13 @@
 #define BUGASSIST_TESTS_BRUTEFORCE_H
 
 #include "maxsat/MaxSat.h"
+#include "sat/Solver.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace bugassist {
@@ -51,6 +56,35 @@ inline bool bruteForceSat(int NumVars, const std::vector<Clause> &Clauses) {
   Inst.NumVars = NumVars;
   Inst.Hard = Clauses;
   return bruteForceOptimum(Inst) != UINT64_MAX;
+}
+
+/// \returns true if \p S's last model satisfies every clause of \p Clauses.
+inline bool modelSatisfies(const Solver &S,
+                           const std::vector<Clause> &Clauses) {
+  return std::all_of(Clauses.begin(), Clauses.end(), [&S](const Clause &C) {
+    return std::any_of(C.begin(), C.end(), [&S](Lit L) {
+      return S.modelValue(L) == LBool::True;
+    });
+  });
+}
+
+/// \p NumClauses random clauses of \p ClauseLen distinct variables from
+/// [0, NumVars), each literal negated with probability 1/2.
+inline std::vector<Clause> randomInstance(Rng &R, int NumVars, int NumClauses,
+                                          int ClauseLen) {
+  std::vector<Clause> Cs;
+  for (int I = 0; I < NumClauses; ++I) {
+    Clause C;
+    std::set<Var> Used;
+    while (static_cast<int>(C.size()) < ClauseLen) {
+      Var V = static_cast<Var>(R.below(NumVars));
+      if (!Used.insert(V).second)
+        continue;
+      C.push_back(mkLit(V, R.chance(1, 2)));
+    }
+    Cs.push_back(std::move(C));
+  }
+  return Cs;
 }
 
 } // namespace bugassist

@@ -64,7 +64,7 @@ TEST(Lbd, HandCheckedTwoLevelSignature) {
   std::vector<uint32_t> Lbds = S.learntLbds();
   ASSERT_EQ(Lbds.size(), 1u);
   EXPECT_EQ(Lbds[0], 2u);
-  // Binary and LBD <= CoreLbdCut: lands in the permanent core tier.
+  // Binary and LBD <= 3: lands in the permanent core tier.
   EXPECT_EQ(S.stats().CoreLearnts, 1u);
   EXPECT_EQ(S.stats().MidLearnts + S.stats().LocalLearnts, 0u);
 }

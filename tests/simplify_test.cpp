@@ -38,41 +38,6 @@
 using namespace bugassist;
 using namespace bugassist::clitest;
 
-namespace {
-
-bool modelSatisfies(const Solver &S, const std::vector<Clause> &Clauses) {
-  for (const Clause &C : Clauses) {
-    bool Sat = false;
-    for (Lit L : C)
-      if (S.modelValue(L) == LBool::True) {
-        Sat = true;
-        break;
-      }
-    if (!Sat)
-      return false;
-  }
-  return true;
-}
-
-std::vector<Clause> randomInstance(Rng &R, int NumVars, int NumClauses,
-                                   int ClauseLen) {
-  std::vector<Clause> Cs;
-  for (int I = 0; I < NumClauses; ++I) {
-    Clause C;
-    std::set<Var> Used;
-    while (static_cast<int>(C.size()) < ClauseLen) {
-      Var V = static_cast<Var>(R.below(NumVars));
-      if (!Used.insert(V).second)
-        continue;
-      C.push_back(mkLit(V, R.chance(1, 2)));
-    }
-    Cs.push_back(std::move(C));
-  }
-  return Cs;
-}
-
-} // namespace
-
 // --- hand-checked transformations --------------------------------------------
 
 // x has one positive occurrence (a \/ x) and one negative (~x \/ b): the
