@@ -13,14 +13,14 @@ using namespace bugassist;
 BitBlaster::BitBlaster(CnfFormula &F, int Width) : F(F), Width(Width) {
   assert(Width >= 2 && Width <= 62 && "unsupported word width");
   TrueL = mkLit(F.newVar());
-  F.addClause(TrueL); // hard: the constant-true anchor
+  F.addClause({TrueL}); // hard: the constant-true anchor
 }
 
-void BitBlaster::emit(Clause C) {
+void BitBlaster::emit(ClauseView C) {
   if (CurGroup == NoGroup)
-    F.addClause(std::move(C));
+    F.addClause(C);
   else
-    F.addGroupedClause(CurGroup, std::move(C));
+    F.addGroupedClause(CurGroup, C);
 }
 
 Lit BitBlaster::freshBit() { return mkLit(F.newVar()); }
@@ -140,7 +140,7 @@ Lit BitBlaster::mkAndList(const std::vector<Lit> &Ls) {
     emit({~O, L});
     Long.push_back(~L);
   }
-  emit(std::move(Long));
+  emit(Long);
   return O;
 }
 

@@ -106,7 +106,11 @@ public:
   void assertTrue(Lit A);
 
 private:
-  void emit(Clause C);
+  /// Appends \p C to the formula in place, in the current group.
+  void emit(ClauseView C);
+  void emit(std::initializer_list<Lit> C) {
+    emit(ClauseView(C.begin(), C.size()));
+  }
   Word uShiftStage(const Word &A, Lit Sel, int Amount, bool Left, Lit Fill);
 
   CnfFormula &F;

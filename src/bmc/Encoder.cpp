@@ -283,7 +283,7 @@ EncodedProgram Encoder::run() {
     if (BB->isConstTrue(G))
       BB->assertTrue(C);
     else
-      EP.Formula.addClause(~G, C);
+      EP.Formula.addClause({~G, C});
   }
 
   // Obligations: SpecLit <-> AND of (guard => cond).

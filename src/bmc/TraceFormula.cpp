@@ -48,7 +48,7 @@ std::vector<Clause> TraceFormula::bindInput(const InputVector &Test) const {
 MaxSatInstance TraceFormula::sharedInstance() const {
   MaxSatInstance Inst;
   Inst.NumVars = EP.Formula.numVars();
-  Inst.Hard = EP.Formula.hardClauses();
+  Inst.Formula = &EP.Formula;
 
   // Phi_S = TF2: one soft unit clause per clause group (selector),
   // weighted per group (Eq. 3 weights in loop-diagnosis mode). Selector
@@ -93,14 +93,11 @@ std::vector<Clause> TraceFormula::testClauses(const InputVector &Test,
 
 MaxSatInstance TraceFormula::localizationInstance(const InputVector &Test,
                                                   const Spec &S) const {
+  // Keep the historical clause order: TF1 (the borrowed Formula, loaded
+  // first), then [[test]] /\ p in Hard, with the soft selector units after
+  // NumVars -- sharedInstance already placed the soft side.
   MaxSatInstance Inst = sharedInstance();
-  std::vector<Clause> PerTest = testClauses(Test, S);
-  // Keep the historical clause order: TF1, then [[test]] /\ p, with the
-  // soft selector units after NumVars -- sharedInstance already placed the
-  // soft side, so only the hard suffix moves here.
-  Inst.Hard.reserve(Inst.Hard.size() + PerTest.size());
-  for (Clause &C : PerTest)
-    Inst.Hard.push_back(std::move(C));
+  Inst.Hard = testClauses(Test, S);
   return Inst;
 }
 

@@ -45,14 +45,18 @@ public:
 
   const EncodedProgram &encoded() const { return EP; }
 
-  /// Builds the partial MaxSAT instance (Phi_H, Phi_S) for \p Test.
+  /// Builds the partial MaxSAT instance (Phi_H, Phi_S) for \p Test. The
+  /// instance borrows TF1 (MaxSatInstance::Formula points at encoded()'s
+  /// formula), so this TraceFormula must stay alive, and unmoved, until
+  /// every session is built from the instance.
   MaxSatInstance localizationInstance(const InputVector &Test,
                                       const Spec &S) const;
 
-  /// The test-independent part of localizationInstance: Hard = TF1 only,
-  /// Soft/PreferTrue = the full selector structure. A MaxSAT session built
-  /// over this instance (and never solved) can be cloned per query and
-  /// completed with testClauses() -- the serve-mode encode-once path.
+  /// The test-independent part of localizationInstance: Formula = TF1
+  /// (borrowed, same lifetime rule), Hard empty, Soft/PreferTrue = the full
+  /// selector structure. A MaxSAT session built over this instance (and
+  /// never solved) can be cloned per query and completed with
+  /// testClauses() -- the serve-mode encode-once path.
   /// Selector guard variables allocated on top of NumVars land at the same
   /// IDs as in the per-test instance because testClauses adds no variables.
   MaxSatInstance sharedInstance() const;

@@ -6,15 +6,7 @@
 
 #include "cnf/Cnf.h"
 
-#include <cassert>
-
 using namespace bugassist;
-
-void CnfFormula::addClause(Clause C) {
-  for ([[maybe_unused]] Lit L : C)
-    assert(L.isValid() && L.var() < NumVars && "literal out of range");
-  Hard.push_back(std::move(C));
-}
 
 GroupId CnfFormula::newGroup(uint32_t Line, std::string Label, uint64_t Weight,
                              uint32_t Unwinding) {
@@ -27,25 +19,4 @@ GroupId CnfFormula::newGroup(uint32_t Line, std::string Label, uint64_t Weight,
   G.Unwinding = Unwinding;
   Groups.push_back(std::move(G));
   return Groups.back().Id;
-}
-
-void CnfFormula::addGroupedClause(GroupId Group, Clause C) {
-  assert(Group >= 0 && Group < static_cast<GroupId>(Groups.size()) &&
-         "bad group id");
-  C.push_back(mkLit(Groups[Group].Selector, /*Negated=*/true));
-  addClause(std::move(C));
-}
-
-GroupId CnfFormula::groupOfSelector(Var Selector) const {
-  for (const ClauseGroup &G : Groups)
-    if (G.Selector == Selector)
-      return G.Id;
-  return NoGroup;
-}
-
-size_t CnfFormula::literalCount() const {
-  size_t N = 0;
-  for (const Clause &C : Hard)
-    N += C.size();
-  return N;
 }

@@ -19,7 +19,9 @@
 
 #include "cnf/Lit.h"
 
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -44,14 +46,67 @@ struct ClauseGroup {
   uint32_t Unwinding = 0;
 };
 
+/// The hard clauses of a CnfFormula in order, each as a ClauseView into
+/// the formula's flat literal store. Views stay valid until the formula is
+/// next modified or destroyed.
+class ClauseRange {
+public:
+  class iterator;
+
+  ClauseRange(const Lit *Lits, const uint32_t *Ends, size_t Size)
+      : Lits(Lits), Ends(Ends), Size(Size) {}
+
+  size_t size() const { return Size; }
+  ClauseView operator[](size_t I) const {
+    uint32_t Begin = I ? Ends[I - 1] : 0;
+    return ClauseView(Lits + Begin, Ends[I] - Begin);
+  }
+  iterator begin() const;
+  iterator end() const;
+
+private:
+  const Lit *Lits;
+  const uint32_t *Ends;
+  size_t Size;
+};
+
+/// Holds a copy of its range, so it stays valid after the ClauseRange
+/// temporary it came from is gone (as long as the formula is unmodified).
+class ClauseRange::iterator {
+public:
+  iterator(ClauseRange R, size_t I) : R(R), I(I) {}
+  ClauseView operator*() const { return R[I]; }
+  iterator &operator++() {
+    ++I;
+    return *this;
+  }
+  bool operator!=(const iterator &O) const { return I != O.I; }
+
+private:
+  ClauseRange R;
+  size_t I;
+};
+
+inline ClauseRange::iterator ClauseRange::begin() const {
+  return iterator(*this, 0);
+}
+inline ClauseRange::iterator ClauseRange::end() const {
+  return iterator(*this, Size);
+}
+
 /// A CNF formula with hard clauses, grouped soft selectors, and fresh
 /// variable management.
+///
+/// The hard clauses are stored flat, MiniSAT-arena style: one literal
+/// array plus the end offset of each clause, so building a formula and
+/// loading it into a solver (Solver::addFormula, MaxSatInstance::Formula)
+/// make no per-clause heap allocation.
 ///
 /// Invariants:
 ///  * every literal in every clause refers to a variable < numVars();
 ///  * group selectors are ordinary variables of this formula;
 ///  * hard clauses added through addGroupedClause carry the group's
-///    (~selector) guard literal.
+///    (~selector) guard literal, last.
 class CnfFormula {
 public:
   /// Allocates a fresh variable.
@@ -65,28 +120,42 @@ public:
   }
 
   int numVars() const { return NumVars; }
-  size_t numClauses() const { return Hard.size(); }
+  size_t numClauses() const { return Ends.size(); }
   size_t numGroups() const { return Groups.size(); }
 
   /// Adds a hard (always enforced) clause.
-  void addClause(Clause C);
-  void addClause(Lit A) { addClause(Clause{A}); }
-  void addClause(Lit A, Lit B) { addClause(Clause{A, B}); }
-  void addClause(Lit A, Lit B, Lit C) { addClause(Clause{A, B, C}); }
+  void addClause(ClauseView C) {
+    appendLits(C);
+    closeClause();
+  }
+  void addClause(std::initializer_list<Lit> C) {
+    addClause(ClauseView(C.begin(), C.size()));
+  }
 
   /// Creates a new clause group with a fresh selector variable.
   GroupId newGroup(uint32_t Line, std::string Label = "", uint64_t Weight = 1,
                    uint32_t Unwinding = 0);
 
   /// Adds a clause guarded by \p Group's selector: the stored clause is
-  /// (~selector \/ C). Asserting the selector enforces C; unasserting it
-  /// "removes the statement" (paper Section 3.4).
-  void addGroupedClause(GroupId Group, Clause C);
+  /// (C \/ ~selector), guard last. Asserting the selector enforces C;
+  /// unasserting it "removes the statement" (paper Section 3.4).
+  void addGroupedClause(GroupId Group, ClauseView C) {
+    assert(Group >= 0 && Group < static_cast<GroupId>(Groups.size()) &&
+           "bad group id");
+    appendLits(C);
+    Lits.push_back(mkLit(Groups[Group].Selector, /*Negated=*/true));
+    closeClause();
+  }
+  void addGroupedClause(GroupId Group, std::initializer_list<Lit> C) {
+    addGroupedClause(Group, ClauseView(C.begin(), C.size()));
+  }
 
   const ClauseGroup &group(GroupId Id) const { return Groups[Id]; }
   ClauseGroup &group(GroupId Id) { return Groups[Id]; }
   const std::vector<ClauseGroup> &groups() const { return Groups; }
-  const std::vector<Clause> &hardClauses() const { return Hard; }
+  ClauseRange hardClauses() const {
+    return ClauseRange(Lits.data(), Ends.data(), Ends.size());
+  }
 
   /// \returns the selector literal (positive) of \p Group; the soft unit
   /// clauses of the paper's TF2 are exactly these.
@@ -94,15 +163,20 @@ public:
     return mkLit(Groups[Group].Selector);
   }
 
-  /// Looks up the group owning \p Selector, or NoGroup.
-  GroupId groupOfSelector(Var Selector) const;
-
-  /// Total number of literal occurrences across hard clauses.
-  size_t literalCount() const;
-
 private:
+  void appendLits(ClauseView C) {
+    for ([[maybe_unused]] Lit L : C)
+      assert(L.isValid() && L.var() < NumVars && "literal out of range");
+    Lits.insert(Lits.end(), C.begin(), C.end());
+  }
+  void closeClause() {
+    assert(Lits.size() <= UINT32_MAX && "flat clause store overflow");
+    Ends.push_back(static_cast<uint32_t>(Lits.size()));
+  }
+
   Var NumVars = 0;
-  std::vector<Clause> Hard;
+  std::vector<Lit> Lits;      // every hard clause's literals, back to back
+  std::vector<uint32_t> Ends; // clause I is Lits[Ends[I-1] (or 0), Ends[I])
   std::vector<ClauseGroup> Groups;
 };
 

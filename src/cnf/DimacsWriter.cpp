@@ -8,7 +8,7 @@
 
 using namespace bugassist;
 
-static void appendClause(std::string &Out, const Clause &C) {
+static void appendClause(std::string &Out, ClauseView C) {
   for (Lit L : C) {
     Out += L.str();
     Out += ' ';
@@ -19,7 +19,7 @@ static void appendClause(std::string &Out, const Clause &C) {
 std::string bugassist::writeDimacs(const CnfFormula &F) {
   std::string Out = "p cnf " + std::to_string(F.numVars()) + " " +
                     std::to_string(F.numClauses()) + "\n";
-  for (const Clause &C : F.hardClauses())
+  for (ClauseView C : F.hardClauses())
     appendClause(Out, C);
   return Out;
 }
@@ -34,7 +34,7 @@ std::string bugassist::writeWcnf(const CnfFormula &F) {
   std::string Out = "p wcnf " + std::to_string(F.numVars()) + " " +
                     std::to_string(NumClauses) + " " + std::to_string(Top) +
                     "\n";
-  for (const Clause &C : F.hardClauses()) {
+  for (ClauseView C : F.hardClauses()) {
     Out += std::to_string(Top);
     Out += ' ';
     appendClause(Out, C);
@@ -42,7 +42,8 @@ std::string bugassist::writeWcnf(const CnfFormula &F) {
   for (const ClauseGroup &G : F.groups()) {
     Out += std::to_string(G.Weight);
     Out += ' ';
-    appendClause(Out, Clause{mkLit(G.Selector)});
+    Lit Sel = mkLit(G.Selector);
+    appendClause(Out, ClauseView(&Sel, 1));
   }
   return Out;
 }

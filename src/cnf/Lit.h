@@ -70,6 +70,27 @@ constexpr Lit mkLit(Var V, bool Negated = false) { return Lit(V, Negated); }
 /// the solver copies clauses into its own arena.
 using Clause = std::vector<Lit>;
 
+/// A read-only (pointer, size) view of a clause's literals, wherever they
+/// live: a Clause, a CnfFormula's flat literal store, or a brace list. The
+/// view owns nothing; the literals must outlive it.
+class ClauseView {
+public:
+  constexpr ClauseView(const Lit *Data, size_t Size) : Data(Data), Size(Size) {}
+  ClauseView(const Clause &C) : Data(C.data()), Size(C.size()) {}
+
+  const Lit *begin() const { return Data; }
+  const Lit *end() const { return Data + Size; }
+  size_t size() const { return Size; }
+  Lit operator[](size_t I) const { return Data[I]; }
+
+  /// An owning copy.
+  Clause vec() const { return Clause(begin(), end()); }
+
+private:
+  const Lit *Data;
+  size_t Size;
+};
+
 /// Ternary truth value used for assignments and model queries.
 enum class LBool : uint8_t { False = 0, True = 1, Undef = 2 };
 

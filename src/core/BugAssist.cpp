@@ -143,10 +143,8 @@ bool bugassist::isValidCorrection(const TraceFormula &TF,
   MaxSatInstance Inst = TF.localizationInstance(FailingTest, S);
   const CnfFormula &F = TF.encoded().Formula;
   Solver Solve;
-  Solve.ensureVars(Inst.NumVars);
-  for (const Clause &C : Inst.Hard)
-    if (!Solve.addClause(C))
-      return false;
+  if (!Inst.loadHard(Solve))
+    return false;
   bool Ok = true;
   const std::set<uint32_t> LineSet(Lines.begin(), Lines.end());
   for (const ClauseGroup &G : F.groups()) {

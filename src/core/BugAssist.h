@@ -79,7 +79,8 @@ struct QueryBudget {
   double TimeoutSeconds = 0;
   /// Total conflict cap.
   uint64_t MaxConflicts = 0;
-  /// Clause-arena cap per solver, in mebibytes.
+  /// Memory cap per solver (clause arena plus per-variable state), in
+  /// mebibytes.
   uint64_t MaxMemoryMb = 0;
   /// The instant TimeoutSeconds counts from. Unset, every solverBudget()
   /// call starts its own clock; a request with several stages (repair)

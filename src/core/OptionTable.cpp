@@ -79,7 +79,7 @@ const std::vector<OptionRow> Table = {
            SET(O.Query.Localize.Budget.MaxConflicts = X.Int)),
     // Capped so the MiB-to-bytes shift cannot overflow uint64_t.
     intRow("--max-memory-mb", "max_memory_mb", Solving, 1, 1ll << 30,
-           "clause-arena cap per solver, in MiB",
+           "solver memory cap (arena + per-variable state), in MiB",
            SET(O.Query.Localize.Budget.MaxMemoryMb = X.Int)),
 
     row("--entry", "entry", OptionKind::Text, Encoding, "NAME",

@@ -60,14 +60,16 @@ std::string bugassist::renderMaxSatAnswer(const MaxSatResult &R, int NumVars,
 SatAnswer bugassist::solveSat(const std::vector<Clause> &Clauses,
                               int NumVars, const Solver::Options &Opts,
                               const Solver::Budget &Bud) {
+  SatAnswer A;
+  if (!Bud.admitsVars(NumVars))
+    return A; // Undef before any solver state is allocated
   Solver S(Opts);
+  if (!Bud.unlimited())
+    S.setBudget(Bud);
   S.ensureVars(NumVars);
   for (const Clause &C : Clauses)
     if (!S.addClause(C))
       break; // root-level UNSAT: solve() reports False immediately
-  if (!Bud.unlimited())
-    S.setBudget(Bud);
-  SatAnswer A;
   A.Result = S.solve();
   if (A.Result == LBool::True) {
     A.Model.reserve(static_cast<size_t>(NumVars));

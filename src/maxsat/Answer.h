@@ -44,9 +44,10 @@ struct SatAnswer {
   SolverStats Stats;
 };
 
-/// Decides \p Clauses on one solver: load them, install \p Bud (when set,
-/// so the load-time preprocessing pass inside solve() counts against it
-/// too), solve.
+/// Decides \p Clauses on one solver: install \p Bud (when set, so loading
+/// and the load-time preprocessing pass inside solve() count against it
+/// too), load them, solve. When NumVars alone overflows the budget's
+/// memory cap the answer is Undef and no solver state is allocated.
 SatAnswer solveSat(const std::vector<Clause> &Clauses, int NumVars,
                    const Solver::Options &Opts,
                    const Solver::Budget &Bud = Solver::Budget());

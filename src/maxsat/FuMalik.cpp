@@ -76,11 +76,10 @@ public:
     for (const SoftClause &SC : Inst.Soft)
       for (Lit L : SC.Lits)
         S.setFrozen(L.var(), true);
-    for (const Clause &C : Inst.Hard)
-      if (!S.addClause(C)) {
-        HardBroken = true;
-        return;
-      }
+    if (!Inst.loadHard(S)) {
+      HardBroken = true;
+      return;
+    }
     // Guard each soft clause exactly once: assumption literal A_i enforces
     // C_i through the hard clause (C_i \/ ~A_i); a final conflict yields a
     // core over the A_i, i.e., over soft clauses.

@@ -63,11 +63,10 @@ public:
     for (const SoftClause &SC : Inst.Soft)
       for (Lit L : SC.Lits)
         S.setFrozen(L.var(), true);
-    for (const Clause &C : Inst.Hard)
-      if (!S.addClause(C)) {
-        HardBroken = true;
-        return;
-      }
+    if (!Inst.loadHard(S)) {
+      HardBroken = true;
+      return;
+    }
     // Relax each soft clause once: soft clause i becomes hard (C_i \/ R_i).
     RelaxLits.reserve(Soft.size());
     Weights.reserve(Soft.size());

@@ -50,6 +50,7 @@
 #ifndef BUGASSIST_MAXSAT_MAXSAT_H
 #define BUGASSIST_MAXSAT_MAXSAT_H
 
+#include "cnf/Cnf.h"
 #include "cnf/DimacsReader.h"
 #include "cnf/Lit.h"
 #include "sat/Solver.h"
@@ -71,6 +72,14 @@ struct SoftClause {
 /// solvers allocate relaxation variables above it.
 struct MaxSatInstance {
   int NumVars = 0;
+  /// Borrowed hard clauses, loaded before Hard (may be null). The trace
+  /// formula's instances (TraceFormula::sharedInstance and
+  /// localizationInstance) point here instead of copying the formula.
+  /// Lifetime: the formula must outlive every *session construction* from
+  /// this instance only -- sessions copy the clauses into their solver's
+  /// arena and keep no reference to the formula.
+  const CnfFormula *Formula = nullptr;
+  /// Owned hard clauses, loaded after Formula's.
   std::vector<Clause> Hard;
   std::vector<SoftClause> Soft;
   /// Branching hint: variables whose saved phase should start at true.
@@ -87,6 +96,29 @@ struct MaxSatInstance {
   /// which per-query test clauses bind after the preprocessed base
   /// session was cloned.
   std::vector<Var> Frozen;
+
+  /// Visits every hard clause as a ClauseView: Formula's, then Hard, in
+  /// order. Stops early, returning false, as soon as \p Fn returns false.
+  /// This order is the load order every reader (the sessions, repair
+  /// validation, the test oracles) must share.
+  template <typename Fn> bool forEachHard(Fn &&F) const {
+    if (Formula)
+      for (ClauseView C : Formula->hardClauses())
+        if (!F(C))
+          return false;
+    for (const Clause &C : Hard)
+      if (!F(ClauseView(C)))
+        return false;
+    return true;
+  }
+
+  /// Loads every hard clause into \p S (variables [0, NumVars) first).
+  /// \returns false once \p S became UNSAT; the remaining clauses are
+  /// then not loaded.
+  bool loadHard(Solver &S) const {
+    S.ensureVars(NumVars);
+    return forEachHard([&S](ClauseView C) { return S.addClause(C); });
+  }
 };
 
 /// Converts a parsed DIMACS/WCNF instance (cnf/DimacsReader.h) into a

@@ -192,11 +192,13 @@ void Simplifier::collect() {
   Occ.assign(S.numVars(), {});
   Queue.clear();
   QueueHead = 0;
-  InQueue.clear();
   Mark.assign(2 * static_cast<size_t>(S.numVars()), 0);
   Stamp = 0;
   Dirty.assign(S.numVars(), 1);
   TriedAt.assign(S.numVars(), NotTried);
+  // Occurrence counts per variable, so each list is allocated once, at its
+  // first entry: lists are still filled, and allocated, in entry order.
+  std::vector<uint32_t> Count(S.numVars(), 0);
   for (ClauseRef CR : S.ProblemClauses) {
     if (S.clauseFreed(CR))
       continue;
@@ -212,11 +214,19 @@ void Simplifier::collect() {
       }
     if (Satisfied)
       continue;
-    int Idx = static_cast<int>(Cs.size());
     Cs.push_back({CR, signatureOf(CR), Size, false});
-    InQueue.push_back(0);
     for (uint32_t I = 0; I < Size; ++I)
-      Occ[CL[I].var()].push_back(Idx);
+      ++Count[CL[I].var()];
+  }
+  InQueue.assign(Cs.size(), 0);
+  for (int Idx = 0; Idx < static_cast<int>(Cs.size()); ++Idx) {
+    const Lit *CL = S.clauseLits(Cs[Idx].CR);
+    for (uint32_t I = 0; I < Cs[Idx].Size; ++I) {
+      std::vector<int> &O = Occ[CL[I].var()];
+      if (O.empty())
+        O.reserve(Count[CL[I].var()]);
+      O.push_back(Idx);
+    }
     enqueue(Idx);
   }
 }

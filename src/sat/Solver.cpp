@@ -69,7 +69,7 @@ void Solver::ensureVars(int N) {
     newVar();
 }
 
-bool Solver::addClause(Clause C) {
+bool Solver::addClause(ClauseView C) {
   assert(decisionLevel() == 0 && "clauses must be added at the root level");
   if (!Ok)
     return false;
@@ -83,30 +83,33 @@ bool Solver::addClause(Clause C) {
           "frozen (Solver::setFrozen) before preprocessing runs");
   }
 
-  // Level-0 simplification: drop false literals, detect tautologies and
-  // duplicate literals.
-  std::sort(C.begin(), C.end());
-  Clause Simplified;
+  // Level-0 simplification in the reused buffer: drop false literals,
+  // detect tautologies and duplicate literals.
+  AddBuf.assign(C.begin(), C.end());
+  std::sort(AddBuf.begin(), AddBuf.end());
+  size_t Kept = 0;
   Lit Prev = NullLit;
-  for (Lit L : C) {
+  for (size_t I = 0; I < AddBuf.size(); ++I) {
+    Lit L = AddBuf[I];
     if (value(L) == LBool::True || L == ~Prev)
       return true; // satisfied or tautological
     if (value(L) == LBool::False || L == Prev)
       continue; // falsified or duplicate literal
-    Simplified.push_back(L);
+    AddBuf[Kept++] = L;
     Prev = L;
   }
+  AddBuf.resize(Kept);
 
-  if (Simplified.empty()) {
+  if (AddBuf.empty()) {
     Ok = false;
     return false;
   }
-  if (Simplified.size() == 1) {
-    uncheckedEnqueue(Simplified[0], InvalidClause);
+  if (AddBuf.size() == 1) {
+    uncheckedEnqueue(AddBuf[0], InvalidClause);
     Ok = (propagate() == InvalidClause);
     return Ok;
   }
-  ClauseRef CR = allocClause(Simplified, /*Learnt=*/false);
+  ClauseRef CR = allocClause(AddBuf, /*Learnt=*/false);
   ProblemClauses.push_back(CR);
   attachClause(CR);
   return true;
@@ -114,7 +117,7 @@ bool Solver::addClause(Clause C) {
 
 bool Solver::addFormula(const CnfFormula &F) {
   ensureVars(F.numVars());
-  for (const Clause &C : F.hardClauses())
+  for (ClauseView C : F.hardClauses())
     if (!addClause(C))
       return false;
   return true;
@@ -137,12 +140,17 @@ bool Solver::releaseVar(Lit L) {
     (void)Top;
     Activity[L.var()] = 0.0;
   }
-  return addClause({L});
+  return addClause(ClauseView(&L, 1));
 }
 
 void Solver::setFrozen(Var V, bool Frozen) {
   ensureVars(V + 1);
   FrozenVars[V] = Frozen ? 1 : 0;
+}
+
+bool Solver::Budget::admitsVars(int NumVars) const {
+  return MaxArenaBytes == 0 ||
+         static_cast<uint64_t>(NumVars) * VarStateBytes <= MaxArenaBytes;
 }
 
 void Solver::setBudget(const Budget &B) {
@@ -169,7 +177,7 @@ bool Solver::pollBudget() {
        Stats.Conflicts - BudgetStartConflicts >= Bud.MaxConflicts) ||
       (Bud.MaxPropagations != 0 &&
        Stats.Propagations - BudgetStartPropagations >= Bud.MaxPropagations) ||
-      (Bud.MaxArenaBytes != 0 && Arena.size() * sizeof(Lit) > Bud.MaxArenaBytes) ||
+      (Bud.MaxArenaBytes != 0 && budgetedBytes() > Bud.MaxArenaBytes) ||
       (Bud.HasDeadline && std::chrono::steady_clock::now() >= Bud.Deadline))
     BudgetExhaustedFlag = true;
   return BudgetExhaustedFlag;
@@ -184,7 +192,7 @@ Solver::ClauseRef Solver::allocClause(const std::vector<Lit> &Lits,
   // (one-clause overshoot) and the sticky flag makes the search loop hand
   // back Undef on its next iteration.
   if (BudgetArmed && Bud.MaxArenaBytes != 0 &&
-      (Arena.size() + HeaderWords + Lits.size()) * sizeof(Lit) >
+      budgetedBytes() + (HeaderWords + Lits.size()) * sizeof(Lit) >
           Bud.MaxArenaBytes)
     BudgetExhaustedFlag = true;
   ClauseRef CR = static_cast<ClauseRef>(Arena.size());

@@ -108,8 +108,8 @@ struct SolverStats {
 /// CDCL solver. Typical interactive use:
 /// \code
 ///   Solver S;
-///   S.ensureVars(F.numVars());
-///   for (const Clause &C : F.hardClauses()) S.addClause(C);
+///   S.addFormula(F);         // F's flat clauses, loaded as ClauseViews
+///   S.addClause({A, ~B});    // or one clause (a Clause or a ClauseView)
 ///   LBool R = S.solve({assumption1, ~assumption2});
 ///   if (R == LBool::False) auto &Core = S.conflictCore();
 /// \endcode
@@ -176,9 +176,13 @@ public:
 
   int numVars() const { return static_cast<int>(Assigns.size()); }
 
-  /// Adds a clause; performs level-0 simplification. \returns false if the
-  /// solver became trivially UNSAT (empty clause / conflicting units).
-  bool addClause(Clause C);
+  /// Adds a clause; performs level-0 simplification in a reused member
+  /// buffer, so once that buffer has grown a call allocates nothing but
+  /// arena and watch-list space (the caller's literals are not modified).
+  /// \returns false if the solver became trivially
+  /// UNSAT (empty clause / conflicting units).
+  bool addClause(ClauseView C);
+  bool addClause(const Clause &C) { return addClause(ClauseView(C)); }
 
   /// Loads every hard clause of \p F (also allocating its variables).
   bool addFormula(const CnfFormula &F);
@@ -229,7 +233,8 @@ public:
   struct Budget {
     uint64_t MaxConflicts = 0;    ///< conflicts since setBudget (0 = off)
     uint64_t MaxPropagations = 0; ///< propagations since setBudget (0 = off)
-    uint64_t MaxArenaBytes = 0;   ///< clause-arena size cap (0 = off)
+    /// Solver memory cap: clause arena plus per-variable state (0 = off).
+    uint64_t MaxArenaBytes = 0;
     std::chrono::steady_clock::time_point Deadline{};
     bool HasDeadline = false;
 
@@ -237,6 +242,11 @@ public:
       return MaxConflicts == 0 && MaxPropagations == 0 && MaxArenaBytes == 0 &&
              !HasDeadline;
     }
+    /// True when the per-variable state of \p NumVars variables fits under
+    /// MaxArenaBytes (always, with the cap off). Check it before sizing a
+    /// solver: a DIMACS header can declare millions of variables in a few
+    /// bytes, and their state is allocated before any clause is.
+    bool admitsVars(int NumVars) const;
     /// Sets the deadline to now + \p Seconds on the steady clock.
     void setDeadlineIn(double Seconds) {
       setDeadlineAfter(std::chrono::steady_clock::now(), Seconds);
@@ -419,6 +429,19 @@ private:
     ClauseRef CRef;
     Lit Blocker;
   };
+
+  /// Bytes newVar() allocates per variable, counted against
+  /// Budget::MaxArenaBytes: the per-variable arrays (assignment, level,
+  /// reason, activity, heap slot, flags, model) and four watch-list
+  /// headers. Approximate: vector slack is not counted.
+  static constexpr size_t VarStateBytes =
+      2 * sizeof(LBool) + sizeof(int) + sizeof(ClauseRef) + sizeof(double) +
+      sizeof(int) + sizeof(Var) + 4 * sizeof(char) +
+      4 * sizeof(std::vector<Watcher>);
+  /// Memory the budget's cap is checked against.
+  size_t budgetedBytes() const {
+    return Arena.size() * sizeof(Lit) + Assigns.size() * VarStateBytes;
+  }
 
   // --- core CDCL ----------------------------------------------------------
   LBool search();
@@ -673,6 +696,8 @@ private:
   CopyableAtomicBool InterruptRequested;
 
   SolverStats Stats;
+
+  std::vector<Lit> AddBuf; // addClause's sort-and-simplify buffer
 };
 
 } // namespace bugassist

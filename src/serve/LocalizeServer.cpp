@@ -446,19 +446,21 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
 
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
-  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
-      Inst, useLinearSearch(Req.Opts.Engine, AnyWeight), /*ConflictBudget=*/0,
-      Solver::Options(), /*Canonical=*/true);
   Solver::Budget B = Req.budget().solverBudget();
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
-  if (Req.budget().any() || Ctx.Degraded)
-    Session->setBudget(B);
-  std::optional<FlightGuard> Flight;
-  if (Ctx.Flights)
-    Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
-                   Ctx.WatchdogSeconds);
-  MaxSatResult R = Session->solve();
-  Flight.reset();
+  MaxSatResult R; // Unknown when the variables alone overflow the cap
+  if (B.admitsVars(Inst.NumVars)) {
+    std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+        Inst, useLinearSearch(Req.Opts.Engine, AnyWeight),
+        /*ConflictBudget=*/0, Solver::Options(), /*Canonical=*/true);
+    if (Req.budget().any() || Ctx.Degraded)
+      Session->setBudget(B);
+    std::optional<FlightGuard> Flight;
+    if (Ctx.Flights)
+      Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
+                     Ctx.WatchdogSeconds);
+    R = Session->solve();
+  }
 
   // The CLI's o/s/v lines with the `c` comment lines removed.
   std::string Body =

@@ -34,12 +34,12 @@ inline uint64_t bruteForceOptimum(const MaxSatInstance &Inst) {
   uint64_t Best = UINT64_MAX;
   for (uint64_t Mask = 0; Mask < (1ull << Inst.NumVars) && Best != 0;
        ++Mask) {
-    auto Satisfied = [Mask](const Clause &C) {
+    auto Satisfied = [Mask](ClauseView C) {
       return std::any_of(C.begin(), C.end(), [Mask](Lit L) {
         return (((Mask >> L.var()) & 1) != 0) != L.negated();
       });
     };
-    if (!std::all_of(Inst.Hard.begin(), Inst.Hard.end(), Satisfied))
+    if (!Inst.forEachHard(Satisfied))
       continue;
     uint64_t Cost = 0;
     for (const SoftClause &S : Inst.Soft)

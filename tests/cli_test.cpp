@@ -317,6 +317,39 @@ TEST(BugassistCli, MaxsatBudgetExhaustionIsAnytime) {
   EXPECT_NE(Out.find("o 2\ns OPTIMUM FOUND\n"), std::string::npos) << Out;
 }
 
+TEST(BugassistCli, MemoryCapBoundsPerVariableState) {
+  // A 30-byte header declaring 30M variables: their per-variable solver
+  // state alone is gigabytes. Under a 100 MiB cap, sat and maxsat must
+  // answer UNKNOWN with exit 2 without allocating it; the 4 GB
+  // address-space limit turns an attempt into a bad_alloc abort (134).
+  // ASan and TSan reserve terabytes of address space at start-up, so
+  // sanitizer builds run without the limit.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const std::string Limit;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  const std::string Limit;
+#else
+  const std::string Limit = "ulimit -v 4000000; ";
+#endif
+#else
+  const std::string Limit = "ulimit -v 4000000; ";
+#endif
+  std::string Cnf = writeTempFile("p cnf 30000000 1\n1 30000000 0\n");
+  std::string Wcnf = writeTempFile("p wcnf 30000000 1 2\n2 1 30000000 0\n");
+  for (const std::string &Args :
+       {" sat " + Cnf, " maxsat " + Cnf, " maxsat " + Wcnf}) {
+    int Exit = 0;
+    std::string Out =
+        runCommand(Limit + Cli + Args + " --max-memory-mb 100 2>&1", Exit);
+    EXPECT_EQ(exitStatus(Exit), 2) << Args << "\n" << Out;
+    EXPECT_NE(Out.find("s UNKNOWN\n"), std::string::npos) << Args << "\n"
+                                                          << Out;
+  }
+  std::remove(Cnf.c_str());
+  std::remove(Wcnf.c_str());
+}
+
 TEST(BugassistCli, LocalizeExpiredDeadlineGivesAnEmptyIncompleteReport) {
   // A microsecond deadline is already expired by the first budget poll,
   // so the INCOMPLETE report deterministically carries zero diagnoses.

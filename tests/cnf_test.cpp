@@ -60,7 +60,7 @@ TEST(CnfFormula, GroupedClausesCarryGuard) {
   F.addGroupedClause(G, {mkLit(X)});
 
   ASSERT_EQ(F.numClauses(), 1u);
-  const Clause &C = F.hardClauses()[0];
+  ClauseView C = F.hardClauses()[0];
   ASSERT_EQ(C.size(), 2u);
   EXPECT_EQ(C[0], mkLit(X));
   EXPECT_EQ(C[1], mkLit(F.group(G).Selector, true));
@@ -68,13 +68,9 @@ TEST(CnfFormula, GroupedClausesCarryGuard) {
   EXPECT_EQ(F.group(G).Label, "x := 1");
 }
 
-TEST(CnfFormula, SelectorLookup) {
+TEST(CnfFormula, SelectorLiteral) {
   CnfFormula F;
   GroupId G1 = F.newGroup(1);
-  GroupId G2 = F.newGroup(2);
-  EXPECT_EQ(F.groupOfSelector(F.group(G1).Selector), G1);
-  EXPECT_EQ(F.groupOfSelector(F.group(G2).Selector), G2);
-  EXPECT_EQ(F.groupOfSelector(12345), NoGroup);
   EXPECT_EQ(F.selectorLit(G1), mkLit(F.group(G1).Selector));
 }
 
@@ -85,19 +81,71 @@ TEST(CnfFormula, GroupWeightsAndUnwindings) {
   EXPECT_EQ(F.group(G).Unwinding, 3u);
 }
 
-TEST(CnfFormula, LiteralCount) {
+TEST(CnfFormula, FlatStoreRoundTrip) {
+  // Every way of adding a clause lands in the one flat store: contents and
+  // order exactly as added, grouped clauses with the guard literal last,
+  // and the empty clause kept as a zero-length view.
   CnfFormula F;
-  Var A = F.newVar(), B = F.newVar();
-  F.addClause(mkLit(A));
-  F.addClause(mkLit(A), mkLit(B));
-  EXPECT_EQ(F.literalCount(), 3u);
+  Var A = F.newVar(), B = F.newVar(), C = F.newVar();
+  GroupId G1 = F.newGroup(3, "g1");
+  GroupId G2 = F.newGroup(4, "g2", /*Weight=*/2);
+  Lit Sel1 = mkLit(F.group(G1).Selector, true);
+  Lit Sel2 = mkLit(F.group(G2).Selector, true);
+  Clause Long{mkLit(C), mkLit(A, true), mkLit(B), mkLit(A)};
+
+  F.addClause({mkLit(A)});
+  F.addGroupedClause(G1, {mkLit(B, true), mkLit(C)});
+  F.addClause(Long);
+  F.addClause(ClauseView(nullptr, 0));
+  F.addGroupedClause(G2, Long);
+  F.addClause({mkLit(C, true), mkLit(B), mkLit(A, true)});
+  F.addGroupedClause(G1, ClauseView(nullptr, 0));
+
+  std::vector<Clause> Want = {
+      {mkLit(A)},
+      {mkLit(B, true), mkLit(C), Sel1},
+      Long,
+      {},
+      {mkLit(C), mkLit(A, true), mkLit(B), mkLit(A), Sel2},
+      {mkLit(C, true), mkLit(B), mkLit(A, true)},
+      {Sel1},
+  };
+  ASSERT_EQ(F.numClauses(), Want.size());
+  ASSERT_EQ(F.hardClauses().size(), Want.size());
+  size_t K = 0;
+  for (ClauseView V : F.hardClauses()) {
+    EXPECT_EQ(V.vec(), Want[K]) << "clause " << K;
+    EXPECT_EQ(F.hardClauses()[K].vec(), Want[K]) << "clause " << K;
+    ++K;
+  }
+  EXPECT_EQ(K, Want.size());
+
+  // The writers render the views byte for byte as the clauses were added.
+  EXPECT_EQ(writeDimacs(F), "p cnf 5 7\n"
+                            "1 0\n"
+                            "-2 3 -4 0\n"
+                            "3 -1 2 1 0\n"
+                            "0\n"
+                            "3 -1 2 1 -5 0\n"
+                            "-3 2 -1 0\n"
+                            "-4 0\n");
+  EXPECT_EQ(writeWcnf(F), "p wcnf 5 9 4\n"
+                          "4 1 0\n"
+                          "4 -2 3 -4 0\n"
+                          "4 3 -1 2 1 0\n"
+                          "4 0\n"
+                          "4 3 -1 2 1 -5 0\n"
+                          "4 -3 2 -1 0\n"
+                          "4 -4 0\n"
+                          "1 4 0\n"
+                          "2 5 0\n");
 }
 
 TEST(DimacsWriter, PlainCnf) {
   CnfFormula F;
   Var A = F.newVar(), B = F.newVar();
-  F.addClause(mkLit(A), ~mkLit(B));
-  F.addClause(~mkLit(A));
+  F.addClause({mkLit(A), ~mkLit(B)});
+  F.addClause({~mkLit(A)});
   EXPECT_EQ(writeDimacs(F), "p cnf 2 2\n1 -2 0\n-1 0\n");
 }
 

@@ -123,8 +123,8 @@ namespace {
 CnfFormula makeGroupedFormula() {
   CnfFormula F;
   Var A = F.newVar(), B = F.newVar(), C = F.newVar();
-  F.addClause(mkLit(A), mkLit(B));
-  F.addClause(mkLit(A, true), mkLit(C));
+  F.addClause({mkLit(A), mkLit(B)});
+  F.addClause({mkLit(A, true), mkLit(C)});
   GroupId G1 = F.newGroup(10, "stmt1", 2);
   F.addGroupedClause(G1, {mkLit(B, true), mkLit(C)});
   GroupId G2 = F.newGroup(11, "stmt2", 5);
@@ -141,7 +141,7 @@ TEST(DimacsReader, RoundTripsWriteDimacs) {
   EXPECT_EQ(I.NumVars, F.numVars());
   ASSERT_EQ(I.Hard.size(), F.numClauses());
   for (size_t K = 0; K < I.Hard.size(); ++K)
-    EXPECT_EQ(I.Hard[K], F.hardClauses()[K]) << "clause " << K;
+    EXPECT_EQ(I.Hard[K], F.hardClauses()[K].vec()) << "clause " << K;
 }
 
 TEST(DimacsReader, RoundTripsWriteWcnf) {
@@ -152,7 +152,7 @@ TEST(DimacsReader, RoundTripsWriteWcnf) {
   EXPECT_EQ(I.Top, 8u);
   ASSERT_EQ(I.Hard.size(), F.numClauses());
   for (size_t K = 0; K < I.Hard.size(); ++K)
-    EXPECT_EQ(I.Hard[K], F.hardClauses()[K]) << "clause " << K;
+    EXPECT_EQ(I.Hard[K], F.hardClauses()[K].vec()) << "clause " << K;
   // The soft side comes back as the selector units with group weights.
   ASSERT_EQ(I.Soft.size(), F.numGroups());
   for (size_t G = 0; G < I.Soft.size(); ++G) {

@@ -43,7 +43,37 @@ InputVector tcasInput(int64_t Cvs, int64_t Hc, int64_t Ttrv, int64_t Ota,
           InputValue::scalar(Ocap), InputValue::scalar(Ci)};
 }
 
+/// The first pool test on which \p Faulty's return differs from the golden
+/// program's, with the golden return in \p Want (empty when none does).
+InputVector firstFailingTest(const Program &Faulty, int64_t &Want) {
+  auto Golden = compile(tcasSource());
+  Interpreter GI(*Golden, tcasExecOptions());
+  Interpreter FI(Faulty, tcasExecOptions());
+  for (const InputVector &In : tcasTestPool(600)) {
+    int64_t G = GI.run("main", In).ReturnValue;
+    if (FI.run("main", In).ReturnValue != G) {
+      Want = G;
+      return In;
+    }
+  }
+  return {};
+}
+
 } // namespace
+
+namespace bugassist {
+/// Solver befriends SolverTestAccess: the load-order test reads the problem
+/// clauses, in ProblemClauses order, straight out of the arena.
+struct SolverTestAccess {
+  static std::vector<std::pair<int32_t, Clause>> problemClauses(Solver &S) {
+    std::vector<std::pair<int32_t, Clause>> Out;
+    for (Solver::ClauseRef CR : S.ProblemClauses)
+      Out.push_back({CR, Clause(S.clauseLits(CR),
+                                S.clauseLits(CR) + S.clauseSize(CR))});
+    return Out;
+  }
+};
+} // namespace bugassist
 
 TEST(Tcas, CorrectVersionCompilesAndRuns) {
   auto P = compile(tcasSource());
@@ -133,22 +163,9 @@ TEST(Tcas, LocalizationPinpointsFigure2Fault) {
   ASSERT_EQ(V2.BugLines.size(), 1u);
   const uint32_t BugLine = V2.BugLines[0];
 
-  auto Golden = compile(tcasSource());
   auto Faulty = compile(V2.Source);
-  Interpreter GI(*Golden, tcasExecOptions());
-  Interpreter FI(*Faulty, tcasExecOptions());
-
-  // Find one failing test from the pool.
-  InputVector Failing;
   int64_t Want = 0;
-  for (const InputVector &In : tcasTestPool(600)) {
-    int64_t G = GI.run("main", In).ReturnValue;
-    if (FI.run("main", In).ReturnValue != G) {
-      Failing = In;
-      Want = G;
-      break;
-    }
-  }
+  InputVector Failing = firstFailingTest(*Faulty, Want);
   ASSERT_FALSE(Failing.empty()) << "pool does not exercise v2";
 
   BugAssistDriver Driver(*Faulty, "main", tcasUnrollOptions());
@@ -204,4 +221,62 @@ TEST(Tcas, LocalizationSampleAcrossVersions) {
                   R.AllLines.end();
     EXPECT_TRUE(Detected) << "v" << Version << " bug line not reported";
   }
+}
+
+TEST(Tcas, BorrowedFormulaLoadsLikeACopyInHard) {
+  // localizationInstance borrows TF1 through MaxSatInstance::Formula and
+  // keeps only [[test]] /\ p in Hard. Loading it must equal loading the
+  // same clauses copied into Hard in that order: Formula first. Loaded
+  // after the test units, TF1 would be simplified against them, and the
+  // arena -- and with it the search -- would differ.
+  auto Faulty = compile(tcasMutants()[1].Source);
+  int64_t Want = 0;
+  InputVector Failing = firstFailingTest(*Faulty, Want);
+  ASSERT_FALSE(Failing.empty()) << "pool does not exercise v2";
+  BugAssistDriver Driver(*Faulty, "main", tcasUnrollOptions());
+  const TraceFormula &TF = Driver.formula();
+  Spec S;
+  S.CheckObligations = false;
+  S.GoldenReturn = Want;
+
+  MaxSatInstance Borrowed = TF.localizationInstance(Failing, S);
+  ASSERT_EQ(Borrowed.Formula, &TF.encoded().Formula);
+  ASSERT_FALSE(Borrowed.Hard.empty());
+  MaxSatInstance Copied = Borrowed;
+  Copied.Formula = nullptr;
+  Copied.Hard.clear();
+  for (ClauseView C : TF.encoded().Formula.hardClauses())
+    Copied.Hard.push_back(C.vec());
+  for (const Clause &C : Borrowed.Hard)
+    Copied.Hard.push_back(C);
+
+  LocalizeOptions LO;
+  LO.MaxDiagnoses = 32;
+  auto A = makeLocalizationSession(Borrowed, LO);
+  auto B = makeLocalizationSession(Copied, LO);
+  EXPECT_EQ(SolverTestAccess::problemClauses(A->solver()),
+            SolverTestAccess::problemClauses(B->solver()));
+
+  const CnfFormula &F = TF.encoded().Formula;
+  LocalizationReport RA = enumerateCoMSSesOn(*A, F, LO);
+  LocalizationReport RB = enumerateCoMSSesOn(*B, F, LO);
+  ASSERT_FALSE(RA.Diagnoses.empty());
+  ASSERT_EQ(RA.Diagnoses.size(), RB.Diagnoses.size());
+  for (size_t D = 0; D < RA.Diagnoses.size(); ++D) {
+    EXPECT_EQ(RA.Diagnoses[D].Lines, RB.Diagnoses[D].Lines) << "diagnosis " << D;
+    EXPECT_EQ(RA.Diagnoses[D].Cost, RB.Diagnoses[D].Cost) << "diagnosis " << D;
+  }
+  EXPECT_EQ(RA.AllLines, RB.AllLines);
+  EXPECT_EQ(RA.Exhausted, RB.Exhausted);
+  EXPECT_EQ(RA.SatCalls, RB.SatCalls);
+  const SolverStats &SA = RA.Search, &SB = RB.Search;
+  EXPECT_EQ(SA.Conflicts, SB.Conflicts);
+  EXPECT_EQ(SA.Decisions, SB.Decisions);
+  EXPECT_EQ(SA.Propagations, SB.Propagations);
+  EXPECT_EQ(SA.LearnedClauses, SB.LearnedClauses);
+  EXPECT_EQ(SA.DeletedClauses, SB.DeletedClauses);
+  EXPECT_EQ(SA.VarsEliminated, SB.VarsEliminated);
+  EXPECT_EQ(SA.ClausesSubsumed, SB.ClausesSubsumed);
+  EXPECT_EQ(SA.LitsSelfSubsumed, SB.LitsSelfSubsumed);
+  EXPECT_EQ(SA.ReconstructBytes, SB.ReconstructBytes);
 }

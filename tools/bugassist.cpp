@@ -328,11 +328,15 @@ int cmdMaxsat(const std::string &Path, CommandOptions &O) {
 
   Solver::Options SOpts;
   SOpts.Preprocess = Knobs.Preprocess;
-  std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
-      Inst, Weighted, /*ConflictBudget=*/0, SOpts, /*Canonical=*/true);
-  if (Knobs.Budget.any())
-    Session->setBudget(Knobs.Budget.solverBudget());
-  MaxSatResult R = Session->solve();
+  Solver::Budget Bud = Knobs.Budget.solverBudget();
+  MaxSatResult R; // Unknown when the variables alone overflow the cap
+  if (Bud.admitsVars(Inst.NumVars)) {
+    std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
+        Inst, Weighted, /*ConflictBudget=*/0, SOpts, /*Canonical=*/true);
+    if (Knobs.Budget.any())
+      Session->setBudget(Bud);
+    R = Session->solve();
+  }
 
   std::fputs(renderMaxSatAnswer(R, Inst.NumVars, O.Model, /*Comments=*/true)
                  .c_str(),
