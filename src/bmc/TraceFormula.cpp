@@ -49,6 +49,9 @@ MaxSatInstance TraceFormula::sharedInstance() const {
   MaxSatInstance Inst;
   Inst.NumVars = EP.Formula.numVars();
   Inst.Formula = &EP.Formula;
+  // Localization reads only which selectors the optimum falsifies, never
+  // the assignment behind it, so no session rebuilds eliminated variables.
+  Inst.Witness = false;
 
   // Phi_S = TF2: one soft unit clause per clause group (selector),
   // weighted per group (Eq. 3 weights in loop-diagnosis mode). Selector

@@ -54,7 +54,9 @@ public:
 
   /// The test-independent part of localizationInstance: Formula = TF1
   /// (borrowed, same lifetime rule), Hard empty, Soft/PreferTrue = the full
-  /// selector structure. A MaxSAT session built over this instance (and
+  /// selector structure, and no witness model (MaxSatInstance::Witness
+  /// false: reports need only the falsified selectors). A MaxSAT session
+  /// built over this instance (and
   /// never solved) can be cloned per query and completed with
   /// testClauses() -- the serve-mode encode-once path.
   /// Selector guard variables allocated on top of NumVars land at the same

@@ -89,8 +89,9 @@ const std::vector<OptionRow> Table = {
     intRow("--unwind", "unwind", Encoding, 1, 1000000,
            "loop unwinding bound eta (default: 16)",
            SET(O.Query.Unroll.MaxLoopUnwind = X.Int)),
-    intRow("--bitwidth", "bitwidth", Encoding, 1, 64,
-           "word width in bits (default: 16)",
+    // The widths BitBlaster supports (it asserts 2 <= W <= 62).
+    intRow("--bitwidth", "bitwidth", Encoding, 2, 62,
+           "word width in bits, 2-62 (default: 16)",
            SET(O.Query.Unroll.BitWidth = X.Int), "W"),
     switchRow("--no-bounds", "bounds", Encoding,
               "do not encode array-bounds obligations",

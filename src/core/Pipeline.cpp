@@ -515,6 +515,9 @@ std::string bugassist::renderSearchStats(const LocalizationReport &R) {
   // Every clause the arena freed: learnt reduction, but also elimination,
   // subsumption and root-level simplification.
   Out += "arena frees:  " + std::to_string(S.DeletedClauses) + "\n";
+  // Rebuilds of eliminated variables' values; localization reads no
+  // witness model, so anything but 0 here is wasted reconstruction.
+  Out += "models:       " + std::to_string(S.ModelRebuilds) + " rebuilt\n";
   if (S.VarsEliminated || S.ClausesSubsumed || S.LitsSelfSubsumed)
     Out += "simplify:     " + std::to_string(S.VarsEliminated) +
            " vars eliminated, " + std::to_string(S.ClausesSubsumed) +

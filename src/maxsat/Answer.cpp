@@ -71,11 +71,8 @@ SatAnswer bugassist::solveSat(const std::vector<Clause> &Clauses,
     if (!S.addClause(C))
       break; // root-level UNSAT: solve() reports False immediately
   A.Result = S.solve();
-  if (A.Result == LBool::True) {
-    A.Model.reserve(static_cast<size_t>(NumVars));
-    for (Var V = 0; V < NumVars; ++V)
-      A.Model.push_back(S.modelValue(V));
-  }
+  if (A.Result == LBool::True)
+    A.Model = readModel(S, NumVars);
   A.Stats = S.stats();
   return A;
 }

@@ -11,13 +11,13 @@
 using namespace bugassist;
 
 bool bugassist::greedyCanonicalize(const std::vector<SoftClause> &Soft,
-                                   const CanonicalHooks &Hooks,
-                                   std::vector<LBool> &Model) {
+                                   const CanonicalHooks &Hooks, Solver &S) {
   const size_t N = Soft.size();
   std::vector<Lit> Committed;
+  auto Satisfied = [&](size_t J) { return clauseSatisfied(Soft[J].Lits, S); };
   // Probe(Begin, E): can clauses [Begin, E) be satisfied on top of the
   // committed prefix (under the session's optimum-holding base)? On
-  // success the witness Model is refreshed by the hook.
+  // success the solver's model is the new witness.
   auto Probe = [&](size_t Begin, size_t E) -> LBool {
     std::vector<Lit> Extra = Committed;
     for (size_t J = Begin; J < E; ++J)
@@ -27,12 +27,12 @@ bool bugassist::greedyCanonicalize(const std::vector<SoftClause> &Soft,
 
   size_t Begin = 0; // clauses [0, Begin) are committed satisfied
   while (Begin < N) {
-    if (clauseSatisfied(Soft[Begin].Lits, Model)) {
+    if (Satisfied(Begin)) {
       Committed.push_back(Hooks.SatisfyLit(Begin)); // free commit
       ++Begin;
       continue;
     }
-    // Model falsifies clause Begin. Find the largest E with [Begin, E)
+    // The witness falsifies clause Begin. Find the largest E with [Begin, E)
     // satisfiable; E == Begin (the current witness) is SAT, E == N is
     // UNSAT (the optimum falsifies something >= Begin). Gallop from the
     // left -- the witness is usually already canonical, making the very
@@ -58,13 +58,13 @@ bool bugassist::greedyCanonicalize(const std::vector<SoftClause> &Soft,
       }
       // The fresh witness may satisfy well past Mid.
       Lo = Mid;
-      while (Lo < Hi - 1 && clauseSatisfied(Soft[Lo].Lits, Model))
+      while (Lo < Hi - 1 && Satisfied(Lo))
         ++Lo;
     }
     // [Begin, Lo) satisfiable, [Begin, Lo + 1) not: Lo stays falsified.
     // Re-probe only if the current witness lost it (a failed probe does
     // not restore the earlier model).
-    if (Lo > Begin && !clauseSatisfied(Soft[Lo - 1].Lits, Model)) {
+    if (Lo > Begin && !Satisfied(Lo - 1)) {
       if (Probe(Begin, Lo) != LBool::True)
         return false; // budget exhausted mid-search
     }

@@ -25,6 +25,7 @@
 
 #include "cnf/Lit.h"
 #include "maxsat/MaxSat.h"
+#include "sat/Solver.h"
 
 #include <functional>
 #include <vector>
@@ -33,27 +34,27 @@ namespace bugassist {
 
 /// Binds greedyCanonicalize to a concrete incremental session.
 struct CanonicalHooks {
-  /// Solves under the session's base assumptions -- which must hold the
-  /// cost at the proven optimum -- plus \p Extra, refreshing the caller's
-  /// witness model on True (the same model object passed to
-  /// greedyCanonicalize).
+  /// Solves the session's solver under its base assumptions -- which must
+  /// hold the cost at the proven optimum -- plus \p Extra. A True answer
+  /// becomes the solver's model, and so the new witness.
   std::function<LBool(const std::vector<Lit> &Extra)> Probe;
   /// A literal that, when assumed, forces soft clause \p I satisfied.
   std::function<Lit(size_t I)> SatisfyLit;
 };
 
-/// Greedily canonicalizes \p Model (a witness of the optimum) in place via
-/// incremental probes. A clause satisfied by the current witness commits
-/// for free; each falsified position is located by a gallop-then-binary
-/// search over the maximal additionally-satisfiable prefix ("satisfy
-/// [Begin, E) too" is monotone in E). The first probe always tries just
+/// Greedily canonicalizes the optimum whose witness is \p S's last model,
+/// via incremental probes on \p S; on return that model is the canonical
+/// witness. Only soft-clause literals are read from it. A clause satisfied
+/// by the current witness commits for free; each falsified position is
+/// located by a gallop-then-binary search over the maximal
+/// additionally-satisfiable prefix ("satisfy [Begin, E) too" is monotone
+/// in E). The first probe always tries just
 /// one more clause, so an already-canonical witness costs exactly one
 /// (cheap, UNSAT-by-assumption) probe per falsified clause. \returns false
-/// when a probe exhausted the conflict budget; the witness keeps the last
-/// successfully refreshed state.
+/// when a probe exhausted the conflict budget; the witness is then the last
+/// True probe's model.
 bool greedyCanonicalize(const std::vector<SoftClause> &Soft,
-                        const CanonicalHooks &Hooks,
-                        std::vector<LBool> &Model);
+                        const CanonicalHooks &Hooks, Solver &S);
 
 } // namespace bugassist
 

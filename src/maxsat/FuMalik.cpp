@@ -43,14 +43,28 @@ bool bugassist::clauseSatisfied(const Clause &C,
   return false;
 }
 
+bool bugassist::clauseSatisfied(const Clause &C, Solver &S) {
+  for (Lit L : C)
+    if (S.modelValue(L) == LBool::True)
+      return true;
+  return false;
+}
+
+std::vector<LBool> bugassist::readModel(Solver &S, int NumVars) {
+  std::vector<LBool> Model(static_cast<size_t>(NumVars));
+  for (Var V = 0; V < NumVars; ++V)
+    Model[V] = S.modelValue(V);
+  return Model;
+}
+
 namespace {
 
-void collectFalsifiedSoft(const std::vector<SoftClause> &Soft,
+void collectFalsifiedSoft(const std::vector<SoftClause> &Soft, Solver &S,
                           MaxSatResult &Res) {
   Res.FalsifiedSoft.clear();
   uint64_t Cost = 0;
   for (size_t I = 0; I < Soft.size(); ++I) {
-    if (!clauseSatisfied(Soft[I].Lits, Res.Model)) {
+    if (!clauseSatisfied(Soft[I].Lits, S)) {
       Res.FalsifiedSoft.push_back(I);
       Cost += Soft[I].Weight;
     }
@@ -63,7 +77,7 @@ public:
   FuMalikSessionImpl(const MaxSatInstance &Inst, uint64_t ConflictBudget,
                      const Solver::Options &SolverOpts, bool Canonical)
       : S(SolverOpts), NumOrigVars(Inst.NumVars), Soft(Inst.Soft),
-        Canonical(Canonical) {
+        Canonical(Canonical), Witness(Inst.Witness) {
     S.ensureVars(Inst.NumVars);
     // Frozen contract (sat/Simplifier.h): the session keeps talking about
     // these variables after the first solve() -- guards are assumed,
@@ -118,6 +132,7 @@ public:
 
   MaxSatResult solve() override {
     MaxSatResult Res;
+    bool HaveModel = false; // S's last model is this result's best model
     for (; !HardBroken;) {
       std::vector<Lit> Assumptions;
       Assumptions.reserve(GuardOf.size());
@@ -136,17 +151,15 @@ public:
         // Every completed round proved one more soft clause must be
         // falsified, and all weights are >= 1.
         Res.LowerBound = Rounds;
-        harvestUpperBound(Res);
+        HaveModel = harvestUpperBound(Res);
         break;
       }
       if (R == LBool::True) {
         Res.Status = MaxSatStatus::Optimum;
-        Res.Model.resize(NumOrigVars);
-        for (Var V = 0; V < NumOrigVars; ++V)
-          Res.Model[V] = S.modelValue(V);
+        HaveModel = true;
         if (Canonical && Rounds > 0)
           canonicalize(Assumptions, Res);
-        collectFalsifiedSoft(Soft, Res);
+        collectFalsifiedSoft(Soft, S, Res);
         // Fu-Malik invariant: relaxation rounds == optimal cost for unit
         // weights. Holds across incremental blocking clauses too, since
         // Rounds accumulates over the session exactly as the optimum does.
@@ -205,11 +218,14 @@ public:
     }
     if (HardBroken)
       Res.Status = MaxSatStatus::HardUnsat;
-    if (Res.Status == MaxSatStatus::Optimum) {
+    if (Res.Status == MaxSatStatus::Optimum)
       Res.LowerBound = Res.UpperBound = Res.Cost;
-      Res.BestModel = Res.Model;
-    } else if (Res.Status == MaxSatStatus::HardUnsat) {
+    else if (Res.Status == MaxSatStatus::HardUnsat)
       Res.LowerBound = Res.UpperBound = UINT64_MAX;
+    if (Witness && HaveModel) {
+      Res.BestModel = readModel(S, NumOrigVars);
+      if (Res.Status == MaxSatStatus::Optimum)
+        Res.Model = Res.BestModel;
     }
     Res.Search = S.stats();
     return Res;
@@ -241,14 +257,10 @@ private:
       for (Var V : PreferTrue)
         S.setPolarity(V, true);
       ++Res.SatCalls;
-      LBool R = S.solve(Assumptions);
-      if (R == LBool::True)
-        for (Var V = 0; V < NumOrigVars; ++V)
-          Res.Model[V] = S.modelValue(V);
-      return R;
+      return S.solve(Assumptions);
     };
     Hooks.SatisfyLit = [&](size_t J) { return satisfyLit(J); };
-    Res.CanonicalTruncated = !greedyCanonicalize(Soft, Hooks, Res.Model);
+    Res.CanonicalTruncated = !greedyCanonicalize(Soft, Hooks, S);
   }
 
   /// Anytime upper bound after budget exhaustion: ANY model of the hard
@@ -256,27 +268,27 @@ private:
   /// probe without the guard assumptions under a small bounded allowance.
   /// Only runs when the query budget (not the legacy per-call conflict
   /// cap) tripped, so unbudgeted flows behave exactly as before.
-  void harvestUpperBound(MaxSatResult &Res) {
+  /// \returns true when a model was found (S's model then witnesses it).
+  bool harvestUpperBound(MaxSatResult &Res) {
     if (!S.budgetExhausted() || S.interrupted())
-      return;
+      return false;
     Solver::Budget Saved = S.budget();
     S.clearBudget();
     Solver::Budget Allowance;
     Allowance.MaxConflicts = 1000;
     S.setBudget(Allowance);
     ++Res.SatCalls;
-    if (S.solve() == LBool::True) {
-      Res.BestModel.resize(NumOrigVars);
-      for (Var V = 0; V < NumOrigVars; ++V)
-        Res.BestModel[V] = S.modelValue(V);
+    bool Found = S.solve() == LBool::True;
+    if (Found) {
       uint64_t Ub = 0;
       for (const SoftClause &SC : Soft)
-        if (!clauseSatisfied(SC.Lits, Res.BestModel))
+        if (!clauseSatisfied(SC.Lits, S))
           Ub += SC.Weight;
       Res.UpperBound = Ub;
     }
     S.setBudget(Saved);
     S.markBudgetExhausted(); // the query budget stays sticky-exhausted
+    return Found;
   }
 
   /// A literal that, assumed true, forces original soft clause \p J to be
@@ -320,6 +332,7 @@ private:
   std::vector<Var> SatisfySelector; ///< soft idx -> canonicalization selector
   uint64_t Rounds = 0;
   bool Canonical;
+  bool Witness; ///< fill Model/BestModel (MaxSatInstance::Witness)
   bool HardBroken = false;
 };
 

@@ -34,17 +34,18 @@
 #include "sat/Solver.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace bugassist;
 
 namespace {
 
-uint64_t modelCost(const std::vector<SoftClause> &Soft,
-                   const std::vector<LBool> &Model) {
+/// Cost of \p S's last model: the weight of the soft clauses it falsifies.
+uint64_t modelCost(const std::vector<SoftClause> &Soft, Solver &S) {
   uint64_t Cost = 0;
-  for (const SoftClause &S : Soft)
-    if (!clauseSatisfied(S.Lits, Model))
-      Cost += S.Weight;
+  for (const SoftClause &SC : Soft)
+    if (!clauseSatisfied(SC.Lits, S))
+      Cost += SC.Weight;
   return Cost;
 }
 
@@ -52,7 +53,8 @@ class LinearSessionImpl final : public MaxSatSession {
 public:
   LinearSessionImpl(const MaxSatInstance &Inst, uint64_t ConflictBudget,
                     const Solver::Options &SolverOpts)
-      : S(SolverOpts), NumOrigVars(Inst.NumVars), Soft(Inst.Soft) {
+      : S(SolverOpts), NumOrigVars(Inst.NumVars), Soft(Inst.Soft),
+        Witness(Inst.Witness) {
     S.ensureVars(Inst.NumVars);
     // Frozen contract: canonicalization probes assume relaxation literals
     // off, bounds assume counter outputs, and the caller keeps talking
@@ -109,12 +111,24 @@ public:
 
   MaxSatResult solve() override {
     MaxSatResult Res;
-    if (HardBroken) {
+    // Hands Res back; with a witness, \p HaveModel says S's last model is
+    // the result's best model, read out here once.
+    auto Finish = [&](bool HaveModel) {
+      if (Witness && HaveModel) {
+        Res.BestModel = readModel(S, NumOrigVars);
+        if (Res.Status == MaxSatStatus::Optimum)
+          Res.Model = Res.BestModel;
+      }
+      Res.Search = S.stats();
+      return std::move(Res);
+    };
+    auto HardUnsat = [&]() {
       Res.Status = MaxSatStatus::HardUnsat;
       Res.LowerBound = Res.UpperBound = UINT64_MAX;
-      Res.Search = S.stats();
-      return Res;
-    }
+      return Finish(false);
+    };
+    if (HardBroken)
+      return HardUnsat();
 
     // Phase saving overwrites polarities during search; re-seed the
     // "program as written" bias before every descent, exactly as the
@@ -140,14 +154,12 @@ public:
       }
       return A;
     };
-    std::vector<LBool> BestModel;
+    // The best model so far is always S's last model: every True answer
+    // improves on (or, in canonicalization, ties) the one before.
     uint64_t BestCost = 0;
     bool HaveModel = false;
-
-    auto ExtractModel = [&](std::vector<LBool> &Model) {
-      Model.resize(NumOrigVars);
-      for (Var V = 0; V < NumOrigVars; ++V)
-        Model[V] = S.modelValue(V);
+    auto NewModel = [&]() {
+      BestCost = modelCost(Soft, S);
       HaveModel = true;
     };
     // Anytime contract: hand back the proven lower bound plus the best
@@ -156,14 +168,11 @@ public:
     auto Unknown = [&]() {
       Res.Status = MaxSatStatus::Unknown;
       Res.LowerBound = LowerBound;
-      if (HaveModel) {
+      if (HaveModel)
         Res.UpperBound = BestCost;
-        Res.BestModel = BestModel;
-      } else {
-        harvestUpperBound(Res);
-      }
-      Res.Search = S.stats();
-      return Res;
+      else
+        HaveModel = harvestUpperBound(Res);
+      return Finish(HaveModel);
     };
 
     // Probe exactly at the proven lower bound: SAT here is optimal with no
@@ -172,8 +181,7 @@ public:
     if (R == LBool::Undef)
       return Unknown();
     if (R == LBool::True) {
-      ExtractModel(BestModel);
-      BestCost = modelCost(Soft, BestModel);
+      NewModel();
       // relax-sum <= LB forces cost <= LB; optimum >= LB pins equality.
       assert(BestCost == LowerBound && "LB-probe model must be optimal");
     } else {
@@ -183,14 +191,9 @@ public:
       R = SolveWith({});
       if (R == LBool::Undef)
         return Unknown();
-      if (R == LBool::False) {
-        Res.Status = MaxSatStatus::HardUnsat;
-        Res.LowerBound = Res.UpperBound = UINT64_MAX;
-        Res.Search = S.stats();
-        return Res;
-      }
-      ExtractModel(BestModel);
-      BestCost = modelCost(Soft, BestModel);
+      if (R == LBool::False)
+        return HardUnsat();
+      NewModel();
       assert(BestCost >= LowerBound && "model beat the proven lower bound");
       while (BestCost > LowerBound) {
         uint64_t Mid = LowerBound + (BestCost - LowerBound) / 2;
@@ -201,36 +204,33 @@ public:
           LowerBound = Mid + 1;
           continue;
         }
-        ExtractModel(BestModel);
-        BestCost = modelCost(Soft, BestModel);
+        NewModel();
         assert(BestCost <= Mid && "bound assumption did not hold");
       }
     }
     LowerBound = BestCost; // optima are monotone under added hard clauses
 
     if (BestCost > 0 && !RelaxLits.empty())
-      canonicalize(BestModel, BestCost, Res);
+      canonicalize(BestCost, Res);
 
     Res.Status = MaxSatStatus::Optimum;
-    Res.Model = std::move(BestModel);
     Res.Cost = BestCost;
     Res.LowerBound = Res.UpperBound = BestCost;
-    Res.BestModel = Res.Model;
     for (size_t I = 0; I < Soft.size(); ++I)
-      if (!clauseSatisfied(Soft[I].Lits, Res.Model))
+      if (!clauseSatisfied(Soft[I].Lits, S))
         Res.FalsifiedSoft.push_back(I);
-    Res.Search = S.stats();
-    return Res;
+    return Finish(true);
   }
 
 private:
   /// Anytime upper bound after budget exhaustion: an unbounded solve under
   /// a small allowance yields a hard-satisfying model whose cost bounds the
   /// optimum from above. Only runs when the query budget tripped, so
-  /// unbudgeted flows behave exactly as before.
-  void harvestUpperBound(MaxSatResult &Res) {
+  /// unbudgeted flows behave exactly as before. \returns true when a model
+  /// was found (S's model then witnesses UpperBound).
+  bool harvestUpperBound(MaxSatResult &Res) {
     if (!S.budgetExhausted() || S.interrupted())
-      return;
+      return false;
     Solver::Budget Saved = S.budget();
     S.clearBudget();
     Solver::Budget Allowance;
@@ -239,22 +239,19 @@ private:
     for (Var V : PreferTrue)
       S.setPolarity(V, true);
     ++Res.SatCalls;
-    if (S.solve() == LBool::True) {
-      Res.BestModel.resize(NumOrigVars);
-      for (Var V = 0; V < NumOrigVars; ++V)
-        Res.BestModel[V] = S.modelValue(V);
-      Res.UpperBound = modelCost(Soft, Res.BestModel);
-    }
+    bool Found = S.solve() == LBool::True;
+    if (Found)
+      Res.UpperBound = modelCost(Soft, S);
     S.setBudget(Saved);
     S.markBudgetExhausted(); // the query budget stays sticky-exhausted
+    return Found;
   }
 
   /// Canonicalizes the optimum (see Canonical.h): probes run under the
   /// counter bound "sum <= Cost", and soft clause J is forced satisfied by
   /// assuming its relaxation literal off (relaxation and counter clauses
   /// only constrain it upward, so a satisfied clause can always lower it).
-  void canonicalize(std::vector<LBool> &Model, uint64_t Cost,
-                    MaxSatResult &Res) {
+  void canonicalize(uint64_t Cost, MaxSatResult &Res) {
     ensureCounter(Cost + 1);
     Lit HoldOptimum = ~CounterOut[Cost]; // hold sum <= Cost
     CanonicalHooks Hooks;
@@ -264,14 +261,10 @@ private:
       for (Var V : PreferTrue)
         S.setPolarity(V, true);
       ++Res.SatCalls;
-      LBool R = S.solve(Assumptions);
-      if (R == LBool::True)
-        for (Var V = 0; V < NumOrigVars; ++V)
-          Model[V] = S.modelValue(V);
-      return R;
+      return S.solve(Assumptions);
     };
     Hooks.SatisfyLit = [&](size_t J) { return ~RelaxLits[J]; };
-    Res.CanonicalTruncated = !greedyCanonicalize(Soft, Hooks, Model);
+    Res.CanonicalTruncated = !greedyCanonicalize(Soft, Hooks, S);
   }
 
   /// Makes counter outputs available for thresholds 1..MaxNeeded. Encoded
@@ -302,6 +295,7 @@ private:
   /// first, so a re-optimization whose optimum is unchanged costs one SAT
   /// call and no bound tightening.
   uint64_t LowerBound = 0;
+  bool Witness; ///< fill Model/BestModel (MaxSatInstance::Witness)
   bool HardBroken = false;
 };
 

@@ -96,6 +96,15 @@ struct MaxSatInstance {
   /// which per-query test clauses bind after the preprocessed base
   /// session was cloned.
   std::vector<Var> Frozen;
+  /// Whether results carry a witness: MaxSatResult::Model and BestModel
+  /// over [0, NumVars). Reading one rebuilds the variables preprocessing
+  /// eliminated (Solver::modelValue), so it is done once, at the end of
+  /// solve(). The DIMACS front ends keep it on to print `v` lines;
+  /// localization reports only which soft clauses the optimum falsifies,
+  /// so TraceFormula::sharedInstance clears it and its sessions never
+  /// rebuild a model. Cost, FalsifiedSoft, the bounds and the search are
+  /// the same either way.
+  bool Witness = true;
 
   /// Visits every hard clause as a ClauseView: Formula's, then Hard, in
   /// order. Stops early, returning false, as soon as \p Fn returns false.
@@ -148,14 +157,17 @@ enum class MaxSatStatus {
   Unknown    ///< resource budget exhausted
 };
 
-/// Result of a MaxSAT call. On Optimum, Model satisfies all hard clauses,
-/// Cost is the total weight of falsified soft clauses (provably minimal),
-/// and FalsifiedSoft lists their indices -- for BugAssist's encoding this is
-/// exactly the CoMSS (paper Section 3.3).
+/// Result of a MaxSAT call. On Optimum, Cost is the total weight of
+/// falsified soft clauses (provably minimal) and FalsifiedSoft lists their
+/// indices -- for BugAssist's encoding this is exactly the CoMSS (paper
+/// Section 3.3) -- and, when the instance asked for a witness
+/// (MaxSatInstance::Witness), Model satisfies all hard clauses and
+/// falsifies exactly FalsifiedSoft. Without a witness Model and BestModel
+/// stay empty; every other field is the same.
 struct MaxSatResult {
   MaxSatStatus Status = MaxSatStatus::Unknown;
   uint64_t Cost = 0;
-  std::vector<LBool> Model;
+  std::vector<LBool> Model; ///< the optimum's witness (see above)
   std::vector<size_t> FalsifiedSoft;
   /// SAT calls issued during this solve().
   uint64_t SatCalls = 0;
@@ -167,9 +179,9 @@ struct MaxSatResult {
   // On Optimum both bounds equal Cost and BestModel is the optimal model.
   // On Unknown (budget exhausted) they are the best-so-far knowledge:
   // LowerBound is a proven lower bound on the optimum (0 when nothing was
-  // proven), UpperBound is the cost of BestModel when one was found
-  // (UINT64_MAX and an empty BestModel otherwise). On HardUnsat both
-  // bounds are UINT64_MAX.
+  // proven), UpperBound is the cost of the best model found (UINT64_MAX
+  // when none was, and then BestModel is empty). On HardUnsat both bounds
+  // are UINT64_MAX. BestModel is filled only for a witness instance.
   /// Proven lower bound on the optimum cost.
   uint64_t LowerBound = 0;
   /// Cost of the best model found so far (UINT64_MAX when none).
@@ -302,6 +314,15 @@ MaxSatResult solveLinear(const MaxSatInstance &Inst,
 /// Evaluates \p C under \p Model. Clauses with unassigned variables count
 /// as falsified only if no literal is true.
 bool clauseSatisfied(const Clause &C, const std::vector<LBool> &Model);
+
+/// Evaluates \p C under \p S's last model (Solver::modelValue). The
+/// sessions evaluate soft clauses this way: their variables are frozen, so
+/// the read never rebuilds eliminated variables.
+bool clauseSatisfied(const Clause &C, Solver &S);
+
+/// \p S's last model over variables [0, \p NumVars): a witness readout,
+/// which rebuilds eliminated variables once if any were eliminated.
+std::vector<LBool> readModel(Solver &S, int NumVars);
 
 } // namespace bugassist
 

@@ -122,8 +122,11 @@ void Solver::extendModel() {
   // overrides a value the search itself assigned (possible when a learnt
   // clause over the variable propagated at the root between its
   // elimination and the learnt sweep): such assignments are entailed, and
-  // entailment makes the stored side satisfied without the flip.
-  for (size_t I = ElimStack.size(); I > 0;) {
+  // entailment makes the stored side satisfied without the flip. Segments
+  // above ExtendPending belong to variables eliminated after the answer:
+  // the search assigned those itself, so they are left as found.
+  ++Stats.ModelRebuilds;
+  for (size_t I = ExtendPending; I > 0;) {
     int32_t N = ElimStack[--I].code();
     assert(N >= 1 && static_cast<size_t>(N) <= I && "corrupt elim stack");
     size_t Begin = I - static_cast<size_t>(N);
@@ -143,6 +146,7 @@ void Solver::extendModel() {
     }
     I = Begin;
   }
+  ExtendPending = 0;
 }
 
 // --- pass setup -------------------------------------------------------------

@@ -840,15 +840,10 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
   }
 
   if (Result == LBool::True) {
+    // Eliminated variables never appear on the trail; modelValue() restores
+    // them from the first ElimStack.size() words of the stack on demand.
     Model.assign(Assigns.begin(), Assigns.end());
-    // Eliminated variables never appear on the trail; restore them from the
-    // reconstruction stack before anything reads (or defaults) the model.
-    extendModel();
-    // Unassigned variables (possible when every clause was satisfied before
-    // full assignment never happens in this implementation, but be safe).
-    for (LBool &B : Model)
-      if (B == LBool::Undef)
-        B = LBool::False;
+    ExtendPending = ElimStack.size();
   }
   cancelUntil(0);
   CurAssumptions.clear();

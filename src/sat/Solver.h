@@ -95,6 +95,9 @@ struct SolverStats {
   /// Size of the model-reconstruction stack in bytes (a gauge, like the
   /// tier counts: it only grows while variables stay eliminated).
   uint64_t ReconstructBytes = 0;
+  /// Model extensions run: reads of an eliminated variable's model value
+  /// that rebuilt the eliminated variables (at most one per True answer).
+  uint64_t ModelRebuilds = 0;
 
   /// Average learn-time LBD per conflict (unit learnts count with LBD 1),
   /// glucose's "average LBD" signal.
@@ -208,10 +211,24 @@ public:
   /// assumptions proved jointly inconsistent with the clauses.
   LBool solve(const std::vector<Lit> &Assumptions);
 
-  /// Model access after a True result.
-  LBool modelValue(Var V) const { return Model[V]; }
-  LBool modelValue(Lit L) const {
-    LBool B = Model[L.var()];
+  /// Model access after a True result: the model of the last solve() that
+  /// returned True, whatever was solved or added since. The value of a
+  /// variable the simplifier never eliminated is read straight from the
+  /// assignment the search found (a variable it left unassigned reads
+  /// False). Eliminated variables are rebuilt lazily: the first read of one
+  /// runs SatELite's model extension once, over the reconstruction stack as
+  /// it stood at that answer (later passes only append to the stack, and
+  /// their segments are left out), and counts a SolverStats::ModelRebuilds.
+  /// Callers that read only frozen variables -- the MaxSAT sessions read
+  /// soft-clause literals -- never pay for a rebuild.
+  LBool modelValue(Var V) {
+    if (ExtendPending != 0 && isEliminated(V))
+      extendModel();
+    LBool B = Model[V];
+    return B == LBool::Undef ? LBool::False : B;
+  }
+  LBool modelValue(Lit L) {
+    LBool B = modelValue(L.var());
     return L.negated() ? lboolNeg(B) : B;
   }
 
@@ -346,8 +363,8 @@ public:
   }
 
   /// True once \p V has been eliminated by the simplifier. Eliminated
-  /// variables have no clause occurrences; their model values are restored
-  /// from the reconstruction stack before solve() returns True.
+  /// variables have no clause occurrences; modelValue() restores their
+  /// values from the reconstruction stack on first read.
   bool isEliminated(Var V) const {
     return V < static_cast<Var>(ElimVars.size()) && ElimVars[V] != 0;
   }
@@ -518,7 +535,9 @@ private:
   /// \returns false if the solver became UNSAT.
   bool strengthenClause(ClauseRef CR, Lit L);
   /// Restores eliminated variables in Model by walking the reconstruction
-  /// stack backwards (called on a True result before Model is defaulted).
+  /// stack backwards from height ExtendPending (the stack's size at the
+  /// last True answer), then clears ExtendPending. Only modelValue() calls
+  /// it, on the first read of an eliminated variable.
   void extendModel();
 
   // --- LBD / restart machinery -------------------------------------------
@@ -632,7 +651,12 @@ private:
 
   std::vector<Lit> CurAssumptions;
   std::vector<Lit> ConflictCore;
+  // The last True answer's assignment, Undef where the search left a
+  // variable unassigned (modelValue reads that as False). While
+  // ExtendPending is nonzero, eliminated variables in it still hold their
+  // search values: it is the ElimStack height extendModel must replay.
   std::vector<LBool> Model;
+  size_t ExtendPending = 0;
 
   uint64_t ConflictBudget = 0;
   // Query-wide resource budget (see Budget above). The search loop keeps

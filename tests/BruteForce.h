@@ -59,7 +59,7 @@ inline bool bruteForceSat(int NumVars, const std::vector<Clause> &Clauses) {
 }
 
 /// \returns true if \p S's last model satisfies every clause of \p Clauses.
-inline bool modelSatisfies(const Solver &S,
+inline bool modelSatisfies(Solver &S,
                            const std::vector<Clause> &Clauses) {
   return std::all_of(Clauses.begin(), Clauses.end(), [&S](const Clause &C) {
     return std::any_of(C.begin(), C.end(), [&S](Lit L) {

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 using namespace bugassist;
 
@@ -637,4 +639,123 @@ TEST(MaxSat, FalsifiedSoftConsistentWithCost) {
       EXPECT_EQ(!clauseSatisfied(Inst.Soft[I].Lits, Res.Model), Reported);
     }
   }
+}
+
+// --- witness models -----------------------------------------------------------
+
+namespace {
+
+/// Every SolverStats counter but ModelRebuilds, which is the one a witness
+/// readout changes.
+auto searchCounters(const SolverStats &S) {
+  return std::make_tuple(S.Conflicts, S.Decisions, S.Propagations, S.Restarts,
+                         S.RestartsBlocked, S.LearnedClauses,
+                         S.DeletedClauses, S.GcRuns, S.LbdSum, S.LbdCount,
+                         S.LbdTightened, S.VarsEliminated, S.ClausesSubsumed,
+                         S.LitsSelfSubsumed, S.ReconstructBytes);
+}
+
+/// Solves \p Inst with and without a witness on both engines (Fu-Malik
+/// canonical, so its probes run too) under \p Budget, and checks that the
+/// witness changes nothing but Model, BestModel and the rebuild count.
+/// \returns the witness-free results, Fu-Malik first.
+std::vector<MaxSatResult> solveBothWays(MaxSatInstance Inst,
+                                        const Solver::Budget &Budget) {
+  std::vector<MaxSatResult> Bare;
+  for (bool Weighted : {false, true}) {
+    MaxSatResult Res[2];
+    for (bool Witness : {true, false}) {
+      Inst.Witness = Witness;
+      auto Session =
+          makeMaxSatSession(Inst, Weighted, /*ConflictBudget=*/0,
+                            Solver::Options(), /*Canonical=*/true);
+      if (!Budget.unlimited())
+        Session->setBudget(Budget);
+      Res[Witness] = Session->solve();
+    }
+    const MaxSatResult &On = Res[1], &Off = Res[0];
+    std::string Engine = Weighted ? "linear" : "fumalik";
+    EXPECT_EQ(Off.Status, On.Status) << Engine;
+    EXPECT_EQ(Off.Cost, On.Cost) << Engine;
+    EXPECT_EQ(Off.FalsifiedSoft, On.FalsifiedSoft) << Engine;
+    EXPECT_EQ(Off.SatCalls, On.SatCalls) << Engine;
+    EXPECT_EQ(Off.LowerBound, On.LowerBound) << Engine;
+    EXPECT_EQ(Off.UpperBound, On.UpperBound) << Engine;
+    EXPECT_EQ(Off.CanonicalTruncated, On.CanonicalTruncated) << Engine;
+    EXPECT_EQ(searchCounters(Off.Search), searchCounters(On.Search)) << Engine;
+    EXPECT_TRUE(Off.Model.empty()) << Engine;
+    EXPECT_TRUE(Off.BestModel.empty()) << Engine;
+    EXPECT_EQ(Off.Search.ModelRebuilds, 0u) << Engine;
+    if (On.UpperBound != UINT64_MAX) {
+      // The witness pays the one rebuild, and witnesses the reported cost.
+      EXPECT_GT(On.Search.VarsEliminated, 0u) << Engine;
+      EXPECT_EQ(On.Search.ModelRebuilds, 1u) << Engine;
+      EXPECT_EQ(On.BestModel.size(), static_cast<size_t>(Inst.NumVars));
+      EXPECT_TRUE(Inst.forEachHard([&](ClauseView C) {
+        return clauseSatisfied(C.vec(), On.BestModel);
+      })) << Engine;
+      EXPECT_EQ(modelCost(Inst, On.BestModel), On.UpperBound) << Engine;
+    }
+    Bare.push_back(Off);
+  }
+  return Bare;
+}
+
+/// Buffered soft pigeonhole: each variable of PHP(Holes + 1, Holes) heads a
+/// chain of \p Buffer hard-equivalent variables, which preprocessing
+/// eliminates, so a witness has variables to rebuild.
+MaxSatInstance bufferedSoftPigeonhole(int Holes, int Buffer) {
+  MaxSatInstance Inst;
+  appendSoftPigeonhole(Inst, Holes);
+  int Slots = Inst.NumVars;
+  for (Var V = 0; V < Slots; ++V) {
+    Var Prev = V;
+    for (int B = 0; B < Buffer; ++B) {
+      Var Next = Inst.NumVars++;
+      Inst.Hard.push_back({~mkLit(Prev), mkLit(Next)});
+      Inst.Hard.push_back({mkLit(Prev), ~mkLit(Next)});
+      Prev = Next;
+    }
+  }
+  return Inst;
+}
+
+} // namespace
+
+TEST(Witness, ClearedWitnessChangesNothingButTheModels) {
+  // Optimum: every engine pays exactly one rebuild for the witness.
+  for (const MaxSatResult &R :
+       solveBothWays(bufferedSoftPigeonhole(/*Holes=*/4, /*Buffer=*/3),
+                     Solver::Budget())) {
+    EXPECT_EQ(R.Status, MaxSatStatus::Optimum);
+    EXPECT_EQ(R.Cost, 1u);
+  }
+
+  // HardUnsat: no model exists, with or without a witness.
+  MaxSatInstance Unsat = bufferedSoftPigeonhole(/*Holes=*/3, /*Buffer=*/2);
+  Unsat.Hard.push_back({mkLit(0)});
+  Unsat.Hard.push_back({~mkLit(0)});
+  for (const MaxSatResult &R : solveBothWays(Unsat, Solver::Budget()))
+    EXPECT_EQ(R.Status, MaxSatStatus::HardUnsat);
+
+  // Unknown: the anytime upper bound is still reported without a witness.
+  MaxSatInstance Hard = contradictoryPairs(12);
+  MaxSatInstance Php = bufferedSoftPigeonhole(/*Holes=*/6, /*Buffer=*/2);
+  for (SoftClause SC : Php.Soft) {
+    for (Lit &L : SC.Lits)
+      L = mkLit(L.var() + Hard.NumVars, L.negated());
+    Hard.Soft.push_back(std::move(SC));
+  }
+  for (Clause C : Php.Hard) {
+    for (Lit &L : C)
+      L = mkLit(L.var() + Hard.NumVars, L.negated());
+    Hard.Hard.push_back(std::move(C));
+  }
+  Hard.NumVars += Php.NumVars;
+  Solver::Budget B;
+  B.MaxConflicts = 1;
+  std::vector<MaxSatResult> Starved = solveBothWays(Hard, B);
+  ASSERT_EQ(Starved[0].Status, MaxSatStatus::Unknown);
+  EXPECT_NE(Starved[0].UpperBound, UINT64_MAX);
+  EXPECT_GT(Starved[0].LowerBound, 0u);
 }

@@ -42,7 +42,7 @@ using clitest::runCommand;
 namespace {
 
 /// Fails on every input and has no loops, so any accepted knob value
-/// (unwind 1e6, bitwidth 1) still runs in milliseconds.
+/// (unwind 1e6, bitwidth 2) still runs in milliseconds.
 const char *Program = "int main(int x) {\n"
                       "  assert(x == 0);\n"
                       "  return x;\n"

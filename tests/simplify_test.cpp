@@ -5,7 +5,8 @@
 // Covers the SatELite-style simplifier (sat/Simplifier.h): hand-checked
 // bounded variable elimination and backward subsumption, model
 // reconstruction round-trips (every model of the reduced formula extends
-// to a model of the original), the frozen-variable contract (eliminating
+// to a model of the original), lazy reconstruction (the same model for
+// every reader of one answer), the frozen-variable contract (eliminating
 // a frozen variable is a hard error, talking about an eliminated variable
 // is a hard error, releaseVar unfreezes), a brute-force differential on
 // random instances, and CLI differentials: every checked-in instance
@@ -18,6 +19,8 @@
 #include "sat/Solver.h"
 
 #include "cnf/Cnf.h"
+#include "cnf/DimacsReader.h"
+#include "maxsat/MaxSat.h"
 #include "support/Rng.h"
 
 #include "BruteForce.h"
@@ -167,6 +170,79 @@ TEST(Simplify, CloneInheritsReconstructionStack) {
   EXPECT_TRUE(Copy.isEliminated(X));
   EXPECT_TRUE(modelSatisfies(
       Copy, {{mkLit(A), mkLit(X)}, {~mkLit(X), mkLit(B)}, {~mkLit(A)}}));
+}
+
+// modelValue rebuilds eliminated variables on their first read, from the
+// reconstruction stack as it stood at the SAT answer. Three readers of one
+// answer must see the same model, and it must satisfy the original
+// clauses: a read right after the answer; a read after the stack grew and
+// a later solve came back UNSAT; and a read from a copy taken while the
+// rebuild was still pending. The stack grows over a clause the answer
+// falsifies, so a rebuild that replayed the whole stack would flip the
+// newly eliminated variable whenever that clause lands on its stored side.
+TEST(Simplify, LazyModelExtensionIsTheSameForEveryReader) {
+  Solver::Options O;
+  O.PreprocessMinClauses = 0; // small random formulas
+  int Checked = 0, GrownOverFalsified = 0;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    Rng R(Seed);
+    int NumVars = 10 + static_cast<int>(R.below(6));
+    auto Cs = randomInstance(R, NumVars, NumVars * 3, 3);
+    // Var 0 is frozen: the later UNSAT solve assumes it both ways.
+    auto Load = [&](Solver &S) {
+      S.ensureVars(NumVars);
+      S.setFrozen(0, true);
+      for (const Clause &C : Cs)
+        if (!S.addClause(C))
+          return false;
+      return true;
+    };
+    Solver Now(O);
+    if (!Load(Now) || Now.solve() != LBool::True ||
+        Now.stats().VarsEliminated == 0)
+      continue;
+    ++Checked;
+    Solver Pending = Now; // copied before anything read the model
+
+    // 1. Read right after the answer: one rebuild, whatever is read next.
+    std::vector<LBool> Model = readModel(Now, NumVars);
+    EXPECT_EQ(Now.stats().ModelRebuilds, 1u) << "seed " << Seed;
+    EXPECT_TRUE(modelSatisfies(Now, Cs)) << "seed " << Seed;
+    EXPECT_EQ(Now.stats().ModelRebuilds, 1u) << "seed " << Seed;
+
+    // 2. The same search again; before any read, a clause the answer
+    // falsifies is added, one of its variables is eliminated over it, and
+    // a solve under contradictory assumptions answers False.
+    Solver Later(O);
+    ASSERT_TRUE(Load(Later)) << "seed " << Seed;
+    ASSERT_EQ(Later.solve(), LBool::True) << "seed " << Seed;
+    uint64_t StackBytes = Later.stats().ReconstructBytes;
+    Lit Zero = mkLit(0, Model[0] == LBool::False); // true in the answer
+    for (Var V = 1; V < NumVars; ++V) {
+      if (Later.isEliminated(V))
+        continue;
+      Lit Held = mkLit(V, Model[V] == LBool::False);
+      if (!Later.addClause({~Held, ~Zero}))
+        break;
+      if (Later.eliminateVar(V)) {
+        ++GrownOverFalsified;
+        break;
+      }
+    }
+    EXPECT_EQ(Later.solve({mkLit(0), ~mkLit(0)}), LBool::False)
+        << "seed " << Seed;
+    EXPECT_EQ(readModel(Later, NumVars), Model) << "seed " << Seed;
+    EXPECT_TRUE(modelSatisfies(Later, Cs)) << "seed " << Seed;
+    EXPECT_GE(Later.stats().ReconstructBytes, StackBytes);
+
+    // 3. The copy rebuilds on its own first read, to the same values.
+    EXPECT_EQ(Pending.stats().ModelRebuilds, 0u) << "seed " << Seed;
+    EXPECT_EQ(readModel(Pending, NumVars), Model) << "seed " << Seed;
+    EXPECT_TRUE(modelSatisfies(Pending, Cs)) << "seed " << Seed;
+    EXPECT_EQ(Pending.stats().ModelRebuilds, 1u) << "seed " << Seed;
+  }
+  EXPECT_GT(Checked, 10) << "too few instances eliminated variables";
+  EXPECT_GT(GrownOverFalsified, 10) << "too few stacks grew after the answer";
 }
 
 // --- identity differential ---------------------------------------------------
@@ -804,4 +880,23 @@ TEST(SimplifyCliDifferential, StatsReportEliminations) {
       std::strtoull(Out.c_str() + Pos + std::strlen("vars_eliminated="),
                     nullptr, 10);
   EXPECT_GT(Count, 0u) << Out;
+}
+
+// The maxsat front end keeps its witness: on the buffered pigeonhole, whose
+// buffer variables preprocessing eliminates, printing the model rebuilds
+// them, and the rebuilt model satisfies every hard clause.
+TEST(SimplifyCliDifferential, WitnessSessionRebuildsEliminatedVariables) {
+  DimacsParseError Err;
+  auto Parsed = readDimacsFile(Instances + "/php_soft8.wcnf", Err);
+  ASSERT_TRUE(Parsed) << Err.Message;
+  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed));
+  ASSERT_TRUE(Inst.Witness);
+  auto Session = makeFuMalikSession(Inst);
+  MaxSatResult Res = Session->solve();
+  ASSERT_EQ(Res.Status, MaxSatStatus::Optimum);
+  EXPECT_GT(Res.Search.VarsEliminated, 0u);
+  EXPECT_GE(Res.Search.ModelRebuilds, 1u);
+  EXPECT_TRUE(Inst.forEachHard([&](ClauseView C) {
+    return clauseSatisfied(C.vec(), Res.Model);
+  }));
 }

@@ -7,6 +7,7 @@
 #include "programs/TcasMutants.h"
 
 #include "core/BugAssist.h"
+#include "core/Pipeline.h"
 #include "lang/Sema.h"
 #include "programs/Tcas.h"
 
@@ -279,4 +280,44 @@ TEST(Tcas, BorrowedFormulaLoadsLikeACopyInHard) {
   EXPECT_EQ(SA.ClausesSubsumed, SB.ClausesSubsumed);
   EXPECT_EQ(SA.LitsSelfSubsumed, SB.LitsSelfSubsumed);
   EXPECT_EQ(SA.ReconstructBytes, SB.ReconstructBytes);
+}
+
+TEST(Tcas, LocalizationRebuildsNoModel) {
+  // Localization reads only which selectors each optimum falsifies, so
+  // its instances ask for no witness model and the session never rebuilds
+  // the variables preprocessing eliminated. Asking for a witness costs a
+  // rebuild per optimum and changes nothing else.
+  auto Faulty = compile(tcasMutants()[1].Source);
+  int64_t Want = 0;
+  InputVector Failing = firstFailingTest(*Faulty, Want);
+  ASSERT_FALSE(Failing.empty()) << "pool does not exercise v2";
+  BugAssistDriver Driver(*Faulty, "main", tcasUnrollOptions());
+  const TraceFormula &TF = Driver.formula();
+  Spec S;
+  S.CheckObligations = false;
+  S.GoldenReturn = Want;
+
+  MaxSatInstance Bare = TF.localizationInstance(Failing, S);
+  EXPECT_FALSE(Bare.Witness);
+  MaxSatInstance Witnessed = Bare;
+  Witnessed.Witness = true;
+
+  LocalizeOptions LO;
+  LO.MaxDiagnoses = 32;
+  const CnfFormula &F = TF.encoded().Formula;
+  auto A = makeLocalizationSession(Bare, LO);
+  auto B = makeLocalizationSession(Witnessed, LO);
+  LocalizationReport RA = enumerateCoMSSesOn(*A, F, LO);
+  LocalizationReport RB = enumerateCoMSSesOn(*B, F, LO);
+  ASSERT_FALSE(RA.Diagnoses.empty());
+  EXPECT_GT(RA.Search.VarsEliminated, 0u);
+  EXPECT_EQ(RA.Search.ModelRebuilds, 0u);
+  EXPECT_GE(RB.Search.ModelRebuilds, 1u);
+  EXPECT_EQ(renderLocalizationReport(RA), renderLocalizationReport(RB));
+  EXPECT_EQ(RA.SatCalls, RB.SatCalls);
+  EXPECT_EQ(RA.Search.Conflicts, RB.Search.Conflicts);
+  EXPECT_EQ(RA.Search.Propagations, RB.Search.Propagations);
+
+  // The one-shot driver, which localize runs, rebuilds no model either.
+  EXPECT_EQ(Driver.localize(Failing, S, LO).Search.ModelRebuilds, 0u);
 }
