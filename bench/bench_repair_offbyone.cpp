@@ -5,11 +5,11 @@
 // The strncat off-by-one study: find the violation by BMC, localize with
 // the library trusted (its constraints hard, Section 6.3), and synthesize
 // the kappa +/- 1 repair of Algorithm 2, timing every stage. The repair
-// runs twice -- through the encode-once pipeline seam (prepared driver,
-// pooled prescreen) and through the rebuild-everything reference overload
-// -- and the candidate-validation funnels of both twins are merged into
+// runs twice on one prepared driver -- through the pipeline seam with the
+// line prescreen, and through repairProgram with the prescreen off --
+// and the candidate-validation funnels of both twins are merged into
 // BENCH_solvers.json next to the solver workloads, so the perf tracker
-// sees how many candidates each path planned, screened, and verified.
+// sees how many candidates each twin planned, screened, and verified.
 //
 //===----------------------------------------------------------------------===//
 
@@ -198,19 +198,19 @@ int main(int argc, char **argv) {
   std::printf("  (call site line %u %s)\n", program2BugLine(),
               CallSite ? "blamed, as in the paper" : "MISSED");
 
-  // Rebuild twin: the reference overload re-encodes per verification, the
-  // funnel shows what the pooled seam saves.
+  // Unscreened twin: the same repair with the line prescreen off; the
+  // funnel shows what the prescreen saves.
   RepairOptions RO;
-  RO.Unroll = UO;
   RO.OperatorSwap = false;
+  RO.PrescreenLines = false;
   T.reset();
-  RepairResult Rebuild =
-      repairProgram(*P->Prog, "main", {*Cex}, Spec{}, nullptr, RO);
-  double RebuildWall = T.seconds();
+  RepairResult Unscreened =
+      repairProgram(*P->Prog, *P->Driver, "main", {*Cex}, Spec{}, nullptr, RO);
+  double UnscreenedWall = T.seconds();
 
   for (const auto &Twin :
        {std::make_pair("pooled", &Pooled.Repair),
-        std::make_pair("rebuild", &Rebuild)}) {
+        std::make_pair("unscreened", &Unscreened)}) {
     const RepairResult &Fix = *Twin.second;
     std::printf("%s repair: %zu tried of %zu planned (%zu test-rejected, "
                 "%zu bmc-rejected, %zu formula builds) -> %s\n", Twin.first,
@@ -226,19 +226,19 @@ int main(int argc, char **argv) {
                 Pooled.Repair.Suggestion.Line,
                 Pooled.Repair.Suggestion.Description.c_str());
   bool Agree =
-      Pooled.Repair.Found == Rebuild.Found &&
+      Pooled.Repair.Found == Unscreened.Found &&
       (!Pooled.Repair.Found ||
-       (Pooled.Repair.Suggestion.Line == Rebuild.Suggestion.Line &&
+       (Pooled.Repair.Suggestion.Line == Unscreened.Suggestion.Line &&
         Pooled.Repair.Suggestion.Description ==
-            Rebuild.Suggestion.Description));
+            Unscreened.Suggestion.Description));
   if (!Agree)
-    std::printf("TWIN MISMATCH: pooled and rebuild disagree\n");
+    std::printf("TWIN MISMATCH: pooled and unscreened disagree\n");
 
   mergeIntoJson(JsonPath,
                 {workloadEntry("repair_offbyone_pooled", PooledWall,
                                Pooled.Repair),
-                 workloadEntry("repair_offbyone_rebuild", RebuildWall,
-                               Rebuild)});
+                 workloadEntry("repair_offbyone_unscreened", UnscreenedWall,
+                               Unscreened)});
 
   return Pooled.Repair.Found && CallSite && Agree ? 0 : 1;
 }

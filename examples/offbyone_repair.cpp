@@ -60,9 +60,9 @@ int main() {
 
   // Synthesize the off-by-one fix (Algorithm 2).
   RepairOptions RO;
-  RO.Unroll = UO;
   RO.OperatorSwap = false; // the paper's study tries constants only
-  RepairResult Fix = repairProgram(*Prog, "main", {*Cex}, Spec{}, nullptr, RO);
+  RepairResult Fix =
+      repairProgram(*Prog, Driver, "main", {*Cex}, Spec{}, nullptr, RO);
   if (!Fix.Found) {
     std::printf("no repair validated (%zu candidates)\n",
                 Fix.CandidatesTried);

@@ -62,7 +62,7 @@ int main() {
   std::printf("  (bug injected at line %u)\n", program1BugLine());
 
   // Step 3 (Algorithm 2): try common-error fixes on the suspects.
-  RepairResult Fix = repairProgram(*Prog, "main", {*Failing}, Spec{});
+  RepairResult Fix = repairProgram(*Prog, Driver, "main", {*Failing}, Spec{});
   if (Fix.Found) {
     std::printf("\n=== Suggested repair ===\n");
     std::printf("line %u: %s\n", Fix.Suggestion.Line,

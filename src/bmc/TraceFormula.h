@@ -55,18 +55,18 @@ public:
   /// The test-independent part of localizationInstance: Formula = TF1
   /// (borrowed, same lifetime rule), Hard empty, Soft/PreferTrue = the full
   /// selector structure, and no witness model (MaxSatInstance::Witness
-  /// false: reports need only the falsified selectors). A MaxSAT session
-  /// built over this instance (and
-  /// never solved) can be cloned per query and completed with
-  /// testClauses() -- the serve-mode encode-once path.
-  /// Selector guard variables allocated on top of NumVars land at the same
-  /// IDs as in the per-test instance because testClauses adds no variables.
+  /// false: reports need only the falsified selectors). Every
+  /// localization session is built over this instance and completed with
+  /// testClauses() (localizeFault); a never-solved one can first be
+  /// preprocessed and cloned per query (serve). Selector guard variables
+  /// allocated on top of NumVars land at the same IDs as in the per-test
+  /// instance because testClauses adds no variables.
   MaxSatInstance sharedInstance() const;
 
   /// The per-test hard clauses ([[test]] /\ p) that localizationInstance
   /// appends to TF1, in the same order: input bindings, the SpecLit unit,
-  /// then golden-return units. Add them to a clone of a sharedInstance()
-  /// session to obtain the exact per-test instance.
+  /// then golden-return units. Add them to a sharedInstance() session (or
+  /// a clone of one) to obtain the exact per-test instance.
   std::vector<Clause> testClauses(const InputVector &Test, const Spec &S) const;
 
   /// Searches for an input violating \p S with every statement enabled

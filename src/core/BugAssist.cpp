@@ -10,7 +10,6 @@
 #include "sat/Solver.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 
 using namespace bugassist;
@@ -99,40 +98,25 @@ bugassist::makeLocalizationSession(const MaxSatInstance &Inst,
                            /*Canonical=*/true);
 }
 
-LocalizationReport bugassist::enumerateCoMSSes(MaxSatInstance Inst,
-                                               const CnfFormula &F,
-                                               const LocalizeOptions &Opts) {
-  assert(Inst.Soft.size() == F.numGroups() &&
-         "soft clauses must mirror clause groups");
-
-  // Algorithm 1, lines 7-14, on ONE incremental MaxSAT session: the solver
-  // (hard formula, learned clauses, heuristic state) persists across
-  // diagnoses, and each blocking clause beta is added incrementally. The
-  // session canonicalizes its optima, so the enumeration is deterministic.
-  return enumerateCoMSSesOn(*makeLocalizationSession(Inst, Opts), F, Opts);
-}
-
 LocalizationReport bugassist::localizeFault(const TraceFormula &TF,
                                             const InputVector &FailingTest,
                                             const Spec &S,
-                                            const LocalizeOptions &Opts) {
-  // Phi_H, Phi_S (Algorithm 1, lines 5-6). Soft clause i is the unit
-  // selector of clause group i, so CoMSS indexes map straight to groups.
-  return enumerateCoMSSes(TF.localizationInstance(FailingTest, S),
-                          TF.encoded().Formula, Opts);
-}
-
-LocalizationReport bugassist::localizeFault(MaxSatSession &Session,
-                                            const TraceFormula &TF,
-                                            const InputVector &FailingTest,
-                                            const Spec &S,
-                                            const LocalizeOptions &Opts) {
-  // Complete a sharedInstance() session into the per-test instance: the
-  // bindings and spec units range over original variables only, so the
-  // session's guard numbering matches the fresh-session path exactly.
+                                            const LocalizeOptions &Opts,
+                                            MaxSatSession *Session) {
+  // Algorithm 1, lines 7-14, on ONE incremental MaxSAT session: the solver
+  // (hard formula, learned clauses, heuristic state) persists across
+  // diagnoses, and each blocking clause beta is added incrementally.
+  std::unique_ptr<MaxSatSession> Own;
+  if (!Session) {
+    Own = makeLocalizationSession(TF.sharedInstance(), Opts);
+    Session = Own.get();
+  }
+  // Phi_H = [[test]] /\ p /\ TF1 (Algorithm 1, line 5): the bindings and
+  // spec units range over original variables only, so guard numbering is
+  // the same on every session.
   for (const Clause &C : TF.testClauses(FailingTest, S))
-    Session.addHardClause(C);
-  return enumerateCoMSSesOn(Session, TF.encoded().Formula, Opts);
+    Session->addHardClause(C);
+  return enumerateCoMSSesOn(*Session, TF.encoded().Formula, Opts);
 }
 
 bool bugassist::isValidCorrection(const TraceFormula &TF,
@@ -160,7 +144,7 @@ bool bugassist::isValidCorrection(const TraceFormula &TF,
 
 BugAssistDriver::BugAssistDriver(const Program &Prog, std::string Entry,
                                  UnrollOptions UOpts, EncodeOptions EOpts)
-    : UP(unrollProgram(Prog, Entry, UOpts)),
+    : Unroll(UOpts), UP(unrollProgram(Prog, Entry, UOpts)),
       TF((EOpts.BitWidth = UOpts.BitWidth, encodeProgram(UP, EOpts))) {}
 
 std::optional<InputVector>

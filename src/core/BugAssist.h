@@ -10,6 +10,11 @@
 /// lines (CoMSSes of the partial MaxSAT instance) whose replacement can
 /// make the failure infeasible.
 ///
+/// Every localization takes the same three steps: a session over the
+/// test-independent trace formula (TraceFormula::sharedInstance), the
+/// failing test and the spec bound on it as hard clauses
+/// (TraceFormula::testClauses), and the enumeration (enumerateCoMSSesOn).
+///
 /// Typical use:
 /// \code
 ///   BugAssistDriver Driver(Prog, "main");
@@ -138,45 +143,37 @@ struct LocalizeOptions {
   QueryBudget Budget;
 };
 
-/// Algorithm 1's enumeration loop on a prebuilt instance whose soft
-/// clauses mirror \p F's clause groups (soft index == group id).
-LocalizationReport enumerateCoMSSes(MaxSatInstance Inst, const CnfFormula &F,
-                                    const LocalizeOptions &Opts = {});
-
-/// The session enumerateCoMSSes runs Algorithm 1 on, over \p Inst:
-/// Opts picks the engine (Weighted), the per-call conflict budget and
-/// preprocessing; optima are canonical. Never solved on return, so it can
-/// be preprocessed and cloned before the enumeration starts.
+/// A never-solved localization session over \p Inst (normally
+/// TF.sharedInstance()): Opts picks the engine (Weighted), the per-call
+/// conflict budget and preprocessing; optima are canonical. Never solved
+/// on return, so it can be preprocessed and cloned before the enumeration
+/// starts.
 std::unique_ptr<MaxSatSession>
 makeLocalizationSession(const MaxSatInstance &Inst,
                         const LocalizeOptions &Opts = {});
 
-/// Algorithm 1's enumeration loop on an *existing* session whose soft
-/// clauses mirror \p F's clause groups. The serve-mode seam: the caller
-/// builds (or clones) the session once and this runs the blocking loop on
-/// it, installing Opts' query-wide budget first. Sessions canonicalize
-/// their optima, so the report depends only on the formula, never on which
-/// session produced it.
+/// Algorithm 1's enumeration loop on a session whose soft clauses mirror
+/// \p F's clause groups (soft index == group id) and whose failing test is
+/// already bound, installing Opts' query-wide budget first. Sessions
+/// canonicalize their optima, so the report depends only on the formula,
+/// never on which session produced it or what it was cloned from.
 LocalizationReport enumerateCoMSSesOn(MaxSatSession &Session,
                                       const CnfFormula &F,
                                       const LocalizeOptions &Opts = {});
 
-/// Algorithm 1 on a prebuilt trace formula: enumerates CoMSSes of
-/// (Phi_H, Phi_S), blocking each one with a hard clause (lambda_1 \/ ... \/
-/// lambda_k) and removing its selectors from the soft set.
+/// Algorithm 1 for one failing test: enumerates CoMSSes of (Phi_H, Phi_S),
+/// blocking each one with a hard clause (lambda_1 \/ ... \/ lambda_k).
+/// Runs on \p Session when given -- a never-solved session over
+/// TF.sharedInstance(), e.g. serve's clone of a cached base, which is
+/// consumed (blocking clauses accumulate; do not reuse it for another
+/// test) -- else on one built by makeLocalizationSession. Either way it
+/// binds TF.testClauses(FailingTest, S) through addHardClause, then
+/// enumerates.
 LocalizationReport localizeFault(const TraceFormula &TF,
                                  const InputVector &FailingTest,
                                  const Spec &S,
-                                 const LocalizeOptions &Opts = {});
-
-/// localizeFault on a prebuilt session over TF.sharedInstance() -- e.g. a
-/// clone() of a never-solved base session in serve mode. Completes the
-/// instance by adding TF.testClauses(FailingTest, S) as hard clauses, then
-/// enumerates. The session is consumed (blocking clauses accumulate); do
-/// not reuse it for another test.
-LocalizationReport localizeFault(MaxSatSession &Session, const TraceFormula &TF,
-                                 const InputVector &FailingTest, const Spec &S,
-                                 const LocalizeOptions &Opts = {});
+                                 const LocalizeOptions &Opts = {},
+                                 MaxSatSession *Session = nullptr);
 
 /// Decision procedure behind the paper's definition of a fix location:
 /// \returns true iff replacing exactly the statements on \p Lines can make
@@ -197,6 +194,8 @@ public:
 
   const TraceFormula &formula() const { return TF; }
   const UnrolledProgram &unrolled() const { return UP; }
+  /// The unroll options the formula was built with.
+  const UnrollOptions &unrollOptions() const { return Unroll; }
 
   /// Bounded model checking for a failing input (Section 4.1). \returns
   /// std::nullopt when no violation exists within bounds (or on budget).
@@ -205,11 +204,12 @@ public:
   std::optional<InputVector> findCounterexample(const Spec &S,
                                                 uint64_t ConflictBudget = 0) const;
 
-  /// Algorithm 1 for one failing test.
+  /// Algorithm 1 for one failing test (localizeFault on formula()).
   LocalizationReport localize(const InputVector &FailingTest, const Spec &S,
                               const LocalizeOptions &Opts = {}) const;
 
 private:
+  UnrollOptions Unroll;
   UnrolledProgram UP;
   TraceFormula TF;
 };

@@ -27,16 +27,16 @@ LoopDiagnosisResult bugassist::diagnoseLoopFault(const Program &Prog,
   LocalizeOptions LO = Opts.Localize;
   LO.Weighted = true; // Eq. 3 weights need the weighted solver
 
-  MaxSatInstance Inst = TF.localizationInstance(FailingTest, S);
+  std::unique_ptr<MaxSatSession> Session =
+      makeLocalizationSession(TF.sharedInstance(), LO);
   if (Opts.RestrictToLoopGroups) {
     // Pin every non-loop statement enabled: its selector becomes a hard
     // unit, and its soft clause is trivially satisfied alongside.
     for (const ClauseGroup &G : TF.encoded().Formula.groups())
       if (G.Unwinding == 0)
-        Inst.Hard.push_back({mkLit(G.Selector)});
+        Session->addHardClause({mkLit(G.Selector)});
   }
-  Result.Report = enumerateCoMSSes(std::move(Inst),
-                                   TF.encoded().Formula, LO);
+  Result.Report = localizeFault(TF, FailingTest, S, LO, Session.get());
 
   for (size_t D = 0; D < Result.Report.Diagnoses.size(); ++D) {
     const Diagnosis &Diag = Result.Report.Diagnoses[D];

@@ -8,7 +8,6 @@
 
 #include "serve/Json.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -43,15 +42,15 @@ using Setter = void (*)(CommandOptions &, const OptionValue &);
 
 OptionRow row(const char *Flag, const char *Key, OptionKind Kind,
               unsigned Commands, const char *Meta, const char *Help,
-              Setter Set, std::vector<std::string_view> Choices = {}) {
-  return {Flag, Key, Kind, Commands, 0, 0, Meta, Help, Set, false, Choices};
+              Setter Set) {
+  return {Flag, Key, Kind, Commands, 0, 0, Meta, Help, Set, false};
 }
 
 OptionRow intRow(const char *Flag, const char *Key, unsigned Commands,
                  int64_t Min, int64_t Max, const char *Help, Setter Set,
                  const char *Meta = "N") {
   return {Flag, Key, OptionKind::Int, Commands, Min, Max, Meta, Help, Set,
-          false, {}};
+          false};
 }
 
 OptionRow switchRow(const char *Flag, const char *Key, unsigned Commands,
@@ -174,10 +173,6 @@ const std::vector<OptionRow> Table = {
     switchRow("--progress", nullptr, InFuzz, "progress counter on stderr",
               SET(O.FuzzProgress = X.Bool)),
 
-    row("--engine", "engine", OptionKind::Text, InMaxSat, "E",
-        "auto (Fu-Malik for unit weights, else linear\n"
-        "search), fumalik or linear",
-        SET(O.Engine = X.Text), {"auto", "fumalik", "linear"}),
     switchRow("--no-model", "model", InMaxSat | InSat, "suppress the v line",
               SET(O.Model = X.Bool)),
 
@@ -230,9 +225,7 @@ bool parseValue(const OptionRow &Row, std::string_view Text, OptionValue &Out,
     return parseSeconds(Text, Out.Real);
   case OptionKind::Text:
     Out.Text = Text;
-    return Row.Choices.empty() ||
-           std::find(Row.Choices.begin(), Row.Choices.end(), Text) !=
-               Row.Choices.end();
+    return true;
   case OptionKind::Input: {
     auto In = parseInputVector(Text, Why);
     if (In)
@@ -261,18 +254,14 @@ std::string jsonError(const OptionRow &Row, const JsonValue &J,
   default:
     break;
   }
+  // Text takes any string, so a string value got here through the
+  // --input or --hard-lines syntax.
   if (!J.isString())
     return Must + "a string";
   if (Row.Kind == OptionKind::Input)
     return std::string("bad '") + Row.Key +
            (Row.Repeated ? "' entry: " : "': ") + Why;
-  if (Row.Kind == OptionKind::HardLines)
-    return std::string("bad '") + Row.Key + "' spec '" + J.Text + "'";
-  const std::vector<std::string_view> &Choices = Row.Choices;
-  for (size_t I = 0; I < Choices.size(); ++I)
-    Must += std::string(I == 0 ? "" : I + 1 < Choices.size() ? ", " : ", or ") +
-            "\"" + std::string(Choices[I]) + "\"";
-  return Must;
+  return std::string("bad '") + Row.Key + "' spec '" + J.Text + "'";
 }
 
 bool applyJsonValue(const OptionRow &Row, const JsonValue &J,

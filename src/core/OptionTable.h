@@ -64,7 +64,6 @@ struct CommandOptions {
   ServeOptions Serve;
   std::string ServeBatch;  ///< empty = daemon on stdin
   std::string ServeFaults; ///< fault-injection campaign spec
-  std::string Engine = "auto";
   bool Json = false;
   bool Stats = false;
   bool Model = true;
@@ -77,7 +76,7 @@ enum class OptionKind : uint8_t {
   Switch,    ///< CLI: a bare flag (`--no-X` sets false); serve: a boolean
   Int,       ///< an integer in [Min, Max]
   Seconds,   ///< a positive number of seconds, at most 1e9
-  Text,      ///< a string, one of Choices when those are given
+  Text,      ///< a string
   Input,     ///< the `--input` syntax, `V,[A,B],..`
   HardLines, ///< the `--hard-lines` syntax, `3,10-12`
 };
@@ -104,8 +103,6 @@ struct OptionRow {
   void (*Set)(CommandOptions &, const OptionValue &);
   /// Serve takes an array of values; the CLI flag repeats.
   bool Repeated = false;
-  /// Text: the accepted values (any string when empty).
-  std::vector<std::string_view> Choices = {};
 
   bool takes(Command C) const;
 };

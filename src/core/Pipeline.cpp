@@ -137,18 +137,15 @@ bool judgeInput(const Program &Prog, const BugAssistDriver &Driver,
 }
 
 /// The query-answering back half shared by the one-shot and prepared
-/// paths: judge the input, then enumerate CoMSSes -- on \p Session when
-/// given, else on a session built from scratch.
+/// paths: judge the input, then enumerate CoMSSes (on \p Session when
+/// given; see localizeFault).
 PipelineResult runOnDriver(const Program &Prog, const BugAssistDriver &Driver,
                            const PipelineRequest &R, MaxSatSession *Session) {
   PipelineResult Res;
   if (!judgeInput(Prog, Driver, R, Res))
     return Res;
-  if (Session)
-    Res.Report = localizeFault(*Session, Driver.formula(), Res.FailingInput,
-                               Res.SpecUsed, R.Localize);
-  else
-    Res.Report = Driver.localize(Res.FailingInput, Res.SpecUsed, R.Localize);
+  Res.Report = localizeFault(Driver.formula(), Res.FailingInput, Res.SpecUsed,
+                             R.Localize, Session);
   Res.Status = PipelineStatus::Localized;
   Res.Code = Res.Report.Incomplete ? ErrorCode::BudgetExhausted : ErrorCode::Ok;
   return Res;
@@ -589,54 +586,24 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
 
   // Judge Inputs[0] concretely (InputNotFailing when it meets the spec).
   PipelineResult LR;
-  const TraceFormula &TF = P.Driver->formula();
   if (!judgeInput(*P.Prog, *P.Driver, L, LR)) {
     Out.Status = LR.Status;
     Out.Code = LR.Code;
     Out.Message = LR.Message;
     return Out;
   }
-
-  // Localize on one session and prescreen on a clone of it taken before
-  // its first solve, so the formula is loaded and preprocessed once. A
-  // cloned base session (serve) gets the test bound on both copies; the
-  // one-shot session is built with it, and preprocessed under the request
-  // budget before the clone.
-  std::unique_ptr<MaxSatSession> Prescreen;
-  if (Session) {
-    if (R.Repair.PrescreenLines) {
-      Prescreen = Session->clone();
-      for (const Clause &C : TF.testClauses(LR.FailingInput, LR.SpecUsed))
-        Prescreen->addHardClause(C);
-    }
-    LR.Report = localizeFault(*Session, TF, LR.FailingInput, LR.SpecUsed,
-                              L.Localize);
-  } else {
-    std::unique_ptr<MaxSatSession> Own = makeLocalizationSession(
-        TF.localizationInstance(LR.FailingInput, LR.SpecUsed), L.Localize);
-    if (L.Localize.Budget.any())
-      Own->setBudget(L.Localize.Budget.solverBudget());
-    Own->solver().preprocess();
-    if (R.Repair.PrescreenLines)
-      Prescreen = Own->clone();
-    LR.Report = enumerateCoMSSesOn(*Own, TF.encoded().Formula, L.Localize);
-  }
   Out.Status = PipelineStatus::Localized;
   Out.FailingInput = LR.FailingInput;
-  Out.Report = std::move(LR.Report);
 
-  // No diagnosis leaves no line to mutate. repairProgram would read the
-  // empty line list as "localize first" and build a second session.
-  if (!Out.Report.Diagnoses.empty()) {
-    RepairOptions RO = R.Repair;
-    RO.CandidateLines = candidateLines(Out.Report);
-    RO.Unroll = R.Unroll;
-    RO.Localize = L.Localize;
-    const std::vector<int64_t> *Goldens =
-        R.Goldens.empty() ? nullptr : &R.Goldens;
-    Out.Repair = repairProgram(*P.Prog, *P.Driver, R.Entry, R.Inputs,
-                               LR.SpecUsed, Goldens, RO, Prescreen.get());
-  }
+  // Repair localizes Inputs[0] on Session (or on its own session) and
+  // takes the candidate lines from that report.
+  RepairOptions RO = R.Repair;
+  RO.CandidateLines.clear();
+  RO.Localize = L.Localize;
+  const std::vector<int64_t> *Goldens =
+      R.Goldens.empty() ? nullptr : &R.Goldens;
+  Out.Repair = repairProgram(*P.Prog, *P.Driver, R.Entry, R.Inputs,
+                             LR.SpecUsed, Goldens, RO, Session, &Out.Report);
 
   if (Out.Report.Incomplete || (Out.Repair.Truncated && !Out.Repair.Found))
     Out.Code = ErrorCode::BudgetExhausted;

@@ -118,12 +118,12 @@ std::unique_ptr<PreparedProgram> prepareProgram(std::string_view Source,
 /// Unroll, and Encode fields MUST equal the prepare-time values (serve
 /// guarantees this by keying its cache on them); only the per-query fields
 /// (Input, GoldenReturn, CheckObligations, Localize, BmcConflictBudget)
-/// vary. When \p Session is non-null it must be a fresh, never-solved
-/// session over Driver->formula().sharedInstance() -- e.g. a clone() of a
-/// cached base session -- and the enumeration runs on it (R.Localize's
-/// Weighted/ConflictBudget session knobs are then fixed by the session
-/// itself; its budget knobs still apply). Reports are canonical,
-/// so both paths produce byte-identical output.
+/// vary. Localization runs through localizeFault: on \p Session when
+/// given -- a never-solved session over Driver->formula().sharedInstance(),
+/// e.g. a clone() of a cached base session, whose engine and per-call
+/// conflict budget then stand in for R.Localize's (its budget knobs still
+/// apply) -- else on a session built for the query. Reports are canonical,
+/// so the output does not depend on which session ran.
 PipelineResult runLocalizePipeline(const PreparedProgram &P,
                                    const PipelineRequest &R,
                                    MaxSatSession *Session = nullptr);
@@ -142,8 +142,8 @@ struct RepairRequest {
   std::vector<int64_t> Goldens;
   bool CheckObligations = true;
   LocalizeOptions Localize;
-  /// CandidateLines/Unroll/Localize inside are overwritten by the driver
-  /// (lines come from the localization report, the rest from above).
+  /// CandidateLines and Localize inside are overwritten by the driver
+  /// (lines come from the localization report, Localize from above).
   RepairOptions Repair;
 };
 
@@ -161,15 +161,12 @@ struct RepairPipelineResult {
 };
 
 /// Algorithm 2 through the pipeline seam: judges Inputs[0] concretely,
-/// localizes it (on \p Session when given -- serve's cloned session pool),
-/// derives candidate lines from the report in first-seen diagnosis order,
-/// and runs the pooled repairProgram overload against P.Driver's formula
-/// (prescreen + no localization rebuild). The prescreen solves on a clone
-/// of the localization session taken before its first solve: of \p
-/// Session, or of the session built, budgeted and preprocessed here once.
-/// R.Localize.Budget's timeout bounds the whole request
-/// (see repairProgram). Requirements on \p R's Entry/Unroll/Encode and on
-/// \p Session match runLocalizePipeline.
+/// then runs repairProgram on P.Driver with no candidate lines, so it
+/// localizes Inputs[0] (on \p Session when given -- serve's cloned base)
+/// and mutates the report's lines in first-seen diagnosis order, after
+/// the line prescreen. R.Localize.Budget's timeout bounds the whole
+/// request (see repairProgram). Requirements on \p R's
+/// Entry/Unroll/Encode and on \p Session match runLocalizePipeline.
 RepairPipelineResult runRepairPipeline(const PreparedProgram &P,
                                        const RepairRequest &R,
                                        MaxSatSession *Session = nullptr);

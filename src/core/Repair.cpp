@@ -135,17 +135,28 @@ void prescreenLines(MaxSatSession &Session, const CnfFormula &F,
   Lines = std::move(Kept);
 }
 
-/// Shared Algorithm 2 body. \p PreparedDriver selects the pooled path:
-/// localization and the line prescreen run on its ready-made formula
-/// instead of rebuilding; the prescreen on \p Prescreen when given.
-RepairResult repairCore(const Program &Prog,
-                        const BugAssistDriver *PreparedDriver,
-                        MaxSatSession *Prescreen, const std::string &Entry,
-                        const std::vector<InputVector> &FailingTests,
-                        const Spec &S,
-                        const std::vector<int64_t> *GoldenPerTest,
-                        const RepairOptions &Opts) {
+} // namespace
+
+std::vector<uint32_t>
+bugassist::candidateLines(const LocalizationReport &Report) {
+  std::vector<uint32_t> Lines;
+  std::set<uint32_t> Seen;
+  for (const Diagnosis &D : Report.Diagnoses)
+    for (uint32_t L : D.Lines)
+      if (Seen.insert(L).second)
+        Lines.push_back(L);
+  return Lines;
+}
+
+RepairResult bugassist::repairProgram(
+    const Program &Prog, const BugAssistDriver &Driver,
+    const std::string &Entry, const std::vector<InputVector> &FailingTests,
+    const Spec &S, const std::vector<int64_t> *GoldenPerTest,
+    const RepairOptions &Opts, MaxSatSession *Session,
+    LocalizationReport *Report) {
   RepairResult Result;
+  const TraceFormula &TF = Driver.formula();
+  const UnrollOptions &Unroll = Driver.unrollOptions();
 
   // One deadline for the whole request: localization, the prescreen and
   // every candidate's verification answer to it.
@@ -157,35 +168,51 @@ RepairResult repairCore(const Program &Prog,
   if (GoldenPerTest && !GoldenPerTest->empty())
     S0.GoldenReturn = (*GoldenPerTest)[0];
 
-  // Step 1 (Algorithm 2, line 1): localize unless lines were given. Keep
-  // the lines in diagnosis order -- the first CoMSS is the most likely fix
-  // location and is mutated first.
+  // Bind the first failing test to one session, which localizes and
+  // prescreens: the caller's, or a fresh one preprocessed here under the
+  // request budget (a given session comes preprocessed).
   std::vector<uint32_t> Lines = Opts.CandidateLines;
-  if (Lines.empty() && !FailingTests.empty()) {
-    LocalizationReport R;
-    if (PreparedDriver) {
-      R = PreparedDriver->localize(FailingTests[0], S0, Localize);
-    } else {
-      BugAssistDriver Driver(Prog, Entry, Opts.Unroll);
-      ++Result.Stats.FormulaBuilds;
-      R = Driver.localize(FailingTests[0], S0, Localize);
+  std::unique_ptr<MaxSatSession> Own;
+  if (FailingTests.empty() || (!Lines.empty() && !Opts.PrescreenLines)) {
+    Session = nullptr; // nothing to localize or prescreen
+  } else {
+    if (!Session) {
+      Own = makeLocalizationSession(TF.sharedInstance(), Localize);
+      Session = Own.get();
     }
+    for (const Clause &C : TF.testClauses(FailingTests[0], S0))
+      Session->addHardClause(C);
+    if (Own) {
+      if (Localize.Budget.any())
+        Own->setBudget(Localize.Budget.solverBudget());
+      Own->solver().preprocess();
+    }
+  }
+
+  // Step 1 (Algorithm 2, line 1): localize unless lines were given, and
+  // then prescreen on a clone taken before the first solve. Keep the lines
+  // in diagnosis order -- the first CoMSS is the most likely fix location
+  // and is mutated first.
+  MaxSatSession *Screen = Opts.PrescreenLines ? Session : nullptr;
+  std::unique_ptr<MaxSatSession> Clone;
+  if (Lines.empty() && Session) {
+    if (Screen) {
+      Clone = Session->clone();
+      Screen = Clone.get();
+    }
+    LocalizationReport R =
+        enumerateCoMSSesOn(*Session, TF.encoded().Formula, Localize);
     Lines = candidateLines(R);
+    if (Report)
+      *Report = std::move(R);
+    if (Lines.empty())
+      return Result; // no diagnosis, no line to mutate
   }
   Result.SuspectLines = Lines;
   Result.Stats.LinesConsidered = Lines.size();
-
-  if (PreparedDriver && Opts.PrescreenLines && !FailingTests.empty()) {
-    const TraceFormula &TF = PreparedDriver->formula();
-    std::unique_ptr<MaxSatSession> Own;
-    if (!Prescreen) {
-      Own = makeLocalizationSession(
-          TF.localizationInstance(FailingTests[0], S0), Localize);
-      Prescreen = Own.get();
-    }
-    prescreenLines(*Prescreen, TF.encoded().Formula, Lines, Opts.VerifyBudget,
+  if (Screen)
+    prescreenLines(*Screen, TF.encoded().Formula, Lines, Opts.VerifyBudget,
                    Clock.deadline(), Result.Stats);
-  }
 
   // Step 2: plan and screen mutations.
   std::vector<Mutation> Plan =
@@ -193,8 +220,8 @@ RepairResult repairCore(const Program &Prog,
   Result.Stats.CandidatesPlanned = Plan.size();
 
   ExecOptions IOpts;
-  IOpts.BitWidth = Opts.Unroll.BitWidth;
-  IOpts.CheckArrayBounds = Opts.Unroll.CheckArrayBounds;
+  IOpts.BitWidth = Unroll.BitWidth;
+  IOpts.CheckArrayBounds = Unroll.CheckArrayBounds;
   IOpts.CheckDivByZero = false; // encoder-aligned
   if (Opts.MaxInterpSteps)
     IOpts.MaxSteps = Opts.MaxInterpSteps;
@@ -238,14 +265,15 @@ RepairResult repairCore(const Program &Prog,
     if (GoldenPerTest)
       VerifySpec.GoldenReturn = std::nullopt;
     if (VerifySpec.CheckObligations || VerifySpec.GoldenReturn) {
-      UnrolledProgram UP = unrollProgram(*Mutant, Entry, Opts.Unroll);
+      UnrolledProgram UP = unrollProgram(*Mutant, Entry, Unroll);
       EncodeOptions EO;
-      EO.BitWidth = Opts.Unroll.BitWidth;
-      TraceFormula TF(encodeProgram(UP, EO));
+      EO.BitWidth = Unroll.BitWidth;
+      TraceFormula MutantTF(encodeProgram(UP, EO));
       ++Result.Stats.FormulaBuilds;
       bool Decided = false;
-      auto Cex = TF.findCounterexample(VerifySpec, Decided, Opts.VerifyBudget,
-                                       Clock.deadline());
+      auto Cex = MutantTF.findCounterexample(VerifySpec, Decided,
+                                             Opts.VerifyBudget,
+                                             Clock.deadline());
       if (Cex.has_value() || !Decided) {
         ++Result.Stats.BmcRejected;
         continue;
@@ -261,39 +289,4 @@ RepairResult repairCore(const Program &Prog,
   }
   Result.Stats.CandidatesTried = Result.CandidatesTried;
   return Result;
-}
-
-} // namespace
-
-std::vector<uint32_t>
-bugassist::candidateLines(const LocalizationReport &Report) {
-  std::vector<uint32_t> Lines;
-  std::set<uint32_t> Seen;
-  for (const Diagnosis &D : Report.Diagnoses)
-    for (uint32_t L : D.Lines)
-      if (Seen.insert(L).second)
-        Lines.push_back(L);
-  return Lines;
-}
-
-RepairResult bugassist::repairProgram(const Program &Prog,
-                                      const std::string &Entry,
-                                      const std::vector<InputVector> &FailingTests,
-                                      const Spec &S,
-                                      const std::vector<int64_t> *GoldenPerTest,
-                                      const RepairOptions &Opts) {
-  return repairCore(Prog, nullptr, nullptr, Entry, FailingTests, S,
-                    GoldenPerTest, Opts);
-}
-
-RepairResult bugassist::repairProgram(const Program &Prog,
-                                      const BugAssistDriver &Driver,
-                                      const std::string &Entry,
-                                      const std::vector<InputVector> &FailingTests,
-                                      const Spec &S,
-                                      const std::vector<int64_t> *GoldenPerTest,
-                                      const RepairOptions &Opts,
-                                      MaxSatSession *Prescreen) {
-  return repairCore(Prog, &Driver, Prescreen, Entry, FailingTests, S,
-                    GoldenPerTest, Opts);
 }

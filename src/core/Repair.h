@@ -18,6 +18,10 @@
 /// in the interpreter and (b) bounded model checking finds no new violation
 /// within the encoding bounds.
 ///
+/// Repair runs on a prepared driver (core/Pipeline.h's PreparedProgram):
+/// localization and the line prescreen share one session over its trace
+/// formula, and only candidate verification unrolls and encodes again.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BUGASSIST_CORE_REPAIR_H
@@ -38,7 +42,6 @@ struct RepairOptions {
   /// supplies the lines.
   std::vector<uint32_t> CandidateLines;
   LocalizeOptions Localize;
-  UnrollOptions Unroll;
   /// Conflict budget for the BMC re-verification of each candidate.
   uint64_t VerifyBudget = 200000;
   /// Max candidate mutants to try.
@@ -47,14 +50,13 @@ struct RepairOptions {
   /// Mutant sweeps lower this: a candidate that reintroduces a runaway
   /// loop should fail the screen quickly, not burn the default budget.
   uint64_t MaxInterpSteps = 0;
-  /// Pooled-driver path only: before planning any mutant, check each
-  /// candidate line against the prepared trace formula with
-  /// isValidCorrection semantics -- if freeing every clause of a line
-  /// cannot make the failing test pass within the encoding bounds, no
-  /// single-line mutation there can either, and all its candidates are
-  /// skipped without building a single mutant formula. One localization
-  /// session with the first failing test bound serves all lines via
-  /// selector assumptions.
+  /// Before planning any mutant, check each candidate line against the
+  /// prepared trace formula with isValidCorrection semantics -- if freeing
+  /// every clause of a line cannot make the failing test pass within the
+  /// encoding bounds, no single-line mutation there can either, and all
+  /// its candidates are skipped without building a single mutant formula.
+  /// One localization session with the first failing test bound serves
+  /// all lines via selector assumptions.
   bool PrescreenLines = true;
 };
 
@@ -62,7 +64,7 @@ struct RepairOptions {
 /// no solver search statistics -- safe to compare byte-for-byte).
 struct RepairStats {
   size_t LinesConsidered = 0;   ///< candidate lines entering the funnel
-  size_t LinesScreenedOut = 0;  ///< rejected by the pooled prescreen
+  size_t LinesScreenedOut = 0;  ///< rejected by the line prescreen
   size_t PrescreenSatCalls = 0; ///< incremental solves in the prescreen
   size_t CandidatesPlanned = 0; ///< mutations planned on surviving lines
   size_t CandidatesTried = 0;   ///< mutants actually built and screened
@@ -97,47 +99,37 @@ struct RepairResult {
 /// first.
 std::vector<uint32_t> candidateLines(const LocalizationReport &Report);
 
-/// Algorithm 2 generalized to off-by-one and operator mutations.
-/// \p FailingTests drive both localization and candidate screening; the
-/// spec's GoldenReturn (if any) applies per test via \p GoldenPerTest.
-/// This overload rebuilds the trace formula from scratch for localization
-/// and for every candidate verification (the reference path; see the
-/// pooled overload below for the serve/CLI production path).
+/// Algorithm 2 generalized to off-by-one and operator mutations, on
+/// \p Driver: the prepared unroll+encode of \p Prog from \p Entry, whose
+/// unroll options the screening interpreter and every candidate's
+/// verification reuse. \p FailingTests drive both localization and
+/// candidate screening; the spec's GoldenReturn (if any) applies per test
+/// via \p GoldenPerTest.
 ///
-/// Both overloads answer to one deadline, Opts.Localize.Budget's timeout
+/// The first failing test (under GoldenPerTest[0] when given) is bound to
+/// one localization session over Driver's formula: \p Session when given
+/// (a never-solved session over sharedInstance(), e.g. serve's clone of a
+/// cached base; it is consumed), else one built and preprocessed here.
+/// Without Opts.CandidateLines the session localizes, and \p Report (when
+/// non-null) receives the report; a report without a diagnosis leaves no
+/// line and tries no repair. The line prescreen (RepairOptions::
+/// PrescreenLines) solves on a clone of the session taken before
+/// localization's first solve, so the formula is loaded and preprocessed
+/// once, or on the session itself when the lines were given.
+///
+/// One deadline covers the whole call, Opts.Localize.Budget's timeout
 /// counted from the call (or from an earlier QueryBudget::startClock):
 /// localization, the prescreen and every verification solver stop at it,
 /// and the candidate loop checks it between candidates; expiry ends the
 /// search with Truncated.
-RepairResult repairProgram(const Program &Prog, const std::string &Entry,
-                           const std::vector<InputVector> &FailingTests,
-                           const Spec &S,
-                           const std::vector<int64_t> *GoldenPerTest = nullptr,
-                           const RepairOptions &Opts = {});
-
-/// Pooled path: \p Driver must be the prepared unroll+encode of \p Prog
-/// with Opts.Unroll (core/Pipeline.h's PreparedProgram supplies both, and
-/// serve's FormulaCache shares one across requests). Localization reuses
-/// Driver's formula instead of rebuilding, and candidate lines are
-/// prescreened (see RepairOptions::PrescreenLines) before any
-/// per-candidate rebuild.
-///
-/// The prescreen solves on \p Prescreen when given: a never-solved
-/// localization session over Driver's formula with FailingTests[0] bound
-/// under S (GoldenPerTest[0] as its golden) -- runRepairPipeline passes a
-/// clone of the session it localizes on, already loaded and preprocessed.
-/// It is consumed. Without one (a direct call), a session is built from
-/// localizationInstance once. Either way
-/// the answers are SAT/UNSAT of the same formula, so results are identical
-/// to the rebuild overload whenever both decide -- the prescreen only
-/// removes candidates that could never validate.
 RepairResult repairProgram(const Program &Prog, const BugAssistDriver &Driver,
                            const std::string &Entry,
                            const std::vector<InputVector> &FailingTests,
                            const Spec &S,
                            const std::vector<int64_t> *GoldenPerTest = nullptr,
                            const RepairOptions &Opts = {},
-                           MaxSatSession *Prescreen = nullptr);
+                           MaxSatSession *Session = nullptr,
+                           LocalizationReport *Report = nullptr);
 
 } // namespace bugassist
 

@@ -24,11 +24,6 @@ void appendModelLine(std::string &Out, const std::vector<LBool> &Model,
 
 } // namespace
 
-bool bugassist::useLinearSearch(std::string_view Engine,
-                                bool AnyNonUnitWeight) {
-  return Engine == "linear" || (Engine == "auto" && AnyNonUnitWeight);
-}
-
 std::string bugassist::renderMaxSatAnswer(const MaxSatResult &R, int NumVars,
                                           bool Model, bool Comments) {
   std::string Out;
@@ -58,7 +53,8 @@ std::string bugassist::renderMaxSatAnswer(const MaxSatResult &R, int NumVars,
 }
 
 SatAnswer bugassist::solveSat(const std::vector<Clause> &Clauses,
-                              int NumVars, const Solver::Options &Opts,
+                              int NumVars, bool Witness,
+                              const Solver::Options &Opts,
                               const Solver::Budget &Bud) {
   SatAnswer A;
   if (!Bud.admitsVars(NumVars))
@@ -71,7 +67,7 @@ SatAnswer bugassist::solveSat(const std::vector<Clause> &Clauses,
     if (!S.addClause(C))
       break; // root-level UNSAT: solve() reports False immediately
   A.Result = S.solve();
-  if (A.Result == LBool::True)
+  if (A.Result == LBool::True && Witness)
     A.Model = readModel(S, NumVars);
   A.Stats = S.stats();
   return A;

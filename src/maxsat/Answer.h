@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The `o` / `s` / `v` answer lines of the `maxsat` and `sat` commands, in
-/// the MaxSAT-Evaluation / SAT-competition format, the engine rule of
-/// `maxsat`, and the one-solver decision of `sat`. The CLI and serve both
+/// the MaxSAT-Evaluation / SAT-competition format, and the one-solver
+/// decision of `sat`. The CLI and serve both
 /// solve and render through here, so a serve body is the one-shot stdout
 /// minus the CLI's `c` comment lines by construction.
 ///
@@ -19,14 +19,8 @@
 #include "maxsat/MaxSat.h"
 
 #include <string>
-#include <string_view>
 
 namespace bugassist {
-
-/// The engine of a `maxsat` query: "linear" and "fumalik" force theirs,
-/// "auto" picks linear search as soon as a soft weight differs from 1
-/// (Fu-Malik ignores weights). \returns true for linear search.
-bool useLinearSearch(std::string_view Engine, bool AnyNonUnitWeight);
 
 /// `o <cost>` / `s OPTIMUM FOUND` / `s UNSATISFIABLE` / `s UNKNOWN` and the
 /// `v` model line (when \p Model). A budget-stopped run reports its best
@@ -39,7 +33,7 @@ std::string renderMaxSatAnswer(const MaxSatResult &R, int NumVars, bool Model,
 struct SatAnswer {
   LBool Result = LBool::Undef;
   /// The model over the original variables [0, NumVars); empty unless
-  /// Result is True.
+  /// Result is True and a witness was asked for.
   std::vector<LBool> Model;
   SolverStats Stats;
 };
@@ -47,9 +41,11 @@ struct SatAnswer {
 /// Decides \p Clauses on one solver: install \p Bud (when set, so loading
 /// and the load-time preprocessing pass inside solve() count against it
 /// too), load them, solve. When NumVars alone overflows the budget's
-/// memory cap the answer is Undef and no solver state is allocated.
+/// memory cap the answer is Undef and no solver state is allocated. Only
+/// with \p Witness is a True answer's model read out, which rebuilds the
+/// variables preprocessing eliminated (MaxSatInstance::Witness).
 SatAnswer solveSat(const std::vector<Clause> &Clauses, int NumVars,
-                   const Solver::Options &Opts,
+                   bool Witness, const Solver::Options &Opts,
                    const Solver::Budget &Bud = Solver::Budget());
 
 /// `s SATISFIABLE` / `s UNSATISFIABLE` / `s UNKNOWN` and the `0`-terminated

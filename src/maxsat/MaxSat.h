@@ -91,19 +91,20 @@ struct MaxSatInstance {
   /// eliminates them. Soft-clause variables and session auxiliaries
   /// (guards, relaxation selectors, counter outputs) are frozen
   /// automatically; list here only variables mentioned by clauses the
-  /// caller adds later through addHardClause -- serve mode passes the
-  /// trace formula's test-interface bits (TraceFormula::sharedInstance),
-  /// which per-query test clauses bind after the preprocessed base
-  /// session was cloned.
+  /// caller adds later through addHardClause. Every localization session
+  /// is built over TraceFormula::sharedInstance, which lists the trace
+  /// formula's test-interface bits here: the failing test is bound
+  /// afterwards (localizeFault), possibly on a clone of a base session
+  /// preprocessed before any test was known (serve).
   std::vector<Var> Frozen;
   /// Whether results carry a witness: MaxSatResult::Model and BestModel
   /// over [0, NumVars). Reading one rebuilds the variables preprocessing
   /// eliminated (Solver::modelValue), so it is done once, at the end of
-  /// solve(). The DIMACS front ends keep it on to print `v` lines;
-  /// localization reports only which soft clauses the optimum falsifies,
-  /// so TraceFormula::sharedInstance clears it and its sessions never
-  /// rebuild a model. Cost, FalsifiedSoft, the bounds and the search are
-  /// the same either way.
+  /// solve(). The DIMACS front ends set it from --no-model / model:false,
+  /// keeping it only to print `v` lines; localization reports only which
+  /// soft clauses the optimum falsifies, so TraceFormula::sharedInstance
+  /// clears it and its sessions never rebuild a model. Cost,
+  /// FalsifiedSoft, the bounds and the search are the same either way.
   bool Witness = true;
 
   /// Visits every hard clause as a ClauseView: Formula's, then Hard, in

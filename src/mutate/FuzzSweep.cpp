@@ -135,7 +135,6 @@ FuzzResult bugassist::runFuzzSweep(const FuzzSubject &Subject,
         Goldens.push_back(FT.PassingGoldens[T]);
       }
       RepairOptions RO;
-      RO.Unroll = Subject.Unroll;
       RO.MaxCandidates = Opts.RepairMaxCandidates;
       RO.VerifyBudget = Opts.RepairVerifyBudget;
       RO.MaxInterpSteps = Opts.MaxInterpSteps;

@@ -446,13 +446,14 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
 
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
+  Inst.Witness = Req.Opts.Model; // no v line, no model to rebuild
   Solver::Budget B = Req.budget().solverBudget();
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
   MaxSatResult R; // Unknown when the variables alone overflow the cap
   if (B.admitsVars(Inst.NumVars)) {
-    std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
-        Inst, useLinearSearch(Req.Opts.Engine, AnyWeight),
-        /*ConflictBudget=*/0, Solver::Options(), /*Canonical=*/true);
+    std::unique_ptr<MaxSatSession> Session =
+        makeMaxSatSession(Inst, AnyWeight, /*ConflictBudget=*/0,
+                          Solver::Options(), /*Canonical=*/true);
     if (Req.budget().any() || Ctx.Degraded)
       Session->setBudget(B);
     std::optional<FlightGuard> Flight;
@@ -500,7 +501,8 @@ Outcome processSat(const Request &Req, const WorkerCtx &Ctx) {
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
   if (Ctx.WatchdogSeconds > 0 && Req.budget().TimeoutSeconds <= 0)
     B.setDeadlineIn(Ctx.WatchdogSeconds);
-  SatAnswer R = solveSat(Clauses, Parsed->NumVars, Solver::Options(), B);
+  SatAnswer R =
+      solveSat(Clauses, Parsed->NumVars, Req.Opts.Model, Solver::Options(), B);
   std::string Body = renderSatAnswer(R, Parsed->NumVars, Req.Opts.Model);
 
   bool Incomplete = R.Result == LBool::Undef;

@@ -143,7 +143,6 @@ TEST(FuzzDifferential, AcceptedRepairsReverifyCleanUnderBmc) {
     if (!Cex)
       continue;
     RepairOptions RO;
-    RO.Unroll = UO;
     RO.MaxCandidates = 64;
     RO.MaxInterpSteps = 100000;
     RepairResult R =

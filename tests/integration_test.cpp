@@ -220,7 +220,7 @@ TEST(SmallDemos, Program1LocalizeAndRepair) {
   bool Found = std::find(R.AllLines.begin(), R.AllLines.end(),
                          program1BugLine()) != R.AllLines.end();
   EXPECT_TRUE(Found);
-  RepairResult Fix = repairProgram(*P, "main", {*Cex}, Spec{});
+  RepairResult Fix = repairProgram(*P, Driver, "main", {*Cex}, Spec{});
   EXPECT_TRUE(Fix.Found);
 }
 
@@ -250,9 +250,9 @@ TEST(SmallDemos, Program2StrncatStudy) {
 
   // The off-by-one repair turns 8 into 7.
   RepairOptions RO;
-  RO.Unroll = UO;
   RO.OperatorSwap = false;
-  RepairResult Fix = repairProgram(*P, "main", {Bad}, Spec{}, nullptr, RO);
+  RepairResult Fix =
+      repairProgram(*P, Driver, "main", {Bad}, Spec{}, nullptr, RO);
   ASSERT_TRUE(Fix.Found);
   EXPECT_EQ(Fix.Suggestion.Line, program2BugLine());
   EXPECT_NE(Fix.Suggestion.Description.find("8 -> 7"), std::string::npos)

@@ -245,22 +245,6 @@ TEST(OptionParity, NumericBoundsAgreeOnArgvAndJson) {
   }
 }
 
-TEST(OptionParity, ChoicesAgreeOnArgvAndJson) {
-  // --engine auto is the default and accepted on both surfaces.
-  for (const char *Engine : {"auto", "fumalik", "linear", "bogus"}) {
-    bool Valid = std::string(Engine) != "bogus";
-    const OptionRow *Row = findFlag(Command::MaxSat, "--engine");
-    ASSERT_TRUE(Row);
-    EXPECT_EQ(cliAccepts(cliPrefix(Command::MaxSat, ""), *Row, Engine), Valid)
-        << Engine;
-    std::vector<JsonValue> Headers = serveHeaders(
-        requestLine(Command::MaxSat, *Row, std::string("\"") + Engine + "\""));
-    ASSERT_EQ(Headers.size(), 1u);
-    EXPECT_EQ(Headers[0].find("status")->Text, Valid ? "ok" : "error")
-        << Engine;
-  }
-}
-
 TEST(OptionParity, ThreadsSizesOnlyTheServePool) {
   // Every query runs on one solver; --threads is serve's pool width alone.
   TempProgram Prog;

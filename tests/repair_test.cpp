@@ -42,8 +42,9 @@ TEST(Repair, OffByOneOnMotivatingExample) {
                     "  return Array[i];\n"
                     "}\n";
   auto P = compile(Src);
+  BugAssistDriver Driver(*P, "main");
   RepairResult R =
-      repairProgram(*P, "main", {{InputValue::scalar(1)}}, Spec{});
+      repairProgram(*P, Driver, "main", {{InputValue::scalar(1)}}, Spec{});
   ASSERT_TRUE(R.Found) << "tried " << R.CandidatesTried << " candidates";
   // Valid fixes exist on the branch condition (line 3) and the else-branch
   // constant (line 6, the paper's suggested kappa-1 fix); either passes
@@ -68,8 +69,9 @@ TEST(Repair, OperatorSwapBoundaryCheck) {
                     "  return y;\n"
                     "}\n";
   auto P = compile(Src);
+  BugAssistDriver Driver(*P, "main");
   RepairResult R =
-      repairProgram(*P, "main", {{InputValue::scalar(10)}}, Spec{});
+      repairProgram(*P, Driver, "main", {{InputValue::scalar(10)}}, Spec{});
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.Suggestion.Line, 3u);
   EXPECT_NE(R.Suggestion.Description.find("'<='"), std::string::npos)
@@ -94,11 +96,12 @@ TEST(Repair, StrncatStyleOffByOne) {
       "  return buf[0];\n"
       "}\n";
   auto P = compile(Src);
-  RepairOptions Opts;
-  Opts.Unroll.MaxLoopUnwind = 10;
-  Opts.Unroll.TrustedFunctions.insert("copyN");
-  RepairResult R = repairProgram(*P, "main", {{InputValue::scalar(1)}},
-                                 Spec{}, nullptr, Opts);
+  UnrollOptions UO;
+  UO.MaxLoopUnwind = 10;
+  UO.TrustedFunctions.insert("copyN");
+  BugAssistDriver Driver(*P, "main", UO);
+  RepairResult R =
+      repairProgram(*P, Driver, "main", {{InputValue::scalar(1)}}, Spec{});
   ASSERT_TRUE(R.Found) << "suspects:" << R.SuspectLines.size();
   // The fix is at the call site (line 11): 8 -> 7; the library itself is
   // trusted and untouched.
@@ -121,7 +124,8 @@ TEST(Repair, GoldenOutputDrivenRepair) {
   std::vector<int64_t> Goldens = {5, 7};
   Spec S;
   S.CheckObligations = false;
-  RepairResult R = repairProgram(*P, "main", Fails, S, &Goldens);
+  BugAssistDriver Driver(*P, "main");
+  RepairResult R = repairProgram(*P, Driver, "main", Fails, S, &Goldens);
   ASSERT_TRUE(R.Found);
   // '<' -> '>' (or an equivalent swap) on line 2 fixes both tests.
   EXPECT_EQ(R.Suggestion.Line, 2u);
@@ -140,8 +144,9 @@ TEST(Repair, ReportsFailureWhenNoNearMissFixExists) {
                     "  return y;\n"
                     "}\n";
   auto P = compile(Src);
+  BugAssistDriver Driver(*P, "main");
   RepairResult R =
-      repairProgram(*P, "main", {{InputValue::scalar(2)}}, Spec{});
+      repairProgram(*P, Driver, "main", {{InputValue::scalar(2)}}, Spec{});
   EXPECT_FALSE(R.Found);
   EXPECT_FALSE(R.SuspectLines.empty()) << "localization should still work";
 }
@@ -156,7 +161,8 @@ TEST(Repair, RespectsCandidateLineRestriction) {
   auto P = compile(Src);
   RepairOptions Opts;
   Opts.CandidateLines = {3}; // only allow touching line 3
-  RepairResult R = repairProgram(*P, "main", {{InputValue::scalar(0)}},
+  BugAssistDriver Driver(*P, "main");
+  RepairResult R = repairProgram(*P, Driver, "main", {{InputValue::scalar(0)}},
                                  Spec{}, nullptr, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.Suggestion.Line, 3u);
@@ -172,7 +178,8 @@ TEST(Repair, MaxCandidatesBudget) {
   auto P = compile(Src);
   RepairOptions Opts;
   Opts.MaxCandidates = 0;
-  RepairResult R = repairProgram(*P, "main", {{InputValue::scalar(0)}},
+  BugAssistDriver Driver(*P, "main");
+  RepairResult R = repairProgram(*P, Driver, "main", {{InputValue::scalar(0)}},
                                  Spec{}, nullptr, Opts);
   EXPECT_FALSE(R.Found);
   EXPECT_EQ(R.CandidatesTried, 0u);
@@ -180,38 +187,6 @@ TEST(Repair, MaxCandidatesBudget) {
 }
 
 // --- pooled path --------------------------------------------------------------
-
-TEST(RepairPooled, MatchesRebuildOverload) {
-  // Same program, same failing tests: the pooled overload must land on
-  // the same suggestion as the rebuild-everything reference path.
-  const char *Src = "int main(int a, int b) {\n"
-                    "  if (a < b) return a;\n"
-                    "  return b;\n"
-                    "}\n";
-  auto P = compile(Src);
-  std::vector<InputVector> Fails = {
-      {InputValue::scalar(1), InputValue::scalar(5)},
-      {InputValue::scalar(7), InputValue::scalar(2)},
-  };
-  std::vector<int64_t> Goldens = {5, 7};
-  Spec S;
-  S.CheckObligations = false;
-
-  RepairResult Ref = repairProgram(*P, "main", Fails, S, &Goldens);
-  BugAssistDriver Driver(*P, "main");
-  RepairResult Pooled =
-      repairProgram(*P, Driver, "main", Fails, S, &Goldens);
-  ASSERT_TRUE(Ref.Found);
-  ASSERT_TRUE(Pooled.Found);
-  EXPECT_EQ(Pooled.Suggestion.Line, Ref.Suggestion.Line);
-  EXPECT_EQ(Pooled.Suggestion.Description, Ref.Suggestion.Description);
-  // The pooled path never unrolls+encodes for localization, and with a
-  // goldens-only spec the BMC verification is skipped too: zero formula
-  // builds, versus one for the rebuild path's localization.
-  EXPECT_EQ(Pooled.Stats.FormulaBuilds, 0u);
-  EXPECT_EQ(Ref.Stats.FormulaBuilds, 1u);
-  EXPECT_GT(Pooled.Stats.PrescreenSatCalls, 0u);
-}
 
 TEST(RepairPooled, PrescreenIsHarmlessWhenDisabled) {
   const char *Src = "int main(int x) {\n"
@@ -323,7 +298,6 @@ TEST(RepairPooled, TcasV1OperatorSwapKnownAnswer) {
   Spec S;
   S.CheckObligations = false;
   RepairOptions RO;
-  RO.Unroll = tcasUnrollOptions();
   RO.MaxCandidates = 128;
   RepairResult R =
       repairProgram(*P, Driver, "main", FT.Inputs, S, &FT.Goldens, RO);
@@ -346,7 +320,6 @@ TEST(RepairPooled, TcasV5OffByOneKnownAnswer) {
   Spec S;
   S.CheckObligations = false;
   RepairOptions RO;
-  RO.Unroll = tcasUnrollOptions();
   RO.MaxCandidates = 128;
   RepairResult R =
       repairProgram(*P, Driver, "main", FT.Inputs, S, &FT.Goldens, RO);
@@ -356,14 +329,93 @@ TEST(RepairPooled, TcasV5OffByOneKnownAnswer) {
       << R.Suggestion.Description;
 }
 
+TEST(RepairPooled, DirectCallMatchesPipeline) {
+  // Without candidate lines, repairProgram localizes on one session and
+  // prescreens on a clone of it: the sequence runRepairPipeline runs with
+  // a session of its own. On the same prepared program both must land on
+  // the same report, suspect lines, suggestion and work counters.
+  struct Case {
+    std::string Name, Source;
+    UnrollOptions Unroll;
+    std::vector<InputVector> Inputs;
+    std::vector<int64_t> Goldens;
+  };
+  std::vector<Case> Cases;
+  // max() with an inverted comparison, repaired against its goldens.
+  Cases.push_back({"max",
+                   "int main(int a, int b) {\n"
+                   "  if (a < b) return a;\n"
+                   "  return b;\n"
+                   "}\n",
+                   UnrollOptions(),
+                   {{InputValue::scalar(1), InputValue::scalar(5)},
+                    {InputValue::scalar(7), InputValue::scalar(2)}},
+                   {5, 7}});
+  for (int Version : {1, 5, 9, 17, 30}) {
+    const TcasMutant &V = tcasMutants()[Version - 1];
+    FailingTests FT = tcasFailingTests(*compile(V.Source), 6);
+    if (!FT.Inputs.empty())
+      Cases.push_back({"v" + std::to_string(Version), V.Source,
+                       tcasUnrollOptions(), FT.Inputs, FT.Goldens});
+  }
+  ASSERT_GE(Cases.size(), 4u);
+
+  for (const Case &C : Cases) {
+    PreparedProgram Prep;
+    Prep.Prog = compile(C.Source);
+    Prep.Driver =
+        std::make_unique<BugAssistDriver>(*Prep.Prog, "main", C.Unroll);
+    RepairRequest RR;
+    RR.Unroll = C.Unroll;
+    RR.CheckObligations = false;
+    RR.Inputs = C.Inputs;
+    RR.Goldens = C.Goldens;
+    RR.Repair.MaxCandidates = 64;
+    RepairPipelineResult Pipe = runRepairPipeline(Prep, RR);
+    ASSERT_EQ(Pipe.Status, PipelineStatus::Localized) << C.Name;
+
+    Spec S;
+    S.CheckObligations = false;
+    LocalizationReport Report;
+    RepairResult Direct =
+        repairProgram(*Prep.Prog, *Prep.Driver, "main", C.Inputs, S,
+                      &C.Goldens, RR.Repair, nullptr, &Report);
+    EXPECT_EQ(renderLocalizationReport(Report),
+              renderLocalizationReport(Pipe.Report))
+        << C.Name;
+    const RepairResult &P = Pipe.Repair;
+    EXPECT_EQ(Direct.SuspectLines, P.SuspectLines) << C.Name;
+    EXPECT_EQ(Direct.Found, P.Found) << C.Name;
+    EXPECT_EQ(Direct.Suggestion.Line, P.Suggestion.Line) << C.Name;
+    EXPECT_EQ(Direct.Suggestion.Description, P.Suggestion.Description)
+        << C.Name;
+    EXPECT_EQ(Direct.Truncated, P.Truncated) << C.Name;
+    EXPECT_EQ(Direct.CandidatesTried, P.CandidatesTried) << C.Name;
+    const RepairStats &A = Direct.Stats, &B = P.Stats;
+    EXPECT_EQ(A.LinesConsidered, B.LinesConsidered) << C.Name;
+    EXPECT_EQ(A.LinesScreenedOut, B.LinesScreenedOut) << C.Name;
+    EXPECT_EQ(A.PrescreenSatCalls, B.PrescreenSatCalls) << C.Name;
+    EXPECT_EQ(A.CandidatesPlanned, B.CandidatesPlanned) << C.Name;
+    EXPECT_EQ(A.CandidatesTried, B.CandidatesTried) << C.Name;
+    EXPECT_EQ(A.SemaRejected, B.SemaRejected) << C.Name;
+    EXPECT_EQ(A.TestScreenRejected, B.TestScreenRejected) << C.Name;
+    EXPECT_EQ(A.BmcRejected, B.BmcRejected) << C.Name;
+    EXPECT_EQ(A.FormulaBuilds, B.FormulaBuilds) << C.Name;
+    // Localization reuses the prepared formula, and a goldens-only spec
+    // skips the BMC verification: no unroll+encode at all.
+    EXPECT_EQ(A.FormulaBuilds, 0u) << C.Name;
+    EXPECT_GT(A.PrescreenSatCalls, 0u) << C.Name;
+  }
+}
+
 TEST(RepairPrescreen, KeepsExactlyTheValidCorrectionLinesOnTcas) {
   // The prescreen answers "can freeing line L alone make the failing test
   // pass?" -- isValidCorrection(TF, test, spec, {L}) -- on a localization
   // session rather than a private solver. Over every TCAS version with a
   // failing pool test, both prescreen homes must agree with that oracle:
   // the clone of the localization session runRepairPipeline takes (one
-  // line set, compared by count), and the session repairProgram builds
-  // for itself (one line at a time, compared line by line).
+  // line set, compared by count), and the session repairProgram binds
+  // when the lines are given (one line at a time, compared line by line).
   size_t Versions = 0, LinesChecked = 0, LinesRuledOut = 0;
   for (const TcasMutant &V : tcasMutants()) {
     auto P = compile(V.Source);
@@ -397,7 +449,6 @@ TEST(RepairPrescreen, KeepsExactlyTheValidCorrectionLinesOnTcas) {
       bool Valid = isValidCorrection(TF, FT.Inputs[0], S, {L});
       Invalid += !Valid;
       RepairOptions RO;
-      RO.Unroll = tcasUnrollOptions();
       RO.CandidateLines = {L};
       RO.MaxCandidates = 0;
       RepairResult One = repairProgram(*Prep.Prog, *Prep.Driver, "main",

@@ -461,7 +461,7 @@ TEST(ServeCli, MissingEntryFunctionIsABadRequestAndTheBatchGoesOn) {
 
 TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
   // Exercises the remaining documented request fields (entry, weighted,
-  // engine, model, timeout, max_memory_mb, wcnf inline) and checks every
+  // model, timeout, max_memory_mb, wcnf inline) and checks every
   // trailer key on every response, with responses in request order at a
   // width above one.
   std::string EntryProgram = "int check(int x) {\n"
@@ -482,9 +482,9 @@ TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
       "{\"id\":\"r1\",\"cmd\":\"localize\",\"source\":\"" +
       jsonEscape(NoBugProgram) + "\"}\n"
       "{\"id\":\"r2\",\"cmd\":\"maxsat\",\"wcnf\":\"" + jsonEscape(Wcnf) +
-      "\",\"engine\":\"linear\",\"model\":false}\n"
+      "\",\"model\":false}\n"
       "{\"id\":\"r3\",\"cmd\":\"maxsat\",\"wcnf\":\"" + jsonEscape(Wcnf) +
-      "\",\"engine\":\"fumalik\"}\n";
+      "\"}\n";
   LibRun R = runServe(Batch, /*Threads=*/4);
   ASSERT_EQ(R.Frames.size(), 4u);
 
@@ -500,9 +500,9 @@ TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
   EXPECT_NE(R.Frames[1].Body.find("no spec violation"), std::string::npos)
       << R.Frames[1].Body;
 
-  // model:false suppresses the v-line; both engines agree on the optimum
-  // (unit weight-2 soft clause -2 falsified keeps weight-1 soft 2 true,
-  // or vice versa: optimum cost 1 either way).
+  // model:false suppresses the v-line and nothing else (unit weight-2
+  // soft clause -2 falsified keeps weight-1 soft 2 true, or vice versa:
+  // optimum cost 1 either way).
   EXPECT_EQ(R.Frames[2].Id, "r2");
   EXPECT_EQ(R.Frames[2].Body, "o 1\ns OPTIMUM FOUND\n");
   EXPECT_EQ(R.Frames[3].Id, "r3");

@@ -20,6 +20,7 @@
 
 #include "cnf/Cnf.h"
 #include "cnf/DimacsReader.h"
+#include "maxsat/Answer.h"
 #include "maxsat/MaxSat.h"
 #include "support/Rng.h"
 
@@ -899,4 +900,32 @@ TEST(SimplifyCliDifferential, WitnessSessionRebuildsEliminatedVariables) {
   EXPECT_TRUE(Inst.forEachHard([&](ClauseView C) {
     return clauseSatisfied(C.vec(), Res.Model);
   }));
+}
+
+// `sat --no-model` (and serve's model:false) solves without a witness: the
+// answer and the search are the same, but the model stays empty and no
+// eliminated variable is rebuilt. The hard part of the buffered pigeonhole
+// is satisfiable, and preprocessing eliminates its buffer variables.
+TEST(SimplifyCliDifferential, SatWithoutWitnessRebuildsNothing) {
+  DimacsParseError Err;
+  auto Parsed = readDimacsFile(Instances + "/php_soft8.wcnf", Err);
+  ASSERT_TRUE(Parsed) << Err.Message;
+  const int NumVars = Parsed->NumVars;
+  SatAnswer Bare =
+      solveSat(Parsed->Hard, NumVars, /*Witness=*/false, Solver::Options());
+  SatAnswer Full =
+      solveSat(Parsed->Hard, NumVars, /*Witness=*/true, Solver::Options());
+  ASSERT_EQ(Bare.Result, LBool::True);
+  ASSERT_EQ(Full.Result, LBool::True);
+  EXPECT_GT(Bare.Stats.VarsEliminated, 0u);
+  EXPECT_TRUE(Bare.Model.empty());
+  EXPECT_EQ(Bare.Stats.ModelRebuilds, 0u);
+  EXPECT_GE(Full.Stats.ModelRebuilds, 1u);
+  ASSERT_EQ(Full.Model.size(), static_cast<size_t>(NumVars));
+  for (const Clause &C : Parsed->Hard)
+    EXPECT_TRUE(clauseSatisfied(C, Full.Model));
+  EXPECT_EQ(Bare.Stats.Conflicts, Full.Stats.Conflicts);
+  EXPECT_EQ(Bare.Stats.Decisions, Full.Stats.Decisions);
+  EXPECT_EQ(Bare.Stats.Propagations, Full.Stats.Propagations);
+  EXPECT_EQ(Bare.Stats.VarsEliminated, Full.Stats.VarsEliminated);
 }

@@ -319,12 +319,10 @@ int cmdMaxsat(const std::string &Path, CommandOptions &O) {
   bool FromWcnf = Parsed->Weighted;
   bool AnyWeight = false;
   MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
-  bool Weighted = useLinearSearch(O.Engine, AnyWeight);
-  if (!Weighted && O.Engine == "fumalik" && AnyWeight)
-    std::printf("c warning: fumalik engine ignores the non-unit weights\n");
+  Inst.Witness = O.Model; // no v line, no model to rebuild
   std::printf("c %s: %d vars, %zu hard, %zu soft%s, engine=%s\n",
               Path.c_str(), Inst.NumVars, Inst.Hard.size(), Inst.Soft.size(),
-              FromWcnf ? "" : " (cnf)", Weighted ? "linear" : "fumalik");
+              FromWcnf ? "" : " (cnf)", AnyWeight ? "linear" : "fumalik");
 
   Solver::Options SOpts;
   SOpts.Preprocess = Knobs.Preprocess;
@@ -332,7 +330,7 @@ int cmdMaxsat(const std::string &Path, CommandOptions &O) {
   MaxSatResult R; // Unknown when the variables alone overflow the cap
   if (Bud.admitsVars(Inst.NumVars)) {
     std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
-        Inst, Weighted, /*ConflictBudget=*/0, SOpts, /*Canonical=*/true);
+        Inst, AnyWeight, /*ConflictBudget=*/0, SOpts, /*Canonical=*/true);
     if (Knobs.Budget.any())
       Session->setBudget(Bud);
     R = Session->solve();
@@ -372,7 +370,7 @@ int cmdSat(const std::string &Path, CommandOptions &O) {
 
   Solver::Options SOpts;
   SOpts.Preprocess = Knobs.Preprocess;
-  SatAnswer R = solveSat(Clauses, Parsed->NumVars, SOpts,
+  SatAnswer R = solveSat(Clauses, Parsed->NumVars, O.Model, SOpts,
                          Knobs.Budget.solverBudget());
   std::fputs(renderSatAnswer(R, Parsed->NumVars, O.Model).c_str(), stdout);
   // One solve call, as serve's sat trailer counts it.
