@@ -515,6 +515,10 @@ std::string bugassist::renderSearchStats(const LocalizationReport &R) {
   // Rebuilds of eliminated variables' values; localization reads no
   // witness model, so anything but 0 here is wasted reconstruction.
   Out += "models:       " + std::to_string(S.ModelRebuilds) + " rebuilt\n";
+  // Root-level work between solves: full clean-up scans of the clause
+  // database, and assumption levels kept from one solve to the next.
+  Out += "root:         " + std::to_string(S.RootScans) + " scans, " +
+         std::to_string(S.ReusedLevels) + " levels reused\n";
   if (S.VarsEliminated || S.ClausesSubsumed || S.LitsSelfSubsumed)
     Out += "simplify:     " + std::to_string(S.VarsEliminated) +
            " vars eliminated, " + std::to_string(S.ClausesSubsumed) +

@@ -36,7 +36,7 @@ using namespace bugassist;
 // --- Solver entry points ----------------------------------------------------
 
 bool Solver::preprocess() {
-  assert(decisionLevel() == 0 && "preprocess only at the root level");
+  returnToRoot();
   if (!Opts.Preprocess || !Ok)
     return Ok;
   // The load-time decision is made exactly once (hence the latch before
@@ -53,7 +53,7 @@ bool Solver::preprocess() {
 }
 
 bool Solver::eliminateVar(Var V) {
-  assert(decisionLevel() == 0 && "eliminate only at the root level");
+  returnToRoot();
   ensureVars(V + 1);
   if (ElimVars[V])
     return true;

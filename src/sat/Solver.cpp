@@ -70,7 +70,7 @@ void Solver::ensureVars(int N) {
 }
 
 bool Solver::addClause(ClauseView C) {
-  assert(decisionLevel() == 0 && "clauses must be added at the root level");
+  returnToRoot();
   if (!Ok)
     return false;
   for (Lit L : C) {
@@ -124,7 +124,7 @@ bool Solver::addFormula(const CnfFormula &F) {
 }
 
 bool Solver::releaseVar(Lit L) {
-  assert(decisionLevel() == 0 && "release only at the root level");
+  returnToRoot();
   ensureVars(L.var() + 1);
   Released[L.var()] = true;
   // A released variable is root-fixed below, so later elimination of its
@@ -157,15 +157,17 @@ void Solver::setBudget(const Budget &B) {
   Bud = B;
   BudgetArmed = !B.unlimited();
   BudgetExhaustedFlag = false;
-  BudgetStartConflicts = Stats.Conflicts;
   BudgetStartPropagations = Stats.Propagations;
   BudgetPollCountdown = 0; // poll on the first search iteration
+  ConflictCapAt =
+      B.MaxConflicts != 0 ? Stats.Conflicts + B.MaxConflicts : UINT64_MAX;
 }
 
 void Solver::clearBudget() {
   Bud = Budget();
   BudgetArmed = false;
   BudgetExhaustedFlag = false;
+  ConflictCapAt = UINT64_MAX;
 }
 
 bool Solver::pollBudget() {
@@ -173,9 +175,9 @@ bool Solver::pollBudget() {
     return false;
   if (BudgetExhaustedFlag)
     return true;
-  if ((Bud.MaxConflicts != 0 &&
-       Stats.Conflicts - BudgetStartConflicts >= Bud.MaxConflicts) ||
-      (Bud.MaxPropagations != 0 &&
+  // The conflict cap is not polled here: search() checks it at every
+  // conflict.
+  if ((Bud.MaxPropagations != 0 &&
        Stats.Propagations - BudgetStartPropagations >= Bud.MaxPropagations) ||
       (Bud.MaxArenaBytes != 0 && budgetedBytes() > Bud.MaxArenaBytes) ||
       (Bud.HasDeadline && std::chrono::steady_clock::now() >= Bud.Deadline))
@@ -749,6 +751,10 @@ LBool Solver::search() {
       }
       varDecayActivity();
       claDecayActivity();
+      if (Stats.Conflicts >= ConflictCapAt) {
+        BudgetExhaustedFlag = true; // the query's conflict cap, exactly
+        return LBool::Undef;
+      }
       continue;
     }
 
@@ -800,18 +806,29 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
           "assumption variables must be frozen (Solver::setFrozen) before "
           "preprocessing runs");
   }
-  CurAssumptions = Assumptions;
   ConflictsThisSolve = 0;
   MaxLearnts = std::max<double>(
       Opts.MaxLearntsBase, static_cast<double>(ProblemClauses.size()) / 3.0);
 
-  simplifyLevel0();
+  // The root scan runs when it is stale (simplifyLevel0's own gate) and
+  // due: the propagations since the last scan cover the literals it kept.
+  // Otherwise the levels the last call kept are reused up to the first
+  // assumption that differs.
+  bool Scan = (rootTrailSize() != SimpDbAssigns || ProblemClauseFreed) &&
+              (SimpDbAssigns < 0 || Stats.Propagations >= SimpDbProps);
+  cancelUntil(Scan ? 0 : reusableLevels(Assumptions));
+  CurAssumptions = Assumptions;
+  if (Scan)
+    simplifyLevel0();
+  else
+    refreshTierGauges();
   if (Ok && Opts.Preprocess && !PreprocessedOnce)
     preprocess(); // load-time pass; restart boundaries re-run it below
   if (!Ok) {
     CurAssumptions.clear();
     return LBool::False;
   }
+  Stats.ReusedLevels += static_cast<uint64_t>(decisionLevel());
   checkGarbage();
 
   LBool Result = LBool::Undef;
@@ -844,10 +861,23 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
     // them from the first ElimStack.size() words of the stack on demand.
     Model.assign(Assigns.begin(), Assigns.end());
     ExtendPending = ElimStack.size();
+    cancelUntil(static_cast<int>(CurAssumptions.size()));
+  } else if (Result == LBool::Undef) {
+    cancelUntil(0);
   }
-  cancelUntil(0);
+  // After False the search stopped at the failing assumption's level (or
+  // at the root), so the levels left are exactly those before it.
+  KeptAssumptions.swap(CurAssumptions);
   CurAssumptions.clear();
   return Result;
+}
+
+int Solver::reusableLevels(const std::vector<Lit> &Assumptions) const {
+  size_t N = std::min(static_cast<size_t>(decisionLevel()), Assumptions.size());
+  size_t K = 0;
+  while (K < N && KeptAssumptions[K] == Assumptions[K])
+    ++K;
+  return static_cast<int>(K);
 }
 
 void Solver::simplifyLevel0() {
@@ -866,6 +896,7 @@ void Solver::simplifyLevel0() {
     refreshTierGauges();
     return;
   }
+  uint64_t KeptLits = 0;
   auto SimplifySet = [&](std::vector<ClauseRef> &Set) {
     size_t J = 0;
     for (ClauseRef CR : Set) {
@@ -903,6 +934,7 @@ void Solver::simplifyLevel0() {
             rewatchAsBinary(CR); // keep the size-2 <=> BinWatches invariant
         }
       }
+      KeptLits += clauseSize(CR);
       Set[J++] = CR;
     }
     Set.resize(J);
@@ -913,11 +945,13 @@ void Solver::simplifyLevel0() {
   SimplifySet(LocalLearnts);
   refreshTierGauges();
   SimpDbAssigns = static_cast<int64_t>(Trail.size());
+  SimpDbProps = Stats.Propagations + KeptLits;
   ProblemClauseFreed = false;
+  ++Stats.RootScans;
 }
 
 void Solver::reduceLearntDb() {
-  assert(decisionLevel() == 0 && "reduce only at the root level");
+  returnToRoot();
   reduceDB();
 }
 
@@ -1017,7 +1051,7 @@ void Solver::checkGarbage() {
 }
 
 void Solver::forceGarbageCollect() {
-  assert(decisionLevel() == 0 && "collect only at the root level");
+  returnToRoot();
   garbageCollect();
 }
 

@@ -36,10 +36,18 @@
 /// can be added between calls, learned clauses / VSIDS activity / saved
 /// phases persist, and retired selector variables can be released
 /// (releaseVar) so long-running incremental MaxSAT sessions do not bloat
-/// the decision heap. Clause literals live in a flat arena (MiniSAT-style
-/// ClauseAllocator: header + activity + LBD words with inline literals,
-/// addressed by a 32-bit ClauseRef), so propagation walks contiguous memory
-/// and deleted clauses are reclaimed by relocating garbage collection.
+/// the decision heap. solve() also keeps its assumption decision levels on
+/// the trail (van der Tak, Ramos & Heule, "Reusing the Assignment Trail in
+/// CDCL Solvers"), so the next call with the same leading assumptions
+/// starts from them instead of deciding and propagating them again. The
+/// calls that change the root (addClause, releaseVar, preprocess,
+/// eliminateVar, reduceLearntDb, forceGarbageCollect) first return to
+/// level 0 themselves; callers never see the difference.
+///
+/// Clause literals live in a flat arena (MiniSAT-style ClauseAllocator:
+/// header + activity + LBD words with inline literals, addressed by a
+/// 32-bit ClauseRef), so propagation walks contiguous memory and deleted
+/// clauses are reclaimed by relocating garbage collection.
 /// Binary clauses are watched in dedicated lists whose Watcher carries the
 /// whole clause (the Blocker is the other literal), so the propagation fast
 /// path over them never touches the arena.
@@ -98,6 +106,11 @@ struct SolverStats {
   /// Model extensions run: reads of an eliminated variable's model value
   /// that rebuilt the eliminated variables (at most one per True answer).
   uint64_t ModelRebuilds = 0;
+  /// Full root-level clause-database scans (simplifyLevel0 past its gate).
+  uint64_t RootScans = 0;
+  /// Assumption decision levels solve() kept from the previous call
+  /// instead of deciding and propagating them again.
+  uint64_t ReusedLevels = 0;
 
   /// Average learn-time LBD per conflict (unit learnts count with LBD 1),
   /// glucose's "average LBD" signal.
@@ -156,9 +169,9 @@ public:
   Solver() : Solver(Options()) {}
   explicit Solver(const Options &O) : Opts(O) {}
 
-  /// Solvers are copyable *between* solve() calls (root level): the copy
-  /// gets an independent arena, watch lists, learnt tiers, activities,
-  /// saved phases and budget, and continues exactly where
+  /// Solvers are copyable *between* solve() calls: the copy gets an
+  /// independent arena, watch lists, learnt tiers, activities, saved
+  /// phases, kept assumption levels and budget, and continues exactly where
   /// the original stood. This is the substrate of serve-mode session
   /// cloning (maxsat/MaxSat.h `MaxSatSession::clone`): one base solver is
   /// loaded with the shared hard clauses once and copied per query, which
@@ -179,9 +192,11 @@ public:
 
   int numVars() const { return static_cast<int>(Assigns.size()); }
 
-  /// Adds a clause; performs level-0 simplification in a reused member
-  /// buffer, so once that buffer has grown a call allocates nothing but
-  /// arena and watch-list space (the caller's literals are not modified).
+  /// Adds a clause at the root level (returning there first from the
+  /// assumption levels a solve() kept); performs level-0 simplification in
+  /// a reused member buffer, so once that buffer has grown a call allocates
+  /// nothing but arena and watch-list space (the caller's literals are not
+  /// modified).
   /// \returns false if the solver became trivially
   /// UNSAT (empty clause / conflicting units).
   bool addClause(ClauseView C);
@@ -190,12 +205,13 @@ public:
   /// Loads every hard clause of \p F (also allocating its variables).
   bool addFormula(const CnfFormula &F);
 
-  /// Retires a variable from an incremental session: fixes \p L at the root
-  /// level (so every clause mentioning it simplifies away or shrinks) and
-  /// permanently removes the variable from branching. The MaxSAT layer
-  /// calls this with ~A when assumption guard A is superseded, satisfying
-  /// the stale guarded clause copy trivially without bloating the decision
-  /// heap with dead selectors. \returns false if the solver became UNSAT.
+  /// Retires a variable from an incremental session: returns to the root
+  /// level and fixes \p L there (so every clause mentioning it simplifies
+  /// away or shrinks) and permanently removes the variable from branching.
+  /// The MaxSAT layer calls this with ~A when assumption guard A is
+  /// superseded, satisfying the stale guarded clause copy trivially without
+  /// bloating the decision heap with dead selectors. \returns false if the
+  /// solver became UNSAT.
   bool releaseVar(Lit L);
 
   /// \returns false once the clause database is known UNSAT regardless of
@@ -209,6 +225,16 @@ public:
   /// Decides satisfiability under \p Assumptions (literals forced true for
   /// this call only). On False, conflictCore() holds the subset of
   /// assumptions proved jointly inconsistent with the clauses.
+  ///
+  /// The call returns with its assumption levels kept on the trail: all of
+  /// them after True, those before the failing assumption after False, none
+  /// after Undef. The next call backtracks only to the first assumption
+  /// that differs (SolverStats::ReusedLevels counts the levels it keeps).
+  /// The root clean-up scan (simplifyLevel0) runs at entry only when it is
+  /// both stale -- a root assignment or a freed problem clause since the
+  /// last scan -- and due: the solver has propagated at least as many
+  /// literals as the clause database held at the last scan (MiniSAT's
+  /// simpDB_assigns / simpDB_props). A solver's first scan is unconditional.
   LBool solve(const std::vector<Lit> &Assumptions);
 
   /// Model access after a True result: the model of the last solve() that
@@ -281,9 +307,10 @@ public:
   /// Installs \p B and starts counting against it from the solver's current
   /// cumulative stats. Exhaustion makes solve() return Undef -- never throw,
   /// never abort: arena growth past MaxArenaBytes is detected at the next
-  /// allocation and degrades to Undef too. The exhausted state is sticky
-  /// (later solve() calls return Undef immediately) until the budget is
-  /// replaced or cleared.
+  /// allocation and degrades to Undef too. The conflict cap is exact: it is
+  /// checked at every conflict, so a search stops at the MaxConflicts-th.
+  /// The exhausted state is sticky (later solve() calls return Undef
+  /// immediately) until the budget is replaced or cleared.
   void setBudget(const Budget &B);
 
   /// Removes any budget and clears the exhausted state.
@@ -326,14 +353,14 @@ public:
   /// order. Introspection surface for tests and benches.
   std::vector<uint32_t> learntLbds() const;
 
-  /// Forces a learned-clause reduction. Must be called at the root level
-  /// (between solve() calls); normally reductions trigger automatically
-  /// during search.
+  /// Forces a learned-clause reduction between solve() calls, at the root
+  /// level (returning there first); normally reductions trigger
+  /// automatically during search.
   void reduceLearntDb();
 
   /// Forces a relocating arena collection (normally triggered once a fifth
-  /// of the arena is waste). Root level only; exposed so tests can check
-  /// that relocation preserves clause metadata.
+  /// of the arena is waste), at the root level (returning there first);
+  /// exposed so tests can check that relocation preserves clause metadata.
   void forceGarbageCollect();
 
   /// Sets the saved phase of \p V to \p Phase; used to bias the search
@@ -369,14 +396,16 @@ public:
     return V < static_cast<Var>(ElimVars.size()) && ElimVars[V] != 0;
   }
 
-  /// Runs one full simplification pass now (root level, between solve()
-  /// calls). No-op unless Options::Preprocess is set. \returns okay().
+  /// Runs one full simplification pass now, between solve() calls, at the
+  /// root level (returning there first). No-op unless Options::Preprocess
+  /// is set. \returns okay().
   bool preprocess();
 
   /// Test hook: force-eliminates \p V regardless of the resolvent growth
-  /// bounds. Throws std::logic_error if \p V is frozen; returns false
-  /// (without eliminating) if \p V is assigned at the root. \returns true
-  /// if \p V is eliminated on exit.
+  /// bounds (at the root level, returning there first). Throws
+  /// std::logic_error if \p V is frozen; returns false (without
+  /// eliminating) if \p V is assigned at the root. \returns true if \p V
+  /// is eliminated on exit.
   bool eliminateVar(Var V);
 
 private:
@@ -471,6 +500,17 @@ private:
   Lit pickBranchLit();
   void newDecisionLevel() { TrailLim.push_back(static_cast<int>(Trail.size())); }
   int decisionLevel() const { return static_cast<int>(TrailLim.size()); }
+  /// Literals assigned at level 0 (the whole trail at the root).
+  int64_t rootTrailSize() const {
+    return TrailLim.empty() ? static_cast<int64_t>(Trail.size()) : TrailLim[0];
+  }
+  /// The one way a root-only entry point reaches level 0: drops the
+  /// assumption levels the last solve() kept.
+  void returnToRoot() { cancelUntil(0); }
+  /// Leading levels of the kept trail that \p Assumptions can reuse: the
+  /// common prefix of KeptAssumptions and \p Assumptions, up to the
+  /// current decision level.
+  int reusableLevels(const std::vector<Lit> &Assumptions) const;
 
   LBool value(Lit L) const {
     LBool B = Assigns[L.var()];
@@ -642,6 +682,10 @@ private:
   // size seeds MaxLearnts).
   int64_t SimpDbAssigns = -1;
   bool ProblemClauseFreed = false;
+  // solve()'s amortization of that scan (MiniSAT's simpDB_props): the
+  // Stats.Propagations value at which the scan is due again -- the count at
+  // the last scan plus the literals of the clauses it kept.
+  uint64_t SimpDbProps = 0;
   bool PreprocessedOnce = false;     // load-time pass already ran
   uint64_t LastInprocConflicts = 0;  // Stats.Conflicts at the last pass
   std::vector<char> Seen;
@@ -649,7 +693,10 @@ private:
   std::vector<uint64_t> LbdStampOfLevel; // level -> last stamp that saw it
   uint64_t LbdStamp = 0;
 
-  std::vector<Lit> CurAssumptions;
+  std::vector<Lit> CurAssumptions; // the running solve()'s assumptions
+  // The last solve()'s assumptions. Outside solve(), decision level I + 1
+  // is the level of KeptAssumptions[I] (see solve()).
+  std::vector<Lit> KeptAssumptions;
   std::vector<Lit> ConflictCore;
   // The last True answer's assignment, Undef where the search left a
   // variable unassigned (modelValue reads that as False). While
@@ -660,18 +707,22 @@ private:
 
   uint64_t ConflictBudget = 0;
   // Query-wide resource budget (see Budget above). The search loop keeps
-  // the fast path cheap: one bool test plus a countdown, with the clock
-  // read and counter comparisons amortized over BudgetPollPeriod
-  // iterations (the arena cap additionally flips the sticky flag directly
-  // from allocClause, so it is seen on the very next iteration).
+  // the fast path cheap: the conflict cap is one compare per conflict
+  // against ConflictCapAt, and the loop head pays one bool test plus a
+  // countdown, with the clock read and propagation and memory comparisons
+  // amortized over BudgetPollPeriod iterations (the arena cap additionally
+  // flips the sticky flag directly from allocClause, so it is seen on the
+  // very next iteration).
   static constexpr int BudgetPollPeriod = 1024;
   bool pollBudget(); // slow path; returns and latches BudgetExhaustedFlag
   Budget Bud;
   bool BudgetArmed = false;
   bool BudgetExhaustedFlag = false;
-  uint64_t BudgetStartConflicts = 0;
   uint64_t BudgetStartPropagations = 0;
   int BudgetPollCountdown = 0;
+  // Stats.Conflicts value at which the budget's conflict cap trips
+  // (UINT64_MAX without a cap).
+  uint64_t ConflictCapAt = UINT64_MAX;
   uint64_t ConflictsThisSolve = 0;
   uint64_t ConflictsSinceRestart = 0;
   double MaxLearnts = 0;

@@ -379,6 +379,26 @@ TEST(BugassistCli, LocalizeExpiredDeadlineGivesAnEmptyIncompleteReport) {
   std::remove(Source.c_str());
 }
 
+TEST(BugassistCli, LocalizeConflictCapIsExact) {
+  // The CI localize smoke command (TCAS v2, a pinned failing test) under a
+  // one-conflict cap: the cap is checked at every conflict, so the query
+  // stops after exactly one and reports what it enumerated as INCOMPLETE.
+  std::string Source = writeTempFile(tcasMutants()[1].Source);
+  int Exit = 0;
+  std::string Out = runCommand(
+      Cli + " localize " + Source +
+          " --input \"1052,1,0,6677,118,1329,0,790,890,0,2,1\" --golden 2"
+          " --no-obligations --no-bounds --bitwidth 16 --hard-lines 69-84"
+          " --max-diagnoses 24 --max-conflicts 1 --stats",
+      Exit);
+  EXPECT_EQ(exitStatus(Exit), 2) << Out;
+  EXPECT_NE(Out.find("INCOMPLETE: resource budget exhausted"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("\nconflicts:    1\n"), std::string::npos) << Out;
+  std::remove(Source.c_str());
+}
+
 TEST(BugassistCli, DumpTcasRoundTripsThroughTheParser) {
   int Exit = 0;
   std::string Out = runCommand(Cli + " dump-tcas 2", Exit);

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 using namespace bugassist;
@@ -61,6 +62,7 @@ struct SolverTestAccess {
     S.setClauseSize(CR, 2);
     S.rewatchAsBinary(CR);
   }
+  static int decisionLevel(const Solver &S) { return S.decisionLevel(); }
 };
 
 } // namespace bugassist
@@ -399,6 +401,144 @@ TEST(Solver, CoreReverifies) {
   }
 }
 
+// Differential check of the assumption levels solve() keeps between calls.
+// Each instance runs a sequence of solve(assumptions) calls whose lists
+// extend, shrink or swap the tail of the previous list, so later calls
+// start from a kept prefix of levels. addClause, releaseVar, setPolarity
+// and the other root-only calls are interleaved. Every answer must match
+// brute force under the same assumptions, every model must satisfy the
+// clauses and the assumptions, every core must be a subset of the
+// assumptions and UNSAT on its own, and every root-only call must leave
+// the solver at level 0.
+TEST(SolverTrailReuse, AssumptionSequencesAgreeWithBruteForce) {
+  using Access = SolverTestAccess;
+  Rng R(20261019);
+  uint64_t Reused = 0, Sat = 0, Unsat = 0;
+  for (int Round = 0; Round < 80; ++Round) {
+    const int NumVars = 10 + static_cast<int>(R.below(4));
+    // Assumptions, releases and added clauses draw on the control
+    // variables [0, NumControl), which stay frozen while preprocessing is
+    // on; the rest are left to variable elimination.
+    const int NumControl = 7;
+    Solver::Options O;
+    O.Preprocess = R.chance(1, 2);
+    O.PreprocessMinClauses = 0;
+    Solver S(O);
+    S.ensureVars(NumVars);
+    for (Var V = 0; V < NumControl; ++V)
+      S.setFrozen(V, true);
+    std::vector<Clause> Cs = randomInstance(
+        R, NumVars, 2 * NumVars + static_cast<int>(R.below(2 * NumVars)), 3);
+    bool Ok = true;
+    for (const Clause &C : Cs)
+      Ok = Ok && S.addClause(C);
+    if (!Ok) {
+      EXPECT_FALSE(bruteForceSat(NumVars, Cs));
+      continue;
+    }
+    std::vector<Var> Pool; // control variables not yet released
+    for (Var V = 0; V < NumControl; ++V)
+      Pool.push_back(V);
+    auto RandomAssumption = [&] {
+      return mkLit(Pool[R.below(Pool.size())], R.chance(1, 2));
+    };
+    const int AnyVar = O.Preprocess ? NumControl : NumVars;
+    std::vector<Lit> Assumps;
+    for (int Call = 0; Call < 14 && S.okay(); ++Call) {
+      std::string Where = "round " + std::to_string(Round) + " call " +
+                          std::to_string(Call);
+      // The next assumption list: extend, shrink or swap the tail.
+      uint64_t Shape = R.below(3);
+      size_t Tail = 1 + R.below(2);
+      if (Shape == 1 || Shape == 2)
+        Assumps.resize(Assumps.size() - std::min(Tail, Assumps.size()));
+      if (Shape == 0 || Shape == 2)
+        for (size_t I = 0; I < Tail && !Pool.empty(); ++I)
+          Assumps.push_back(RandomAssumption());
+
+      // Root-only calls and phase hints between solves.
+      uint64_t Between = R.below(10);
+      if (Between < 2) {
+        Clause C;
+        while (C.size() < 2 + R.below(2)) {
+          Lit L = mkLit(static_cast<Var>(R.below(AnyVar)), R.chance(1, 2));
+          if (std::none_of(C.begin(), C.end(),
+                           [&](Lit M) { return M.var() == L.var(); }))
+            C.push_back(L);
+        }
+        Cs.push_back(C);
+        S.addClause(C);
+        EXPECT_EQ(Access::decisionLevel(S), 0) << Where << " addClause";
+      } else if (Between == 2 && Pool.size() > 2) {
+        size_t At = R.below(Pool.size());
+        Lit Fixed = mkLit(Pool[At], R.chance(1, 2));
+        Pool.erase(Pool.begin() + static_cast<std::ptrdiff_t>(At));
+        Assumps.erase(std::remove_if(Assumps.begin(), Assumps.end(),
+                                     [&](Lit L) {
+                                       return L.var() == Fixed.var();
+                                     }),
+                      Assumps.end());
+        Cs.push_back({Fixed});
+        S.releaseVar(Fixed);
+        EXPECT_EQ(Access::decisionLevel(S), 0) << Where << " releaseVar";
+      } else if (Between == 3) {
+        S.setPolarity(static_cast<Var>(R.below(NumVars)), R.chance(1, 2));
+      } else if (Between == 4) {
+        switch (R.below(3)) {
+        case 0:
+          S.reduceLearntDb();
+          break;
+        case 1:
+          S.forceGarbageCollect();
+          break;
+        default:
+          S.preprocess();
+          break;
+        }
+        EXPECT_EQ(Access::decisionLevel(S), 0) << Where << " root call";
+      }
+      if (!S.okay()) {
+        EXPECT_FALSE(bruteForceSat(NumVars, Cs)) << Where;
+        break;
+      }
+
+      uint64_t ReusedBefore = S.stats().ReusedLevels;
+      LBool Got = S.solve(Assumps);
+      ASSERT_NE(Got, LBool::Undef) << Where;
+      Reused += S.stats().ReusedLevels - ReusedBefore;
+      std::vector<Clause> Assumed = Cs;
+      for (Lit A : Assumps)
+        Assumed.push_back({A});
+      EXPECT_EQ(Got == LBool::True, bruteForceSat(NumVars, Assumed)) << Where;
+      if (Got == LBool::True) {
+        ++Sat;
+        EXPECT_TRUE(modelSatisfies(S, Cs)) << Where;
+        for (Lit A : Assumps)
+          EXPECT_EQ(S.modelValue(A), LBool::True) << Where;
+        // Every assumption level stays for the next call.
+        EXPECT_EQ(Access::decisionLevel(S), static_cast<int>(Assumps.size()))
+            << Where;
+        continue;
+      }
+      ++Unsat;
+      EXPECT_LE(Access::decisionLevel(S), static_cast<int>(Assumps.size()))
+          << Where;
+      std::vector<Clause> CoreOnly = Cs;
+      for (Lit L : S.conflictCore()) {
+        EXPECT_NE(std::find(Assumps.begin(), Assumps.end(), L), Assumps.end())
+            << Where << ": core literal is not an assumption";
+        CoreOnly.push_back({L});
+      }
+      EXPECT_FALSE(bruteForceSat(NumVars, CoreOnly))
+          << Where << ": core is satisfiable on its own";
+    }
+  }
+  // The sequences exercise both answers and the reuse path itself.
+  EXPECT_GT(Sat, 100u);
+  EXPECT_GT(Unsat, 100u);
+  EXPECT_GT(Reused, 100u);
+}
+
 TEST(Solver, StatsAreTracked) {
   Solver S;
   Var A = S.newVar(), B = S.newVar();
@@ -508,6 +648,21 @@ TEST(SolverBudget, ConflictCapReturnsUndefAndIsSticky) {
   S.clearBudget();
   EXPECT_FALSE(S.budgetExhausted());
   EXPECT_EQ(S.solve(), LBool::False);
+}
+
+TEST(SolverBudget, ConflictCapIsExact) {
+  // The cap is checked at every conflict, so the search stops at exactly
+  // the capped count, not at the next amortized budget poll.
+  for (uint64_t Cap : {1u, 10u, 37u}) {
+    Solver S;
+    loadPigeonhole(S, 7);
+    Solver::Budget B;
+    B.MaxConflicts = Cap;
+    S.setBudget(B);
+    EXPECT_EQ(S.solve(), LBool::Undef);
+    EXPECT_TRUE(S.budgetExhausted());
+    EXPECT_EQ(S.stats().Conflicts, Cap);
+  }
 }
 
 TEST(SolverBudget, ReinstallingABudgetResetsTheBaseline) {
