@@ -3,9 +3,9 @@
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
 // Solver-substrate benchmarks: CDCL on random 3-SAT around the phase
-// transition and on pigeonhole instances, Fu-Malik and linear-search
-// partial MaxSAT on localization-shaped instances, and -- the headline --
-// the Fu-Malik TCAS localization workload run both through the incremental
+// transition and on pigeonhole instances, Fu-Malik partial MaxSAT on
+// localization-shaped instances, and -- the headline -- the Fu-Malik TCAS
+// localization workload run both through the incremental
 // one-persistent-solver engine and a rebuilt-per-diagnosis baseline.
 //
 // Every workload is emitted as machine-readable JSON (BENCH_solvers.json:
@@ -258,12 +258,9 @@ void benchWcnfSweep(const std::string &Dir) {
           Out.WallSeconds = T.seconds();
           Out.ExtraKey = "sat";
         } else {
-          bool AnyWeight = false;
-          MaxSatInstance Inst = toMaxSatInstance(*Parsed, &AnyWeight);
+          MaxSatInstance Inst = toMaxSatInstance(*Parsed);
           Timer T;
-          auto Session = makeMaxSatSession(Inst, AnyWeight,
-                                           /*ConflictBudget=*/0, Opts,
-                                           /*Canonical=*/true);
+          auto Session = makeFuMalikSession(Inst, /*ConflictBudget=*/0, Opts);
           MaxSatResult R = Session->solve();
           Out.WallSeconds = T.seconds();
           Out.SatCalls = R.SatCalls;
@@ -454,8 +451,6 @@ int main(int argc, char **argv) {
     std::string Suffix = "_chain" + std::to_string(Len);
     benchMaxSat("maxsat_fumalik_incremental" + Suffix, Chain,
                 [](const MaxSatInstance &I) { return solveFuMalik(I); });
-    benchMaxSat("maxsat_linear_incremental" + Suffix, Chain,
-                [](const MaxSatInstance &I) { return solveLinear(I); });
   }
 
   benchTcasLocalization(/*NumMutants=*/Quick ? 1 : 6,

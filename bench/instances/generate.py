@@ -201,8 +201,8 @@ def main():
         os.path.join(HERE, "php_weighted8.wcnf"),
         ["the soft pigeonhole of php_soft8.wcnf with pigeon weights",
          "cycling 1,2,3: the optimum leaves out one of the weight-1",
-         "pigeons. Known optimum: 1 (exercises the linear-search",
-         "engine). Regenerate with generate.py."],
+         "pigeons. Known optimum: 1 (exercises weighted core",
+         "splitting). Regenerate with generate.py."],
         cnf, soft)
 
     write_cnf(

@@ -94,8 +94,7 @@ bugassist::makeLocalizationSession(const MaxSatInstance &Inst,
                                    const LocalizeOptions &Opts) {
   Solver::Options SOpts;
   SOpts.Preprocess = Opts.Preprocess;
-  return makeMaxSatSession(Inst, Opts.Weighted, Opts.ConflictBudget, SOpts,
-                           /*Canonical=*/true);
+  return makeFuMalikSession(Inst, Opts.ConflictBudget, SOpts);
 }
 
 LocalizationReport bugassist::localizeFault(const TraceFormula &TF,

@@ -128,7 +128,9 @@ struct QueryBudget {
 struct LocalizeOptions {
   /// Stop after this many CoMSSes (the paper iterates interactively).
   size_t MaxDiagnoses = 16;
-  /// Use the weighted linear-search solver instead of Fu-Malik.
+  /// Ignored: sessions solve every weight with one engine. It exists only
+  /// for perfbench, which still names it; nothing in the library sets or
+  /// reads it.
   bool Weighted = false;
   /// Per-SAT-call conflict budget (0 = unlimited).
   uint64_t ConflictBudget = 0;
@@ -144,10 +146,9 @@ struct LocalizeOptions {
 };
 
 /// A never-solved localization session over \p Inst (normally
-/// TF.sharedInstance()): Opts picks the engine (Weighted), the per-call
-/// conflict budget and preprocessing; optima are canonical. Never solved
-/// on return, so it can be preprocessed and cloned before the enumeration
-/// starts.
+/// TF.sharedInstance()): Opts picks the per-call conflict budget and
+/// preprocessing; optima are canonical. Never solved on return, so it can
+/// be preprocessed and cloned before the enumeration starts.
 std::unique_ptr<MaxSatSession>
 makeLocalizationSession(const MaxSatInstance &Inst,
                         const LocalizeOptions &Opts = {});

@@ -24,11 +24,8 @@ LoopDiagnosisResult bugassist::diagnoseLoopFault(const Program &Prog,
   TraceFormula TF(encodeProgram(UP, EO));
 
   LoopDiagnosisResult Result;
-  LocalizeOptions LO = Opts.Localize;
-  LO.Weighted = true; // Eq. 3 weights need the weighted solver
-
   std::unique_ptr<MaxSatSession> Session =
-      makeLocalizationSession(TF.sharedInstance(), LO);
+      makeLocalizationSession(TF.sharedInstance(), Opts.Localize);
   if (Opts.RestrictToLoopGroups) {
     // Pin every non-loop statement enabled: its selector becomes a hard
     // unit, and its soft clause is trivially satisfied alongside.
@@ -36,7 +33,8 @@ LoopDiagnosisResult bugassist::diagnoseLoopFault(const Program &Prog,
       if (G.Unwinding == 0)
         Session->addHardClause({mkLit(G.Selector)});
   }
-  Result.Report = localizeFault(TF, FailingTest, S, LO, Session.get());
+  Result.Report =
+      localizeFault(TF, FailingTest, S, Opts.Localize, Session.get());
 
   for (size_t D = 0; D < Result.Report.Diagnoses.size(); ++D) {
     const Diagnosis &Diag = Result.Report.Diagnoses[D];

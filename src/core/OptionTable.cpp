@@ -107,9 +107,6 @@ const std::vector<OptionRow> Table = {
     switchRow("--no-obligations", "check_obligations", InLocalize | InRepair,
               "ignore assert/bounds obligations",
               SET(O.Query.CheckObligations = X.Bool)),
-    switchRow("--weighted", "weighted", InLocalize | InRepair,
-              "weighted linear-search MaxSAT engine",
-              SET(O.Query.Localize.Weighted = X.Bool)),
     switchRow("--json", "json", InLocalize | InRepair,
               "JSON report instead of text", SET(O.Json = X.Bool)),
 

@@ -14,9 +14,9 @@
 /// session: every session canonicalizes to the same set, so localization
 /// results do not depend on which session produced them.
 ///
-/// The routine is engine-agnostic: the linear-search session probes under
-/// its PB-counter bound, Fu-Malik under its live assumption guards; both
-/// bind the mechanics through CanonicalHooks.
+/// The Fu-Malik session probes under its live assumption guards, whose
+/// models are exactly the optimal assignments (FuMalik.cpp, canonicalize),
+/// and binds the mechanics through CanonicalHooks.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- Cardinality.cpp - Cardinality & PB encodings -------------------------===//
+//===- Cardinality.cpp - Cardinality encodings ----------------------------===//
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
@@ -6,7 +6,6 @@
 
 #include "maxsat/Cardinality.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace bugassist;
@@ -42,103 +41,4 @@ void bugassist::encodeExactlyOne(const std::vector<Lit> &Lits,
   assert(!Lits.empty() && "exactly-one over empty set is unsatisfiable");
   Sink.AddClause(Clause(Lits.begin(), Lits.end())); // at least one
   encodeAtMostOne(Lits, Sink);
-}
-
-void bugassist::encodePbLeq(const std::vector<Lit> &Lits,
-                            const std::vector<uint64_t> &Weights,
-                            uint64_t Bound, ClauseSink &Sink) {
-  assert(Lits.size() == Weights.size() && "weight per literal required");
-  size_t N = Lits.size();
-  if (N == 0)
-    return;
-
-  // Literals whose weight alone exceeds the bound must be false.
-  std::vector<Lit> Ls;
-  std::vector<uint64_t> Ws;
-  for (size_t I = 0; I < N; ++I) {
-    assert(Weights[I] > 0 && "zero-weight literal");
-    if (Weights[I] > Bound) {
-      Sink.AddClause({~Lits[I]});
-      continue;
-    }
-    Ls.push_back(Lits[I]);
-    Ws.push_back(Weights[I]);
-  }
-  N = Ls.size();
-  if (N == 0 || Bound == 0)
-    return;
-  uint64_t Total = 0;
-  for (uint64_t W : Ws)
-    Total += W;
-  if (Total <= Bound)
-    return; // constraint is vacuous
-
-  // Sequential weighted counter. Register R[i][j] (1-based j .. Bound) means
-  // "the weighted sum of the first i+1 literals is >= j".
-  auto Reg = [&](std::vector<std::vector<Lit>> &R, size_t I,
-                 uint64_t J) -> Lit { return R[I][J - 1]; };
-
-  std::vector<std::vector<Lit>> R(N, std::vector<Lit>(Bound));
-  for (size_t I = 0; I < N; ++I)
-    for (uint64_t J = 1; J <= Bound; ++J)
-      R[I][J - 1] = mkLit(Sink.NewVar());
-
-  // Base: first literal sets registers 1..w0.
-  for (uint64_t J = 1; J <= std::min(Ws[0], Bound); ++J)
-    Sink.AddClause({~Ls[0], Reg(R, 0, J)});
-
-  for (size_t I = 1; I < N; ++I) {
-    // Carry: sum >= j stays >= j.
-    for (uint64_t J = 1; J <= Bound; ++J)
-      Sink.AddClause({~Reg(R, I - 1, J), Reg(R, I, J)});
-    // Adding literal i contributes w_i.
-    for (uint64_t J = 1; J <= std::min(Ws[I], Bound); ++J)
-      Sink.AddClause({~Ls[I], Reg(R, I, J)});
-    for (uint64_t J = 1; J + Ws[I] <= Bound; ++J)
-      Sink.AddClause({~Ls[I], ~Reg(R, I - 1, J), Reg(R, I, J + Ws[I])});
-    // Overflow: literal i true while prefix already at Bound+1-w_i.
-    if (Bound + 1 > Ws[I] && Bound + 1 - Ws[I] <= Bound)
-      Sink.AddClause({~Ls[I], ~Reg(R, I - 1, Bound + 1 - Ws[I])});
-  }
-  // The very first literal alone cannot overflow (weights > Bound already
-  // filtered), so no base overflow clause is needed.
-}
-
-std::vector<Lit> bugassist::encodePbCounter(const std::vector<Lit> &Lits,
-                                            const std::vector<uint64_t> &Weights,
-                                            uint64_t MaxSum, ClauseSink &Sink) {
-  assert(Lits.size() == Weights.size() && "weight per literal required");
-  assert(MaxSum > 0 && "counter needs at least one threshold");
-  size_t N = Lits.size();
-  if (N == 0) {
-    // Sum is always 0; fresh unconstrained outputs (never forced true).
-    std::vector<Lit> Out(MaxSum);
-    for (uint64_t J = 0; J < MaxSum; ++J)
-      Out[J] = mkLit(Sink.NewVar());
-    return Out;
-  }
-
-  // R[j-1] after row i means "weighted sum of the first i+1 literals >= j"
-  // (one-directional: high sums force registers true; assuming a register
-  // false prunes). Saturation: contributions past MaxSum land on MaxSum.
-  auto Sat = [MaxSum](uint64_t J) { return J < MaxSum ? J : MaxSum; };
-  std::vector<Lit> Prev(MaxSum), Cur(MaxSum);
-  for (size_t I = 0; I < N; ++I) {
-    assert(Weights[I] > 0 && "zero-weight literal");
-    for (uint64_t J = 1; J <= MaxSum; ++J)
-      Cur[J - 1] = mkLit(Sink.NewVar());
-    // Direct: literal i alone reaches thresholds 1..min(w_i, MaxSum).
-    for (uint64_t J = 1; J <= Sat(Weights[I]); ++J)
-      Sink.AddClause({~Lits[I], Cur[J - 1]});
-    if (I > 0) {
-      for (uint64_t J = 1; J <= MaxSum; ++J) {
-        // Carry: prefix sum >= j stays >= j.
-        Sink.AddClause({~Prev[J - 1], Cur[J - 1]});
-        // Add: literal i lifts a prefix at j to min(j + w_i, MaxSum).
-        Sink.AddClause({~Lits[I], ~Prev[J - 1], Cur[Sat(J + Weights[I]) - 1]});
-      }
-    }
-    std::swap(Prev, Cur);
-  }
-  return Prev;
 }

@@ -1,16 +1,13 @@
-//===- Cardinality.h - Cardinality & PB encodings ---------------*- C++ -*-===//
+//===- Cardinality.h - Cardinality encodings --------------------*- C++ -*-===//
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CNF encodings of cardinality and pseudo-Boolean constraints, the
-/// "cardinality constraints used to constrain the number of relaxed
-/// clauses" of the paper's Section 3.3. Fu-Malik needs exactly-one over
-/// relaxation variables; the weighted linear-search solver needs
-/// sum(w_i * x_i) <= K, encoded as a sequential weighted counter
-/// (Hoelldobler/Sinz style).
+/// CNF encodings of cardinality constraints, the "cardinality constraints
+/// used to constrain the number of relaxed clauses" of the paper's Section
+/// 3.3: Fu-Malik's exactly-one over each round's relaxation literals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +16,6 @@
 
 #include "cnf/Lit.h"
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -39,25 +35,6 @@ void encodeAtMostOne(const std::vector<Lit> &Lits, ClauseSink &Sink);
 /// Emits clauses forcing exactly one of \p Lits true (Fu-Malik relaxation
 /// constraint). \p Lits must be nonempty.
 void encodeExactlyOne(const std::vector<Lit> &Lits, ClauseSink &Sink);
-
-/// Emits clauses forcing sum of weights of true \p Lits <= \p Bound.
-/// Sequential weighted counter: O(n * Bound) auxiliary variables.
-/// Weights must be nonzero.
-void encodePbLeq(const std::vector<Lit> &Lits,
-                 const std::vector<uint64_t> &Weights, uint64_t Bound,
-                 ClauseSink &Sink);
-
-/// Emits a *saturating* sequential weighted counter over \p Lits and
-/// returns its output literals Out[0..MaxSum-1], where every model of the
-/// emitted clauses sets Out[J-1] true whenever the weighted sum of true
-/// \p Lits is >= J (sums beyond MaxSum saturate at MaxSum). Unlike
-/// encodePbLeq, no bound is baked in: assuming ~Out[K] enforces sum <= K
-/// for any K < MaxSum, so an incremental MaxSAT session can tighten the
-/// bound across solve() calls without re-encoding (Martins et al. style
-/// incremental cardinality). Weights must be nonzero.
-std::vector<Lit> encodePbCounter(const std::vector<Lit> &Lits,
-                                 const std::vector<uint64_t> &Weights,
-                                 uint64_t MaxSum, ClauseSink &Sink);
 
 } // namespace bugassist
 

@@ -6,10 +6,18 @@
 // engineered into MSUnCORE [21] that the paper's implementation calls:
 // repeatedly solve; while UNSAT, take an unsatisfiable core, attach a fresh
 // relaxation variable to every soft clause in the core, constrain exactly
-// one relaxation per round to fire, and charge one unit of cost.
+// one relaxation per round to fire, and charge the core's cost.
+//
+// Weights are handled by splitting cores by weight (WPM1: Ansotegui, Bonet
+// and Levy, SAT 2009; WMSU1: Manquinho, Marques-Silva and Planes, SAT
+// 2009). Each working copy of a soft clause carries a weight; a round
+// charges the least weight w_min in its core, relaxes the copies of weight
+// w_min in place, and splits every heavier copy into an unrelaxed
+// remainder of weight w - w_min plus a relaxed copy of weight w_min. With
+// unit weights nothing is ever split, so the rounds are the classic ones.
 //
 // This implementation is fully incremental: ONE solver lives for the whole
-// session. Hard clauses are loaded once; each soft clause is guarded by an
+// session. Hard clauses are loaded once; each working copy is guarded by an
 // assumption literal, and a relaxation round retires the stale guard (stops
 // assuming it and releases it as root-level false, so the superseded
 // guarded copy is satisfied trivially and reclaimed) before re-guarding the
@@ -75,9 +83,9 @@ void collectFalsifiedSoft(const std::vector<SoftClause> &Soft, Solver &S,
 class FuMalikSessionImpl final : public MaxSatSession {
 public:
   FuMalikSessionImpl(const MaxSatInstance &Inst, uint64_t ConflictBudget,
-                     const Solver::Options &SolverOpts, bool Canonical)
+                     const Solver::Options &SolverOpts)
       : S(SolverOpts), NumOrigVars(Inst.NumVars), Soft(Inst.Soft),
-        Canonical(Canonical), Witness(Inst.Witness) {
+        Witness(Inst.Witness) {
     S.ensureVars(Inst.NumVars);
     // Frozen contract (sat/Simplifier.h): the session keeps talking about
     // these variables after the first solve() -- guards are assumed,
@@ -96,15 +104,12 @@ public:
     }
     // Guard each soft clause exactly once: assumption literal A_i enforces
     // C_i through the hard clause (C_i \/ ~A_i); a final conflict yields a
-    // core over the A_i, i.e., over soft clauses.
-    WorkingSoft.reserve(Soft.size());
-    GuardOf.reserve(Soft.size());
+    // core over the A_i, i.e., over working copies. Copy i starts as soft
+    // clause i.
+    Copies.reserve(Soft.size());
     for (const SoftClause &SC : Soft) {
-      WorkingSoft.push_back(SC.Lits);
-      GuardOf.push_back(newGuard(GuardOf.size()));
-      Clause Guarded = SC.Lits;
-      Guarded.push_back(mkLit(GuardOf.back(), /*Negated=*/true));
-      if (!S.addClause(std::move(Guarded)))
+      assert(SC.Weight > 0 && "soft clause weights must be positive");
+      if (!addCopy(SC.Lits, SC.Weight))
         HardBroken = true; // impossible while A is fresh; defensive only
     }
     PreferTrue = Inst.PreferTrue;
@@ -124,8 +129,8 @@ public:
   Solver &solver() override { return S; }
 
   /// Member-wise deep copy: the Solver copy carries the arena and learnt
-  /// state, and every piece of relaxation bookkeeping (guards, working
-  /// soft clauses, rounds) is a plain value. Root level only.
+  /// state, and every piece of relaxation bookkeeping (working copies,
+  /// guards, the lower bound) is a plain value. Root level only.
   std::unique_ptr<MaxSatSession> clone() const override {
     return std::unique_ptr<MaxSatSession>(new FuMalikSessionImpl(*this));
   }
@@ -135,9 +140,9 @@ public:
     bool HaveModel = false; // S's last model is this result's best model
     for (; !HardBroken;) {
       std::vector<Lit> Assumptions;
-      Assumptions.reserve(GuardOf.size());
-      for (Var A : GuardOf)
-        Assumptions.push_back(mkLit(A));
+      Assumptions.reserve(Copies.size());
+      for (const WorkingCopy &WC : Copies)
+        Assumptions.push_back(mkLit(WC.Guard));
       // Phase saving overwrites polarities during search; re-seed the
       // "program as written" bias before every descent, exactly as the
       // per-round solver rebuild used to.
@@ -148,69 +153,79 @@ public:
 
       if (R == LBool::Undef) {
         Res.Status = MaxSatStatus::Unknown;
-        // Every completed round proved one more soft clause must be
-        // falsified, and all weights are >= 1.
-        Res.LowerBound = Rounds;
+        // Every completed round proved its w_min more of falsified weight.
+        Res.LowerBound = LowerBound;
         HaveModel = harvestUpperBound(Res);
         break;
       }
       if (R == LBool::True) {
         Res.Status = MaxSatStatus::Optimum;
         HaveModel = true;
-        if (Canonical && Rounds > 0)
+        if (LowerBound > 0)
           canonicalize(Assumptions, Res);
         collectFalsifiedSoft(Soft, S, Res);
-        // Fu-Malik invariant: relaxation rounds == optimal cost for unit
-        // weights. Holds across incremental blocking clauses too, since
-        // Rounds accumulates over the session exactly as the optimum does.
-        assert(Res.FalsifiedSoft.size() == Rounds &&
-               "Fu-Malik cost does not match falsified soft clauses");
+        // Fu-Malik invariant: the charged w_min sum == optimal cost. Holds
+        // across incremental blocking clauses too, since LowerBound
+        // accumulates over the session exactly as the optimum does.
+        assert(Res.Cost == LowerBound &&
+               "Fu-Malik cost does not match falsified soft weight");
         break;
       }
 
       // UNSAT: harvest the core over assumption literals via the
-      // direct-indexed var -> soft map (no nested scan).
-      std::vector<size_t> CoreSoft;
+      // direct-indexed var -> copy map (no nested scan).
+      std::vector<size_t> Core;
       for (Lit FL : S.conflictCore()) {
         Var V = FL.var();
-        if (V < static_cast<Var>(SoftIdxOfVar.size()) && SoftIdxOfVar[V] >= 0)
-          CoreSoft.push_back(static_cast<size_t>(SoftIdxOfVar[V]));
+        if (V < static_cast<Var>(CopyOfGuard.size()) && CopyOfGuard[V] >= 0)
+          Core.push_back(static_cast<size_t>(CopyOfGuard[V]));
       }
-      std::sort(CoreSoft.begin(), CoreSoft.end());
-      CoreSoft.erase(std::unique(CoreSoft.begin(), CoreSoft.end()),
-                     CoreSoft.end());
+      std::sort(Core.begin(), Core.end());
+      Core.erase(std::unique(Core.begin(), Core.end()), Core.end());
 
-      if (CoreSoft.empty()) {
+      if (Core.empty()) {
         // Conflict involves no soft clause: hard part is UNSAT.
         Res.Status = MaxSatStatus::HardUnsat;
         break;
       }
 
-      // Relax: fresh r per core soft clause; exactly one r true. The old
-      // guard is retired -- dropped from the assumptions and fixed false at
-      // the root, which satisfies the superseded guarded copy so the solver
-      // reclaims it -- and the relaxed copy goes in under a fresh guard.
-      ClauseSink Sink{[this](Clause C) { S.addClause(std::move(C)); },
-                      [this]() { return S.newVar(); }};
+      // Relax: fresh r per core copy; exactly one r true; charge w_min. A
+      // copy of weight w_min is relaxed in place: its old guard is retired
+      // -- dropped from the assumptions and fixed false at the root, which
+      // satisfies the superseded guarded copy so the solver reclaims it --
+      // and the relaxed copy goes in under a fresh guard. A heavier copy
+      // keeps its guard and clause at weight w - w_min, and a relaxed copy
+      // of weight w_min is appended under a fresh guard.
+      uint64_t WMin = UINT64_MAX;
+      for (size_t I : Core)
+        WMin = std::min(WMin, Copies[I].Weight);
       std::vector<Lit> Relax;
-      Relax.reserve(CoreSoft.size());
-      for (size_t I : CoreSoft) {
-        Var OldGuard = GuardOf[I];
-        SoftIdxOfVar[OldGuard] = -1;
-        S.releaseVar(mkLit(OldGuard, /*Negated=*/true));
-
+      Relax.reserve(Core.size());
+      for (size_t I : Core) {
+        WorkingCopy &WC = Copies[I]; // addCopy below may invalidate it
+        bool InPlace = WC.Weight == WMin;
+        if (InPlace) {
+          CopyOfGuard[WC.Guard] = -1;
+          S.releaseVar(mkLit(WC.Guard, /*Negated=*/true));
+        }
         Lit RL = mkLit(S.newVar());
         S.setFrozen(RL.var(), true); // future relaxed copies re-mention it
-        WorkingSoft[I].push_back(RL);
         Relax.push_back(RL);
-
-        GuardOf[I] = newGuard(I);
-        Clause Guarded = WorkingSoft[I];
-        Guarded.push_back(mkLit(GuardOf[I], /*Negated=*/true));
-        S.addClause(std::move(Guarded));
+        if (InPlace) {
+          WC.Lits.push_back(RL);
+          WC.Guard = newGuard(I);
+          addGuarded(WC);
+        } else {
+          WC.Weight -= WMin;
+          Clause Relaxed = WC.Lits;
+          Relaxed.push_back(RL);
+          addCopy(std::move(Relaxed), WMin);
+        }
       }
+      ClauseSink Sink{[this](Clause C) { S.addClause(std::move(C)); },
+                      [this]() { return S.newVar(); }};
       encodeExactlyOne(Relax, Sink);
-      ++Rounds;
+      LowerBound += WMin;
       if (!S.okay()) {
         Res.Status = MaxSatStatus::HardUnsat;
         break;
@@ -232,23 +247,45 @@ public:
   }
 
 private:
+  /// One guarded working copy of a soft clause: the clause plus the
+  /// relaxation literals of the rounds it took part in, and the share of
+  /// the soft clause's weight it still carries. The live copies of a soft
+  /// clause always carry its whole weight between them.
+  struct WorkingCopy {
+    Clause Lits;
+    Var Guard = NullVar;
+    uint64_t Weight = 0;
+  };
+
   /// Canonicalizes the optimum (see Canonical.h). Probes run under the
-  /// live guards: any guard-satisfying model falsifies exactly Rounds soft
-  /// clauses -- each relaxation round's exactly-one constraint activates
-  /// one relaxation literal, capping falsification at Rounds, while the
-  /// optimum bounds it from below -- so no explicit cost bound is needed.
+  /// live guards, and the guard-satisfying models are exactly the optimal
+  /// assignments, so no explicit cost bound is needed:
   ///
-  /// Probe answers are a pure function of (hard clauses, optimum), not of
-  /// this session's relaxation history, which is what makes the canonical
-  /// set identical across sessions with different search histories: every
-  /// original-optimal falsified set F is representable in ANY terminal
-  /// relaxation structure. Inductively, a partial witness falsifying the
-  /// unmatched remainder G of F (guards of G off, earlier elements of F
-  /// matched to earlier rounds) would satisfy the next core's formula
-  /// outright if that core missed G -- contradicting the core's
-  /// unsatisfiability -- so each round's core intersects G, one element of
-  /// F moves onto the fresh relaxation literal, and after Rounds rounds F
-  /// has a perfect matching into the rounds (Hall's condition holds).
+  ///  * Every guard-satisfying model is optimal. Each relaxation literal
+  ///    was born on one copy of weight w_min of its round, and splitting
+  ///    only divides that weight among the copies that inherit it. A soft
+  ///    clause the model falsifies has all its live copies satisfied by
+  ///    relaxation literals, and exactly one literal per round is true, so
+  ///    the falsified weight is at most the sum of the rounds' w_min, the
+  ///    proven lower bound.
+  ///
+  ///  * Every optimal assignment satisfies the guards under some choice of
+  ///    relaxation literals. A round's core is unsatisfiable with the
+  ///    hard clauses, so every assignment falsifies one of its copies;
+  ///    setting that copy's relaxation literal lowers the assignment's
+  ///    remaining cost by exactly w_min (a heavier copy keeps w - w_min
+  ///    unrelaxed). After the last round an optimal assignment's remaining
+  ///    cost is its cost minus the lower bound, which is 0: it satisfies
+  ///    every live copy. With unit weights this is the matching argument:
+  ///    each round's core meets the unmatched rest of the falsified set --
+  ///    else a partial witness would satisfy the core outright -- so the
+  ///    set has a perfect matching into the rounds (Hall's condition).
+  ///
+  /// Probe answers are therefore a pure function of (hard clauses,
+  /// optimum), not of this session's relaxation history, which is what
+  /// makes the canonical set identical across sessions with different
+  /// search histories, and equal to the lexicographically greatest
+  /// satisfied-soft vector among all optimal assignments.
   void canonicalize(const std::vector<Lit> &Guards, MaxSatResult &Res) {
     CanonicalHooks Hooks;
     Hooks.Probe = [&](const std::vector<Lit> &Extra) -> LBool {
@@ -312,13 +349,30 @@ private:
     return mkLit(SatisfySelector[J]);
   }
 
-  Var newGuard(size_t SoftIdx) {
+  /// Appends working copy (\p Lits, \p W) under a fresh guard.
+  bool addCopy(Clause Lits, uint64_t W) {
+    WorkingCopy WC;
+    WC.Lits = std::move(Lits);
+    WC.Guard = newGuard(Copies.size());
+    WC.Weight = W;
+    Copies.push_back(std::move(WC));
+    return addGuarded(Copies.back());
+  }
+
+  /// Adds the hard clause (Lits \/ ~Guard) that \p WC's guard enforces.
+  bool addGuarded(const WorkingCopy &WC) {
+    Clause Guarded = WC.Lits;
+    Guarded.push_back(mkLit(WC.Guard, /*Negated=*/true));
+    return S.addClause(std::move(Guarded));
+  }
+
+  Var newGuard(size_t CopyIdx) {
     Var A = S.newVar();
     // Guards are assumed every round; releaseVar unfreezes on retirement.
     S.setFrozen(A, true);
-    if (static_cast<Var>(SoftIdxOfVar.size()) <= A)
-      SoftIdxOfVar.resize(A + 1, -1);
-    SoftIdxOfVar[A] = static_cast<int32_t>(SoftIdx);
+    if (static_cast<Var>(CopyOfGuard.size()) <= A)
+      CopyOfGuard.resize(A + 1, -1);
+    CopyOfGuard[A] = static_cast<int32_t>(CopyIdx);
     return A;
   }
 
@@ -326,12 +380,13 @@ private:
   int NumOrigVars;
   std::vector<SoftClause> Soft;     ///< original soft clauses (for re-eval)
   std::vector<Var> PreferTrue;
-  std::vector<Clause> WorkingSoft;  ///< soft + accumulated relaxation lits
-  std::vector<Var> GuardOf;         ///< soft idx -> live guard variable
-  std::vector<int32_t> SoftIdxOfVar; ///< guard var -> soft idx, -1 otherwise
+  /// Live working copies; copy i < Soft.size() started as soft clause i,
+  /// later ones were split off heavier copies.
+  std::vector<WorkingCopy> Copies;
+  std::vector<int32_t> CopyOfGuard; ///< guard var -> copy idx, -1 otherwise
   std::vector<Var> SatisfySelector; ///< soft idx -> canonicalization selector
-  uint64_t Rounds = 0;
-  bool Canonical;
+  /// Proven lower bound on the optimum: the sum of every round's w_min.
+  uint64_t LowerBound = 0;
   bool Witness; ///< fill Model/BestModel (MaxSatInstance::Witness)
   bool HardBroken = false;
 };
@@ -341,16 +396,13 @@ private:
 std::unique_ptr<MaxSatSession>
 bugassist::makeFuMalikSession(const MaxSatInstance &Inst,
                               uint64_t ConflictBudget,
-                              const Solver::Options &SolverOpts,
-                              bool Canonical) {
-  return std::make_unique<FuMalikSessionImpl>(Inst, ConflictBudget, SolverOpts,
-                                              Canonical);
+                              const Solver::Options &SolverOpts) {
+  return std::make_unique<FuMalikSessionImpl>(Inst, ConflictBudget,
+                                              SolverOpts);
 }
 
 MaxSatResult bugassist::solveFuMalik(const MaxSatInstance &Inst,
                                      uint64_t ConflictBudget,
                                      const Solver::Options &SolverOpts) {
-  return FuMalikSessionImpl(Inst, ConflictBudget, SolverOpts,
-                            /*Canonical=*/false)
-      .solve();
+  return FuMalikSessionImpl(Inst, ConflictBudget, SolverOpts).solve();
 }

@@ -12,34 +12,27 @@
 /// whose removal restores satisfiability -- which map to suspect program
 /// statements.
 ///
-/// Two engines are provided, each running as an *incremental session* over
-/// one persistent CDCL solver (MiniSAT 1.14-style assumption interface, as
-/// engineered in MSUnCORE [21], the solver the paper used):
+/// One engine computes every optimum: Fu-Malik [10] as an *incremental
+/// session* over one persistent CDCL solver (MiniSAT 1.14-style assumption
+/// interface, as engineered in MSUnCORE [21], the solver the paper used).
+/// Every soft clause is guarded once by an assumption literal A_i via the
+/// hard clause (C_i \/ ~A_i). When a solve under all guards yields an
+/// unsatisfiable core, the core's working copies are relaxed: the old
+/// guard is *retired* -- it stops being assumed and the unit ~A_old is
+/// added, which satisfies the stale guarded copy trivially and lets the
+/// solver reclaim it -- and the relaxed copy (C_i \/ r_1 \/ ... \/ r_k \/
+/// ~A_new) is added under a fresh guard. Hard clauses are therefore loaded
+/// exactly once, and learned clauses, VSIDS activity, and saved phases
+/// survive across relaxation rounds. Guard-retirement invariant: every
+/// retired guard is root-level false, and the live (assumed) guards are
+/// exactly those of the working copies.
 ///
-///  * Fu-Malik [10] (unweighted): every soft clause is guarded once by an
-///    assumption literal A_i via the hard clause (C_i \/ ~A_i). When a
-///    solve under all guards yields an unsatisfiable core, the core's soft
-///    clauses are relaxed in place: the old guard is *retired* -- it stops
-///    being assumed and the unit ~A_old is added, which satisfies the
-///    stale guarded copy trivially and lets the solver reclaim it -- and
-///    the relaxed copy (C_i \/ r_1 \/ ... \/ r_k \/ ~A_new) is added under
-///    a fresh guard. Hard clauses are therefore loaded exactly once, and
-///    learned clauses, VSIDS activity, and saved phases survive across
-///    relaxation rounds. Guard-retirement invariant: at any time exactly
-///    one guard per soft clause is live (assumed); every retired guard is
-///    root-level false, so each soft clause has exactly one active guarded
-///    copy and the working formula equals the classic per-round rebuild.
-///
-///  * Linear search (weighted): soft clauses are relaxed once with fresh
-///    literals and the session tracks a proven lower bound on the optimum
-///    (the previous optimum, across blocking clauses). Each solve() probes
-///    at that bound first -- SAT is optimal immediately -- and only falls
-///    back to an unbounded model plus a binary search when the optimum
-///    moved. Bounds "sum <= K" are pure assumptions: all relaxation
-///    literals off for K = 0, otherwise ~Out_{K+1} on a *saturating*
-///    sequential weighted counter encoded lazily at the width the first
-///    UNSAT bound demands (incremental cardinality in the style of
-///    Martins et al.), never re-encoded per step.
+/// Weights split cores (WPM1/WMSU1): a round charges the least weight
+/// w_min in its core; copies of weight w_min are relaxed in place, and a
+/// heavier copy keeps its guard at weight w - w_min while a relaxed copy
+/// of weight w_min is appended under a fresh guard. With unit weights no
+/// copy is ever split, so each soft clause keeps exactly one live copy and
+/// the working formula equals the classic per-round rebuild.
 ///
 /// Algorithm 1's CoMSS enumeration keeps one session alive across
 /// diagnoses: each blocking clause beta is added incrementally through
@@ -89,7 +82,7 @@ struct MaxSatInstance {
   /// Variables the *caller* will still talk about after the session is
   /// built: sessions freeze them (Solver::setFrozen) so inprocessing never
   /// eliminates them. Soft-clause variables and session auxiliaries
-  /// (guards, relaxation selectors, counter outputs) are frozen
+  /// (guards, relaxation literals, canonicalization selectors) are frozen
   /// automatically; list here only variables mentioned by clauses the
   /// caller adds later through addHardClause. Every localization session
   /// is built over TraceFormula::sharedInstance, which lists the trace
@@ -134,8 +127,8 @@ struct MaxSatInstance {
 /// Converts a parsed DIMACS/WCNF instance (cnf/DimacsReader.h) into a
 /// MaxSAT instance -- the one bridge used by the CLI, the bench sweep and
 /// the tests. \p AnyNonUnitWeight (optional) receives whether any soft
-/// weight differs from 1, the cue that Fu-Malik (which ignores weights)
-/// is the wrong engine for the instance.
+/// weight differs from 1; it exists only for perfbench, which predates the
+/// weighted Fu-Malik session, and nothing in the library reads it.
 inline MaxSatInstance toMaxSatInstance(DimacsInstance D,
                                        bool *AnyNonUnitWeight = nullptr) {
   MaxSatInstance Inst;
@@ -202,11 +195,12 @@ struct MaxSatResult {
 /// re-optimized as hard (blocking) clauses are added. This is the engine
 /// behind Algorithm 1's CoMSS enumeration.
 ///
-/// Contract (all implementations):
+/// Contract:
 ///  * solve() and addHardClause() may be interleaved freely and called
 ///    any number of times; each solve() optimizes the initial instance
 ///    plus every clause added so far, and engine state (learnt clauses,
-///    activities, relaxations, PB bounds) carries over between calls.
+///    activities, relaxations, the proven lower bound) carries over
+///    between calls.
 ///  * Calls must come from one thread at a time; a session is not
 ///    internally synchronized.
 ///  * After addHardClause() returns false -- or solve() reports
@@ -269,48 +263,33 @@ public:
   virtual std::unique_ptr<MaxSatSession> clone() const = 0;
 };
 
-/// Creates a Fu-Malik core-guided session (unweighted; weights ignored).
+/// Creates a Fu-Malik core-guided session for (weighted) partial MaxSAT.
 /// \p ConflictBudget bounds each underlying SAT call (0 = unlimited);
 /// \p SolverOpts tunes the persistent solver (Glucose-style LBD retention
-/// and EMA restarts; the defaults are what every front end runs). With
-/// \p Canonical the reported optimum is canonicalized (greedily prefer
-/// satisfying soft clauses in index order, see Canonical.h), making the
-/// reported CoMSS independent of search history -- the localization
-/// drivers enable this so results are byte-identical whichever session
-/// (fresh or cloned) produced them.
+/// and EMA restarts; the defaults are what every front end runs). Every
+/// reported optimum is canonicalized (greedily prefer satisfying soft
+/// clauses in index order, see Canonical.h), so the reported CoMSS is
+/// independent of search history and results are byte-identical whichever
+/// session (fresh or cloned) produced them.
 std::unique_ptr<MaxSatSession>
 makeFuMalikSession(const MaxSatInstance &Inst, uint64_t ConflictBudget = 0,
-                   const Solver::Options &SolverOpts = Solver::Options(),
-                   bool Canonical = false);
+                   const Solver::Options &SolverOpts = Solver::Options());
 
-/// Creates a weighted linear-search session with an incremental PB bound.
-/// Linear-search results are always canonical.
-std::unique_ptr<MaxSatSession>
-makeLinearSession(const MaxSatInstance &Inst, uint64_t ConflictBudget = 0,
-                  const Solver::Options &SolverOpts = Solver::Options());
-
-/// Engine dispatch used by the localization drivers.
+/// makeFuMalikSession under its older signature. It exists only for
+/// perfbench, which still names it; \p Weighted and \p Canonical are
+/// ignored, and nothing in the library or the tools calls it.
 inline std::unique_ptr<MaxSatSession>
-makeMaxSatSession(const MaxSatInstance &Inst, bool Weighted,
+makeMaxSatSession(const MaxSatInstance &Inst, bool /*Weighted*/,
                   uint64_t ConflictBudget = 0,
                   const Solver::Options &SolverOpts = Solver::Options(),
-                  bool Canonical = false) {
-  return Weighted ? makeLinearSession(Inst, ConflictBudget, SolverOpts)
-                  : makeFuMalikSession(Inst, ConflictBudget, SolverOpts,
-                                       Canonical);
+                  bool /*Canonical*/ = false) {
+  return makeFuMalikSession(Inst, ConflictBudget, SolverOpts);
 }
 
-/// Fu-Malik core-guided partial MaxSAT (unweighted; weights ignored).
 /// One-shot convenience wrapper over makeFuMalikSession.
 MaxSatResult solveFuMalik(const MaxSatInstance &Inst,
                           uint64_t ConflictBudget = 0,
                           const Solver::Options &SolverOpts = Solver::Options());
-
-/// Weighted partial MaxSAT by SAT-UNSAT linear search over a PB bound.
-/// One-shot convenience wrapper over makeLinearSession.
-MaxSatResult solveLinear(const MaxSatInstance &Inst,
-                         uint64_t ConflictBudget = 0,
-                         const Solver::Options &SolverOpts = Solver::Options());
 
 /// Evaluates \p C under \p Model. Clauses with unassigned variables count
 /// as falsified only if no literal is true.

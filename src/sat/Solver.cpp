@@ -684,10 +684,9 @@ void Solver::onConflictLearnt(uint32_t Lbd) {
   double TrailSize = static_cast<double>(Trail.size());
   // Glucose blocking: an unusually deep trail at conflict time means the
   // solver is probably closing in on a model; cancel a pending restart
-  // instead of throwing the assignment away. Decisive for the SAT-heavy
-  // improvement steps of linear-search MaxSAT. The bias-corrected trail
-  // EMA (and at least one prior sample) keeps the comparison meaningful
-  // while the EMA warms up.
+  // instead of throwing the assignment away. Decisive for SAT-heavy
+  // searches. The bias-corrected trail EMA (and at least one prior sample)
+  // keeps the comparison meaningful while the EMA warms up.
   if (ConflictsThisSolve >= Opts.BlockMinConflicts && TrailBias > 0 &&
       TrailSize > Opts.BlockMargin * (TrailEma / TrailBias) &&
       restartPending()) {

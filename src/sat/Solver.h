@@ -27,10 +27,9 @@
 /// EMA of recent learnt LBDs against the lifetime average triggers a
 /// restart when the search degrades, and a trail-size EMA *blocks* pending
 /// restarts when the assignment is unusually deep (the solver is probably
-/// closing in on a model -- crucial for the SAT-heavy linear-search phase of
-/// MaxSAT). This is the solver's only search policy; Solver::Options
-/// exposes the few scalars tests tune to force its restart, blocking and
-/// reduction paths.
+/// closing in on a model -- crucial for SAT-heavy searches). This is the
+/// solver's only search policy; Solver::Options exposes the few scalars
+/// tests tune to force its restart, blocking and reduction paths.
 ///
 /// The solver is designed to stay alive across many solve() calls: clauses
 /// can be added between calls, learned clauses / VSIDS activity / saved
@@ -140,8 +139,7 @@ public:
   ///  * The EMA restart scalars trade restart frequency against model
   ///    finding: a lower RestartMargin restarts more eagerly (good on
   ///    UNSAT-heavy refutations), a lower BlockMargin blocks restarts
-  ///    sooner when the trail grows (good for the SAT-heavy linear-search
-  ///    phase of MaxSAT).
+  ///    sooner when the trail grows (good for SAT-heavy searches).
   struct Options {
     // -- Glucose EMA restarts ----
     double RestartMargin = 1.25;     ///< restart when fast > margin * lifetime

@@ -74,14 +74,11 @@ std::string bugassist::serializeCacheKey(const std::string &Source,
 }
 
 std::unique_ptr<MaxSatSession>
-CachedProgram::cloneSession(bool Weighted) const {
+CachedProgram::cloneSession(bool) const {
   const TraceFormula &TF = Prepared->Driver->formula();
   std::lock_guard<std::mutex> Lock(BaseMu);
-  std::unique_ptr<MaxSatSession> &B = Base[Weighted ? 1 : 0];
-  if (!B) {
-    B = makeMaxSatSession(TF.sharedInstance(), Weighted,
-                          /*ConflictBudget=*/0, Solver::Options(),
-                          /*Canonical=*/true);
+  if (!Base) {
+    Base = makeFuMalikSession(TF.sharedInstance());
     // Preprocess the shared base once; clones inherit the shrunken clause
     // database (and the eliminated-variable reconstruction stack) via the
     // member-wise Solver copy, so per-request solves skip the pass. The
@@ -93,13 +90,13 @@ CachedProgram::cloneSession(bool Weighted) const {
     // a base whose clause database is mid-preprocess. Drop it so the next
     // request rebuilds from scratch.
     try {
-      B->solver().preprocess();
+      Base->solver().preprocess();
     } catch (...) {
-      B.reset();
+      Base.reset();
       throw;
     }
   }
-  return B->clone();
+  return Base->clone();
 }
 
 const CachedProgram &FormulaCache::lookup(const std::string &Source,

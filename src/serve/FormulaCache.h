@@ -10,10 +10,10 @@
 /// this cache: the key is the exact source text plus every option that
 /// shapes the trace formula (entry, UnrollOptions, EncodeOptions), the
 /// value is the PreparedProgram (parse + sema + unroll + encode, done
-/// exactly once) together with lazily built *base* MaxSAT sessions -- one
-/// per engine -- over TraceFormula::sharedInstance(). A base session is
-/// never solved; queries clone() it and add their per-test clauses, so the
-/// cost of loading TF1 into a solver is also paid once per formula.
+/// exactly once) together with a lazily built *base* MaxSAT session over
+/// TraceFormula::sharedInstance(). The base session is never solved;
+/// queries clone() it and add their per-test clauses, so the cost of
+/// loading TF1 into a solver is also paid once per formula.
 ///
 /// Concurrency: lookups from any number of pool workers are safe. The
 /// first thread to request a key builds the entry under a per-entry
@@ -54,9 +54,11 @@ public:
   const std::string &error() const { return Error; }
   ErrorCode errorCode() const { return Code; }
 
-  /// A fresh session for one query: a clone of the per-engine base session
-  /// (built on first use). Requires prepared() != nullptr.
-  std::unique_ptr<MaxSatSession> cloneSession(bool Weighted) const;
+  /// A fresh session for one query: a clone of the base session (built on
+  /// first use). Requires prepared() != nullptr. The parameter exists only
+  /// for perfbench, which still passes it, and is ignored.
+  std::unique_ptr<MaxSatSession>
+  cloneSession(bool /*Weighted*/ = false) const;
 
 private:
   friend class FormulaCache;
@@ -66,10 +68,10 @@ private:
   std::string Error;
   ErrorCode Code = ErrorCode::Ok;
 
-  /// Base sessions indexed by Weighted, built lazily under BaseMu and
-  /// immutable afterwards (cloned, never solved).
+  /// The base session, built lazily under BaseMu and immutable afterwards
+  /// (cloned, never solved).
   mutable std::mutex BaseMu;
-  mutable std::unique_ptr<MaxSatSession> Base[2];
+  mutable std::unique_ptr<MaxSatSession> Base;
 };
 
 /// Statistics snapshot: Misses counts cache entries *built* (== programs

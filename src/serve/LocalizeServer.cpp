@@ -361,7 +361,7 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
   // The encode-once fast path: a clone of the cached base session, primed
   // with TF1 + the soft selectors, completed per-test inside the pipeline.
   std::unique_ptr<MaxSatSession> Session =
-      CP.cloneSession(R.Localize.Weighted);
+      CP.cloneSession();
   std::optional<FlightGuard> Flight;
   if (Ctx.Flights)
     Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
@@ -410,7 +410,7 @@ Outcome processRepair(const Request &Req, FormulaCache &Cache,
   // the prescreen and verification solvers are internal to repairProgram
   // and bounded by verify_budget and that deadline.
   std::unique_ptr<MaxSatSession> Session =
-      CP.cloneSession(R.Localize.Weighted);
+      CP.cloneSession();
   std::optional<FlightGuard> Flight;
   if (Ctx.Flights)
     Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
@@ -444,16 +444,13 @@ Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
     return respondError(Req, ErrorCode::BadDimacs, "bad wcnf: " + Err.render(),
                         nullptr, elapsedMs(Start));
 
-  bool AnyWeight = false;
-  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
+  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed));
   Inst.Witness = Req.Opts.Model; // no v line, no model to rebuild
   Solver::Budget B = Req.budget().solverBudget();
   B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
   MaxSatResult R; // Unknown when the variables alone overflow the cap
   if (B.admitsVars(Inst.NumVars)) {
-    std::unique_ptr<MaxSatSession> Session =
-        makeMaxSatSession(Inst, AnyWeight, /*ConflictBudget=*/0,
-                          Solver::Options(), /*Canonical=*/true);
+    std::unique_ptr<MaxSatSession> Session = makeFuMalikSession(Inst);
     if (Req.budget().any() || Ctx.Degraded)
       Session->setBudget(B);
     std::optional<FlightGuard> Flight;

@@ -50,6 +50,52 @@ inline uint64_t bruteForceOptimum(const MaxSatInstance &Inst) {
   return Best;
 }
 
+/// The canonical optimum by enumeration: what a MaxSAT session reports.
+struct BruteForceAnswer {
+  bool HardUnsat = false;
+  uint64_t Cost = 0;
+  /// Indices of the soft clauses the canonical optimum falsifies.
+  std::vector<size_t> FalsifiedSoft;
+};
+
+/// Weighted partial MaxSAT by enumeration, canonicalized: among the
+/// optimal assignments, the one whose satisfied-soft vector is
+/// lexicographically greatest in index order (satisfied beats falsified at
+/// the first index where two optima differ).
+inline BruteForceAnswer bruteForceCanonical(const MaxSatInstance &Inst) {
+  BruteForceAnswer Best;
+  Best.HardUnsat = true;
+  std::vector<bool> BestSat;
+  for (uint64_t Mask = 0; Mask < (1ull << Inst.NumVars); ++Mask) {
+    auto Satisfied = [Mask](ClauseView C) {
+      return std::any_of(C.begin(), C.end(), [Mask](Lit L) {
+        return (((Mask >> L.var()) & 1) != 0) != L.negated();
+      });
+    };
+    if (!Inst.forEachHard(Satisfied))
+      continue;
+    uint64_t Cost = 0;
+    std::vector<bool> Sat(Inst.Soft.size());
+    for (size_t I = 0; I < Inst.Soft.size(); ++I) {
+      Sat[I] = Satisfied(Inst.Soft[I].Lits);
+      if (!Sat[I])
+        Cost += Inst.Soft[I].Weight;
+    }
+    // std::vector<bool> orders false < true, so greater means "satisfies
+    // the earliest clause the other falsifies".
+    if (Best.HardUnsat || Cost < Best.Cost ||
+        (Cost == Best.Cost && Sat > BestSat)) {
+      Best.HardUnsat = false;
+      Best.Cost = Cost;
+      BestSat = std::move(Sat);
+    }
+  }
+  for (size_t I = 0; I < BestSat.size(); ++I)
+    if (!BestSat[I])
+      Best.FalsifiedSoft.push_back(I);
+  return Best;
+}
+
 /// Satisfiability of \p Clauses over variables [0, NumVars) by enumeration.
 inline bool bruteForceSat(int NumVars, const std::vector<Clause> &Clauses) {
   MaxSatInstance Inst;

@@ -317,6 +317,22 @@ TEST(BugassistCli, MaxsatBudgetExhaustionIsAnytime) {
   EXPECT_NE(Out.find("o 2\ns OPTIMUM FOUND\n"), std::string::npos) << Out;
 }
 
+TEST(BugassistCli, MaxsatSolvesLargeWeightsPromptly) {
+  // Weights in the millions split cores like any other weights: no data
+  // structure grows with their size, so the answer comes at once.
+  int Exit = 0;
+  auto Begin = std::chrono::steady_clock::now();
+  std::string Out = runCommand(
+      Cli + " maxsat " + Instances + "/big_weights.wcnf --no-model", Exit);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Begin)
+                       .count();
+  EXPECT_EQ(exitStatus(Exit), 0);
+  EXPECT_NE(Out.find("\no 3000000\ns OPTIMUM FOUND\n"), std::string::npos)
+      << Out;
+  EXPECT_LT(Seconds, 1.0);
+}
+
 TEST(BugassistCli, MemoryCapBoundsPerVariableState) {
   // A 30-byte header declaring 30M variables: their per-variable solver
   // state alone is gigabytes. Under a 100 MiB cap, sat and maxsat must

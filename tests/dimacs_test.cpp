@@ -263,7 +263,7 @@ TEST(DimacsReader, ReadDimacsFileReportsMissingFile) {
   EXPECT_NE(Err.Message.find("cannot open"), std::string::npos);
 }
 
-// --- parsed instances through the MaxSAT engines ------------------------------
+// --- parsed instances through the MaxSAT engine -------------------------------
 
 TEST(DimacsReader, ParsedWcnfSolvesToKnownOptimum) {
   DimacsInstance D = parseOk("p wcnf 2 4 10\n"
@@ -272,7 +272,7 @@ TEST(DimacsReader, ParsedWcnfSolvesToKnownOptimum) {
                              "3 -2 0\n"
                              "4 -1 -2 0\n");
   bool AnyWeight = false;
-  MaxSatResult R = solveLinear(toMaxSatInstance(D, &AnyWeight));
+  MaxSatResult R = solveFuMalik(toMaxSatInstance(D, &AnyWeight));
   EXPECT_TRUE(AnyWeight);
   EXPECT_EQ(R.Status, MaxSatStatus::Optimum);
   EXPECT_EQ(R.Cost, 2u);
@@ -295,7 +295,7 @@ TEST(DimacsReader, SentinelTopNeverMakesWeightsHard) {
   // Same shape with a solvable weight: the optimum falsifies the soft
   // clause at its full weight instead of reporting HardUnsat.
   DimacsInstance D2 = parseOk("1000000 1 0\nh -1 0\n");
-  MaxSatResult R = solveLinear(toMaxSatInstance(D2));
+  MaxSatResult R = solveFuMalik(toMaxSatInstance(D2));
   EXPECT_EQ(R.Status, MaxSatStatus::Optimum);
   EXPECT_EQ(R.Cost, 1000000u);
 }

@@ -8,6 +8,7 @@
 
 #include "core/Ranking.h"
 #include "lang/Sema.h"
+#include "sat/Solver.h"
 
 #include <gtest/gtest.h>
 
@@ -216,19 +217,125 @@ TEST(Localize, MaxDiagnosesRespected) {
   EXPECT_FALSE(R.Exhausted);
 }
 
-TEST(Localize, WeightedAndFuMalikAgreeOnOptimalCost) {
+namespace {
+
+/// The first \p Count diagnoses of Algorithm 1 by enumeration over the
+/// selectors: each is the canonical optimum -- least disabled weight, then
+/// the lexicographically greatest enabled-selector vector in group order --
+/// of the failing-test formula plus the earlier diagnoses' blocking
+/// clauses. One SAT call per selector assignment, so only for small
+/// programs.
+std::vector<Diagnosis> selectorOracle(const TraceFormula &TF,
+                                      const InputVector &Fail, size_t Count) {
+  MaxSatInstance Inst = TF.localizationInstance(Fail, Spec{});
+  const std::vector<ClauseGroup> &Groups = TF.encoded().Formula.groups();
+  const size_t N = Groups.size();
+  EXPECT_LE(N, 16u) << "too many groups to enumerate";
+  Solver S;
+  for (const ClauseGroup &G : Groups)
+    S.setFrozen(G.Selector, true);
+  std::vector<Diagnosis> Out;
+  if (!Inst.loadHard(S))
+    return Out;
+  for (size_t K = 0; K < Count; ++K) {
+    bool Found = false;
+    uint64_t BestCost = 0;
+    std::vector<bool> BestOn;
+    for (uint64_t Mask = 0; Mask < (1ull << N); ++Mask) {
+      std::vector<bool> On(N);
+      std::vector<Lit> Assumptions;
+      uint64_t Cost = 0;
+      for (size_t G = 0; G < N; ++G) {
+        On[G] = (Mask >> G) & 1;
+        Assumptions.push_back(mkLit(Groups[G].Selector, !On[G]));
+        if (!On[G])
+          Cost += Groups[G].Weight;
+      }
+      if (Found && (Cost > BestCost || (Cost == BestCost && On < BestOn)))
+        continue;
+      if (S.solve(Assumptions) != LBool::True)
+        continue;
+      Found = true;
+      BestCost = Cost;
+      BestOn = std::move(On);
+    }
+    if (!Found || BestCost == 0)
+      break;
+    Diagnosis D;
+    D.Cost = BestCost;
+    std::vector<std::pair<uint32_t, uint32_t>> Blamed;
+    Clause Beta;
+    for (size_t G = 0; G < N; ++G) {
+      if (BestOn[G])
+        continue;
+      Blamed.push_back({Groups[G].Line, Groups[G].Unwinding});
+      Beta.push_back(mkLit(Groups[G].Selector));
+    }
+    std::sort(Blamed.begin(), Blamed.end());
+    for (auto [Line, Unwinding] : Blamed) {
+      D.Lines.push_back(Line);
+      D.Unwindings.push_back(Unwinding);
+    }
+    Out.push_back(std::move(D));
+    if (!S.addClause(std::move(Beta)))
+      break;
+  }
+  return Out;
+}
+
+void expectOracleDiagnoses(const BugAssistDriver &Driver,
+                           const InputVector &Fail) {
+  const size_t Count = 8;
+  std::vector<Diagnosis> Expected =
+      selectorOracle(Driver.formula(), Fail, Count);
+  LocalizeOptions LO;
+  LO.MaxDiagnoses = Count;
+  LocalizationReport R = Driver.localize(Fail, Spec{}, LO);
+  ASSERT_FALSE(Expected.empty());
+  ASSERT_EQ(R.Diagnoses.size(), Expected.size());
+  for (size_t K = 0; K < Expected.size(); ++K) {
+    EXPECT_EQ(R.Diagnoses[K].Cost, Expected[K].Cost) << "diagnosis " << K;
+    EXPECT_EQ(R.Diagnoses[K].Lines, Expected[K].Lines) << "diagnosis " << K;
+    EXPECT_EQ(R.Diagnoses[K].Unwindings, Expected[K].Unwindings)
+        << "diagnosis " << K;
+  }
+}
+
+} // namespace
+
+TEST(Localize, DiagnosesMatchTheSelectorOracle) {
+  // Unit weights: Program 1 with its failing index.
   auto P = compile(Program1);
-  BugAssistDriver Driver(*P, "main");
-  InputVector Fail{InputValue::scalar(1)};
-  LocalizeOptions FM;
-  FM.MaxDiagnoses = 1;
-  LocalizeOptions LS = FM;
-  LS.Weighted = true;
-  LocalizationReport A = Driver.localize(Fail, Spec{}, FM);
-  LocalizationReport B = Driver.localize(Fail, Spec{}, LS);
-  ASSERT_FALSE(A.Diagnoses.empty());
-  ASSERT_FALSE(B.Diagnoses.empty());
-  EXPECT_EQ(A.Diagnoses[0].Cost, B.Diagnoses[0].Cost);
+  expectOracleDiagnoses(BugAssistDriver(*P, "main"),
+                        {InputValue::scalar(1)});
+}
+
+TEST(Localize, WeightedDiagnosesMatchTheSelectorOracle) {
+  // Section 5.2 weights: one group per (statement, unwinding), weighted
+  // alpha + eta - kappa, so later iterations are cheaper to blame.
+  const char *Src = "int main(int n) {\n"
+                    "  int s = 0;\n"
+                    "  int i = 0;\n"
+                    "  while (i < n) {\n"
+                    "    s = s + 2;\n"
+                    "    i = i + 1;\n"
+                    "  }\n"
+                    "  assert(s < 5);\n"
+                    "  return s;\n"
+                    "}\n";
+  auto P = compile(Src);
+  UnrollOptions UO;
+  UO.MaxLoopUnwind = 3;
+  UO.BitWidth = 6;
+  EncodeOptions EO;
+  EO.PerIterationGroups = true;
+  EO.BaseWeight = 2;
+  BugAssistDriver Driver(*P, "main", UO, EO);
+  bool AnyWeight = false;
+  for (const ClauseGroup &G : Driver.formula().encoded().Formula.groups())
+    AnyWeight = AnyWeight || G.Weight != 1;
+  EXPECT_TRUE(AnyWeight);
+  expectOracleDiagnoses(Driver, {InputValue::scalar(3)});
 }
 
 TEST(Ranking, FrequencyAcrossFailingTests) {

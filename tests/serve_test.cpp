@@ -393,6 +393,8 @@ TEST(ServeLib, MalformedRequestsAreRejectedWithoutKillingTheDaemon) {
       "{\"id\":\"e1\",\"cmd\":\"bogus\"}\n"
       // Unknown field for the command.
       "{\"id\":\"e2\",\"cmd\":\"sat\",\"golden\":3}\n"
+      // A field no command has any more: one engine solves every weight.
+      "{\"id\":\"e2w\",\"cmd\":\"localize\",\"tcas\":1,\"weighted\":true}\n"
       // Missing program source.
       "{\"id\":\"e3\",\"cmd\":\"localize\"}\n"
       // Conflicting program sources.
@@ -401,8 +403,8 @@ TEST(ServeLib, MalformedRequestsAreRejectedWithoutKillingTheDaemon) {
       "{\"id\":\"e5\",\"cmd\":\"localize\",\"source\":\"int main( {\"}\n" +
       Valid + "\n";
   LibRun R = runServe(Batch, /*Threads=*/1);
-  ASSERT_EQ(R.Frames.size(), 7u);
-  for (size_t I = 0; I < 6; ++I) {
+  ASSERT_EQ(R.Frames.size(), 8u);
+  for (size_t I = 0; I < 7; ++I) {
     EXPECT_EQ(R.Frames[I].Status, "error") << "frame " << I;
     EXPECT_EQ(R.Frames[I].Exit, 1) << "frame " << I;
     EXPECT_FALSE(R.Frames[I].ErrorField.empty()) << "frame " << I;
@@ -412,13 +414,17 @@ TEST(ServeLib, MalformedRequestsAreRejectedWithoutKillingTheDaemon) {
   EXPECT_NE(R.Frames[0].ErrorField.find("bad JSON"), std::string::npos);
   EXPECT_EQ(R.Frames[2].Id, "e2");
   EXPECT_NE(R.Frames[2].ErrorField.find("unknown field"), std::string::npos);
-  EXPECT_NE(R.Frames[5].ErrorField.find("does not compile"),
+  EXPECT_EQ(R.Frames[3].Id, "e2w");
+  EXPECT_NE(R.Frames[3].ErrorField.find("unknown field 'weighted'"),
+            std::string::npos)
+      << R.Frames[3].ErrorField;
+  EXPECT_NE(R.Frames[6].ErrorField.find("does not compile"),
             std::string::npos);
-  // The daemon survived all six and answered the valid request.
-  EXPECT_EQ(R.Frames[6].Id, "good");
-  EXPECT_EQ(R.Frames[6].Status, "ok");
-  EXPECT_EQ(R.Frames[6].Body, "s SATISFIABLE\nv 1 0\n");
-  EXPECT_EQ(R.Summary.Errors, 6u);
+  // The daemon survived all seven and answered the valid request.
+  EXPECT_EQ(R.Frames[7].Id, "good");
+  EXPECT_EQ(R.Frames[7].Status, "ok");
+  EXPECT_EQ(R.Frames[7].Body, "s SATISFIABLE\nv 1 0\n");
+  EXPECT_EQ(R.Summary.Errors, 7u);
   EXPECT_EQ(R.Summary.Ok, 1u);
   EXPECT_EQ(R.Summary.ExitCode, 1);
 }
@@ -460,8 +466,8 @@ TEST(ServeCli, MissingEntryFunctionIsABadRequestAndTheBatchGoesOn) {
 // --- protocol details ---------------------------------------------------------
 
 TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
-  // Exercises the remaining documented request fields (entry, weighted,
-  // model, timeout, max_memory_mb, wcnf inline) and checks every
+  // Exercises the remaining documented request fields (entry, model,
+  // timeout, max_memory_mb, wcnf inline) and checks every
   // trailer key on every response, with responses in request order at a
   // width above one.
   std::string EntryProgram = "int check(int x) {\n"
@@ -477,7 +483,7 @@ TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
   std::string Batch =
       "{\"id\":\"r0\",\"cmd\":\"localize\",\"source\":\"" +
       jsonEscape(EntryProgram) +
-      "\",\"entry\":\"check\",\"input\":\"3\",\"weighted\":true,"
+      "\",\"entry\":\"check\",\"input\":\"3\","
       "\"timeout\":600,\"max_memory_mb\":2048}\n"
       "{\"id\":\"r1\",\"cmd\":\"localize\",\"source\":\"" +
       jsonEscape(NoBugProgram) + "\"}\n"
@@ -516,6 +522,23 @@ TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
       "lits_self_subsumed", "reconstruction_bytes"};
   for (const Frame &F : R.Frames)
     EXPECT_EQ(F.TrailerKeys, Keys) << "trailer keys for id " << F.Id;
+}
+
+TEST(ServeLib, LargeWeightsAreSolved) {
+  // Weights in the millions (bench/instances/big_weights.wcnf): the
+  // optimum sets 2 and falsifies only the weight-3000000 clause -2.
+  std::string Wcnf = "p wcnf 3 5 100000000\n"
+                     "5000000 -1 0\n"
+                     "3000000 -2 0\n"
+                     "4000000 2 3 0\n"
+                     "2000000 -3 0\n"
+                     "100000000 1 2 0\n";
+  LibRun R = runServe("{\"id\":\"big\",\"cmd\":\"maxsat\",\"wcnf\":\"" +
+                          jsonEscape(Wcnf) + "\",\"model\":false}\n",
+                      /*Threads=*/1);
+  ASSERT_EQ(R.Frames.size(), 1u);
+  EXPECT_EQ(R.Frames[0].Status, "ok") << R.Frames[0].ErrorField;
+  EXPECT_EQ(R.Frames[0].Body, "o 3000000\ns OPTIMUM FOUND\n");
 }
 
 TEST(ServeCli, BatchFileMustExistAndThreadsMustBeSane) {

@@ -317,20 +317,19 @@ int cmdMaxsat(const std::string &Path, CommandOptions &O) {
   }
 
   bool FromWcnf = Parsed->Weighted;
-  bool AnyWeight = false;
-  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed), &AnyWeight);
+  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed));
   Inst.Witness = O.Model; // no v line, no model to rebuild
-  std::printf("c %s: %d vars, %zu hard, %zu soft%s, engine=%s\n",
-              Path.c_str(), Inst.NumVars, Inst.Hard.size(), Inst.Soft.size(),
-              FromWcnf ? "" : " (cnf)", AnyWeight ? "linear" : "fumalik");
+  std::printf("c %s: %d vars, %zu hard, %zu soft%s\n", Path.c_str(),
+              Inst.NumVars, Inst.Hard.size(), Inst.Soft.size(),
+              FromWcnf ? "" : " (cnf)");
 
   Solver::Options SOpts;
   SOpts.Preprocess = Knobs.Preprocess;
   Solver::Budget Bud = Knobs.Budget.solverBudget();
   MaxSatResult R; // Unknown when the variables alone overflow the cap
   if (Bud.admitsVars(Inst.NumVars)) {
-    std::unique_ptr<MaxSatSession> Session = makeMaxSatSession(
-        Inst, AnyWeight, /*ConflictBudget=*/0, SOpts, /*Canonical=*/true);
+    std::unique_ptr<MaxSatSession> Session =
+        makeFuMalikSession(Inst, /*ConflictBudget=*/0, SOpts);
     if (Knobs.Budget.any())
       Session->setBudget(Bud);
     R = Session->solve();
