@@ -149,13 +149,19 @@ TraceFormula::findCounterexample(const Spec &S, bool &Decided,
   Solver Solve;
   if (!Budget.unlimited())
     Solve.setBudget(Budget);
-  if (!Solve.addFormula(EP.Formula))
+  // A root conflict here means no run is feasible within the bounds (say a
+  // constant loop longer than the unwinding): decided, no violation.
+  if (!Solve.addFormula(EP.Formula)) {
+    Decided = true;
     return std::nullopt;
+  }
 
   // The program as written: every selector on.
   for (const ClauseGroup &G : EP.Formula.groups())
-    if (!Solve.addClause({mkLit(G.Selector)}))
+    if (!Solve.addClause({mkLit(G.Selector)})) {
+      Decided = true;
       return std::nullopt;
+    }
 
   // not p: either an obligation fails, or the return differs from golden.
   Clause NotSpec;

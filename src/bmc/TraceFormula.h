@@ -71,9 +71,10 @@ public:
 
   /// Searches for an input violating \p S with every statement enabled
   /// (bounded model checking; Section 4.1). \returns the counterexample
-  /// input, std::nullopt if none exists within the encoding bounds, and
-  /// leaves \p Decided false when the conflict budget or \p Budget (e.g.
-  /// a request deadline) ran out.
+  /// input, or std::nullopt if none exists within the encoding bounds --
+  /// decided, also when no run is feasible at all -- or when the conflict
+  /// budget or \p Budget (e.g. a request deadline) ran out first, which
+  /// leaves \p Decided false.
   std::optional<InputVector>
   findCounterexample(const Spec &S, bool &Decided, uint64_t ConflictBudget = 0,
                      const Solver::Budget &Budget = Solver::Budget()) const;

@@ -123,12 +123,22 @@ bool judgeInput(const Program &Prog, const BugAssistDriver &Driver,
     }
     Res.FailingInput = *R.Input;
   } else {
-    // No input given: find one by bounded model checking (Section 4.1).
-    auto Cex = Driver.findCounterexample(Res.SpecUsed, R.BmcConflictBudget);
+    // No input given: find one by bounded model checking (Section 4.1),
+    // under the request's deadline.
+    bool Decided = false;
+    auto Cex = Driver.formula().findCounterexample(
+        Res.SpecUsed, Decided, R.BmcConflictBudget,
+        R.Localize.Budget.deadline());
     if (!Cex) {
       Res.Status = PipelineStatus::NoCounterexample;
-      Res.Code = ErrorCode::Ok;
-      Res.Message = "no spec violation found within the unwinding bounds";
+      if (Decided) {
+        Res.Code = ErrorCode::Ok;
+        Res.Message = "no spec violation found within the unwinding bounds";
+      } else {
+        Res.Code = ErrorCode::BudgetExhausted;
+        Res.Message = "INCOMPLETE: resource budget exhausted before the "
+                      "counterexample search found a failing input";
+      }
       return false;
     }
     Res.FailingInput = *Cex;

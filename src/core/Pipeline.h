@@ -62,7 +62,9 @@ struct PipelineRequest {
 enum class PipelineStatus {
   Localized,      ///< Report holds the diagnoses
   CompileError,   ///< parse/sema failed; Message holds the diagnostics
-  NoCounterexample, ///< BMC found no failing input within bounds
+  /// BMC found no failing input: none exists within bounds (Code Ok), or
+  /// a budget stopped the search first (Code BudgetExhausted)
+  NoCounterexample,
   InputNotFailing ///< the given input satisfies the spec; nothing to blame
 };
 

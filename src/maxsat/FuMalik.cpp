@@ -28,7 +28,6 @@
 
 #include "maxsat/MaxSat.h"
 
-#include "maxsat/Canonical.h"
 #include "maxsat/Cardinality.h"
 #include "sat/Solver.h"
 
@@ -90,7 +89,7 @@ public:
     // Frozen contract (sat/Simplifier.h): the session keeps talking about
     // these variables after the first solve() -- guards are assumed,
     // soft/relaxation literals get re-added by later relaxation rounds,
-    // canonicalization assumes unit soft literals, and blocking clauses
+    // canonical solves prefer unit soft literals, and blocking clauses
     // arrive through addHardClause -- so inprocessing must not eliminate
     // them. Inst.Frozen carries the caller's own late-bound variables.
     for (Var V : Inst.Frozen)
@@ -161,8 +160,64 @@ public:
       if (R == LBool::True) {
         Res.Status = MaxSatStatus::Optimum;
         HaveModel = true;
-        if (LowerBound > 0)
-          canonicalize(Assumptions, Res);
+        // Canonicalize the optimum in one preference-ordered solve under
+        // the same guards (Solver.h): every soft clause's satisfyLit in
+        // index order, weighted like the clause, with the proven lower bound
+        // owed. Its model satisfies the lexicographically greatest
+        // soft-clause vector among all optimal assignments, so
+        // falsification lands on the latest statements. The
+        // guard-satisfying models are exactly the optimal assignments, so
+        // no explicit cost bound is needed:
+        //
+        //  * Every guard-satisfying model is optimal. Each relaxation
+        //    literal was born on one copy of weight w_min of its round, and
+        //    splitting only divides that weight among the copies that
+        //    inherit it. A soft clause the model falsifies has all its live
+        //    copies satisfied by relaxation literals, and exactly one
+        //    literal per round is true, so the falsified weight is at most
+        //    the sum of the rounds' w_min, the proven lower bound.
+        //
+        //  * Every optimal assignment satisfies the guards under some
+        //    choice of relaxation literals. A round's core is unsatisfiable
+        //    with the hard clauses, so every assignment falsifies one of its
+        //    copies; setting that copy's relaxation literal lowers the
+        //    assignment's remaining cost by exactly w_min (a heavier copy
+        //    keeps w - w_min unrelaxed). After the last round an optimal
+        //    assignment's remaining cost is its cost minus the lower bound,
+        //    which is 0: it satisfies every live copy. With unit weights
+        //    this is the matching argument: each round's core meets the
+        //    unmatched rest of the falsified set -- else a partial witness
+        //    would satisfy the core outright -- so the set has a perfect
+        //    matching into the rounds (Hall's condition).
+        //
+        //  * The model is the lexicographically greatest (OPT-SAT). The
+        //    solver decides the first unassigned listed literal before
+        //    anything else, so every decision below a listed literal is an
+        //    assumption or an earlier listed literal, and a listed literal
+        //    found false is false in every optimal model that agrees on the
+        //    earlier ones. Every such model falsifies exactly the lower
+        //    bound, so the tail rule only decides false what the cost
+        //    already forces.
+        //
+        // The answer is therefore a pure function of (hard clauses,
+        // optimum), not of this session's relaxation history: sessions with
+        // different search histories report the same set. An Undef answer
+        // (budget) keeps the round's witness, the solver's last model.
+        //
+        // It runs even when the witness is already canonical (it falsifies
+        // exactly a suffix of the soft clauses): the state the solve leaves
+        // behind speeds up the blocking-clause rounds that follow, and
+        // skipping it cost TCAS serve requests about a third more conflicts.
+        if (LowerBound > 0) {
+          std::vector<Solver::Preference> Prefer;
+          Prefer.reserve(Soft.size());
+          for (size_t J = 0; J < Soft.size(); ++J)
+            Prefer.push_back({satisfyLit(J), Soft[J].Weight});
+          ++Res.SatCalls;
+          LBool C = S.solve(Assumptions, Prefer, LowerBound);
+          assert(C != LBool::False && "the round's optimum vanished");
+          Res.CanonicalTruncated = C == LBool::Undef;
+        }
         collectFalsifiedSoft(Soft, S, Res);
         // Fu-Malik invariant: the charged w_min sum == optimal cost. Holds
         // across incremental blocking clauses too, since LowerBound
@@ -257,49 +312,6 @@ private:
     uint64_t Weight = 0;
   };
 
-  /// Canonicalizes the optimum (see Canonical.h). Probes run under the
-  /// live guards, and the guard-satisfying models are exactly the optimal
-  /// assignments, so no explicit cost bound is needed:
-  ///
-  ///  * Every guard-satisfying model is optimal. Each relaxation literal
-  ///    was born on one copy of weight w_min of its round, and splitting
-  ///    only divides that weight among the copies that inherit it. A soft
-  ///    clause the model falsifies has all its live copies satisfied by
-  ///    relaxation literals, and exactly one literal per round is true, so
-  ///    the falsified weight is at most the sum of the rounds' w_min, the
-  ///    proven lower bound.
-  ///
-  ///  * Every optimal assignment satisfies the guards under some choice of
-  ///    relaxation literals. A round's core is unsatisfiable with the
-  ///    hard clauses, so every assignment falsifies one of its copies;
-  ///    setting that copy's relaxation literal lowers the assignment's
-  ///    remaining cost by exactly w_min (a heavier copy keeps w - w_min
-  ///    unrelaxed). After the last round an optimal assignment's remaining
-  ///    cost is its cost minus the lower bound, which is 0: it satisfies
-  ///    every live copy. With unit weights this is the matching argument:
-  ///    each round's core meets the unmatched rest of the falsified set --
-  ///    else a partial witness would satisfy the core outright -- so the
-  ///    set has a perfect matching into the rounds (Hall's condition).
-  ///
-  /// Probe answers are therefore a pure function of (hard clauses,
-  /// optimum), not of this session's relaxation history, which is what
-  /// makes the canonical set identical across sessions with different
-  /// search histories, and equal to the lexicographically greatest
-  /// satisfied-soft vector among all optimal assignments.
-  void canonicalize(const std::vector<Lit> &Guards, MaxSatResult &Res) {
-    CanonicalHooks Hooks;
-    Hooks.Probe = [&](const std::vector<Lit> &Extra) -> LBool {
-      std::vector<Lit> Assumptions = Guards;
-      Assumptions.insert(Assumptions.end(), Extra.begin(), Extra.end());
-      for (Var V : PreferTrue)
-        S.setPolarity(V, true);
-      ++Res.SatCalls;
-      return S.solve(Assumptions);
-    };
-    Hooks.SatisfyLit = [&](size_t J) { return satisfyLit(J); };
-    Res.CanonicalTruncated = !greedyCanonicalize(Soft, Hooks, S);
-  }
-
   /// Anytime upper bound after budget exhaustion: ANY model of the hard
   /// clauses alone bounds the optimum by its falsified-soft weight, so
   /// probe without the guard assumptions under a small bounded allowance.
@@ -340,7 +352,7 @@ private:
       SatisfySelector.assign(Soft.size(), NullVar);
     if (SatisfySelector[J] == NullVar) {
       Var T = S.newVar();
-      S.setFrozen(T, true); // assumed by later canonicalization probes
+      S.setFrozen(T, true); // preferred by later canonical solves
       Clause C = Soft[J].Lits;
       C.push_back(mkLit(T, /*Negated=*/true));
       S.addClause(std::move(C));

@@ -165,9 +165,8 @@ struct MaxSatResult {
   std::vector<size_t> FalsifiedSoft;
   /// SAT calls issued during this solve().
   uint64_t SatCalls = 0;
-  /// True when a conflict budget truncated the canonicalization pass: the
-  /// optimum (cost) is still proven, but FalsifiedSoft may not be the
-  /// canonical set.
+  /// True when a budget stopped the canonical solve: the optimum (cost) is
+  /// still proven, but FalsifiedSoft may not be the canonical set.
   bool CanonicalTruncated = false;
   // --- anytime bounds (meaningful on every status) --------------------------
   // On Optimum both bounds equal Cost and BestModel is the optimal model.
@@ -267,10 +266,10 @@ public:
 /// \p ConflictBudget bounds each underlying SAT call (0 = unlimited);
 /// \p SolverOpts tunes the persistent solver (Glucose-style LBD retention
 /// and EMA restarts; the defaults are what every front end runs). Every
-/// reported optimum is canonicalized (greedily prefer satisfying soft
-/// clauses in index order, see Canonical.h), so the reported CoMSS is
-/// independent of search history and results are byte-identical whichever
-/// session (fresh or cloned) produced them.
+/// reported optimum is canonicalized by one preference-ordered solve
+/// (Solver.h) that prefers satisfying soft clauses in index order, so the
+/// reported CoMSS is independent of search history and results are
+/// byte-identical whichever session (fresh or cloned) produced them.
 std::unique_ptr<MaxSatSession>
 makeFuMalikSession(const MaxSatInstance &Inst, uint64_t ConflictBudget = 0,
                    const Solver::Options &SolverOpts = Solver::Options());

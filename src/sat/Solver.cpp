@@ -636,6 +636,27 @@ void Solver::cancelUntil(int Level) {
   PropagationHead = TrailLim[Level];
   Trail.resize(TrailLim[Level]);
   TrailLim.resize(Level);
+  while (!PreferScan.empty() && PreferScan.back().MaxLevel > Level)
+    PreferScan.pop_back();
+}
+
+Lit Solver::pickPreferredLit() {
+  while (PreferScan.size() < Preferences.size()) {
+    size_t I = PreferScan.size();
+    PreferScanned Before = I ? PreferScan.back() : PreferScanned{0, 0};
+    const Preference &P = Preferences[I];
+    LBool B = value(P.L);
+    if (B == LBool::Undef) {
+      // Tail rule: decide P.L false when the rest cannot cover what is owed.
+      uint64_t Left =
+          PreferOwed > Before.Falsified ? PreferOwed - Before.Falsified : 0;
+      return PreferAfter[I] < Left ? ~P.L : P.L;
+    }
+    PreferScan.push_back(
+        {std::max(Before.MaxLevel, level(P.L.var())),
+         Before.Falsified + (B == LBool::False ? P.Weight : 0)});
+  }
+  return NullLit;
 }
 
 Lit Solver::pickBranchLit() {
@@ -754,6 +775,8 @@ LBool Solver::search() {
         BudgetExhaustedFlag = true; // the query's conflict cap, exactly
         return LBool::Undef;
       }
+      if (ConflictBudget != 0 && ConflictsThisSolve >= ConflictBudget)
+        return LBool::Undef; // this call's conflict budget, exactly
       continue;
     }
 
@@ -762,8 +785,6 @@ LBool Solver::search() {
       cancelUntil(0);
       return LBool::Undef; // restart
     }
-    if (ConflictBudget != 0 && ConflictsThisSolve >= ConflictBudget)
-      return LBool::Undef;
     if (static_cast<double>(reducibleLearnts()) >= MaxLearnts)
       reduceDB();
 
@@ -783,7 +804,9 @@ LBool Solver::search() {
     }
     if (Next == NullLit) {
       ++Stats.Decisions;
-      Next = pickBranchLit();
+      Next = pickPreferredLit();
+      if (Next == NullLit)
+        Next = pickBranchLit();
       if (Next == NullLit)
         return LBool::True; // all variables assigned: model found
     }
@@ -792,19 +815,24 @@ LBool Solver::search() {
   }
 }
 
-LBool Solver::solve(const std::vector<Lit> &Assumptions) {
+LBool Solver::solve(const std::vector<Lit> &Assumptions,
+                    const std::vector<Preference> &Prefer, uint64_t Owed) {
   ConflictCore.clear();
   if (!Ok) {
     return LBool::False;
   }
-  for (Lit L : Assumptions) {
+  auto RequireLive = [this](Lit L) {
     ensureVars(L.var() + 1);
     if (ElimVars[L.var()])
       throw std::logic_error(
-          "Solver::solve: assumption over an eliminated variable -- "
-          "assumption variables must be frozen (Solver::setFrozen) before "
-          "preprocessing runs");
-  }
+          "Solver::solve: assumption or preference over an eliminated "
+          "variable -- such variables must be frozen (Solver::setFrozen) "
+          "before preprocessing runs");
+  };
+  for (Lit L : Assumptions)
+    RequireLive(L);
+  for (const Preference &P : Prefer)
+    RequireLive(P.L);
   ConflictsThisSolve = 0;
   MaxLearnts = std::max<double>(
       Opts.MaxLearntsBase, static_cast<double>(ProblemClauses.size()) / 3.0);
@@ -829,6 +857,11 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
   }
   Stats.ReusedLevels += static_cast<uint64_t>(decisionLevel());
   checkGarbage();
+  Preferences = Prefer;
+  PreferOwed = Owed;
+  PreferAfter.assign(Prefer.size(), 0);
+  for (size_t I = Prefer.size(); I-- > 1;)
+    PreferAfter[I - 1] = PreferAfter[I] + Prefer[I].Weight;
 
   LBool Result = LBool::Undef;
   while (Result == LBool::Undef) {
@@ -868,6 +901,10 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions) {
   // at the root), so the levels left are exactly those before it.
   KeptAssumptions.swap(CurAssumptions);
   CurAssumptions.clear();
+  Preferences.clear();
+  PreferAfter.clear();
+  PreferScan.clear();
+  PreferOwed = 0;
   return Result;
 }
 

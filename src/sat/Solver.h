@@ -233,7 +233,32 @@ public:
   /// last scan -- and due: the solver has propagated at least as many
   /// literals as the clause database held at the last scan (MiniSAT's
   /// simpDB_assigns / simpDB_props). A solver's first scan is unconditional.
-  LBool solve(const std::vector<Lit> &Assumptions);
+  LBool solve(const std::vector<Lit> &Assumptions) {
+    return solve(Assumptions, {}, 0);
+  }
+
+  /// A literal a preference-ordered solve() decides early, and the weight
+  /// its falsification costs.
+  struct Preference {
+    Lit L;
+    uint64_t Weight;
+  };
+
+  /// solve(Assumptions) with preference-ordered branching (OPT-SAT:
+  /// Giunchiglia & Maratea, ECAI 2006; Rosa, Giunchiglia & Maratea,
+  /// Constraints 2010), for this call only. After the assumption levels,
+  /// the search decides the first unassigned literal of \p Prefer true,
+  /// before any VSIDS or random decision; a listed literal already true is
+  /// skipped, and one already false adds its weight to a running falsified
+  /// sum. Tail rule: when the listed literals after the next one weigh
+  /// less than \p Owed minus that sum, it is decided false instead. Both
+  /// are branching choices, not learnt facts, so the answer is sound
+  /// whatever \p Owed is. When every model falsifies listed weight \p Owed
+  /// exactly, a True answer's model is lexicographically greatest over
+  /// \p Prefer (true beats false at the first listed literal where two
+  /// models differ). The listed variables must be frozen, like assumptions.
+  LBool solve(const std::vector<Lit> &Assumptions,
+              const std::vector<Preference> &Prefer, uint64_t Owed);
 
   /// Model access after a True result: the model of the last solve() that
   /// returned True, whatever was solved or added since. The value of a
@@ -260,8 +285,9 @@ public:
   /// element is one of the assumption literals passed to solve()).
   const std::vector<Lit> &conflictCore() const { return ConflictCore; }
 
-  /// Limits the next solve() calls to \p MaxConflicts conflicts
-  /// (0 = unlimited). When exhausted, solve returns Undef.
+  /// Limits each following solve() call to \p MaxConflicts conflicts
+  /// (0 = unlimited), checked at every conflict, so a call stops at exactly
+  /// that many. When exhausted, solve returns Undef.
   void setConflictBudget(uint64_t MaxConflicts) { ConflictBudget = MaxConflicts; }
 
   // --- resource budgets (graceful degradation) -----------------------------
@@ -495,6 +521,9 @@ private:
   void analyzeFinal(Lit P);
   void uncheckedEnqueue(Lit L, ClauseRef From);
   void cancelUntil(int Level);
+  /// The running solve()'s next preference decision (see the Preference
+  /// overload of solve), or NullLit once every listed literal is assigned.
+  Lit pickPreferredLit();
   Lit pickBranchLit();
   void newDecisionLevel() { TrailLim.push_back(static_cast<int>(Trail.size())); }
   int decisionLevel() const { return static_cast<int>(TrailLim.size()); }
@@ -692,6 +721,19 @@ private:
   uint64_t LbdStamp = 0;
 
   std::vector<Lit> CurAssumptions; // the running solve()'s assumptions
+  // The running solve()'s preferences, the weight listed after each one,
+  // and the owed weight; all empty outside a preference-ordered solve.
+  std::vector<Preference> Preferences;
+  std::vector<uint64_t> PreferAfter;
+  uint64_t PreferOwed = 0;
+  // The leading listed literals pickPreferredLit found assigned: per
+  // literal, the highest level among it and those before, and the weight
+  // falsified up to it. cancelUntil pops the entries whose levels it undoes.
+  struct PreferScanned {
+    int MaxLevel;
+    uint64_t Falsified;
+  };
+  std::vector<PreferScanned> PreferScan;
   // The last solve()'s assumptions. Outside solve(), decision level I + 1
   // is the level of KeptAssumptions[I] (see solve()).
   std::vector<Lit> KeptAssumptions;

@@ -346,6 +346,8 @@ Outcome respondUnprepared(const Request &Req, const CachedProgram &CP,
 Outcome processLocalize(const Request &Req, FormulaCache &Cache,
                         const WorkerCtx &Ctx) {
   auto Start = Clock::now();
+  PipelineRequest R = Req.Opts.localizeRequest();
+  R.Localize.Budget.startClock(); // `timeout` counts from the request start
   bool Hit = false;
   const RepairRequest &Q = Req.Opts.Query;
   const CachedProgram &CP =
@@ -354,7 +356,6 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
   if (!CP.prepared())
     return respondUnprepared(Req, CP, CacheStr, elapsedMs(Start));
 
-  PipelineRequest R = Req.Opts.localizeRequest();
   R.Localize.Budget.MaxConflicts =
       Ctx.degradedConflicts(R.Localize.Budget.MaxConflicts);
 
@@ -376,7 +377,7 @@ Outcome processLocalize(const Request &Req, FormulaCache &Cache,
   // Localized or NoCounterexample: the body is the one-shot CLI's stdout,
   // byte for byte.
   std::string Body = renderLocalizeOutput(Res, Req.Opts.Json);
-  bool Incomplete = Res.Report.Incomplete;
+  bool Incomplete = Res.Code == ErrorCode::BudgetExhausted;
   ResponseStats St;
   St.ElapsedMs = elapsedMs(Start);
   St.SatCalls = Res.Report.SatCalls;

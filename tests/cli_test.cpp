@@ -218,7 +218,7 @@ TEST(BugassistCli, SatAndMaxsatStatsArePinned) {
        "reconstruction_bytes=0\n"},
       {"maxsat " + Instances + "/php_soft8.wcnf",
        "o 1\ns OPTIMUM FOUND\n"
-       "c sat_calls=3 conflicts=4312 propagations=59562 restarts=0\n"
+       "c sat_calls=3 conflicts=4311 propagations=59558 restarts=0\n"
        "c vars_eliminated=560 clauses_subsumed=0 lits_self_subsumed=0 "
        "reconstruction_bytes=17248\n"},
   };
@@ -413,6 +413,69 @@ TEST(BugassistCli, LocalizeConflictCapIsExact) {
       << Out;
   EXPECT_NE(Out.find("\nconflicts:    1\n"), std::string::npos) << Out;
   std::remove(Source.c_str());
+}
+
+TEST(BugassistCli, LocalizeTimeoutBoundsTheCounterexampleSearch) {
+  // Two nested countdown loops at --unwind 100: without an input the BMC
+  // counterexample search runs for seconds. --timeout counts from the start
+  // of the command and bounds that search too, which then ends as a budget
+  // stop (exit 2), never as "no spec violation found".
+  std::string Source = writeTempFile("int main(int n, int m) {\n"
+                                     "  assume(n >= 0 && n <= 50);\n"
+                                     "  assume(m >= 0 && m <= 50);\n"
+                                     "  int s = 0;\n"
+                                     "  int i = n;\n"
+                                     "  while (i > 0) {\n"
+                                     "    int j = m;\n"
+                                     "    while (j > 0) {\n"
+                                     "      s = s + 1;\n"
+                                     "      j = j - 1;\n"
+                                     "    }\n"
+                                     "    i = i - 1;\n"
+                                     "  }\n"
+                                     "  assert(s == n * m + 1);\n"
+                                     "  return s;\n"
+                                     "}\n");
+  int Exit = 0;
+  std::string Out = runCommand(Cli + " localize " + Source +
+                                   " --unwind 100 --bitwidth 8 --timeout 0.2",
+                               Exit);
+  EXPECT_EQ(exitStatus(Exit), 2) << Out;
+  EXPECT_EQ(Out,
+            "INCOMPLETE: resource budget exhausted before the counterexample "
+            "search found a failing input\n");
+  std::remove(Source.c_str());
+}
+
+TEST(BugassistCli, InfeasibleRunsAreDecidedNotBudgetStops) {
+  // Every run is infeasible by unit propagation alone: a constant loop
+  // longer than --unwind (the unwinding assumption), or an assume that
+  // contradicts constants. The counterexample search is decided -- no run
+  // within the bounds violates the spec -- with no budget in play.
+  const char *Programs[] = {"int main() {\n"
+                            "  int i = 0;\n"
+                            "  while (i < 100) {\n"
+                            "    i = i + 1;\n"
+                            "  }\n"
+                            "  assert(i == 99);\n"
+                            "  return i;\n"
+                            "}\n",
+                            "int main() {\n"
+                            "  int x = 3;\n"
+                            "  assume(x > 5);\n"
+                            "  assert(x == 4);\n"
+                            "  return x;\n"
+                            "}\n"};
+  for (const char *Program : Programs) {
+    std::string Source = writeTempFile(Program);
+    int Exit = 0;
+    std::string Out =
+        runCommand(Cli + " localize " + Source + " --unwind 10", Exit);
+    EXPECT_EQ(exitStatus(Exit), 0) << Program << Out;
+    EXPECT_EQ(Out, "no spec violation found within the unwinding bounds\n")
+        << Program;
+    std::remove(Source.c_str());
+  }
 }
 
 TEST(BugassistCli, DumpTcasRoundTripsThroughTheParser) {

@@ -176,9 +176,9 @@ TEST(LoopDiagnosis, NoLoopMeansNoIterationSuspects) {
 // counterexample BMC finds -- and every report built on it -- moves. The
 // program is the sum loop of the deep-unwind benchmark workload at its
 // variant 2 (fault threshold 36); the search figures were recorded once
-// solve() kept its assumption levels between calls and amortized its root
-// clean-up scan, the elimination counters before variable elimination
-// counted its resolvents instead of building them.
+// each optimum was canonicalized in one preference-ordered solve, the
+// elimination counters before variable elimination counted its resolvents
+// instead of building them.
 TEST(SearchPath, DeepUnwindSumLoopIsPinned) {
   const char *Src = "int main(int n, int k) {\n"
                     "  assume(n >= 0 && n <= 60);\n"
@@ -201,10 +201,10 @@ TEST(SearchPath, DeepUnwindSumLoopIsPinned) {
   ASSERT_EQ(R.Status, PipelineStatus::Localized) << R.Message;
   EXPECT_EQ(renderInputVector(R.FailingInput), "42,-113");
   EXPECT_EQ(R.Report.AllLines, (std::vector<uint32_t>{4, 5, 6, 7, 9, 10}));
-  EXPECT_EQ(R.Report.SatCalls, 22u);
-  EXPECT_EQ(R.Report.Search.Conflicts, 98u);
-  EXPECT_EQ(R.Report.Search.Decisions, 12684u);
-  EXPECT_EQ(R.Report.Search.Propagations, 187683u);
+  EXPECT_EQ(R.Report.SatCalls, 14u);
+  EXPECT_EQ(R.Report.Search.Conflicts, 31u);
+  EXPECT_EQ(R.Report.Search.Decisions, 9269u);
+  EXPECT_EQ(R.Report.Search.Propagations, 138055u);
   EXPECT_EQ(R.Report.Search.VarsEliminated, 13122u);
   EXPECT_EQ(R.Report.Search.ClausesSubsumed, 2965u);
   EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 4438u);
@@ -216,10 +216,10 @@ TEST(SearchPath, TcasV2LocalizeCountersArePinned) {
   PipelineResult R =
       runLocalizePipeline(tcasMutants()[1].Source, PipelineRequest());
   ASSERT_EQ(R.Status, PipelineStatus::Localized) << R.Message;
-  EXPECT_EQ(R.Report.SatCalls, 33u);
-  EXPECT_EQ(R.Report.Search.Conflicts, 6u);
-  EXPECT_EQ(R.Report.Search.Decisions, 97u);
-  EXPECT_EQ(R.Report.Search.Propagations, 8239u);
+  EXPECT_EQ(R.Report.SatCalls, 17u);
+  EXPECT_EQ(R.Report.Search.Conflicts, 1u);
+  EXPECT_EQ(R.Report.Search.Decisions, 89u);
+  EXPECT_EQ(R.Report.Search.Propagations, 7018u);
   EXPECT_EQ(R.Report.Search.VarsEliminated, 1468u);
   EXPECT_EQ(R.Report.Search.ClausesSubsumed, 770u);
   EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 999u);

@@ -460,6 +460,121 @@ TEST(Incremental, CanonicalSessionsMatchTheOracleUnderBlockingClauses) {
   EXPECT_GT(Solves, Blocked);
 }
 
+namespace {
+
+/// Solves \p Inst with preprocessing on and off and checks the canonical
+/// optimum against bruteForceCanonical, which must itself falsify exactly
+/// \p Expected (the case the caller built).
+void expectCanonical(const MaxSatInstance &Inst,
+                     const std::vector<size_t> &Expected) {
+  BruteForceAnswer Oracle = bruteForceCanonical(Inst);
+  ASSERT_FALSE(Oracle.HardUnsat);
+  ASSERT_EQ(Oracle.FalsifiedSoft, Expected);
+  for (bool Preprocess : {true, false}) {
+    Solver::Options O;
+    O.Preprocess = Preprocess;
+    O.PreprocessMinClauses = 0;
+    MaxSatResult Got = solveFuMalik(Inst, 0, O);
+    ASSERT_EQ(Got.Status, MaxSatStatus::Optimum) << "preprocess " << Preprocess;
+    EXPECT_EQ(Got.Cost, Oracle.Cost) << "preprocess " << Preprocess;
+    EXPECT_EQ(Got.FalsifiedSoft, Expected) << "preprocess " << Preprocess;
+    EXPECT_FALSE(Got.CanonicalTruncated);
+  }
+}
+
+/// Soft units (x_i) of the given weights over variables 0..n-1.
+MaxSatInstance softUnits(const std::vector<uint64_t> &Weights) {
+  MaxSatInstance Inst;
+  Inst.NumVars = static_cast<int>(Weights.size());
+  for (size_t I = 0; I < Weights.size(); ++I)
+    Inst.Soft.push_back({{mkLit(static_cast<Var>(I))}, Weights[I]});
+  return Inst;
+}
+
+} // namespace
+
+// Edge cases of the preference-ordered canonical solve: where the optimum
+// falsifies the first, the last or every soft clause, where the weight
+// listed after a clause exactly equals what is still owed (the tail rule
+// must not fire there), and non-unit soft clauses, whose preferred
+// literals are the lazily created satisfaction selectors.
+TEST(CanonicalSolve, OptimumFalsifiesOnlyTheLastSoftClause) {
+  for (std::vector<uint64_t> W : {std::vector<uint64_t>{1, 1, 1, 1},
+                                  std::vector<uint64_t>{5, 4, 3, 2}}) {
+    MaxSatInstance Inst = softUnits(W); // at most three of x0..x3
+    Inst.Hard.push_back({~mkLit(0), ~mkLit(1), ~mkLit(2), ~mkLit(3)});
+    expectCanonical(Inst, {3});
+  }
+}
+
+TEST(CanonicalSolve, OptimumFalsifiesEverySoftClause) {
+  MaxSatInstance Inst = softUnits({1, 7, 3});
+  for (Var V = 0; V < 3; ++V)
+    Inst.Hard.push_back({~mkLit(V)});
+  expectCanonical(Inst, {0, 1, 2});
+  // The same cost forced by a core instead of units: (x_i) against (~x_i).
+  MaxSatInstance Pairs = softUnits({2, 2, 2});
+  for (Var V = 0; V < 3; ++V)
+    Pairs.Soft.push_back({{~mkLit(V)}, 1});
+  expectCanonical(Pairs, {3, 4, 5});
+}
+
+TEST(CanonicalSolve, SuffixWeightEqualToTheOwedRemainder) {
+  // x0 excludes x1 and x2: falsify {0} or {1, 2}, both cost 2. At clause
+  // 0 the weight after it (2) equals what is owed (2), so it is decided
+  // true and {1, 2} is canonical.
+  MaxSatInstance First = softUnits({2, 1, 1});
+  First.Hard.push_back({~mkLit(0), ~mkLit(1)});
+  First.Hard.push_back({~mkLit(0), ~mkLit(2)});
+  expectCanonical(First, {1, 2});
+  // x2 excludes x0 and x1: falsify {2} or {0, 1}, both cost 2. Nothing is
+  // falsified before clause 1 and the weight after it (2) equals the owed
+  // 2: it is decided true, and {2} is canonical.
+  MaxSatInstance Second = softUnits({1, 1, 2});
+  Second.Hard.push_back({~mkLit(2), ~mkLit(0)});
+  Second.Hard.push_back({~mkLit(2), ~mkLit(1)});
+  expectCanonical(Second, {2});
+}
+
+TEST(CanonicalSolve, NonUnitSoftClausesUseSatisfactionSelectors) {
+  // The four binary clauses over x0, x1: every assignment falsifies
+  // exactly the one clause that excludes it. With unit weights the last
+  // is canonical; weighting it 5 moves the optimum to the third.
+  MaxSatInstance Inst;
+  Inst.NumVars = 2;
+  Inst.Soft.push_back({{mkLit(0), mkLit(1)}, 1});
+  Inst.Soft.push_back({{~mkLit(0), mkLit(1)}, 1});
+  Inst.Soft.push_back({{mkLit(0), ~mkLit(1)}, 1});
+  Inst.Soft.push_back({{~mkLit(0), ~mkLit(1)}, 1});
+  expectCanonical(Inst, {3});
+  Inst.Soft[3].Weight = 5;
+  expectCanonical(Inst, {2});
+
+  // Random instances whose soft clauses all have two or three literals.
+  int Checked = 0;
+  for (uint64_t MaxWeight : {1ull, 9ull}) {
+    Rng R(7300 + MaxWeight);
+    for (int Round = 0; Round < 40; ++Round) {
+      MaxSatInstance Rand;
+      Rand.NumVars = 5;
+      for (int I = 0; I < 18; ++I) {
+        std::vector<Clause> One = bugassist::randomInstance(
+            R, Rand.NumVars, 1, static_cast<int>(R.range(2, 3)));
+        if (I < 4)
+          Rand.Hard.push_back(One[0]);
+        else
+          Rand.Soft.push_back({One[0], 1 + R.below(MaxWeight)});
+      }
+      BruteForceAnswer Oracle = bruteForceCanonical(Rand);
+      if (Oracle.HardUnsat)
+        continue;
+      expectCanonical(Rand, Oracle.FalsifiedSoft);
+      Checked += !Oracle.FalsifiedSoft.empty();
+    }
+  }
+  EXPECT_GT(Checked, 30);
+}
+
 // --- anytime bounds under resource budgets -----------------------------------
 
 namespace {
@@ -638,8 +753,8 @@ auto searchCounters(const SolverStats &S) {
                          S.LitsSelfSubsumed, S.ReconstructBytes);
 }
 
-/// Solves \p Inst with and without a witness under \p Budget (the probes
-/// of canonicalization run too), and checks that the witness changes
+/// Solves \p Inst with and without a witness under \p Budget (the
+/// canonical solve runs too), and checks that the witness changes
 /// nothing but Model, BestModel and the rebuild count. \returns the
 /// witness-free result.
 MaxSatResult solveWithAndWithoutWitness(MaxSatInstance Inst,

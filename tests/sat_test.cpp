@@ -63,6 +63,11 @@ struct SolverTestAccess {
     S.rewatchAsBinary(CR);
   }
   static int decisionLevel(const Solver &S) { return S.decisionLevel(); }
+  /// True when no preference-ordered branching state is left over.
+  static bool preferenceIdle(const Solver &S) {
+    return S.Preferences.empty() && S.PreferAfter.empty() &&
+           S.PreferScan.empty() && S.PreferOwed == 0;
+  }
 };
 
 } // namespace bugassist
@@ -539,6 +544,169 @@ TEST(SolverTrailReuse, AssumptionSequencesAgreeWithBruteForce) {
   EXPECT_GT(Reused, 100u);
 }
 
+// Differential check of preference-ordered branching. On random instances,
+// under random assumptions and with preprocessing on or off, a solve with
+// an ordered, weighted preference list must return the model that is
+// lexicographically greatest over the list (true beats false at the first
+// listed literal where two models differ):
+//  * with nothing owed, among all models;
+//  * with the formula restricted, by clauses blocking every other model,
+//    to the models that falsify exactly some listed weight C, and C owed,
+//    which exercises the tail rule.
+// Any owed weight must leave the SAT/UNSAT answer and the model's validity
+// alone, and the plain solve that follows must be correct and find no
+// preference state left over.
+TEST(SolverPreference, LexicographicOptimumAgreesWithBruteForce) {
+  using Access = SolverTestAccess;
+  Rng R(20261020);
+  int Lex = 0, Owing = 0;
+  for (int Round = 0; Round < 160; ++Round) {
+    const int NumVars = 7 + static_cast<int>(R.below(4));
+    // Preferences and assumptions use the control variables, frozen while
+    // preprocessing is on.
+    const int NumControl = 6;
+    Solver::Options O;
+    O.Preprocess = R.chance(1, 2);
+    O.PreprocessMinClauses = 0;
+    std::vector<Clause> Cs = randomInstance(
+        R, NumVars, NumVars + static_cast<int>(R.below(3 * NumVars)), 3);
+    std::vector<Var> Order;
+    for (Var V = 0; V < NumControl; ++V)
+      Order.push_back(V);
+    for (size_t I = Order.size(); I > 1; --I)
+      std::swap(Order[I - 1], Order[R.below(I)]);
+    const uint64_t MaxWeight = R.chance(1, 2) ? 1 : 9;
+    std::vector<Solver::Preference> Prefer;
+    for (size_t I = 0; I < 2 + R.below(NumControl - 1); ++I)
+      Prefer.push_back({mkLit(Order[I], R.chance(1, 2)), 1 + R.below(MaxWeight)});
+    std::vector<Lit> Assumps;
+    for (size_t I = R.below(3); I > 0; --I)
+      Assumps.push_back(mkLit(static_cast<Var>(R.below(NumControl)),
+                              R.chance(1, 2)));
+
+    // Brute force: each model's listed values and falsified listed weight.
+    struct Model {
+      std::vector<bool> Listed;
+      uint64_t Cost;
+      uint64_t Mask;
+    };
+    std::vector<Model> Models;
+    auto Holds = [](uint64_t Mask, Lit L) {
+      return (((Mask >> L.var()) & 1) != 0) != L.negated();
+    };
+    for (uint64_t Mask = 0; Mask < (1ull << NumVars); ++Mask) {
+      bool Ok = std::all_of(Cs.begin(), Cs.end(), [&](const Clause &C) {
+        return std::any_of(C.begin(), C.end(),
+                           [&](Lit L) { return Holds(Mask, L); });
+      });
+      Ok = Ok && std::all_of(Assumps.begin(), Assumps.end(),
+                             [&](Lit A) { return Holds(Mask, A); });
+      if (!Ok)
+        continue;
+      Model M{{}, 0, Mask};
+      for (const Solver::Preference &P : Prefer) {
+        M.Listed.push_back(Holds(Mask, P.L));
+        M.Cost += Holds(Mask, P.L) ? 0 : P.Weight;
+      }
+      Models.push_back(std::move(M));
+    }
+    auto Greatest = [&](uint64_t OnlyCost, bool Restrict) {
+      std::vector<bool> Best;
+      for (const Model &M : Models)
+        if ((!Restrict || M.Cost == OnlyCost) && M.Listed > Best)
+          Best = M.Listed;
+      return Best;
+    };
+
+    // One solver per case: blocking clauses mention eliminable variables.
+    auto Run = [&](const std::vector<Clause> &Extra, uint64_t Owed,
+                   bool ExpectSat, const std::vector<bool> *ExpectListed,
+                   const std::string &Where) {
+      Solver S(O);
+      S.ensureVars(NumVars);
+      for (Var V = 0; V < NumControl; ++V)
+        S.setFrozen(V, true);
+      bool Ok = true;
+      for (const Clause &C : Cs)
+        Ok = Ok && S.addClause(C);
+      for (const Clause &C : Extra)
+        Ok = Ok && S.addClause(C);
+      if (!Ok) {
+        EXPECT_FALSE(ExpectSat) << Where;
+        return;
+      }
+      LBool Got = S.solve(Assumps, Prefer, Owed);
+      ASSERT_NE(Got, LBool::Undef) << Where;
+      EXPECT_EQ(Got == LBool::True, ExpectSat) << Where;
+      EXPECT_TRUE(Access::preferenceIdle(S)) << Where;
+      if (Got == LBool::True) {
+        EXPECT_TRUE(modelSatisfies(S, Cs)) << Where;
+        EXPECT_TRUE(modelSatisfies(S, Extra)) << Where;
+        for (Lit A : Assumps)
+          EXPECT_EQ(S.modelValue(A), LBool::True) << Where;
+        if (ExpectListed) {
+          std::vector<bool> Listed;
+          for (const Solver::Preference &P : Prefer)
+            Listed.push_back(S.modelValue(P.L) == LBool::True);
+          EXPECT_EQ(Listed, *ExpectListed) << Where;
+        }
+      }
+      // The plain solve that follows answers the same, unsteered.
+      LBool Plain = S.solve(Assumps);
+      EXPECT_EQ(Plain == LBool::True, ExpectSat) << Where << " plain";
+      if (Plain == LBool::True) {
+        EXPECT_TRUE(modelSatisfies(S, Cs)) << Where << " plain";
+        EXPECT_TRUE(modelSatisfies(S, Extra)) << Where << " plain";
+      }
+    };
+
+    std::string Where = "round " + std::to_string(Round);
+    std::vector<bool> Best = Greatest(0, /*Restrict=*/false);
+    Run({}, 0, !Models.empty(), &Best, Where + " nothing owed");
+    Lex += !Models.empty();
+    uint64_t AnyOwed = R.below(4 * MaxWeight + 1);
+    Run({}, AnyOwed, !Models.empty(), nullptr, Where + " owed any");
+    if (Models.empty())
+      continue;
+    uint64_t C = Models[R.below(Models.size())].Cost;
+    std::vector<Clause> Block;
+    for (const Model &M : Models) {
+      if (M.Cost == C)
+        continue;
+      Clause B;
+      for (Var V = 0; V < NumVars; ++V)
+        B.push_back(mkLit(V, ((M.Mask >> V) & 1) != 0));
+      Block.push_back(std::move(B));
+    }
+    // Assumptions already exclude every assignment they contradict, so
+    // only the models that satisfy them are blocked.
+    std::vector<bool> BestAtC = Greatest(C, /*Restrict=*/true);
+    Run(Block, C, true, &BestAtC, Where + " owed " + std::to_string(C));
+    Owing += C > 0;
+  }
+  EXPECT_GT(Lex, 60);
+  EXPECT_GT(Owing, 40);
+}
+
+TEST(SolverPreference, PlainSolveAfterwardIsNotSteered) {
+  // Three free variables whose saved phases point at false: the preference
+  // solve sets them true, and a plain solve after re-seeding the phases
+  // must follow the phases again.
+  Solver S;
+  S.ensureVars(3);
+  std::vector<Solver::Preference> Prefer;
+  for (Var V = 0; V < 3; ++V)
+    Prefer.push_back({mkLit(V), 1});
+  ASSERT_EQ(S.solve({}, Prefer, 0), LBool::True);
+  for (Var V = 0; V < 3; ++V) {
+    EXPECT_EQ(S.modelValue(V), LBool::True);
+    S.setPolarity(V, false);
+  }
+  ASSERT_EQ(S.solve(), LBool::True);
+  for (Var V = 0; V < 3; ++V)
+    EXPECT_EQ(S.modelValue(V), LBool::False);
+}
+
 TEST(Solver, StatsAreTracked) {
   Solver S;
   Var A = S.newVar(), B = S.newVar();
@@ -662,6 +830,21 @@ TEST(SolverBudget, ConflictCapIsExact) {
     EXPECT_EQ(S.solve(), LBool::Undef);
     EXPECT_TRUE(S.budgetExhausted());
     EXPECT_EQ(S.stats().Conflicts, Cap);
+  }
+}
+
+TEST(SolverBudget, PerCallConflictBudgetIsExact) {
+  // The per-call budget is checked at every conflict too, so a run of
+  // back-to-back conflicts cannot overshoot it; each call gets it afresh.
+  for (uint64_t Cap : {1u, 10u, 37u}) {
+    Solver S;
+    loadPigeonhole(S, 7);
+    S.setConflictBudget(Cap);
+    EXPECT_EQ(S.solve(), LBool::Undef);
+    EXPECT_EQ(S.stats().Conflicts, Cap);
+    EXPECT_EQ(S.solve(), LBool::Undef);
+    EXPECT_EQ(S.stats().Conflicts, 2 * Cap);
+    EXPECT_FALSE(S.budgetExhausted()); // not the query budget
   }
 }
 

@@ -383,6 +383,34 @@ TEST(ServeLib, BudgetExhaustionIsIncompleteAndDoesNotPoisonThePool) {
   EXPECT_EQ(R.Summary.ExitCode, 2);
 }
 
+TEST(ServeLib, TimeoutBoundsTheCounterexampleSearch) {
+  // No input: the request's timeout, counted from the request's start,
+  // also bounds the BMC counterexample search. Already expired when the
+  // search starts, it stops it, and the request answers incomplete with
+  // the one INCOMPLETE line instead of localizing a BMC-found input.
+  const char *Sum = "int main(int n, int k) {\n"
+                    "  int i = 0;\n"
+                    "  int s = 0;\n"
+                    "  while (i < n) {\n"
+                    "    s = s + k;\n"
+                    "    i = i + 1;\n"
+                    "  }\n"
+                    "  assert(s == n * k + 1);\n"
+                    "  return s;\n"
+                    "}\n";
+  std::string Batch = "{\"id\":\"n\",\"cmd\":\"localize\",\"source\":\"" +
+                      jsonEscape(Sum) +
+                      "\",\"unwind\":4,\"bitwidth\":8,\"timeout\":0.000001}\n";
+  LibRun R = runServe(Batch, /*Threads=*/1);
+  ASSERT_EQ(R.Frames.size(), 1u);
+  EXPECT_EQ(R.Frames[0].Status, "incomplete");
+  EXPECT_EQ(R.Frames[0].Exit, 2);
+  EXPECT_EQ(R.Frames[0].Body,
+            "INCOMPLETE: resource budget exhausted before the counterexample "
+            "search found a failing input\n");
+  EXPECT_EQ(R.Summary.Incomplete, 1u);
+}
+
 TEST(ServeLib, MalformedRequestsAreRejectedWithoutKillingTheDaemon) {
   std::string Valid = "{\"id\":\"good\",\"cmd\":\"sat\",\"cnf\":\"" +
                       jsonEscape("p cnf 1 1\n1 0\n") + "\"}";

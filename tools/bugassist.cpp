@@ -34,9 +34,10 @@
 //       the faulty Siemens-style mutants) so they can be fed back into
 //       `bugassist localize`.
 //
-// The localize report is canonical: the session canonicalizes its optima
-// (see maxsat/Canonical.h), and solver statistics -- which depend on search
-// history -- are printed only under --stats.
+// The localize report is canonical: the session canonicalizes each optimum
+// in one preference-ordered solve (see maxsat/FuMalik.cpp), and solver
+// statistics -- which depend on search history -- are printed only under
+// --stats.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +86,7 @@ int usage(const char *Argv0) {
 // --- localize ----------------------------------------------------------------
 
 int cmdLocalize(const std::string &Path, CommandOptions &O) {
+  O.Query.Localize.Budget.startClock(); // --timeout counts from here
   auto Source = readFileToString(Path);
   if (!Source) {
     std::fprintf(stderr, "bugassist: cannot read '%s'\n", Path.c_str());
@@ -110,13 +112,12 @@ int cmdLocalize(const std::string &Path, CommandOptions &O) {
   // diff clean against one-shot runs.
   std::string Body = renderLocalizeOutput(Res, O.Json);
   std::fwrite(Body.data(), 1, Body.size(), stdout);
-  if (Res.Status == PipelineStatus::NoCounterexample)
-    return 0;
-  if (O.Stats)
+  if (O.Stats && Res.Status == PipelineStatus::Localized)
     std::printf("%s", renderSearchStats(Res.Report).c_str());
   // The partial report was still printed (INCOMPLETE-marked); the exit
-  // code tells scripts the enumeration did not finish.
-  return Res.Report.Incomplete ? ExitBudgetExhausted : ExitComplete;
+  // code tells scripts the BMC search or the enumeration did not finish.
+  return Res.Code == ErrorCode::BudgetExhausted ? ExitBudgetExhausted
+                                                : ExitComplete;
 }
 
 // --- repair ------------------------------------------------------------------
