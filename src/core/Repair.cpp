@@ -6,98 +6,41 @@
 
 #include "core/Repair.h"
 
-#include "lang/AstPrinter.h"
-#include "lang/AstWalk.h"
-#include "lang/Sema.h"
+#include "lang/AstEdit.h"
 
-#include <functional>
+#include <map>
 #include <set>
 
 using namespace bugassist;
 
 namespace {
 
-/// One candidate mutation, addressed by expression ordinal.
-struct Mutation {
-  size_t Ordinal = 0;
-  uint32_t Line = 0;
-  bool IsConstant = false; ///< else operator swap
-  int64_t NewConstant = 0;
-  BinaryOp NewOp = BinaryOp::Add;
-  std::string Description;
-};
-
-void planMutationsOnLine(Program &P, uint32_t Line, const RepairOptions &Opts,
-                         std::vector<Mutation> &Plan) {
-  forEachExpr(P, [&](Expr *E, size_t Ordinal) {
-    if (E->loc().Line != Line)
+/// Algorithm 2's candidate plan: for each line of \p Lines in order -- the
+/// diagnosis order, so the most likely fix location is tried first -- the
+/// literal +/-1 edits and the near-miss operator swaps of that line's edit
+/// sites, in ordinal order. One walk of \p P finds the sites of every line.
+std::vector<Edit> planEdits(const Program &P,
+                            const std::vector<uint32_t> &Lines,
+                            const RepairOptions &Opts) {
+  std::map<uint32_t, std::vector<Edit>> OnLine;
+  for (uint32_t L : Lines)
+    OnLine.try_emplace(L);
+  forEachEditableExpr(P, [&](const Expr *E, size_t Ordinal) {
+    auto It = OnLine.find(E->loc().Line);
+    if (It == OnLine.end())
       return;
-    if (Opts.OffByOne) {
-      if (auto *IL = dyn_cast<IntLiteral>(E)) {
-        for (int64_t Delta : {+1, -1}) {
-          Mutation M;
-          M.Ordinal = Ordinal;
-          M.Line = E->loc().Line;
-          M.IsConstant = true;
-          M.NewConstant = IL->value() + Delta;
-          M.Description = "constant " + std::to_string(IL->value()) +
-                          " -> " + std::to_string(M.NewConstant);
-          Plan.push_back(std::move(M));
-        }
-      }
-    }
-    if (Opts.OperatorSwap) {
-      if (auto *BE = dyn_cast<BinaryExpr>(E)) {
-        for (BinaryOp NewOp : nearMissOps(BE->op())) {
-          Mutation M;
-          M.Ordinal = Ordinal;
-          M.Line = E->loc().Line;
-          M.NewOp = NewOp;
-          M.Description = std::string("'") + binaryOpSpelling(BE->op()) +
-                          "' -> '" + binaryOpSpelling(NewOp) + "'";
-          Plan.push_back(std::move(M));
-        }
-      }
-    }
+    if (const auto *IL = dyn_cast<IntLiteral>(E); IL && Opts.OffByOne)
+      for (int64_t Delta : {+1, -1})
+        It->second.push_back(
+            perturbIntEdit(Ordinal, It->first, IL->value(), Delta));
+    if (const auto *BE = dyn_cast<BinaryExpr>(E); BE && Opts.OperatorSwap)
+      for (BinaryOp NewOp : nearMissOps(BE->op()))
+        It->second.push_back(swapOpEdit(Ordinal, It->first, BE->op(), NewOp));
   });
-}
-
-/// Collects the mutations to try, visiting candidate lines in diagnosis
-/// order (Algorithm 2 iterates over BugLoc in the order CoMSSes were
-/// reported, so the most likely fix location is mutated first).
-std::vector<Mutation> planMutations(Program &P,
-                                    const std::vector<uint32_t> &OrderedLines,
-                                    const RepairOptions &Opts) {
-  std::vector<Mutation> Plan;
-  for (uint32_t Line : OrderedLines)
-    planMutationsOnLine(P, Line, Opts, Plan);
+  std::vector<Edit> Plan;
+  for (uint32_t L : Lines)
+    Plan.insert(Plan.end(), OnLine[L].begin(), OnLine[L].end());
   return Plan;
-}
-
-/// Applies \p M to a clone of \p P; returns nullptr if the mutant fails
-/// Sema (e.g. a swap created a type error).
-std::unique_ptr<Program> applyMutation(const Program &P, const Mutation &M) {
-  auto Clone = cloneProgram(P);
-  bool Applied = false;
-  forEachExpr(*Clone, [&](Expr *E, size_t Ordinal) {
-    if (Ordinal != M.Ordinal)
-      return;
-    if (M.IsConstant) {
-      if (auto *IL = dyn_cast<IntLiteral>(E)) {
-        IL->setValue(M.NewConstant);
-        Applied = true;
-      }
-    } else if (auto *BE = dyn_cast<BinaryExpr>(E)) {
-      BE->setOp(M.NewOp);
-      Applied = true;
-    }
-  });
-  if (!Applied)
-    return nullptr;
-  DiagEngine Diags;
-  if (!analyzeProgram(*Clone, Diags))
-    return nullptr;
-  return Clone;
 }
 
 /// Sound per-line pre-filter on the prepared trace formula: freeing every
@@ -214,9 +157,8 @@ RepairResult bugassist::repairProgram(
     prescreenLines(*Screen, TF.encoded().Formula, Lines, Opts.VerifyBudget,
                    Clock.deadline(), Result.Stats);
 
-  // Step 2: plan and screen mutations.
-  std::vector<Mutation> Plan =
-      planMutations(const_cast<Program &>(Prog), Lines, Opts);
+  // Step 2: plan and screen the candidate edits.
+  std::vector<Edit> Plan = planEdits(Prog, Lines, Opts);
   Result.Stats.CandidatesPlanned = Plan.size();
 
   ExecOptions IOpts;
@@ -226,13 +168,13 @@ RepairResult bugassist::repairProgram(
   if (Opts.MaxInterpSteps)
     IOpts.MaxSteps = Opts.MaxInterpSteps;
 
-  for (const Mutation &M : Plan) {
+  for (const Edit &E : Plan) {
     if (Result.CandidatesTried >= Opts.MaxCandidates || Clock.expired()) {
       Result.Truncated = true;
       break;
     }
     ++Result.CandidatesTried;
-    std::unique_ptr<Program> Mutant = applyMutation(Prog, M);
+    std::unique_ptr<Program> Mutant = applyEdit(Prog, E);
     if (!Mutant) {
       ++Result.Stats.SemaRejected;
       continue;
@@ -281,8 +223,8 @@ RepairResult bugassist::repairProgram(
     }
 
     Result.Found = true;
-    Result.Suggestion.Line = M.Line;
-    Result.Suggestion.Description = M.Description;
+    Result.Suggestion.Line = E.Line;
+    Result.Suggestion.Description = E.Description;
     Result.Suggestion.FixedProgram = std::move(Mutant);
     Result.Stats.CandidatesTried = Result.CandidatesTried;
     return Result;

@@ -8,11 +8,16 @@
 /// Section 5.1 / Algorithm 2: after localization narrows the fault to a few
 /// lines, mutate those lines with common-error fixes and keep any mutant
 /// whose failure disappears:
-///  * off-by-one: every constant kappa on a suspect line tried as kappa+1
-///    and kappa-1 (the paper's headline repair, Section 6.3);
+///  * off-by-one: every constant kappa in a suspect line's code tried as
+///    kappa+1 and kappa-1 (the paper's headline repair, Section 6.3);
 ///  * operator replacement: comparison / arithmetic operator swapped for a
 ///    near miss (< vs <=, + vs -, ...), the "operator errors" extension the
 ///    paper sketches in Section 2.
+///
+/// Candidates are planned and applied through lang/AstEdit.h, the edit
+/// module the mutation engine shares, so no candidate ever touches an
+/// assert or assume condition: a repair changes the code under test,
+/// never weakens the specification that judges it.
 ///
 /// A candidate is accepted when (a) every supplied failing test now passes
 /// in the interpreter and (b) bounded model checking finds no new violation

@@ -10,113 +10,158 @@ using namespace bugassist;
 
 namespace {
 
-void visitExpr(Expr *E, size_t &Ordinal,
-               const std::function<void(Expr *, size_t)> &Fn) {
+// The walks are templates over the node pointer type, so the mutable and
+// the const entry points share one recursion (the AST's accessors hand out
+// child pointers from const nodes; ExprT / StmtT restore the constness).
+
+template <typename ExprT, typename FnT>
+void visitExpr(ExprT *E, size_t &Ordinal, const FnT &Fn) {
   if (!E)
     return;
   Fn(E, Ordinal++);
   switch (E->kind()) {
   case Expr::ArrayIndexKind:
-    visitExpr(cast<ArrayIndex>(E)->base(), Ordinal, Fn);
-    visitExpr(cast<ArrayIndex>(E)->index(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ArrayIndex>(E)->base(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ArrayIndex>(E)->index(), Ordinal, Fn);
     break;
   case Expr::UnaryKind:
-    visitExpr(cast<UnaryExpr>(E)->operand(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<UnaryExpr>(E)->operand(), Ordinal, Fn);
     break;
   case Expr::BinaryKind:
-    visitExpr(cast<BinaryExpr>(E)->lhs(), Ordinal, Fn);
-    visitExpr(cast<BinaryExpr>(E)->rhs(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<BinaryExpr>(E)->lhs(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<BinaryExpr>(E)->rhs(), Ordinal, Fn);
     break;
   case Expr::ConditionalKind:
-    visitExpr(cast<ConditionalExpr>(E)->cond(), Ordinal, Fn);
-    visitExpr(cast<ConditionalExpr>(E)->thenExpr(), Ordinal, Fn);
-    visitExpr(cast<ConditionalExpr>(E)->elseExpr(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ConditionalExpr>(E)->cond(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ConditionalExpr>(E)->thenExpr(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ConditionalExpr>(E)->elseExpr(), Ordinal, Fn);
     break;
   case Expr::CallKind:
     for (const auto &A : cast<CallExpr>(E)->args())
-      visitExpr(A.get(), Ordinal, Fn);
+      visitExpr<ExprT>(A.get(), Ordinal, Fn);
     break;
   default:
     break;
   }
 }
 
-void visitStmtExprs(Stmt *S, size_t &Ordinal,
-                    const std::function<void(Expr *, size_t)> &Fn) {
+template <typename ExprT, typename FnT>
+void visitStmtExprs(const Stmt *S, size_t &Ordinal, const FnT &Fn) {
   if (!S)
     return;
   switch (S->kind()) {
   case Stmt::BlockStmtKind:
     for (const auto &Sub : cast<BlockStmt>(S)->stmts())
-      visitStmtExprs(Sub.get(), Ordinal, Fn);
+      visitStmtExprs<ExprT>(Sub.get(), Ordinal, Fn);
     break;
   case Stmt::DeclStmtKind:
-    visitExpr(cast<DeclStmt>(S)->decl()->init(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<DeclStmt>(S)->decl()->init(), Ordinal, Fn);
     break;
   case Stmt::AssignStmtKind:
-    visitExpr(cast<AssignStmt>(S)->index(), Ordinal, Fn);
-    visitExpr(cast<AssignStmt>(S)->value(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<AssignStmt>(S)->index(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<AssignStmt>(S)->value(), Ordinal, Fn);
     break;
   case Stmt::IfStmtKind:
-    visitExpr(cast<IfStmt>(S)->cond(), Ordinal, Fn);
-    visitStmtExprs(cast<IfStmt>(S)->thenStmt(), Ordinal, Fn);
-    visitStmtExprs(cast<IfStmt>(S)->elseStmt(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<IfStmt>(S)->cond(), Ordinal, Fn);
+    visitStmtExprs<ExprT>(cast<IfStmt>(S)->thenStmt(), Ordinal, Fn);
+    visitStmtExprs<ExprT>(cast<IfStmt>(S)->elseStmt(), Ordinal, Fn);
     break;
   case Stmt::WhileStmtKind:
-    visitExpr(cast<WhileStmt>(S)->cond(), Ordinal, Fn);
-    visitStmtExprs(cast<WhileStmt>(S)->body(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<WhileStmt>(S)->cond(), Ordinal, Fn);
+    visitStmtExprs<ExprT>(cast<WhileStmt>(S)->body(), Ordinal, Fn);
     break;
   case Stmt::ReturnStmtKind:
-    visitExpr(cast<ReturnStmt>(S)->value(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ReturnStmt>(S)->value(), Ordinal, Fn);
     break;
   case Stmt::AssertStmtKind:
-    visitExpr(cast<AssertStmt>(S)->cond(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<AssertStmt>(S)->cond(), Ordinal, Fn);
     break;
   case Stmt::AssumeStmtKind:
-    visitExpr(cast<AssumeStmt>(S)->cond(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<AssumeStmt>(S)->cond(), Ordinal, Fn);
     break;
   case Stmt::ExprStmtKind:
-    visitExpr(cast<ExprStmt>(S)->expr(), Ordinal, Fn);
+    visitExpr<ExprT>(cast<ExprStmt>(S)->expr(), Ordinal, Fn);
     break;
   }
 }
 
-void visitStmt(Stmt *S, size_t &Ordinal,
-               const std::function<void(Stmt *, size_t)> &Fn) {
+template <typename StmtT, typename FnT>
+void visitStmt(StmtT *S, size_t &Ordinal, const FnT &Fn) {
   if (!S)
     return;
   Fn(S, Ordinal++);
   switch (S->kind()) {
   case Stmt::BlockStmtKind:
     for (const auto &Sub : cast<BlockStmt>(S)->stmts())
-      visitStmt(Sub.get(), Ordinal, Fn);
+      visitStmt<StmtT>(Sub.get(), Ordinal, Fn);
     break;
   case Stmt::IfStmtKind:
-    visitStmt(cast<IfStmt>(S)->thenStmt(), Ordinal, Fn);
-    visitStmt(cast<IfStmt>(S)->elseStmt(), Ordinal, Fn);
+    visitStmt<StmtT>(cast<IfStmt>(S)->thenStmt(), Ordinal, Fn);
+    visitStmt<StmtT>(cast<IfStmt>(S)->elseStmt(), Ordinal, Fn);
     break;
   case Stmt::WhileStmtKind:
-    visitStmt(cast<WhileStmt>(S)->body(), Ordinal, Fn);
+    visitStmt<StmtT>(cast<WhileStmt>(S)->body(), Ordinal, Fn);
     break;
   default:
     break;
   }
 }
 
+template <typename ExprT, typename FnT>
+void walkExprs(const Program &P, const FnT &Fn) {
+  size_t Ordinal = 0;
+  for (const auto &G : P.globals())
+    visitExpr<ExprT>(G->init(), Ordinal, Fn);
+  for (const auto &F : P.functions())
+    visitStmtExprs<ExprT>(F->body(), Ordinal, Fn);
+}
+
+template <typename StmtT, typename FnT>
+void walkStmts(const Program &P, const FnT &Fn) {
+  size_t Ordinal = 0;
+  for (const auto &F : P.functions())
+    visitStmt<StmtT>(F->body(), Ordinal, Fn);
+}
+
 } // namespace
 
 void bugassist::forEachExpr(Program &P,
                             const std::function<void(Expr *, size_t)> &Fn) {
-  size_t Ordinal = 0;
-  for (const auto &G : P.globals())
-    visitExpr(G->init(), Ordinal, Fn);
-  for (const auto &F : P.functions())
-    visitStmtExprs(F->body(), Ordinal, Fn);
+  walkExprs<Expr>(P, Fn);
+}
+
+void bugassist::forEachExpr(
+    const Program &P, const std::function<void(const Expr *, size_t)> &Fn) {
+  walkExprs<const Expr>(P, Fn);
 }
 
 void bugassist::forEachStmt(Program &P,
                             const std::function<void(Stmt *, size_t)> &Fn) {
+  walkStmts<Stmt>(P, Fn);
+}
+
+void bugassist::forEachStmt(
+    const Program &P, const std::function<void(const Stmt *, size_t)> &Fn) {
+  walkStmts<const Stmt>(P, Fn);
+}
+
+void bugassist::forEachSubExpr(const Expr *Root,
+                               const std::function<void(const Expr *)> &Fn) {
   size_t Ordinal = 0;
-  for (const auto &F : P.functions())
-    visitStmt(F->body(), Ordinal, Fn);
+  visitExpr<const Expr>(Root, Ordinal,
+                        [&](const Expr *E, size_t) { Fn(E); });
+}
+
+void bugassist::forEachSubExpr(const Stmt *Root,
+                               const std::function<void(const Expr *)> &Fn) {
+  size_t Ordinal = 0;
+  visitStmtExprs<const Expr>(Root, Ordinal,
+                             [&](const Expr *E, size_t) { Fn(E); });
+}
+
+void bugassist::forEachSubStmt(const Stmt *Root,
+                               const std::function<void(const Stmt *)> &Fn) {
+  size_t Ordinal = 0;
+  visitStmt<const Stmt>(Root, Ordinal,
+                        [&](const Stmt *S, size_t) { Fn(S); });
 }

@@ -6,6 +6,7 @@
 
 #include "lang/Sema.h"
 
+#include "lang/AstWalk.h"
 #include "lang/Parser.h"
 
 #include <map>
@@ -435,77 +436,10 @@ void Sema::markRecursion() {
   std::map<const FunctionDecl *, std::set<FunctionDecl *>> Callees;
   for (const auto &F : Prog.functions()) {
     std::set<FunctionDecl *> Out;
-    // Walk the body collecting CallExprs.
-    std::vector<const Stmt *> Work{F->body()};
-    auto VisitExpr = [&Out](const Expr *E, auto &&Self) -> void {
-      if (!E)
-        return;
-      if (const auto *C = dyn_cast<CallExpr>(E)) {
-        if (C->decl())
-          Out.insert(C->decl());
-        for (const auto &A : C->args())
-          Self(A.get(), Self);
-        return;
-      }
-      if (const auto *U = dyn_cast<UnaryExpr>(E))
-        return Self(U->operand(), Self);
-      if (const auto *B = dyn_cast<BinaryExpr>(E)) {
-        Self(B->lhs(), Self);
-        Self(B->rhs(), Self);
-        return;
-      }
-      if (const auto *C = dyn_cast<ConditionalExpr>(E)) {
-        Self(C->cond(), Self);
-        Self(C->thenExpr(), Self);
-        Self(C->elseExpr(), Self);
-        return;
-      }
-      if (const auto *A = dyn_cast<ArrayIndex>(E)) {
-        Self(A->base(), Self);
-        Self(A->index(), Self);
-        return;
-      }
-    };
-    while (!Work.empty()) {
-      const Stmt *S = Work.back();
-      Work.pop_back();
-      if (!S)
-        continue;
-      switch (S->kind()) {
-      case Stmt::BlockStmtKind:
-        for (const auto &Sub : cast<BlockStmt>(S)->stmts())
-          Work.push_back(Sub.get());
-        break;
-      case Stmt::DeclStmtKind:
-        VisitExpr(cast<DeclStmt>(S)->decl()->init(), VisitExpr);
-        break;
-      case Stmt::AssignStmtKind:
-        VisitExpr(cast<AssignStmt>(S)->index(), VisitExpr);
-        VisitExpr(cast<AssignStmt>(S)->value(), VisitExpr);
-        break;
-      case Stmt::IfStmtKind:
-        VisitExpr(cast<IfStmt>(S)->cond(), VisitExpr);
-        Work.push_back(cast<IfStmt>(S)->thenStmt());
-        Work.push_back(cast<IfStmt>(S)->elseStmt());
-        break;
-      case Stmt::WhileStmtKind:
-        VisitExpr(cast<WhileStmt>(S)->cond(), VisitExpr);
-        Work.push_back(cast<WhileStmt>(S)->body());
-        break;
-      case Stmt::ReturnStmtKind:
-        VisitExpr(cast<ReturnStmt>(S)->value(), VisitExpr);
-        break;
-      case Stmt::AssertStmtKind:
-        VisitExpr(cast<AssertStmt>(S)->cond(), VisitExpr);
-        break;
-      case Stmt::AssumeStmtKind:
-        VisitExpr(cast<AssumeStmt>(S)->cond(), VisitExpr);
-        break;
-      case Stmt::ExprStmtKind:
-        VisitExpr(cast<ExprStmt>(S)->expr(), VisitExpr);
-        break;
-      }
-    }
+    forEachSubExpr(F->body(), [&](const Expr *E) {
+      if (const auto *C = dyn_cast<CallExpr>(E); C && C->decl())
+        Out.insert(C->decl());
+    });
     Callees[F.get()] = std::move(Out);
   }
 

@@ -6,7 +6,7 @@
 
 #include "mutate/MutantGenerator.h"
 
-#include "lang/AstWalk.h"
+#include "lang/AstEdit.h"
 #include "lang/Sema.h"
 
 #include <algorithm>
@@ -15,32 +15,6 @@
 using namespace bugassist;
 
 namespace {
-
-/// A fully planned edit, addressed so it can be replayed on any clone of
-/// the base program. Exactly one of the Action cases below applies.
-struct Plan {
-  ErrorType Type = ErrorType::Op;
-  enum ActionTy {
-    SwapOp,        ///< expr ordinal: BinaryExpr op -> NewOp
-    PerturbInt,    ///< expr ordinal: IntLiteral value += Delta
-    RenameRef,     ///< expr ordinal: VarRef -> NewName (re-sema resolves)
-    WrapExprIndex, ///< expr ordinal: ArrayIndex index -> index +/- 1
-    WrapStmtIndex, ///< stmt ordinal: AssignStmt index -> index +/- 1
-    DropStmt,      ///< stmt ordinal: erase from owner block
-    DuplicateStmt, ///< stmt ordinal: re-insert a clone at InsertPos
-    WrapInit,      ///< stmt ordinal (DeclStmt) or global: init -> init + 1
-    NegateCond,    ///< stmt ordinal (If/While): comparison flip or !(cond)
-  } Action = SwapOp;
-  bool IsStmt = false;
-  size_t Ordinal = 0;
-  int GlobalIndex = -1; ///< WrapInit on a global instead of a DeclStmt
-  int64_t Delta = 0;
-  BinaryOp NewOp = BinaryOp::Add;
-  std::string NewName;
-  size_t InsertPos = 0;
-  uint32_t Line = 0;
-  std::string Description;
-};
 
 /// A discovered opportunity for one fault class; the seeded draw picks a
 /// site uniformly and then fills in the class-specific payload.
@@ -58,117 +32,12 @@ struct Site {
   size_t BlockSize = 0;                  ///< AddCode: owner child count
 };
 
-void collectExprTree(const Expr *E, std::vector<const Expr *> &Out) {
-  if (!E)
-    return;
-  Out.push_back(E);
-  switch (E->kind()) {
-  case Expr::ArrayIndexKind:
-    collectExprTree(cast<ArrayIndex>(E)->base(), Out);
-    collectExprTree(cast<ArrayIndex>(E)->index(), Out);
-    break;
-  case Expr::UnaryKind:
-    collectExprTree(cast<UnaryExpr>(E)->operand(), Out);
-    break;
-  case Expr::BinaryKind:
-    collectExprTree(cast<BinaryExpr>(E)->lhs(), Out);
-    collectExprTree(cast<BinaryExpr>(E)->rhs(), Out);
-    break;
-  case Expr::ConditionalKind:
-    collectExprTree(cast<ConditionalExpr>(E)->cond(), Out);
-    collectExprTree(cast<ConditionalExpr>(E)->thenExpr(), Out);
-    collectExprTree(cast<ConditionalExpr>(E)->elseExpr(), Out);
-    break;
-  case Expr::CallKind:
-    for (const auto &A : cast<CallExpr>(E)->args())
-      collectExprTree(A.get(), Out);
-    break;
-  default:
-    break;
-  }
-}
-
 bool stmtContainsSpec(const Stmt *S) {
-  if (!S)
-    return false;
-  switch (S->kind()) {
-  case Stmt::AssertStmtKind:
-  case Stmt::AssumeStmtKind:
-    return true;
-  case Stmt::BlockStmtKind:
-    for (const auto &Sub : cast<BlockStmt>(S)->stmts())
-      if (stmtContainsSpec(Sub.get()))
-        return true;
-    return false;
-  case Stmt::IfStmtKind:
-    return stmtContainsSpec(cast<IfStmt>(S)->thenStmt()) ||
-           stmtContainsSpec(cast<IfStmt>(S)->elseStmt());
-  case Stmt::WhileStmtKind:
-    return stmtContainsSpec(cast<WhileStmt>(S)->body());
-  default:
-    return false;
-  }
-}
-
-/// Finds the BlockStmt that directly owns \p Target, searching \p S.
-BlockStmt *findOwnerBlock(Stmt *S, const Stmt *Target) {
-  if (!S)
-    return nullptr;
-  switch (S->kind()) {
-  case Stmt::BlockStmtKind: {
-    auto *B = cast<BlockStmt>(S);
-    for (const auto &Sub : B->stmts())
-      if (Sub.get() == Target)
-        return B;
-    for (const auto &Sub : B->stmts())
-      if (BlockStmt *Found = findOwnerBlock(Sub.get(), Target))
-        return Found;
-    return nullptr;
-  }
-  case Stmt::IfStmtKind:
-    if (BlockStmt *Found = findOwnerBlock(cast<IfStmt>(S)->thenStmt(), Target))
-      return Found;
-    return findOwnerBlock(cast<IfStmt>(S)->elseStmt(), Target);
-  case Stmt::WhileStmtKind:
-    return findOwnerBlock(cast<WhileStmt>(S)->body(), Target);
-  default:
-    return nullptr;
-  }
-}
-
-BlockStmt *findOwnerBlock(Program &P, const Stmt *Target) {
-  for (const auto &F : P.functions())
-    if (BlockStmt *Found = findOwnerBlock(F->body(), Target))
-      return Found;
-  return nullptr;
-}
-
-Expr *findExprByOrdinal(Program &P, size_t Wanted) {
-  Expr *Found = nullptr;
-  forEachExpr(P, [&](Expr *E, size_t Ordinal) {
-    if (Ordinal == Wanted)
-      Found = E;
+  bool Found = false;
+  forEachSubStmt(S, [&](const Stmt *Sub) {
+    Found |= isa<AssertStmt>(Sub) || isa<AssumeStmt>(Sub);
   });
   return Found;
-}
-
-Stmt *findStmtByOrdinal(Program &P, size_t Wanted) {
-  Stmt *Found = nullptr;
-  forEachStmt(P, [&](Stmt *S, size_t Ordinal) {
-    if (Ordinal == Wanted)
-      Found = S;
-  });
-  return Found;
-}
-
-/// `old` +/- |Delta| as a new expression, reusing the wrapped node's loc so
-/// the mutation stays on its line.
-ExprPtr wrapPlusMinus(const Expr *Old, int64_t Delta) {
-  BinaryOp Op = Delta >= 0 ? BinaryOp::Add : BinaryOp::Sub;
-  int64_t Mag = Delta >= 0 ? Delta : -Delta;
-  return std::make_unique<BinaryExpr>(
-      Op, cloneExpr(Old), std::make_unique<IntLiteral>(Mag, Old->loc()),
-      Old->loc());
 }
 
 /// The negation of a comparison operator (Lt <-> Ge etc.); non-comparison
@@ -188,10 +57,6 @@ BinaryOp negatedComparison(BinaryOp Op) {
   default:
     return BinaryOp::Eq; // Ne
   }
-}
-
-std::string lineTag(uint32_t Line) {
-  return "line " + std::to_string(Line) + ": ";
 }
 
 } // namespace
@@ -231,93 +96,56 @@ struct MutantGenerator::Impl {
   }
 
   void discover();
-  bool plan(ErrorType T, Plan &P);
-  bool apply(Program &Clone, const Plan &P) const;
+  bool plan(ErrorType T, Edit &E);
   std::vector<GeneratedMutant> generate(size_t N);
 };
 
 void MutantGenerator::Impl::discover() {
-  // Pass 1: pointer-keyed context, no ordinals involved. SpecExprs marks
-  // assert/assume interiors (never mutated); InitExprs marks initializer
-  // interiors (Init class, not Const); IndexExprs marks subscript
-  // interiors (Index class, not Const); AssignRhs maps each VarRef inside
-  // an assignment RHS to its enclosing function (for visible-name
-  // alternatives).
-  std::set<const Expr *> SpecExprs, InitExprs, IndexExprs, IndexRoots;
+  // Pass 1: pointer-keyed context, no ordinals involved. InitExprs marks
+  // initializer interiors (Init class, not Const); IndexExprs marks
+  // subscript interiors (Index class, not Const); AssignRhs maps each
+  // VarRef inside an assignment RHS to its enclosing function (for
+  // visible-name alternatives).
+  std::set<const Expr *> InitExprs, IndexExprs;
   std::map<const Expr *, const FunctionDecl *> AssignRhs;
   std::map<const Stmt *, std::pair<const BlockStmt *, size_t>> Owner;
 
   auto MarkTree = [](const Expr *Root, std::set<const Expr *> &Into) {
-    std::vector<const Expr *> All;
-    collectExprTree(Root, All);
-    Into.insert(All.begin(), All.end());
+    forEachSubExpr(Root, [&](const Expr *E) { Into.insert(E); });
   };
 
   for (const auto &G : Base->globals())
     if (G->init())
       MarkTree(G->init(), InitExprs);
 
-  for (const auto &F : Base->functions()) {
-    std::function<void(const Stmt *)> Walk = [&](const Stmt *S) {
-      if (!S)
-        return;
-      switch (S->kind()) {
-      case Stmt::BlockStmtKind: {
-        const auto *B = cast<BlockStmt>(S);
-        for (size_t I = 0; I < B->stmts().size(); ++I) {
+  for (const auto &F : Base->functions())
+    forEachSubStmt(F->body(), [&](const Stmt *S) {
+      if (const auto *B = dyn_cast<BlockStmt>(S)) {
+        for (size_t I = 0; I < B->stmts().size(); ++I)
           Owner[B->stmts()[I].get()] = {B, I};
-          Walk(B->stmts()[I].get());
-        }
-        break;
-      }
-      case Stmt::DeclStmtKind:
-        if (const Expr *Init = cast<DeclStmt>(S)->decl()->init())
+      } else if (const auto *D = dyn_cast<DeclStmt>(S)) {
+        if (const Expr *Init = D->decl()->init())
           MarkTree(Init, InitExprs);
-        break;
-      case Stmt::AssignStmtKind: {
-        const auto *A = cast<AssignStmt>(S);
-        if (A->index()) {
-          IndexRoots.insert(A->index());
+      } else if (const auto *A = dyn_cast<AssignStmt>(S)) {
+        if (A->index())
           MarkTree(A->index(), IndexExprs);
-        }
-        std::vector<const Expr *> Rhs;
-        collectExprTree(A->value(), Rhs);
-        for (const Expr *E : Rhs)
+        forEachSubExpr(A->value(), [&](const Expr *E) {
           if (E->kind() == Expr::VarRefKind)
             AssignRhs[E] = F.get();
-        break;
+        });
       }
-      case Stmt::IfStmtKind:
-        Walk(cast<IfStmt>(S)->thenStmt());
-        Walk(cast<IfStmt>(S)->elseStmt());
-        break;
-      case Stmt::WhileStmtKind:
-        Walk(cast<WhileStmt>(S)->body());
-        break;
-      case Stmt::AssertStmtKind:
-        MarkTree(cast<AssertStmt>(S)->cond(), SpecExprs);
-        break;
-      case Stmt::AssumeStmtKind:
-        MarkTree(cast<AssumeStmt>(S)->cond(), SpecExprs);
-        break;
-      default:
-        break;
-      }
-    };
-    Walk(F->body());
-  }
+    });
   // Subscript interiors of array *reads* (a[i] on the RHS).
   forEachExpr(*Base, [&](Expr *E, size_t) {
-    if (auto *AI = dyn_cast<ArrayIndex>(E)) {
-      IndexRoots.insert(AI->index());
+    if (auto *AI = dyn_cast<ArrayIndex>(E))
       MarkTree(AI->index(), IndexExprs);
-    }
   });
 
-  // Pass 2: expression-addressed sites, classified via the pass-1 context.
-  forEachExpr(*Base, [&](Expr *E, size_t Ordinal) {
+  // Pass 2: expression-addressed sites outside the specification,
+  // classified via the pass-1 context.
+  forEachEditableExpr(*Base, [&](const Expr *E, size_t Ordinal) {
     uint32_t Line = E->loc().Line;
-    if (lineProtected(Line) || SpecExprs.count(E))
+    if (lineProtected(Line))
       return;
     Site S;
     S.Ordinal = Ordinal;
@@ -444,191 +272,80 @@ void MutantGenerator::Impl::discover() {
   }
 }
 
-bool MutantGenerator::Impl::plan(ErrorType T, Plan &P) {
+bool MutantGenerator::Impl::plan(ErrorType T, Edit &E) {
   std::vector<Site> &Pool = sitesFor(T);
   if (Pool.empty())
     return false;
   const Site &S = Pool[Stream.below(Pool.size())];
-  P.Type = T;
-  P.IsStmt = S.IsStmt;
-  P.Ordinal = S.Ordinal;
-  P.GlobalIndex = S.GlobalIndex;
-  P.Line = S.Line;
+  E.IsStmt = S.IsStmt;
+  E.Ordinal = S.Ordinal;
+  E.GlobalIndex = S.GlobalIndex;
+  E.Line = S.Line;
   static const int64_t Deltas[] = {1, -1, 2, -2};
   switch (T) {
   case ErrorType::Op: {
     std::vector<BinaryOp> Alts = nearMissOps(S.Op);
-    P.Action = Plan::SwapOp;
-    P.NewOp = Alts[Stream.below(Alts.size())];
-    P.Description = lineTag(P.Line) + "'" + binaryOpSpelling(S.Op) +
-                    "' -> '" + binaryOpSpelling(P.NewOp) + "'";
-    return true;
+    E = swapOpEdit(S.Ordinal, S.Line, S.Op, Alts[Stream.below(Alts.size())]);
+    break;
   }
-  case ErrorType::Const: {
-    P.Action = Plan::PerturbInt;
-    P.Delta = Deltas[Stream.below(4)];
-    P.Description = lineTag(P.Line) + "constant " + std::to_string(S.Value) +
-                    " -> " + std::to_string(S.Value + P.Delta);
-    return true;
-  }
-  case ErrorType::Assign: {
-    P.Action = Plan::RenameRef;
-    P.NewName = S.Alternatives[Stream.below(S.Alternatives.size())];
-    P.Description = lineTag(P.Line) + "rhs variable -> '" + P.NewName + "'";
-    return true;
-  }
-  case ErrorType::Code: {
-    P.Action = Plan::DropStmt;
-    P.Description = lineTag(P.Line) + "dropped statement";
-    return true;
-  }
-  case ErrorType::AddCode: {
-    P.Action = Plan::DuplicateStmt;
+  case ErrorType::Const:
+    E = perturbIntEdit(S.Ordinal, S.Line, S.Value, Deltas[Stream.below(4)]);
+    break;
+  case ErrorType::Assign:
+    E.Action = Edit::RenameRef;
+    E.NewName = S.Alternatives[Stream.below(S.Alternatives.size())];
+    E.Description = "rhs variable -> '" + E.NewName + "'";
+    break;
+  case ErrorType::Code:
+    E.Action = Edit::DropStmt;
+    E.Description = "dropped statement";
+    break;
+  case ErrorType::AddCode:
+    E.Action = Edit::DuplicateStmt;
     // Re-insert anywhere after the original within the same block.
-    P.InsertPos =
+    E.InsertPos =
         S.BlockIndex + 1 + Stream.below(S.BlockSize - S.BlockIndex);
-    P.Description = lineTag(P.Line) + "duplicated statement";
-    return true;
-  }
-  case ErrorType::Init: {
+    E.Description = "duplicated statement";
+    break;
+  case ErrorType::Init:
     if (S.HasLiteral) {
-      P.Action = Plan::PerturbInt;
-      P.IsStmt = false;
-      P.Delta = Deltas[Stream.below(4)];
-      P.Description = lineTag(P.Line) + "init constant " +
-                      std::to_string(S.Value) + " -> " +
-                      std::to_string(S.Value + P.Delta);
+      E = perturbIntEdit(S.Ordinal, S.Line, S.Value, Deltas[Stream.below(4)]);
+      E.Description = "init " + E.Description;
     } else {
-      P.Action = Plan::WrapInit;
-      P.Delta = Stream.chance(1, 2) ? 1 : -1;
-      P.Description = lineTag(P.Line) + "init skewed by " +
-                      (P.Delta > 0 ? std::string("+1") : std::string("-1"));
+      E.Action = Edit::WrapInit;
+      E.Delta = Stream.chance(1, 2) ? 1 : -1;
+      E.Description = std::string("init skewed by ") +
+                      (E.Delta > 0 ? "+1" : "-1");
     }
-    return true;
-  }
+    break;
   case ErrorType::Index: {
-    P.Delta = Stream.chance(1, 2) ? 1 : -1;
+    int64_t Delta = Stream.chance(1, 2) ? 1 : -1;
     if (S.HasLiteral) {
-      P.Action = Plan::PerturbInt;
-      P.Description = lineTag(P.Line) + "index " + std::to_string(S.Value) +
-                      " -> " + std::to_string(S.Value + P.Delta);
+      E = perturbIntEdit(S.Ordinal, S.Line, S.Value, Delta);
+      E.Description = "index " + std::to_string(S.Value) + " -> " +
+                      std::to_string(S.Value + Delta);
     } else {
-      P.Action = S.IsStmt ? Plan::WrapStmtIndex : Plan::WrapExprIndex;
-      P.Description = lineTag(P.Line) + "index skewed by " +
-                      (P.Delta > 0 ? std::string("+1") : std::string("-1"));
+      E.Action = S.IsStmt ? Edit::WrapStmtIndex : Edit::WrapExprIndex;
+      E.Delta = Delta;
+      E.Description = std::string("index skewed by ") +
+                      (Delta > 0 ? "+1" : "-1");
     }
-    return true;
+    break;
   }
-  case ErrorType::Branch: {
-    P.Action = Plan::NegateCond;
+  case ErrorType::Branch:
+    E.Action = Edit::NegateCond;
     if (S.CondIsComparison) {
-      P.NewOp = negatedComparison(S.Op);
-      P.Description = lineTag(P.Line) + "'" + binaryOpSpelling(S.Op) +
-                      "' -> '" + binaryOpSpelling(P.NewOp) + "'";
+      E.NewOp = negatedComparison(S.Op);
+      E.Description = std::string("'") + binaryOpSpelling(S.Op) + "' -> '" +
+                      binaryOpSpelling(E.NewOp) + "'";
     } else {
-      P.NewOp = BinaryOp::Add; // sentinel: wrap in !(...)
-      P.Description = lineTag(P.Line) + "negated condition";
+      E.NewOp = BinaryOp::Add; // sentinel: wrap in !(...)
+      E.Description = "negated condition";
     }
-    return true;
+    break;
   }
-  }
-  return false;
-}
-
-bool MutantGenerator::Impl::apply(Program &Clone, const Plan &P) const {
-  if (P.GlobalIndex >= 0) {
-    // WrapInit on a global.
-    VarDecl *G = Clone.globals()[static_cast<size_t>(P.GlobalIndex)].get();
-    if (!G->init())
-      return false;
-    G->setInit(wrapPlusMinus(G->init(), P.Delta));
-    return true;
-  }
-  if (!P.IsStmt) {
-    Expr *E = findExprByOrdinal(Clone, P.Ordinal);
-    if (!E)
-      return false;
-    switch (P.Action) {
-    case Plan::SwapOp:
-      cast<BinaryExpr>(E)->setOp(P.NewOp);
-      return true;
-    case Plan::PerturbInt: {
-      auto *L = cast<IntLiteral>(E);
-      L->setValue(L->value() + P.Delta);
-      return true;
-    }
-    case Plan::RenameRef:
-      cast<VarRef>(E)->setName(P.NewName);
-      return true;
-    case Plan::WrapExprIndex: {
-      auto *AI = cast<ArrayIndex>(E);
-      AI->setIndex(wrapPlusMinus(AI->index(), P.Delta));
-      return true;
-    }
-    default:
-      return false;
-    }
-  }
-  Stmt *St = findStmtByOrdinal(Clone, P.Ordinal);
-  if (!St)
-    return false;
-  switch (P.Action) {
-  case Plan::WrapStmtIndex: {
-    auto *A = cast<AssignStmt>(St);
-    if (!A->index())
-      return false;
-    A->setIndex(wrapPlusMinus(A->index(), P.Delta));
-    return true;
-  }
-  case Plan::DropStmt: {
-    BlockStmt *B = findOwnerBlock(Clone, St);
-    if (!B)
-      return false;
-    auto &Stmts = B->stmts();
-    for (auto It = Stmts.begin(); It != Stmts.end(); ++It)
-      if (It->get() == St) {
-        Stmts.erase(It);
-        return true;
-      }
-    return false;
-  }
-  case Plan::DuplicateStmt: {
-    BlockStmt *B = findOwnerBlock(Clone, St);
-    if (!B || P.InsertPos > B->stmts().size())
-      return false;
-    // cloneStmt keeps the original SourceLoc, so the duplicate lands on
-    // the ground-truth line.
-    B->stmts().insert(B->stmts().begin() + static_cast<long>(P.InsertPos),
-                      cloneStmt(St));
-    return true;
-  }
-  case Plan::WrapInit: {
-    VarDecl *D = cast<DeclStmt>(St)->decl();
-    if (!D->init())
-      return false;
-    D->setInit(wrapPlusMinus(D->init(), P.Delta));
-    return true;
-  }
-  case Plan::NegateCond: {
-    Expr *Cond = St->kind() == Stmt::IfStmtKind ? cast<IfStmt>(St)->cond()
-                                                : cast<WhileStmt>(St)->cond();
-    auto *BE = dyn_cast<BinaryExpr>(Cond);
-    ExprPtr NewCond;
-    if (BE && isComparisonOp(BE->op())) {
-      BE->setOp(P.NewOp);
-      return true;
-    }
-    NewCond = std::make_unique<UnaryExpr>(UnaryOp::LogNot, cloneExpr(Cond),
-                                          Cond->loc());
-    if (St->kind() == Stmt::IfStmtKind)
-      cast<IfStmt>(St)->setCond(std::move(NewCond));
-    else
-      cast<WhileStmt>(St)->setCond(std::move(NewCond));
-    return true;
-  }
-  default:
-    return false;
-  }
+  E.Description = "line " + std::to_string(E.Line) + ": " + E.Description;
+  return true;
 }
 
 std::vector<GeneratedMutant> MutantGenerator::Impl::generate(size_t N) {
@@ -640,20 +357,19 @@ std::vector<GeneratedMutant> MutantGenerator::Impl::generate(size_t N) {
     ++NextClass;
     for (unsigned Attempt = 0; Attempt < Opts.MaxAttemptsPerMutant;
          ++Attempt) {
-      Plan P;
-      if (!plan(T, P))
+      Edit E;
+      if (!plan(T, E))
         break;
-      auto Clone = cloneProgram(*Base);
-      if (!apply(*Clone, P))
+      // A null mutant failed re-sema, e.g. an RHS rename that no longer
+      // type-checks.
+      std::unique_ptr<Program> Mutant = applyEdit(*Base, E);
+      if (!Mutant)
         continue;
-      DiagEngine Diags;
-      if (!analyzeProgram(*Clone, Diags))
-        continue; // e.g. an RHS rename that no longer type-checks
       GeneratedMutant M;
-      M.Spec.Type = P.Type;
-      M.Spec.Line = P.Line;
-      M.Spec.Description = std::move(P.Description);
-      M.Prog = std::move(Clone);
+      M.Spec.Type = T;
+      M.Spec.Line = E.Line;
+      M.Spec.Description = std::move(E.Description);
+      M.Prog = std::move(Mutant);
       Out.push_back(std::move(M));
       break;
     }

@@ -12,11 +12,11 @@
 /// fault line and class tag. The fuzz sweep (mutate/FuzzSweep.h) feeds
 /// these through the whole localize/repair stack as a differential test.
 ///
-/// Mutants are planned against the base program using the ordinal-stable
-/// preorder addressing of lang/AstWalk.h and applied to fresh
-/// cloneProgram copies, so every mutant keeps the base source's line
-/// numbering -- the ground-truth line stays meaningful, and UnrollOptions
-/// hard lines for the subject remain valid.
+/// Mutants are planned against the base program as lang/AstEdit.h edits
+/// (the edit module the repair engine shares) and applied to fresh clones
+/// by applyEdit, so every mutant keeps the base source's line numbering --
+/// the ground-truth line stays meaningful, and UnrollOptions hard lines
+/// for the subject remain valid.
 ///
 /// Determinism contract: the same (base program, options, N) produces a
 /// byte-identical mutant set -- all randomness flows through one SplitMix64

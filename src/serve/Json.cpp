@@ -278,7 +278,7 @@ private:
       case 'r':  Out += '\r'; break;
       case 't':  Out += '\t'; break;
       case 'u': {
-        uint32_t Code;
+        uint32_t Code = 0;
         if (!parseHex4(Code))
           return false;
         // Surrogate pair: a high surrogate must be followed by \uDC00..
@@ -286,7 +286,7 @@ private:
           if (Pos + 1 < Text.size() && Text[Pos] == '\\' &&
               Text[Pos + 1] == 'u') {
             Pos += 2;
-            uint32_t Low;
+            uint32_t Low = 0;
             if (!parseHex4(Low))
               return false;
             if (Low < 0xDC00 || Low > 0xDFFF)

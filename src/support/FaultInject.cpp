@@ -230,7 +230,7 @@ bool armSpec(const std::string &Spec, std::string &Error) {
                                                   ? 0
                                                   : Colon + 1);
     Event E;
-    Fault F;
+    Fault F = Fault::BadAlloc;
     if (Colon == std::string::npos || Sched == std::string::npos ||
         !parseEvent(Clause.substr(0, Colon), E) ||
         !parseFault(Clause.substr(Colon + 1, Sched - Colon - 1), F)) {

@@ -597,6 +597,29 @@ TEST(BugassistCli, RepairExitCodeContract) {
   std::remove(Hard.c_str());
 }
 
+TEST(BugassistCli, RepairNeverEditsTheSpec) {
+  // The only blamed line holds the assert, whose `<` -> `<=` would make
+  // the failing input pass by weakening the property. Repair edits the
+  // code under test only, so nothing is planned and the answer is a
+  // decided "none" (exit 0).
+  std::string Prog = writeTempFile("int main(int x) {\n"
+                                   "  assume(x >= 0 && x <= 5);\n"
+                                   "  int y = x; assert(y < 5);\n"
+                                   "  return y;\n"
+                                   "}\n");
+  int Exit = 0;
+  std::string Out =
+      runCommand(Cli + " repair " + Prog + " --input 5", Exit);
+  EXPECT_EQ(exitStatus(Exit), 0) << Out;
+  EXPECT_EQ(Out, "failing input: 5\n"
+                 "suspect lines: 3\n"
+                 "prescreen: 0 of 1 lines ruled out (1 sat calls)\n"
+                 "candidates: 0 tried of 0 planned (0 failed tests, 0 "
+                 "failed verification)\n"
+                 "repair: none validated (template space exhausted)\n");
+  std::remove(Prog.c_str());
+}
+
 TEST(BugassistCli, RepairTimeoutBoundsTheWholeRequest) {
   // Without a timeout this repair runs for tens of seconds, almost all of
   // it in candidate unroll/encode/BMC verification after localization has

@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+
 using namespace bugassist;
 
 namespace {
@@ -160,13 +163,50 @@ TEST(Repair, RespectsCandidateLineRestriction) {
                     "}\n";
   auto P = compile(Src);
   RepairOptions Opts;
-  Opts.CandidateLines = {3}; // only allow touching line 3
+  Opts.CandidateLines.push_back(3); // only allow touching line 3
   BugAssistDriver Driver(*P, "main");
   RepairResult R = repairProgram(*P, Driver, "main", {{InputValue::scalar(0)}},
                                  Spec{}, nullptr, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.Suggestion.Line, 3u);
   EXPECT_NE(R.Suggestion.Description.find("3 -> 2"), std::string::npos);
+}
+
+TEST(Repair, SpecIsNeverEdited) {
+  // The repair twin of Mutate.SpecAndProtectedLinesAreNeverMutated. An
+  // expression inside an assert or assume condition is never a candidate
+  // site, even on a blamed line that it shares with code.
+  struct Case {
+    const char *Source;
+    uint32_t Line;     ///< the one suspect line
+    size_t Planned;    ///< candidates from the line's code alone
+  } Cases[] = {
+      // The assert's `<` -> `<=` would pass the failing input by
+      // weakening the property: nothing on the line is code to edit.
+      {"int main(int x) {\n"
+       "  assume(x >= 0 && x <= 5);\n"
+       "  int y = x; assert(y < 5);\n"
+       "  return y;\n"
+       "}\n",
+       3, 0},
+      // Only `x + 0` is a site: 0 -> 1, 0 -> -1 and '+' -> '-'.
+      {"int main(int x) {\n"
+       "  int y = x + 0; assume(y >= 0 && y <= 5);\n"
+       "  assert(y < 5);\n"
+       "  return y;\n"
+       "}\n",
+       2, 3},
+  };
+  for (const Case &C : Cases) {
+    auto P = compile(C.Source);
+    BugAssistDriver Driver(*P, "main");
+    RepairResult R = repairProgram(*P, Driver, "main",
+                                   {{InputValue::scalar(5)}}, Spec{});
+    EXPECT_EQ(R.SuspectLines, std::vector<uint32_t>{C.Line}) << C.Source;
+    EXPECT_EQ(R.Stats.CandidatesPlanned, C.Planned) << C.Source;
+    EXPECT_FALSE(R.Found) << C.Source << R.Suggestion.Description;
+    EXPECT_FALSE(R.Truncated) << C.Source;
+  }
 }
 
 TEST(Repair, MaxCandidatesBudget) {
@@ -449,7 +489,7 @@ TEST(RepairPrescreen, KeepsExactlyTheValidCorrectionLinesOnTcas) {
       bool Valid = isValidCorrection(TF, FT.Inputs[0], S, {L});
       Invalid += !Valid;
       RepairOptions RO;
-      RO.CandidateLines = {L};
+      RO.CandidateLines.push_back(L);
       RO.MaxCandidates = 0;
       RepairResult One = repairProgram(*Prep.Prog, *Prep.Driver, "main",
                                        {FT.Inputs[0]}, S, nullptr, RO);
@@ -465,4 +505,130 @@ TEST(RepairPrescreen, KeepsExactlyTheValidCorrectionLinesOnTcas) {
   EXPECT_GE(Versions, 30u);
   EXPECT_GT(LinesRuledOut, 0u);
   EXPECT_LT(LinesRuledOut, LinesChecked);
+}
+
+namespace {
+
+/// 64-bit FNV-1a: a stable digest for pinning rendered repair output.
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+/// One TCAS version's pinned repair: the `repair:` line of its output and
+/// the digest of the whole rendered text (input, suspect lines, prescreen
+/// and candidate counters, fix and fixed program). With a single failing
+/// test the screen accepts the first candidate that makes it pass, often
+/// an imposter away from the injected fault: these rows pin bytes, not fix
+/// quality.
+struct TcasRepairAnswer {
+  int Version;
+  const char *RepairLine;
+  uint64_t Digest;
+};
+
+const TcasRepairAnswer TcasRepairAnswers[] = {
+    {1, "repair: line 55: '&&' -> '||'", 0xa4b099b8c8f49614ULL},
+    {2, "no failing input", 0x0000000000000000ULL},
+    {3, "repair: line 61: constant 1 -> 0", 0xafa38fdc1ed9cbe1ULL},
+    {4, "repair: line 61: constant 1 -> 0", 0x9ffe4697f5524dffULL},
+    {5, "repair: line 61: constant 2 -> 1", 0x2c1755870c0906faULL},
+    {6, "repair: line 61: constant 1 -> 0", 0x63cb874ff7e71454ULL},
+    {7, "repair: line 55: '&&' -> '||'", 0x181e450ef076f9f0ULL},
+    {8, "repair: line 58: '&&' -> '||'", 0x81205741bbf61875ULL},
+    {9, "repair: line 61: constant 1 -> 0", 0x0203a796154f194dULL},
+    {10, "repair: line 61: constant 1 -> 0", 0x0f555c3d484d880cULL},
+    {11, "repair: line 61: constant 1 -> 0", 0xcaeb16ee389c9bbbULL},
+    {12, "repair: line 61: constant 1 -> 0", 0x05a5607af2b8eb53ULL},
+    {13, "repair: line 55: '&&' -> '||'", 0x4e1d202ee1515918ULL},
+    {14, "repair: line 58: '&&' -> '||'", 0x5ff8593f4898a576ULL},
+    {15, "repair: line 61: constant 1 -> 0", 0x081235262448bb6eULL},
+    {16, "repair: line 61: constant 1 -> 0", 0xd1951bc0d18e7e8cULL},
+    {17, "repair: line 65: constant 0 -> 1", 0x1da8e54526b2d31eULL},
+    {18, "repair: line 65: constant 0 -> 1", 0x5af5bea6cf5c6bf9ULL},
+    {19, "repair: line 58: '&&' -> '||'", 0x82eba0c9113a354eULL},
+    {20, "no failing input", 0x0000000000000000ULL},
+    {21, "repair: line 59: constant 0 -> 1", 0xe11cb443aefedd47ULL},
+    {22, "repair: line 65: constant 0 -> 1", 0x93372a6de34332d3ULL},
+    {23, "repair: line 58: '&&' -> '||'", 0x71defa4605ff05eaULL},
+    {24, "repair: line 61: constant 1 -> 0", 0x03e20be08879e5ceULL},
+    {25, "repair: line 61: constant 1 -> 0", 0xfeade849c5b3948fULL},
+    {26, "repair: line 65: constant 0 -> 1", 0xb6e3a3f43a2d6c1eULL},
+    {27, "repair: line 58: '&&' -> '||'", 0xa10b2a3e4266f59dULL},
+    {28, "repair: line 58: '&&' -> '||'", 0x1cdca9ffd2bdbf72ULL},
+    {29, "repair: line 58: '&&' -> '||'", 0xeb7083d0cdd76623ULL},
+    {30, "repair: line 63: constant 1 -> 2", 0x9dc15f42ea2446e4ULL},
+    {31, "repair: line 58: '&&' -> '||'", 0x51fc195f28316325ULL},
+    {32, "repair: line 65: constant 0 -> 1", 0x2c9770d0daad8586ULL},
+    {33, "no failing input", 0x0000000000000000ULL},
+    {34, "repair: line 65: constant 0 -> 1", 0x98c8e100991314a8ULL},
+    {35, "repair: line 59: constant 0 -> 1", 0xb02298a8f25e7318ULL},
+    {36, "repair: line 58: '&&' -> '||'", 0x4bf6ece21463ac9eULL},
+    {37, "repair: line 65: constant 0 -> 1", 0x6de655fc45cf5c19ULL},
+    {38, "no failing input", 0x0000000000000000ULL},
+    {39, "repair: line 58: '&&' -> '||'", 0xab7ba7e58cfc872dULL},
+    {40, "repair: line 61: constant 2 -> 1", 0x9ea82b742f8d1d26ULL},
+    {41, "repair: line 58: '&&' -> '||'", 0x189b4290e0a4b10dULL},
+};
+
+} // namespace
+
+TEST(RepairPooled, TcasAllVersionsKnownAnswers) {
+  // Every checked-in TCAS version, repaired through runRepairPipeline
+  // against the first failing input of a 400-test pool and its golden
+  // (bound the way TcasV1OperatorSwapKnownAnswer binds its tests). The
+  // bytes depend on the candidate plan's order and vocabulary, so any
+  // drift in how candidates are planned or applied shows here.
+  DiagEngine Diags;
+  auto Golden = parseAndAnalyze(tcasSource(), Diags);
+  ASSERT_TRUE(Golden != nullptr);
+  std::vector<InputVector> Pool = tcasTestPool(400);
+  std::vector<int64_t> GoldenOut =
+      goldenOutputs(*Golden, Pool, "main", tcasExecOptions());
+
+  std::map<int, const TcasRepairAnswer *> Want;
+  for (const TcasRepairAnswer &A : TcasRepairAnswers)
+    Want[A.Version] = &A;
+  std::string Got;
+  for (const TcasMutant &V : tcasMutants()) {
+    PreparedProgram Prep;
+    Prep.Prog = compile(V.Source);
+    FailingTests FT = segregateFailingTests(GoldenOut, *Prep.Prog, Pool,
+                                            "main", tcasExecOptions(), 1);
+    std::string Line = "no failing input";
+    uint64_t Digest = 0;
+    if (!FT.Inputs.empty()) {
+      Prep.Driver = std::make_unique<BugAssistDriver>(*Prep.Prog, "main",
+                                                      tcasUnrollOptions());
+      RepairRequest RR;
+      RR.Unroll = tcasUnrollOptions();
+      RR.CheckObligations = false;
+      RR.Inputs = FT.Inputs;
+      RR.Goldens = FT.Goldens;
+      RR.Repair.MaxCandidates = 128;
+      std::string Text =
+          renderRepairOutput(runRepairPipeline(Prep, RR), /*Json=*/false);
+      size_t At = Text.find("repair: ");
+      ASSERT_NE(At, std::string::npos) << "v" << V.Version << "\n" << Text;
+      Line = Text.substr(At, Text.find('\n', At) - At);
+      Digest = fnv1a(Text);
+    }
+    char Row[160];
+    std::snprintf(Row, sizeof(Row), "    {%d, \"%s\", 0x%016llxULL},\n",
+                  V.Version, Line.c_str(),
+                  static_cast<unsigned long long>(Digest));
+    Got += Row;
+    auto It = Want.find(V.Version);
+    if (It == Want.end()) {
+      ADD_FAILURE() << "v" << V.Version << " unpinned: " << Row;
+      continue;
+    }
+    EXPECT_EQ(Line, It->second->RepairLine) << "v" << V.Version;
+    EXPECT_EQ(Digest, It->second->Digest) << "v" << V.Version << ": " << Row;
+  }
+  EXPECT_EQ(Want.size(), tcasMutants().size()) << "rows now:\n" << Got;
 }
