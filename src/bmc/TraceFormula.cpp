@@ -104,43 +104,6 @@ MaxSatInstance TraceFormula::localizationInstance(const InputVector &Test,
   return Inst;
 }
 
-std::optional<TraceFormula::EvalOutcome>
-TraceFormula::evaluateTest(const InputVector &Test,
-                           uint64_t ConflictBudget) const {
-  Solver Solve;
-  bool Ok = Solve.addFormula(EP.Formula);
-  for (const ClauseGroup &G : EP.Formula.groups())
-    Ok = Ok && Solve.addClause({mkLit(G.Selector)});
-  if (Ok)
-    for (Clause &C : bindInput(Test))
-      Ok = Ok && Solve.addClause(std::move(C));
-
-  EvalOutcome Out;
-  if (!Ok)
-    return Out; // infeasible: an assumption rejected the test
-
-  if (ConflictBudget)
-    Solve.setConflictBudget(ConflictBudget);
-  LBool R = Solve.solve();
-  if (R == LBool::Undef)
-    return std::nullopt;
-  if (R == LBool::False)
-    return Out;
-
-  Out.Feasible = true;
-  Out.ObligationsHold = Solve.modelValue(EP.SpecLit) == LBool::True;
-  if (!EP.RetWord.empty()) {
-    int64_t V = 0;
-    for (size_t B = 0; B < EP.RetWord.size(); ++B)
-      if (Solve.modelValue(EP.RetWord[B]) == LBool::True)
-        V |= (1ll << B);
-    if (EP.RetWord.size() > 1 && (V & (1ll << (EP.RetWord.size() - 1))))
-      V |= ~((1ll << EP.RetWord.size()) - 1);
-    Out.RetValue = V;
-  }
-  return Out;
-}
-
 std::optional<InputVector>
 TraceFormula::findCounterexample(const Spec &S, bool &Decided,
                                  uint64_t ConflictBudget,

@@ -82,22 +82,6 @@ public:
   /// \returns the source line of clause group \p G.
   uint32_t lineOfGroup(GroupId G) const { return EP.Formula.group(G).Line; }
 
-  /// Result of executing one concrete test *through the CNF encoding*.
-  struct EvalOutcome {
-    /// False when an assume/unwinding assumption rejects the input.
-    bool Feasible = false;
-    /// Truth of the obligation conjunction (asserts + bounds checks).
-    bool ObligationsHold = false;
-    int64_t RetValue = 0;
-  };
-
-  /// Runs \p Test through the encoded program with every statement enabled
-  /// -- the SAT-side twin of Interpreter::run, used by differential tests
-  /// and by repair validation. \returns std::nullopt only when a conflict
-  /// budget is exhausted.
-  std::optional<EvalOutcome> evaluateTest(const InputVector &Test,
-                                          uint64_t ConflictBudget = 0) const;
-
 private:
   /// Hard unit clauses pinning the input words to \p Test ("[[test]]").
   std::vector<Clause> bindInput(const InputVector &Test) const;

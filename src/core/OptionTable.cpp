@@ -6,6 +6,8 @@
 
 #include "core/OptionTable.h"
 
+#include "programs/Tcas.h"
+#include "programs/TcasMutants.h"
 #include "serve/Json.h"
 
 #include <cerrno>
@@ -67,6 +69,28 @@ OptionRow repeated(OptionRow Row) {
 // header wherever the set changes. Fuzz keeps its own copies of a few
 // localize/repair knobs (FuzzOptions), so those setters pick by command.
 const std::vector<OptionRow> Table = {
+    // Serve's program sources, counted so a request gives exactly one.
+    // The CLI's source is its positional file, so they have no flag.
+    row(nullptr, "source", OptionKind::Text, InLocalize | InRepair, nullptr,
+        "inline mini-C program",
+        SET(O.Source = X.Text; ++O.SourceKeys)),
+    row(nullptr, "file", OptionKind::Text, Solving, nullptr,
+        "path of the program or formula, read by the server",
+        SET(O.SourceFile = X.Text; ++O.SourceKeys)),
+    intRow(nullptr, "tcas", InLocalize | InRepair, 0,
+           static_cast<int64_t>(tcasMutants().size()),
+           "checked-in TCAS version (0: correct, 1..41: mutants)",
+           SET(O.Source = X.Int == 0
+                              ? tcasSource()
+                              : tcasMutants()[static_cast<size_t>(X.Int - 1)]
+                                    .Source;
+               ++O.SourceKeys)),
+    row(nullptr, "wcnf", OptionKind::Text, InMaxSat, nullptr,
+        "inline DIMACS/WCNF formula",
+        SET(O.Source = X.Text; ++O.SourceKeys)),
+    row(nullptr, "cnf", OptionKind::Text, InSat, nullptr,
+        "inline DIMACS formula", SET(O.Source = X.Text; ++O.SourceKeys)),
+
     switchRow("--no-preprocess", nullptr, Solving,
               "disable clause-database simplification",
               SET(O.Query.Localize.Preprocess = X.Bool)),
@@ -322,20 +346,6 @@ bool bugassist::parseServedCommand(std::string_view Name, Command &Out) {
   return false;
 }
 
-PipelineRequest CommandOptions::localizeRequest() const {
-  PipelineRequest R;
-  R.Entry = Query.Entry;
-  R.Unroll = Query.Unroll;
-  R.Encode = Query.Encode;
-  R.CheckObligations = Query.CheckObligations;
-  R.Localize = Query.Localize;
-  if (!Query.Inputs.empty())
-    R.Input = Query.Inputs.back();
-  if (!Query.Goldens.empty())
-    R.GoldenReturn = Query.Goldens.back();
-  return R;
-}
-
 const std::vector<OptionRow> &bugassist::optionTable() { return Table; }
 
 const OptionRow *bugassist::findFlag(Command C, std::string_view Flag) {
@@ -393,6 +403,31 @@ bool bugassist::parseCommandLine(int Argc, char *const *Argv,
       }
     }
     Row->Set(O, X);
+  }
+  return checkOptions(O, Error);
+}
+
+bool bugassist::checkOptions(const CommandOptions &O, std::string &Error) {
+  const RepairRequest &Q = O.Query;
+  if (O.Cmd == Command::Localize &&
+      (Q.Inputs.size() > 1 || Q.Goldens.size() > 1)) {
+    Error = "localize takes one failing input: give --input and --golden "
+            "at most once";
+    return false;
+  }
+  if (O.Cmd != Command::Repair)
+    return true;
+  if (Q.Inputs.empty()) {
+    Error = "repair requires at least one failing input (--input; serve: a "
+            "non-empty 'inputs' array)";
+    return false;
+  }
+  if (!Q.Goldens.empty() && Q.Goldens.size() != Q.Inputs.size()) {
+    Error = "repair takes one golden per input: " +
+            std::to_string(Q.Goldens.size()) + " --golden values ('goldens') "
+            "for " + std::to_string(Q.Inputs.size()) +
+            " --input values ('inputs')";
+    return false;
   }
   return true;
 }
@@ -452,6 +487,8 @@ std::string bugassist::renderUsage(const char *Argv0) {
   Out += "\noptions, under the commands that take them:\n";
   unsigned Group = 0;
   for (const OptionRow &Row : Table) {
+    if (!Row.Flag)
+      continue;
     if (Row.Commands != Group) {
       Group = Row.Commands;
       const char *Sep = "";

@@ -11,6 +11,8 @@
 /// on. The CLI's argv loop, serve's request decoder and `--help` are all
 /// driven by this table, so the two surfaces accept and reject exactly the
 /// same values (docs/CLI.md and docs/SERVE.md document the same rows).
+/// Serve's program sources (`source`, `file`, `tcas`, `wcnf`, `cnf`) are
+/// rows too, without a flag: the CLI names its source positionally.
 ///
 /// The paper's own knobs are few -- the unwinding bound eta, the word
 /// width, and the trusted harness lines pinned into [[test]] -- the rest
@@ -52,10 +54,18 @@ struct CommandOptions {
   explicit CommandOptions(Command Cmd) : Cmd(Cmd) {}
 
   Command Cmd;
+  /// The program (localize, repair: mini-C) or formula (maxsat: WCNF, sat:
+  /// CNF) the command runs on. The CLI reads it from its positional file;
+  /// serve takes it from `source`, `tcas`, `wcnf` or `cnf`, or reads it
+  /// from SourceFile (`file`) once the request is decoded.
+  std::string Source;
+  std::string SourceFile;
+  /// How many program-source keys a request gave; exactly one is valid.
+  unsigned SourceKeys = 0;
   /// localize, repair, fuzz: the program's entry, encoding and tests, and
-  /// the localize and repair knobs. localize takes its input and golden
-  /// from the back of Inputs/Goldens (localizeRequest). The solver knobs
-  /// in Query.Localize (Preprocess, Budget) also drive maxsat and sat.
+  /// the localize and repair knobs. localize takes at most one input and
+  /// one golden (checkOptions). The solver knobs in Query.Localize
+  /// (Preprocess, Budget) also drive maxsat and sat.
   RepairRequest Query;
   FuzzOptions Fuzz;
   size_t FuzzPool = 0; ///< 0 = the subject's default pool size
@@ -67,9 +77,6 @@ struct CommandOptions {
   bool Json = false;
   bool Stats = false;
   bool Model = true;
-
-  /// The localize pipeline request the options describe.
-  PipelineRequest localizeRequest() const;
 };
 
 enum class OptionKind : uint8_t {
@@ -92,7 +99,7 @@ struct OptionValue {
 };
 
 struct OptionRow {
-  const char *Flag; ///< CLI spelling
+  const char *Flag; ///< CLI spelling, or nullptr for a program source
   const char *Key;  ///< serve request key, or nullptr when CLI-only
   OptionKind Kind;
   unsigned Commands; ///< bit I set: takes the command with value I
@@ -120,10 +127,18 @@ bool parseBoundedInt(std::string_view Text, int64_t Min, int64_t Max,
                      int64_t &Out);
 
 /// Parses the options of O.Cmd in argv (everything after the command's
-/// positional argument) into \p O. \returns false with \p Error set --
-/// e.g. `bad --unwind value 'x'` -- at the first unknown flag or bad value.
+/// positional argument) into \p O, then runs checkOptions. \returns false
+/// with \p Error set -- e.g. `bad --unwind value 'x'` -- at the first
+/// unknown flag or bad value.
 bool parseCommandLine(int Argc, char *const *Argv, CommandOptions &O,
                       std::string &Error);
+
+/// The checks of a decoded command that no single row can make: localize
+/// takes one --input and one --golden; repair takes at least one input and,
+/// when goldens are given, one per input. Both surfaces run it before any
+/// file is read or any program is resolved. \returns false with \p Error
+/// set when \p O is rejected.
+bool checkOptions(const CommandOptions &O, std::string &Error);
 
 /// Applies one member of a serve request of O.Cmd to \p O. \returns false
 /// with \p Error set -- e.g. `field 'unwind' must be an integer in [1,

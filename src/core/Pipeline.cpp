@@ -8,6 +8,7 @@
 
 #include "interp/Interpreter.h"
 #include "lang/AstPrinter.h"
+#include "serve/Json.h"
 
 #include <algorithm>
 #include <charconv>
@@ -246,36 +247,15 @@ std::vector<int64_t> bugassist::goldenOutputs(
   return Out;
 }
 
-FailingTests bugassist::segregateFailingTests(
-    const Program &Golden, const Program &Faulty,
-    const std::vector<InputVector> &Pool, const std::string &Entry,
-    const ExecOptions &EO, size_t MaxTests, size_t MaxPassing) {
-  FailingTests Out;
-  Out.PoolSize = Pool.size();
-  Interpreter GI(Golden, EO);
-  Interpreter FI(Faulty, EO);
-  for (const InputVector &In : Pool) {
-    if (Out.Inputs.size() >= MaxTests &&
-        Out.PassingInputs.size() >= MaxPassing)
-      break;
-    int64_t Want = GI.run(Entry, In).ReturnValue;
-    if (FI.run(Entry, In).ReturnValue != Want) {
-      if (Out.Inputs.size() < MaxTests) {
-        Out.Inputs.push_back(In);
-        Out.Goldens.push_back(Want);
-      }
-    } else if (Out.PassingInputs.size() < MaxPassing) {
-      Out.PassingInputs.push_back(In);
-      Out.PassingGoldens.push_back(Want);
-    }
-  }
-  return Out;
-}
+namespace {
 
-FailingTests bugassist::segregateFailingTests(
-    const std::vector<int64_t> &GoldenOut, const Program &Faulty,
-    const std::vector<InputVector> &Pool, const std::string &Entry,
-    const ExecOptions &EO, size_t MaxTests, size_t MaxPassing) {
+/// The one screening loop: \p GoldenOf(I) is the expected return of
+/// Pool[I], asked for only until both quotas are full.
+template <typename GoldenFn>
+FailingTests segregate(GoldenFn GoldenOf, const Program &Faulty,
+                       const std::vector<InputVector> &Pool,
+                       const std::string &Entry, const ExecOptions &EO,
+                       size_t MaxTests, size_t MaxPassing) {
   FailingTests Out;
   Out.PoolSize = Pool.size();
   Interpreter FI(Faulty, EO);
@@ -283,17 +263,38 @@ FailingTests bugassist::segregateFailingTests(
     if (Out.Inputs.size() >= MaxTests &&
         Out.PassingInputs.size() >= MaxPassing)
       break;
-    if (FI.run(Entry, Pool[I]).ReturnValue != GoldenOut[I]) {
+    int64_t Want = GoldenOf(I);
+    if (FI.run(Entry, Pool[I]).ReturnValue != Want) {
       if (Out.Inputs.size() < MaxTests) {
         Out.Inputs.push_back(Pool[I]);
-        Out.Goldens.push_back(GoldenOut[I]);
+        Out.Goldens.push_back(Want);
       }
     } else if (Out.PassingInputs.size() < MaxPassing) {
       Out.PassingInputs.push_back(Pool[I]);
-      Out.PassingGoldens.push_back(GoldenOut[I]);
+      Out.PassingGoldens.push_back(Want);
     }
   }
   return Out;
+}
+
+} // namespace
+
+FailingTests bugassist::segregateFailingTests(
+    const Program &Golden, const Program &Faulty,
+    const std::vector<InputVector> &Pool, const std::string &Entry,
+    const ExecOptions &EO, size_t MaxTests, size_t MaxPassing) {
+  Interpreter GI(Golden, EO);
+  return segregate(
+      [&](size_t I) { return GI.run(Entry, Pool[I]).ReturnValue; }, Faulty,
+      Pool, Entry, EO, MaxTests, MaxPassing);
+}
+
+FailingTests bugassist::segregateFailingTests(
+    const std::vector<int64_t> &GoldenOut, const Program &Faulty,
+    const std::vector<InputVector> &Pool, const std::string &Entry,
+    const ExecOptions &EO, size_t MaxTests, size_t MaxPassing) {
+  return segregate([&](size_t I) { return GoldenOut[I]; }, Faulty, Pool,
+                   Entry, EO, MaxTests, MaxPassing);
 }
 
 std::string bugassist::renderInputVector(const InputVector &In) {
@@ -509,10 +510,10 @@ std::string bugassist::renderLocalizationJson(const LocalizationReport &R) {
   return Out;
 }
 
-std::string bugassist::renderSearchStats(const LocalizationReport &R) {
-  const SolverStats &S = R.Search;
+std::string bugassist::renderSearchStats(uint64_t SatCalls,
+                                         const SolverStats &S) {
   std::string Out;
-  Out += "sat calls:    " + std::to_string(R.SatCalls) + "\n";
+  Out += "sat calls:    " + std::to_string(SatCalls) + "\n";
   Out += "conflicts:    " + std::to_string(S.Conflicts) + "\n";
   Out += "decisions:    " + std::to_string(S.Decisions) + "\n";
   Out += "propagations: " + std::to_string(S.Propagations) + "\n";
@@ -566,6 +567,20 @@ std::string bugassist::renderLocalizeOutput(const PipelineResult &Res,
   return Out;
 }
 
+PipelineRequest bugassist::firstTestRequest(const RepairRequest &R) {
+  PipelineRequest L;
+  L.Entry = R.Entry;
+  L.Unroll = R.Unroll;
+  L.Encode = R.Encode;
+  if (!R.Inputs.empty())
+    L.Input = R.Inputs[0];
+  if (!R.Goldens.empty())
+    L.GoldenReturn = R.Goldens[0];
+  L.CheckObligations = R.CheckObligations;
+  L.Localize = R.Localize;
+  return L;
+}
+
 RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
                                                   const RepairRequest &R,
                                                   MaxSatSession *Session) {
@@ -587,15 +602,7 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
 
   // One deadline for the whole request: judging, localization, the
   // prescreen and every candidate's verification answer to it.
-  PipelineRequest L;
-  L.Entry = R.Entry;
-  L.Unroll = R.Unroll;
-  L.Encode = R.Encode;
-  L.Input = R.Inputs[0];
-  if (!R.Goldens.empty())
-    L.GoldenReturn = R.Goldens[0];
-  L.CheckObligations = R.CheckObligations;
-  L.Localize = R.Localize;
+  PipelineRequest L = firstTestRequest(R);
   L.Localize.Budget.startClock();
 
   // Judge Inputs[0] concretely (InputNotFailing when it meets the spec).
@@ -625,36 +632,6 @@ RepairPipelineResult bugassist::runRepairPipeline(const PreparedProgram &P,
     Out.Code = ErrorCode::Ok;
   return Out;
 }
-
-namespace {
-
-/// Minimal JSON string escaping for the repair renderer (descriptions and
-/// pretty-printed programs: quotes, backslashes, newlines, tabs).
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-      break;
-    }
-  }
-  Out += '"';
-}
-
-} // namespace
 
 std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
                                           bool Json) {
@@ -700,9 +677,7 @@ std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
   Out += ",\n";
   if (R.Found) {
     Out += "  \"line\": " + std::to_string(R.Suggestion.Line) + ",\n";
-    Out += "  \"fix\": ";
-    appendJsonString(Out, R.Suggestion.Description);
-    Out += ",\n";
+    Out += "  \"fix\": \"" + jsonEscape(R.Suggestion.Description) + "\",\n";
   }
   Out += "  \"suspect_lines\": [";
   for (size_t I = 0; I < R.SuspectLines.size(); ++I)
@@ -723,8 +698,8 @@ std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
          ", \"bmc_rejected\": " + std::to_string(St.BmcRejected) +
          ", \"formula_builds\": " + std::to_string(St.FormulaBuilds) + "}";
   if (R.Found) {
-    Out += ",\n  \"fixed_program\": ";
-    appendJsonString(Out, printProgram(*R.Suggestion.FixedProgram));
+    Out += ",\n  \"fixed_program\": \"" +
+           jsonEscape(printProgram(*R.Suggestion.FixedProgram)) + "\"";
   }
   Out += "\n}\n";
   return Out;

@@ -149,6 +149,10 @@ struct RepairRequest {
   RepairOptions Repair;
 };
 
+/// The localize request of \p R's first test: Inputs[0] and Goldens[0]
+/// when given (no input: BMC finds a failing one).
+PipelineRequest firstTestRequest(const RepairRequest &R);
+
 struct RepairPipelineResult {
   PipelineStatus Status = PipelineStatus::CompileError;
   /// Ok when the repair search decided (found a fix or exhausted the
@@ -251,11 +255,12 @@ std::string renderLocalizationReport(const LocalizationReport &R);
 /// Canonical JSON form of the same data.
 std::string renderLocalizationJson(const LocalizationReport &R);
 
-/// Solver statistics block (conflicts, propagations, simplification...).
-/// Depends on search history (a cloned session searches differently from
-/// a fresh one); kept out of the canonical report so that byte-for-byte
-/// comparisons stay meaningful.
-std::string renderSearchStats(const LocalizationReport &R);
+/// Solver statistics block of a localization (\p SatCalls and \p S of its
+/// report: conflicts, propagations, simplification...). Depends on search
+/// history (a cloned session searches differently from a fresh one); kept
+/// out of the canonical report so that byte-for-byte comparisons stay
+/// meaningful.
+std::string renderSearchStats(uint64_t SatCalls, const SolverStats &S);
 
 /// The canonical stdout of a localize run: exactly what `bugassist
 /// localize` prints for \p Res (the CLI and serve mode both emit this

@@ -19,12 +19,7 @@
 
 #include "serve/LocalizeServer.h"
 
-#include "cnf/DimacsReader.h"
-#include "core/OptionTable.h"
-#include "core/Pipeline.h"
-#include "maxsat/Answer.h"
-#include "programs/Tcas.h"
-#include "programs/TcasMutants.h"
+#include "core/Command.h"
 #include "serve/FormulaCache.h"
 #include "serve/Json.h"
 #include "serve/OrderedEmitter.h"
@@ -72,33 +67,37 @@ uint64_t elapsedMs(Clock::time_point Start) {
 /// the reader answers them directly.
 struct Request {
   std::string Id;
-  /// The decoded fields of every option the request's `cmd` takes
-  /// (core/OptionTable.h); Opts.Cmd is the command.
+  /// The decoded fields of every option the request's `cmd` takes, its
+  /// program or formula text included (core/OptionTable.h); Opts.Cmd is
+  /// the command.
   CommandOptions Opts{Command::Localize};
-  /// The program: mini-C text (localize / repair) or DIMACS (maxsat / sat).
-  std::string Source;
+  /// The header's `cmd`: "unknown" until a valid one parsed.
+  const char *Cmd = "unknown";
 
   /// Set by the first attempt to record this request's outcome in the
   /// summary counters; retries of a crashed worker re-compute the
   /// response (emission is idempotent) but must not re-count it.
   mutable std::atomic<bool> Tallied{false};
-
-  const char *cmd() const { return commandName(Opts.Cmd); }
-  const QueryBudget &budget() const { return Opts.Query.Localize.Budget; }
 };
 
-/// Decodes one request object. \p Req.Id is always usable afterwards (the
-/// explicit id when one parsed, else the 1-based request number), so even
-/// rejected requests get an addressable error response. \p Code
+/// Decodes one request object through the option table, then reads its
+/// `file`, if any. An explicit id replaces \p Req.Id as soon as it parses,
+/// so even rejected requests get an addressable error response. \p Code
 /// classifies the rejection (BadRequest unless a finer code applies).
-bool parseRequest(const JsonValue &Root, size_t Index, Request &Req,
-                  std::string &Error, ErrorCode &Code) {
+bool parseRequest(const JsonValue &Root, Request &Req, std::string &Error,
+                  ErrorCode &Code) {
   Code = ErrorCode::BadRequest;
-  Req.Id = std::to_string(Index + 1);
   if (!Root.isObject()) {
     Error = "request must be a JSON object";
     return false;
   }
+  // The header names a valid cmd whatever else the request gets wrong.
+  const JsonValue *CmdV = Root.find("cmd");
+  Command C = Command::Localize;
+  bool Served =
+      CmdV && CmdV->isString() && parseServedCommand(CmdV->Text, C);
+  if (Served)
+    Req.Cmd = commandName(C);
   if (const JsonValue *Id = Root.find("id")) {
     if (!Id->isString()) {
       Error = "field 'id' must be a string";
@@ -106,124 +105,43 @@ bool parseRequest(const JsonValue &Root, size_t Index, Request &Req,
     }
     Req.Id = Id->Text;
   }
-  const JsonValue *CmdV = Root.find("cmd");
-  if (!CmdV || !CmdV->isString()) {
-    Error = CmdV ? "field 'cmd' must be a string"
-                 : "missing required field 'cmd'";
+  if (!Served) {
+    Error = !CmdV                ? "missing required field 'cmd'"
+            : !CmdV->isString() ? "field 'cmd' must be a string"
+                                : "field 'cmd' must be \"localize\", "
+                                  "\"repair\", \"maxsat\", or \"sat\"";
     return false;
   }
-  Command C;
-  if (!parseServedCommand(CmdV->Text, C)) {
-    Error = "field 'cmd' must be \"localize\", \"repair\", \"maxsat\", or "
-            "\"sat\"";
-    return false;
-  }
-  Req.Opts.Cmd = C;
-  // Program-shaped commands take mini-C; maxsat/sat take DIMACS.
-  const bool Prog = C == Command::Localize || C == Command::Repair;
-  const char *Inline = Prog ? "source" : C == Command::MaxSat ? "wcnf" : "cnf";
+  CommandOptions &O = Req.Opts;
+  O.Cmd = C;
+  for (const auto &[Key, Val] : Root.Members)
+    if (Key != "id" && Key != "cmd" && !applyRequestField(Key, Val, O, Error))
+      return false;
 
-  int ProgramSources = 0; // source/tcas/file, or wcnf/cnf/file
-  for (const auto &[Key, Val] : Root.Members) {
-    if (Key == "id" || Key == "cmd")
-      continue; // handled above
-    if (Key == Inline || Key == "file") {
-      if (!Val.isString()) {
-        Error = "field '" + Key + "' must be a string";
-        return false;
-      }
-      Req.Source = Val.Text;
-      if (Key == "file") {
-        auto Text = readFileToString(Val.Text);
-        if (!Text) {
-          Error = "cannot read file '" + Val.Text + "'";
-          Code = ErrorCode::FileUnreadable;
-          return false;
-        }
-        Req.Source = std::move(*Text);
-      }
-      ++ProgramSources;
-    } else if (Prog && Key == "tcas") {
-      int64_t N = 0, Last = static_cast<int64_t>(tcasMutants().size());
-      if (!Val.isNumber() || !parseBoundedInt(Val.Text, 0, Last, N)) {
-        Error = "field 'tcas' must be an integer in [0, " +
-                std::to_string(Last) + "]";
-        return false;
-      }
-      Req.Source = N == 0 ? tcasSource()
-                          : tcasMutants()[static_cast<size_t>(N - 1)].Source;
-      ++ProgramSources;
-    } else if (!applyRequestField(Key, Val, Req.Opts, Error)) {
-      return false;
-    }
-  }
-
-  const char *Wanted = Prog ? "'source', 'file', or 'tcas'"
-                            : C == Command::MaxSat ? "'wcnf' or 'file'"
-                                                   : "'cnf' or 'file'";
-  if (ProgramSources == 0) {
-    Error = std::string("missing program: give exactly one of ") + Wanted;
+  if (O.SourceKeys != 1) {
+    Error = std::string(O.SourceKeys ? "conflicting program fields"
+                                     : "missing program") +
+            ": give exactly one of " +
+            (C == Command::MaxSat ? "'wcnf' or 'file'"
+             : C == Command::Sat  ? "'cnf' or 'file'"
+                                  : "'source', 'file', or 'tcas'");
     return false;
   }
-  if (ProgramSources > 1) {
-    Error = std::string("conflicting program fields: give exactly one of ") +
-            Wanted;
+  if (!checkOptions(O, Error))
     return false;
-  }
-  if (C == Command::Repair) {
-    const RepairRequest &R = Req.Opts.Query;
-    if (R.Inputs.empty()) {
-      Error = "repair requires a non-empty 'inputs' array";
+  if (!O.SourceFile.empty()) {
+    auto Text = readFileToString(O.SourceFile);
+    if (!Text) {
+      Error = "cannot read file '" + O.SourceFile + "'";
+      Code = ErrorCode::FileUnreadable;
       return false;
     }
-    if (!R.Goldens.empty() && R.Goldens.size() != R.Inputs.size()) {
-      Error = "'goldens' must match 'inputs' in length";
-      return false;
-    }
+    O.Source = std::move(*Text);
   }
   return true;
 }
 
 // --- responses ---------------------------------------------------------------
-
-/// Everything the stats trailer line carries.
-struct ResponseStats {
-  uint64_t ElapsedMs = 0;
-  uint64_t SatCalls = 0;
-  SolverStats Search;
-};
-
-/// One fully framed response: header line, body bytes, stats trailer line.
-std::string frameResponse(const std::string &Id, const char *CmdStr,
-                          const char *Status, int Exit, ErrorCode Code,
-                          const char *Cache, const std::string &ErrorMsg,
-                          const std::string &Body,
-                          const ResponseStats &St) {
-  std::string Out = "{\"id\":\"" + jsonEscape(Id) + "\",\"cmd\":\"" + CmdStr +
-                    "\",\"status\":\"" + Status +
-                    "\",\"exit\":" + std::to_string(Exit) +
-                    ",\"code\":\"" + errorCodeName(Code) + "\"";
-  if (Cache)
-    Out += std::string(",\"cache\":\"") + Cache + "\"";
-  if (!ErrorMsg.empty())
-    Out += ",\"error\":\"" + jsonEscape(ErrorMsg) + "\"";
-  Out += ",\"bytes\":" + std::to_string(Body.size()) + "}\n";
-  Out += Body;
-  Out += "{\"id\":\"" + jsonEscape(Id) +
-         "\",\"elapsed_ms\":" + std::to_string(St.ElapsedMs) +
-         ",\"sat_calls\":" + std::to_string(St.SatCalls) +
-         ",\"conflicts\":" + std::to_string(St.Search.Conflicts) +
-         ",\"decisions\":" + std::to_string(St.Search.Decisions) +
-         ",\"propagations\":" + std::to_string(St.Search.Propagations) +
-         ",\"restarts\":" + std::to_string(St.Search.Restarts) +
-         ",\"vars_eliminated\":" + std::to_string(St.Search.VarsEliminated) +
-         ",\"clauses_subsumed\":" + std::to_string(St.Search.ClausesSubsumed) +
-         ",\"lits_self_subsumed\":" +
-         std::to_string(St.Search.LitsSelfSubsumed) +
-         ",\"reconstruction_bytes\":" +
-         std::to_string(St.Search.ReconstructBytes) + "}\n";
-  return Out;
-}
 
 /// A computed response plus its summary classification. The class is
 /// applied to the counters exactly once per request (Request::Tallied),
@@ -234,14 +152,49 @@ struct Outcome {
                       Cancelled = 'c' } Kind = Error;
 };
 
-Outcome respondError(const Request &Req, ErrorCode Code,
-                     const std::string &Message, const char *Cache = nullptr,
-                     uint64_t ElapsedMs = 0) {
-  ResponseStats St;
-  St.ElapsedMs = ElapsedMs;
-  return {frameResponse(Req.Id, Req.cmd(), "error",
-                        /*Exit=*/1, Code, Cache, Message, "", St),
-          Outcome::Error};
+/// The framed response to \p R -- header line, body bytes, stats trailer
+/// line: `ok` (exit 0), `incomplete` (exit 2) on a budget stop,
+/// `cancelled` (exit 2) when drained, else `error` (exit 1).
+Outcome respond(const Request &Req, const CommandResult &R,
+                const char *Cache = nullptr, uint64_t ElapsedMs = 0) {
+  struct {
+    Outcome::Class Kind;
+    const char *Status;
+    int Exit;
+  } C = {Outcome::Error, "error", 1};
+  if (R.Code == ErrorCode::Ok)
+    C = {Outcome::Ok, "ok", 0};
+  else if (R.Code == ErrorCode::BudgetExhausted)
+    C = {Outcome::Incomplete, "incomplete", 2};
+  else if (R.Code == ErrorCode::Cancelled)
+    C = {Outcome::Cancelled, "cancelled", 2};
+  Outcome O;
+  O.Kind = C.Kind;
+  std::string &Out = O.Frame;
+  Out = "{\"id\":\"" + jsonEscape(Req.Id) + "\",\"cmd\":\"" + Req.Cmd +
+        "\",\"status\":\"" + C.Status +
+        "\",\"exit\":" + std::to_string(C.Exit) + ",\"code\":\"" +
+        errorCodeName(R.Code) + "\"";
+  if (Cache)
+    Out += std::string(",\"cache\":\"") + Cache + "\"";
+  if (!R.Error.empty())
+    Out += ",\"error\":\"" + jsonEscape(R.Error) + "\"";
+  Out += ",\"bytes\":" + std::to_string(R.Body.size()) + "}\n";
+  Out += R.Body;
+  const SolverStats &S = R.Search;
+  Out += "{\"id\":\"" + jsonEscape(Req.Id) +
+         "\",\"elapsed_ms\":" + std::to_string(ElapsedMs) +
+         ",\"sat_calls\":" + std::to_string(R.SatCalls) +
+         ",\"conflicts\":" + std::to_string(S.Conflicts) +
+         ",\"decisions\":" + std::to_string(S.Decisions) +
+         ",\"propagations\":" + std::to_string(S.Propagations) +
+         ",\"restarts\":" + std::to_string(S.Restarts) +
+         ",\"vars_eliminated\":" + std::to_string(S.VarsEliminated) +
+         ",\"clauses_subsumed\":" + std::to_string(S.ClausesSubsumed) +
+         ",\"lits_self_subsumed\":" + std::to_string(S.LitsSelfSubsumed) +
+         ",\"reconstruction_bytes\":" + std::to_string(S.ReconstructBytes) +
+         "}\n";
+  return O;
 }
 
 // --- in-flight registry ------------------------------------------------------
@@ -256,6 +209,7 @@ public:
       : Solvers(Workers, nullptr), Deadline(Workers), HasDeadline(Workers, 0) {
   }
 
+  /// Registers \p S as worker \p W's solver; nullptr clears the slot.
   void set(size_t W, Solver *S, double WatchdogSeconds) {
     std::lock_guard<std::mutex> Lock(Mu);
     Solvers[W] = S;
@@ -264,11 +218,6 @@ public:
       Deadline[W] = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                        std::chrono::duration<double>(
                                            WatchdogSeconds));
-  }
-
-  void clear(size_t W) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Solvers[W] = nullptr;
   }
 
   /// Drain: interrupt every in-flight solve.
@@ -300,237 +249,50 @@ private:
   std::vector<char> HasDeadline;
 };
 
-/// RAII registration of one request's solver in the flight table.
-struct FlightGuard {
-  FlightGuard(FlightTable &Table, size_t W, Solver *S, double WatchdogSeconds)
-      : Table(Table), W(W) {
-    Table.set(W, S, WatchdogSeconds);
-  }
-  ~FlightGuard() { Table.clear(W); }
-  FlightTable &Table;
-  size_t W;
-};
-
-/// What a worker needs besides the request itself.
-struct WorkerCtx {
-  size_t Worker = 0;
-  FlightTable *Flights = nullptr;
-  double WatchdogSeconds = 0;
-  /// Final retry of a crash-looping request: clamp the conflict budget so
-  /// the attempt ends in `incomplete` rather than another crash-and-burn
-  /// cycle. Budgets never change *what* is computed, only how far, so a
-  /// degraded attempt that completes is still byte-identical.
-  bool Degraded = false;
-
-  uint64_t degradedConflicts(uint64_t Requested) const {
-    if (!Degraded)
-      return Requested;
-    return Requested ? std::min(Requested, DegradedMaxConflicts)
-                     : DegradedMaxConflicts;
-  }
-};
-
-// --- per-command processing --------------------------------------------------
-
-/// The error frame for a cache entry that holds no prepared program.
-Outcome respondUnprepared(const Request &Req, const CachedProgram &CP,
-                          const char *Cache, uint64_t ElapsedMs) {
-  if (CP.errorCode() == ErrorCode::BadRequest)
-    return respondError(Req, ErrorCode::BadRequest, CP.error(), Cache,
-                        ElapsedMs);
-  return respondError(Req, ErrorCode::CompileError,
-                      "program does not compile: " + CP.error(), Cache,
-                      ElapsedMs);
-}
-
-Outcome processLocalize(const Request &Req, FormulaCache &Cache,
-                        const WorkerCtx &Ctx) {
-  auto Start = Clock::now();
-  PipelineRequest R = Req.Opts.localizeRequest();
-  R.Localize.Budget.startClock(); // `timeout` counts from the request start
-  bool Hit = false;
-  const RepairRequest &Q = Req.Opts.Query;
-  const CachedProgram &CP =
-      Cache.lookup(Req.Source, Q.Entry, Q.Unroll, Q.Encode, &Hit);
-  const char *CacheStr = Hit ? "hit" : "miss";
-  if (!CP.prepared())
-    return respondUnprepared(Req, CP, CacheStr, elapsedMs(Start));
-
-  R.Localize.Budget.MaxConflicts =
-      Ctx.degradedConflicts(R.Localize.Budget.MaxConflicts);
-
-  // The encode-once fast path: a clone of the cached base session, primed
-  // with TF1 + the soft selectors, completed per-test inside the pipeline.
-  std::unique_ptr<MaxSatSession> Session =
-      CP.cloneSession();
-  std::optional<FlightGuard> Flight;
-  if (Ctx.Flights)
-    Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
-                   Ctx.WatchdogSeconds);
-  PipelineResult Res = runLocalizePipeline(*CP.prepared(), R, Session.get());
-  Flight.reset();
-
-  if (Res.Status == PipelineStatus::InputNotFailing)
-    return respondError(Req, Res.Code, "nothing to localize: " + Res.Message,
-                        CacheStr, elapsedMs(Start));
-
-  // Localized or NoCounterexample: the body is the one-shot CLI's stdout,
-  // byte for byte.
-  std::string Body = renderLocalizeOutput(Res, Req.Opts.Json);
-  bool Incomplete = Res.Code == ErrorCode::BudgetExhausted;
-  ResponseStats St;
-  St.ElapsedMs = elapsedMs(Start);
-  St.SatCalls = Res.Report.SatCalls;
-  St.Search = Res.Report.Search;
-  return {frameResponse(Req.Id, Req.cmd(),
-                        Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
-                        Res.Code, CacheStr, "", Body, St),
-          Incomplete ? Outcome::Incomplete : Outcome::Ok};
-}
-
-Outcome processRepair(const Request &Req, FormulaCache &Cache,
-                      const WorkerCtx &Ctx) {
-  auto Start = Clock::now();
-  RepairRequest R = Req.Opts.Query;
-  R.Localize.Budget.startClock(); // `timeout` counts from the request start
-  bool Hit = false;
-  const CachedProgram &CP =
-      Cache.lookup(Req.Source, R.Entry, R.Unroll, R.Encode, &Hit);
-  const char *CacheStr = Hit ? "hit" : "miss";
-  if (!CP.prepared())
-    return respondUnprepared(Req, CP, CacheStr, elapsedMs(Start));
-
-  R.Localize.Budget.MaxConflicts =
-      Ctx.degradedConflicts(R.Localize.Budget.MaxConflicts);
-
-  // Same encode-once fast path as localize: the cached base session
-  // serves the localization stage, and runRepairPipeline prescreens lines
-  // on a clone of it. The request's `timeout` is one deadline over the
-  // whole repair (localization, prescreen, each candidate's verification,
-  // the candidate loop). The watchdog rides the localization solve only:
-  // the prescreen and verification solvers are internal to repairProgram
-  // and bounded by verify_budget and that deadline.
-  std::unique_ptr<MaxSatSession> Session =
-      CP.cloneSession();
-  std::optional<FlightGuard> Flight;
-  if (Ctx.Flights)
-    Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
-                   Ctx.WatchdogSeconds);
-  RepairPipelineResult Res =
-      runRepairPipeline(*CP.prepared(), R, Session.get());
-  Flight.reset();
-
-  if (Res.Status != PipelineStatus::Localized)
-    return respondError(Req, Res.Code, "nothing to repair: " + Res.Message,
-                        CacheStr, elapsedMs(Start));
-
-  // The body is the one-shot CLI's stdout, byte for byte.
-  std::string Body = renderRepairOutput(Res, Req.Opts.Json);
-  bool Incomplete = Res.Code == ErrorCode::BudgetExhausted;
-  ResponseStats St;
-  St.ElapsedMs = elapsedMs(Start);
-  St.SatCalls = Res.Report.SatCalls + Res.Repair.Stats.PrescreenSatCalls;
-  St.Search = Res.Report.Search;
-  return {frameResponse(Req.Id, Req.cmd(),
-                        Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
-                        Res.Code, CacheStr, "", Body, St),
-          Incomplete ? Outcome::Incomplete : Outcome::Ok};
-}
-
-Outcome processMaxSat(const Request &Req, const WorkerCtx &Ctx) {
-  auto Start = Clock::now();
-  DimacsParseError Err;
-  auto Parsed = parseDimacs(Req.Source, Err);
-  if (!Parsed)
-    return respondError(Req, ErrorCode::BadDimacs, "bad wcnf: " + Err.render(),
-                        nullptr, elapsedMs(Start));
-
-  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed));
-  Inst.Witness = Req.Opts.Model; // no v line, no model to rebuild
-  Solver::Budget B = Req.budget().solverBudget();
-  B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
-  MaxSatResult R; // Unknown when the variables alone overflow the cap
-  if (B.admitsVars(Inst.NumVars)) {
-    std::unique_ptr<MaxSatSession> Session = makeFuMalikSession(Inst);
-    if (Req.budget().any() || Ctx.Degraded)
-      Session->setBudget(B);
-    std::optional<FlightGuard> Flight;
-    if (Ctx.Flights)
-      Flight.emplace(*Ctx.Flights, Ctx.Worker, &Session->solver(),
-                     Ctx.WatchdogSeconds);
-    R = Session->solve();
-  }
-
-  // The CLI's o/s/v lines with the `c` comment lines removed.
-  std::string Body =
-      renderMaxSatAnswer(R, Inst.NumVars, Req.Opts.Model, /*Comments=*/false);
-  bool Incomplete = R.Status == MaxSatStatus::Unknown;
-  ResponseStats St;
-  St.ElapsedMs = elapsedMs(Start);
-  St.SatCalls = R.SatCalls;
-  St.Search = R.Search;
-  return {frameResponse(Req.Id, Req.cmd(),
-                        Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
-                        Incomplete ? ErrorCode::BudgetExhausted
-                                   : ErrorCode::Ok,
-                        nullptr, "", Body, St),
-          Incomplete ? Outcome::Incomplete : Outcome::Ok};
-}
-
-Outcome processSat(const Request &Req, const WorkerCtx &Ctx) {
-  auto Start = Clock::now();
-  DimacsParseError Err;
-  auto Parsed = parseDimacs(Req.Source, Err);
-  if (!Parsed)
-    return respondError(Req, ErrorCode::BadDimacs, "bad cnf: " + Err.render(),
-                        nullptr, elapsedMs(Start));
-
-  // WCNF soft clauses are decided as hard, as the sat CLI does (which
-  // warns on a `c` line; serve bodies carry no comment lines).
-  std::vector<Clause> Clauses = std::move(Parsed->Hard);
-  for (DimacsSoftClause &C : Parsed->Soft)
-    Clauses.push_back(std::move(C.Lits));
-
-  // The solver is internal to solveSat, so the watchdog cannot reach it
-  // via the flight table; its deadline rides in as a budget deadline
-  // instead, which the solver polls at the same cadence as the interrupt
-  // flag.
-  Solver::Budget B = Req.budget().solverBudget();
-  B.MaxConflicts = Ctx.degradedConflicts(B.MaxConflicts);
-  if (Ctx.WatchdogSeconds > 0 && Req.budget().TimeoutSeconds <= 0)
-    B.setDeadlineIn(Ctx.WatchdogSeconds);
-  SatAnswer R =
-      solveSat(Clauses, Parsed->NumVars, Req.Opts.Model, Solver::Options(), B);
-  std::string Body = renderSatAnswer(R, Parsed->NumVars, Req.Opts.Model);
-
-  bool Incomplete = R.Result == LBool::Undef;
-  ResponseStats St;
-  St.ElapsedMs = elapsedMs(Start);
-  St.SatCalls = 1;
-  St.Search = R.Stats;
-  return {frameResponse(Req.Id, Req.cmd(),
-                        Incomplete ? "incomplete" : "ok", Incomplete ? 2 : 0,
-                        Incomplete ? ErrorCode::BudgetExhausted
-                                   : ErrorCode::Ok,
-                        nullptr, "", Body, St),
-          Incomplete ? Outcome::Incomplete : Outcome::Ok};
-}
-
+/// Answers one request through the command runner (core/Command.h) on
+/// worker \p W: programs resolve through \p Cache, localization runs on a
+/// clone of the cached base session, and the solving solver sits in
+/// \p Flights, where the watchdog and the drain interrupt it. \p Degraded
+/// marks the final retry of a crash-looping request: its conflict budget is
+/// clamped so the attempt ends `incomplete` rather than in another crash.
+/// Budgets never change *what* is computed, only how far, so a degraded
+/// attempt that completes is still byte-identical.
 Outcome processRequest(const Request &Req, FormulaCache &Cache,
-                       const WorkerCtx &Ctx) {
-  switch (Req.Opts.Cmd) {
-  case Command::Localize:
-    return processLocalize(Req, Cache, Ctx);
-  case Command::Repair:
-    return processRepair(Req, Cache, Ctx);
-  case Command::MaxSat:
-    return processMaxSat(Req, Ctx);
-  case Command::Sat:
-    return processSat(Req, Ctx);
-  default:
-    break;
-  }
-  return respondError(Req, ErrorCode::Internal, "unreachable");
+                       FlightTable &Flights, size_t W, double WatchdogSeconds,
+                       bool Degraded) {
+  auto Start = Clock::now();
+  CommandOptions O = Req.Opts;
+  QueryBudget &B = O.Query.Localize.Budget;
+  if (Degraded)
+    B.MaxConflicts = B.MaxConflicts
+                         ? std::min(B.MaxConflicts, DegradedMaxConflicts)
+                         : DegradedMaxConflicts;
+  // sat solves inside solveSat, out of the flight table's reach: the
+  // watchdog rides in as its deadline instead.
+  if (O.Cmd == Command::Sat && B.TimeoutSeconds <= 0)
+    B.TimeoutSeconds = WatchdogSeconds;
+
+  const char *CacheStr = nullptr;
+  CommandEnv Env;
+  Env.Resolve = [&](const CommandOptions &Q) {
+    bool Hit = false;
+    const CachedProgram &CP = Cache.lookup(Q.Source, Q.Query.Entry,
+                                           Q.Query.Unroll, Q.Query.Encode,
+                                           &Hit);
+    CacheStr = Hit ? "hit" : "miss";
+    ResolvedProgram P;
+    P.Prepared = CP.prepared();
+    P.Code = CP.errorCode();
+    P.Error = CP.error();
+    // The encode-once fast path: a clone of the cached base session,
+    // primed with TF1 + the soft selectors, completed per test.
+    if (P.Prepared)
+      P.Session = CP.cloneSession();
+    return P;
+  };
+  Env.Solving = [&](Solver *S) { Flights.set(W, S, WatchdogSeconds); };
+  CommandResult R = runCommand(O, Env); // sets CacheStr
+  return respond(Req, R, CacheStr, elapsedMs(Start));
 }
 
 /// Per-response outcome counters shared by the workers.
@@ -624,21 +386,16 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
     if (DrainFlag.load(std::memory_order_relaxed)) {
       // Accepted but drained before any work started: answer `cancelled`
       // so the client still gets exactly one response for the id.
-      ResponseStats St;
       tallyAndEmit(Index, Req,
-                   {frameResponse(Req.Id, Req.cmd(), "cancelled",
-                                  /*Exit=*/2, ErrorCode::Cancelled, nullptr,
-                                  "request drained before execution", "", St),
-                    Outcome::Cancelled});
+                   respond(Req, CommandResult::failure(
+                                    ErrorCode::Cancelled,
+                                    "request drained before execution")));
       return;
     }
-    WorkerCtx Ctx;
-    Ctx.Worker = W;
-    Ctx.Flights = &Flights;
-    Ctx.WatchdogSeconds = Opts.WatchdogSeconds;
-    Ctx.Degraded = Attempt > 0 && Attempt >= Opts.MaxRetries;
-    Outcome O = processRequest(Req, Cache, Ctx);
-    tallyAndEmit(Index, Req, std::move(O));
+    bool Degraded = Attempt > 0 && Attempt >= Opts.MaxRetries;
+    tallyAndEmit(Index, Req,
+                 processRequest(Req, Cache, Flights, W, Opts.WatchdogSeconds,
+                                Degraded));
   };
 
   // Death notes flow from dying workers to the monitor thread.
@@ -684,10 +441,10 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       }
       postNote({W, /*Clean=*/true, false, 0, 0, ""});
     } catch (const std::exception &E) {
-      Flights.clear(W); // belt and braces; FlightGuard normally did this
+      Flights.set(W, nullptr, 0); // belt and braces: the runner clears it
       postNote({W, false, InFlight, Cur, Attempt, E.what()});
     } catch (...) {
-      Flights.clear(W);
+      Flights.set(W, nullptr, 0);
       postNote({W, false, InFlight, Cur, Attempt, "unknown exception"});
     }
   };
@@ -724,8 +481,10 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
         // Every attempt crashed: answer the request with a structured
         // error so it is not lost, and respawn the worker fresh.
         const Request &Req = slot(N.Index);
-        Outcome O = respondError(Req, ErrorCode::WorkerCrashed,
-                                 "worker crashed on every attempt: " + N.What);
+        Outcome O = respond(
+            Req, CommandResult::failure(ErrorCode::WorkerCrashed,
+                                        "worker crashed on every attempt: " +
+                                            N.What));
         tally(Req, O.Kind);
         emitNoThrow(N.Index, std::move(O.Frame));
         Resume = false;
@@ -779,41 +538,29 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       continue;
     size_t Index = NumRequests++;
     auto Req = std::make_unique<Request>();
+    Req->Id = std::to_string(Index + 1); // the 1-based request number
     std::string Error;
     ErrorCode Code = ErrorCode::BadRequest;
     bool ParsedOk = false;
-    std::optional<JsonValue> Root;
     try {
-      Root = parseJson(Line, Error);
-      if (!Root) {
+      std::optional<JsonValue> Root = parseJson(Line, Error);
+      if (!Root)
         Error = "bad JSON: " + Error;
-        Req->Id = std::to_string(Index + 1);
-      } else {
-        ParsedOk = parseRequest(*Root, Index, *Req, Error, Code);
-      }
+      else
+        ParsedOk = parseRequest(*Root, *Req, Error, Code);
     } catch (const std::exception &E) {
       // An exception out of parsing (an injected fault, a real OOM on a
       // huge line) must not kill intake: answer the line and move on.
       Error = std::string("internal error parsing request: ") + E.what();
       Code = ErrorCode::Internal;
-      if (Req->Id.empty())
-        Req->Id = std::to_string(Index + 1);
       ParsedOk = false;
     }
     if (!ParsedOk) {
       // Malformed request: answered inline (ordering still holds -- the
       // emitter serializes), with cmd "unknown" unless a valid cmd parsed.
-      std::string CmdText = "unknown";
-      Command C;
-      if (Root)
-        if (const JsonValue *CmdV = Root->find("cmd"))
-          if (CmdV->isString() && parseServedCommand(CmdV->Text, C))
-            CmdText = CmdV->Text;
       ++T.Errors;
-      ResponseStats St;
-      emitNoThrow(Index, frameResponse(Req->Id, CmdText.c_str(), "error",
-                                       /*Exit=*/1, Code, nullptr, Error, "",
-                                       St));
+      emitNoThrow(Index,
+                  respond(*Req, CommandResult::failure(Code, Error)).Frame);
       continue;
     }
     {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bmc/TraceFormula.h"
+#include "EvalTest.h"
 
 #include "bmc/Encoder.h"
 #include "bmc/Unroller.h"
@@ -168,7 +169,7 @@ TEST(Unroller, InputShapesRecorded) {
 TEST(TraceFormula, EvaluateStraightLine) {
   TraceFormula TF = makeFormula(
       "int main(int x, int y) { return x * y + 1; }");
-  auto Out = TF.evaluateTest({InputValue::scalar(6), InputValue::scalar(7)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(6), InputValue::scalar(7)});
   ASSERT_TRUE(Out.has_value());
   EXPECT_TRUE(Out->Feasible);
   EXPECT_TRUE(Out->ObligationsHold);
@@ -180,10 +181,10 @@ TEST(TraceFormula, EvaluateBranches) {
                                 "  if (x < 0) return -x;"
                                 "  return x;"
                                 "}");
-  auto Neg = TF.evaluateTest({InputValue::scalar(-9)});
+  auto Neg = evaluateTest(TF, {InputValue::scalar(-9)});
   ASSERT_TRUE(Neg && Neg->Feasible);
   EXPECT_EQ(Neg->RetValue, 9);
-  auto Pos = TF.evaluateTest({InputValue::scalar(4)});
+  auto Pos = evaluateTest(TF, {InputValue::scalar(4)});
   ASSERT_TRUE(Pos && Pos->Feasible);
   EXPECT_EQ(Pos->RetValue, 4);
 }
@@ -197,7 +198,7 @@ TEST(TraceFormula, EvaluateLoop) {
                                 "  return s;"
                                 "}",
                                 O);
-  auto Out = TF.evaluateTest({InputValue::scalar(10)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(10)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 55);
 }
@@ -212,11 +213,11 @@ TEST(TraceFormula, UnwindingAssumptionRejectsDeepLoops) {
                                 "}",
                                 O);
   // n = 3 fits in 4 unwindings; n = 10 does not and is infeasible.
-  auto Ok = TF.evaluateTest({InputValue::scalar(3)});
+  auto Ok = evaluateTest(TF, {InputValue::scalar(3)});
   ASSERT_TRUE(Ok.has_value());
   EXPECT_TRUE(Ok->Feasible);
   EXPECT_EQ(Ok->RetValue, 3);
-  auto Deep = TF.evaluateTest({InputValue::scalar(10)});
+  auto Deep = evaluateTest(TF, {InputValue::scalar(10)});
   ASSERT_TRUE(Deep.has_value());
   EXPECT_FALSE(Deep->Feasible);
 }
@@ -228,7 +229,7 @@ TEST(TraceFormula, EvaluateCallsAndGlobals) {
                                 "  bump(x); bump(2 * x);"
                                 "  return g;"
                                 "}");
-  auto Out = TF.evaluateTest({InputValue::scalar(5)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(5)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 15);
 }
@@ -239,10 +240,10 @@ TEST(TraceFormula, EvaluateEarlyReturn) {
                                 "  x = 99;"
                                 "  return x;"
                                 "}");
-  auto Out = TF.evaluateTest({InputValue::scalar(7)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(7)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 1);
-  auto Out2 = TF.evaluateTest({InputValue::scalar(-1)});
+  auto Out2 = evaluateTest(TF, {InputValue::scalar(-1)});
   ASSERT_TRUE(Out2 && Out2->Feasible);
   EXPECT_EQ(Out2->RetValue, 99);
 }
@@ -254,16 +255,16 @@ TEST(TraceFormula, EvaluateArrays) {
                                 "  a[3] = 7;"
                                 "  return a[i] + a[3];"
                                 "}");
-  auto Out = TF.evaluateTest({InputValue::scalar(1), InputValue::scalar(5)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(1), InputValue::scalar(5)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_TRUE(Out->ObligationsHold);
   EXPECT_EQ(Out->RetValue, 12);
   // i = 3: the a[3] = 7 write overwrites a[i]; result 14.
-  auto Out2 = TF.evaluateTest({InputValue::scalar(3), InputValue::scalar(5)});
+  auto Out2 = evaluateTest(TF, {InputValue::scalar(3), InputValue::scalar(5)});
   ASSERT_TRUE(Out2 && Out2->Feasible);
   EXPECT_EQ(Out2->RetValue, 14);
   // i = 9: obligations fail (out of bounds).
-  auto Bad = TF.evaluateTest({InputValue::scalar(9), InputValue::scalar(5)});
+  auto Bad = evaluateTest(TF, {InputValue::scalar(9), InputValue::scalar(5)});
   ASSERT_TRUE(Bad && Bad->Feasible);
   EXPECT_FALSE(Bad->ObligationsHold);
 }
@@ -275,11 +276,11 @@ TEST(TraceFormula, EvaluateRecursion) {
       "int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }"
       "int main(int n) { return fact(n); }",
       O);
-  auto Out = TF.evaluateTest({InputValue::scalar(5)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(5)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 120);
   // Depth 9 would need more inlining: infeasible, not wrong.
-  auto Deep = TF.evaluateTest({InputValue::scalar(12)});
+  auto Deep = evaluateTest(TF, {InputValue::scalar(12)});
   ASSERT_TRUE(Deep.has_value());
   EXPECT_FALSE(Deep->Feasible);
 }
@@ -287,10 +288,10 @@ TEST(TraceFormula, EvaluateRecursion) {
 TEST(TraceFormula, AssumeRejectsInputs) {
   TraceFormula TF =
       makeFormula("int main(int x) { assume(x > 0); return x; }");
-  auto Ok = TF.evaluateTest({InputValue::scalar(3)});
+  auto Ok = evaluateTest(TF, {InputValue::scalar(3)});
   ASSERT_TRUE(Ok.has_value());
   EXPECT_TRUE(Ok->Feasible);
-  auto Bad = TF.evaluateTest({InputValue::scalar(-3)});
+  auto Bad = evaluateTest(TF, {InputValue::scalar(-3)});
   ASSERT_TRUE(Bad.has_value());
   EXPECT_FALSE(Bad->Feasible);
 }
@@ -373,7 +374,7 @@ TEST(Encoder, ConcretizeTrustedShrinksFormula) {
 
   // Semantics preserved for the seeding input.
   TraceFormula TF(std::move(EConc));
-  auto Out = TF.evaluateTest({InputValue::scalar(2)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(2)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 14); // lib(3) = 12, +2
 }

@@ -162,6 +162,34 @@ TEST(BugassistCli, LocalizeRejectsNonFailingInput) {
   std::remove(Prog.c_str());
 }
 
+// localize takes one failing input. A second --input (or --golden) is
+// rejected before anything runs, never dropped in favour of the last one.
+TEST(BugassistCli, LocalizeRejectsARepeatedInputOrGolden) {
+  std::string Prog = writeTempFile("int main(int x) {\n"
+                                   "  assert(x + 1 < 5);\n"
+                                   "  return x;\n"
+                                   "}\n");
+  for (const char *Args :
+       {" --input 9 --input 1", " --input 1 --input 9",
+        " --input 9 --golden 9 --golden 1", " --input=9 --input=9"}) {
+    std::string Cmd = Cli + " localize " + Prog + Args;
+    int Exit = 0;
+    std::string Out = runCommand(Cmd + " 2>/dev/null", Exit);
+    EXPECT_EQ(exitStatus(Exit), 1) << Args;
+    EXPECT_TRUE(Out.empty()) << Args << ": " << Out;
+    std::string Err = runCommand(Cmd + " 2>&1 >/dev/null", Exit);
+    EXPECT_NE(Err.find("localize takes one failing input"), std::string::npos)
+        << Args << ": " << Err;
+  }
+  // Given once, the failing input 9 is localized.
+  int Exit = 0;
+  std::string Out =
+      runCommand(Cli + " localize " + Prog + " --input 9 2>/dev/null", Exit);
+  EXPECT_EQ(exitStatus(Exit), 0) << Out;
+  EXPECT_EQ(Out.rfind("failing input: 9\n", 0), 0u) << Out;
+  std::remove(Prog.c_str());
+}
+
 // A program without the requested entry function is a bad request: every
 // command that unrolls it exits 1 with empty stdout instead of crashing.
 TEST(BugassistCli, MissingEntryFunctionExitsOneWithNoOutput) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -196,7 +197,7 @@ TEST(OptionParity, NumericBoundsAgreeOnArgvAndJson) {
   std::string Batch;
   std::vector<Probe> Probes;
   for (const OptionRow &Row : optionTable()) {
-    if (!isNumeric(Row))
+    if (!isNumeric(Row) || !Row.Flag) // `tcas` has no CLI side
       continue;
     for (Command C : AllCommands) {
       if (!Row.takes(C))
@@ -272,14 +273,61 @@ TEST(OptionParity, EachCommandMapsAFlagOrKeyToOneRow) {
     for (const OptionRow &Row : optionTable()) {
       if (!Row.takes(C))
         continue;
-      EXPECT_TRUE(Flags.insert(Row.Flag).second)
-          << commandName(C) << " " << Row.Flag;
+      if (Row.Flag) {
+        EXPECT_TRUE(Flags.insert(Row.Flag).second)
+            << commandName(C) << " " << Row.Flag;
+      }
       if (Row.Key) {
         EXPECT_TRUE(Keys.insert(Row.Key).second)
             << commandName(C) << " " << Row.Key;
       }
     }
   }
+}
+
+// The program sources are request keys without a flag: the CLI's source
+// is its positional file. They decode through the table like every other
+// key, so `tcas` is bounded by the row and a request gives exactly one.
+TEST(OptionParity, ProgramSourcesAreRequestOnlyRows) {
+  const std::map<std::string, std::vector<Command>> Sources = {
+      {"source", {Command::Localize, Command::Repair}},
+      {"tcas", {Command::Localize, Command::Repair}},
+      {"file",
+       {Command::Localize, Command::Repair, Command::MaxSat, Command::Sat}},
+      {"wcnf", {Command::MaxSat}},
+      {"cnf", {Command::Sat}}};
+  for (const auto &[Key, Takers] : Sources) {
+    const OptionRow *Found = nullptr;
+    for (const OptionRow &Row : optionTable())
+      if (Row.Key && Key == Row.Key)
+        Found = &Row;
+    ASSERT_TRUE(Found) << Key;
+    EXPECT_EQ(Found->Flag, nullptr) << Key;
+    for (Command C : AllCommands)
+      EXPECT_EQ(Found->takes(C),
+                std::find(Takers.begin(), Takers.end(), C) != Takers.end())
+          << Key << " " << commandName(C);
+  }
+
+  // Out of range, in range, and one source too many.
+  std::string Batch;
+  for (const char *Tcas : {"-1", "0", "41", "42"})
+    Batch += std::string("{\"cmd\":\"localize\",\"tcas\":") + Tcas + "}\n";
+  Batch += "{\"cmd\":\"sat\",\"cnf\":\"p cnf 1 1\\n1 0\\n\",\"file\":\"" +
+           Instances + "/mini.cnf\"}\n";
+  std::vector<JsonValue> Headers = serveHeaders(Batch);
+  ASSERT_EQ(Headers.size(), 5u);
+  for (size_t I : {0, 3, 4}) {
+    EXPECT_EQ(Headers[I].find("status")->Text, "error") << I;
+    EXPECT_EQ(Headers[I].find("code")->Text, "bad-request") << I;
+  }
+  EXPECT_EQ(Headers[0].find("error")->Text,
+            "field 'tcas' must be an integer in [0, 41]");
+  EXPECT_NE(Headers[4].find("error")->Text.find("conflicting program fields"),
+            std::string::npos);
+  // In range: the program resolves, and BMC looks for a failing input.
+  for (size_t I : {1, 2})
+    EXPECT_NE(Headers[I].find("code")->Text, "bad-request") << I;
 }
 
 // --- docs parity -------------------------------------------------------------
@@ -327,7 +375,7 @@ bool isKey(const std::string &Span) {
 std::set<std::string> tableFlags(Command C) {
   std::set<std::string> Out;
   for (const OptionRow &Row : optionTable())
-    if (Row.takes(C))
+    if (Row.takes(C) && Row.Flag)
       Out.insert(Row.Flag);
   return Out;
 }

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bmc/TraceFormula.h"
+#include "EvalTest.h"
 
 #include "bmc/Encoder.h"
 #include "bmc/Unroller.h"
@@ -181,7 +182,7 @@ TEST_P(DifferentialTest, EncoderMatchesInterpreter) {
           InputValue::scalar(wrapToWidth(static_cast<int64_t>(R.next()), Width)),
           InputValue::scalar(R.chance(1, 2) ? 1 : 0)};
       ExecResult IR = Interp.run("main", In);
-      auto FR = TF.evaluateTest(In);
+      auto FR = evaluateTest(TF, In);
       ASSERT_TRUE(FR.has_value());
 
       if (IR.Status == ExecStatus::AssumeFail) {
@@ -250,8 +251,8 @@ TEST(DifferentialSlicing, SlicedFormulaEquivalent) {
           InputValue::scalar(wrapToWidth(static_cast<int64_t>(R.next()), 8)),
           InputValue::scalar(wrapToWidth(static_cast<int64_t>(R.next()), 8)),
           InputValue::scalar(R.chance(1, 2) ? 1 : 0)};
-      auto A = Full.evaluateTest(In);
-      auto B = Lean.evaluateTest(In);
+      auto A = evaluateTest(Full, In);
+      auto B = evaluateTest(Lean, In);
       ASSERT_TRUE(A.has_value() && B.has_value());
       EXPECT_EQ(A->Feasible, B->Feasible) << Src;
       if (A->Feasible && B->Feasible) {

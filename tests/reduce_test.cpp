@@ -9,6 +9,7 @@
 #include "reduce/Slicer.h"
 
 #include "bmc/TraceFormula.h"
+#include "EvalTest.h"
 #include "bmc/Unroller.h"
 #include "core/BugAssist.h"
 #include "interp/Interpreter.h"
@@ -106,7 +107,7 @@ TEST(Slicer, InputsAlwaysSurvive) {
   EXPECT_EQ(Inputs, 2u) << "input binding requires every input def";
   // And the sliced encoding still evaluates tests.
   TraceFormula TF(encodeProgram(Sliced, EncodeOptions{}));
-  auto Out = TF.evaluateTest({InputValue::scalar(3), InputValue::scalar(9)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(3), InputValue::scalar(9)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 3);
 }
@@ -150,7 +151,7 @@ TEST(Concretizer, ConcretizedFormulaAgreesOnSeedInput) {
   EncodeOptions EO;
   EO.ConcretizeTrusted = true;
   TraceFormula TF(encodeProgram(UP, EO));
-  auto Out = TF.evaluateTest({InputValue::scalar(4)});
+  auto Out = evaluateTest(TF, {InputValue::scalar(4)});
   ASSERT_TRUE(Out && Out->Feasible);
   EXPECT_EQ(Out->RetValue, 32); // 28 + 4
 }

@@ -332,6 +332,128 @@ TEST(ServeBatch, MixedBatchMatchesOneShotCliAtEveryThreadWidth) {
   std::remove(BatchFile.c_str());
 }
 
+// Every failure class the two surfaces share comes out the same way on
+// both: the CLI's exit status is the frame's `exit` (1 with empty stdout
+// and an empty body for errors, 2 with identical bytes for a budget stop),
+// and the CLI's diagnostic is `bugassist: ` plus the frame's `error`.
+TEST(ServeBatch, ErrorOutcomesMatchTheOneShotCli) {
+  std::string Bad = writeTempFile("int main( {\n");
+  std::string NoEntry = writeTempFile("int f(int x) { return x; }\n");
+  std::string Holds = writeTempFile("int main(int x) {\n"
+                                    "  assert(x + 1 < 5);\n"
+                                    "  return x;\n"
+                                    "}\n");
+  std::string V2 = writeTempFile(tcasMutants()[1].Source);
+  std::string BadCnf = writeTempFile("p cnf 2 1\n1 x 0\n");
+  const std::string Missing = "/nonexistent/bugassist_parity.ba";
+  const std::string Php = Instances + "/php_soft8.wcnf";
+  const std::string Adder = Instances + "/adder_miter8.cnf";
+  const TcasFailure &F = tcasV2Failure();
+
+  struct Case {
+    std::string Args;    ///< CLI argv after the binary
+    std::string Request; ///< the same command as a request, minus the id
+    const char *Code;
+    /// False where a conflict cap stops a localization: the conflict it
+    /// bites at depends on search history, and serve searches a clone of
+    /// a base preprocessed before the test was bound.
+    bool SameBody = true;
+  };
+  const std::string V2Flags =
+      " --input \"" + F.Input + "\" --golden " + std::to_string(F.Golden) +
+      " --no-obligations --no-bounds --hard-lines 69-84 --max-diagnoses 24";
+  const std::string V2Fields =
+      ",\"input\":\"" + F.Input + "\",\"golden\":" +
+      std::to_string(F.Golden) +
+      ",\"check_obligations\":false,\"bounds\":false,"
+      "\"hard_lines\":\"69-84\",\"max_diagnoses\":24";
+  auto file = [](const std::string &Cmd, const std::string &Path) {
+    return "\"cmd\":\"" + Cmd + "\",\"file\":\"" + Path + "\"";
+  };
+  const std::vector<Case> Cases = {
+      {"localize " + Bad + " --input 1",
+       file("localize", Bad) + ",\"input\":\"1\"", "compile-error"},
+      {"repair " + Bad + " --input 1",
+       file("repair", Bad) + ",\"inputs\":[\"1\"]", "compile-error"},
+      {"localize " + NoEntry + " --input 1",
+       file("localize", NoEntry) + ",\"input\":\"1\"", "bad-request"},
+      {"repair " + NoEntry + " --entry g --input 1",
+       file("repair", NoEntry) + ",\"entry\":\"g\",\"inputs\":[\"1\"]",
+       "bad-request"},
+      {"localize " + Holds + " --input 1",
+       file("localize", Holds) + ",\"input\":\"1\"", "input-not-failing"},
+      {"repair " + Holds + " --input 1",
+       file("repair", Holds) + ",\"inputs\":[\"1\"]", "input-not-failing"},
+      {"repair " + Holds, file("repair", Holds) + ",\"inputs\":[]",
+       "bad-request"},
+      {"repair " + Holds + " --input 9 --golden 1 --golden 2",
+       file("repair", Holds) + ",\"inputs\":[\"9\"],\"goldens\":[1,2]",
+       "bad-request"},
+      {"localize " + Missing + " --input 1",
+       file("localize", Missing) + ",\"input\":\"1\"", "file-unreadable"},
+      {"maxsat " + Missing, file("maxsat", Missing), "file-unreadable"},
+      {"maxsat " + BadCnf, file("maxsat", BadCnf), "bad-dimacs"},
+      {"sat " + BadCnf, file("sat", BadCnf), "bad-dimacs"},
+      {"localize " + V2 + V2Flags + " --max-conflicts 1",
+       file("localize", V2) + V2Fields + ",\"max_conflicts\":1",
+       "budget-exhausted", /*SameBody=*/false},
+      {"localize " + V2 + V2Flags + " --timeout 0.000001",
+       file("localize", V2) + V2Fields + ",\"timeout\":0.000001",
+       "budget-exhausted"},
+      {"maxsat " + Php + " --max-conflicts 1",
+       file("maxsat", Php) + ",\"max_conflicts\":1", "budget-exhausted"},
+      {"sat " + Adder + " --max-conflicts 1",
+       file("sat", Adder) + ",\"max_conflicts\":1", "budget-exhausted"},
+  };
+
+  std::string Batch;
+  for (size_t I = 0; I < Cases.size(); ++I)
+    Batch += "{\"id\":\"" + std::to_string(I) + "\"," + Cases[I].Request +
+             "}\n";
+  LibRun R = runServe(Batch, /*Threads=*/2);
+  ASSERT_EQ(R.Frames.size(), Cases.size());
+
+  std::string ErrFile = writeTempFile("");
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    const Case &C = Cases[I];
+    const Frame &Fr = R.Frames[I];
+    int Raw = 0;
+    std::string Out = runCommand(Cli + " " + C.Args + " 2>" + ErrFile, Raw);
+    std::ifstream ErrIn(ErrFile);
+    std::string Err((std::istreambuf_iterator<char>(ErrIn)),
+                    std::istreambuf_iterator<char>());
+    int Exit = exitStatus(Raw);
+
+    EXPECT_EQ(Fr.Code, C.Code) << C.Args << ": " << Fr.ErrorField;
+    EXPECT_EQ(Fr.Exit, Exit) << C.Args << ": " << Fr.ErrorField << Err;
+    if (Exit == 1) {
+      EXPECT_EQ(Fr.Status, "error") << C.Args;
+      EXPECT_TRUE(Out.empty()) << C.Args << ": " << Out;
+      EXPECT_TRUE(Fr.Body.empty()) << C.Args << ": " << Fr.Body;
+      // Both name the failure in the same words, except for the CLI's own
+      // file read: `cannot read 'PATH'`.
+      if (Fr.Code != "file-unreadable") {
+        std::string Want = "bugassist: " + Fr.ErrorField;
+        if (Want.back() != '\n')
+          Want += '\n';
+        EXPECT_EQ(Err, Want) << C.Args;
+      }
+    } else {
+      EXPECT_EQ(Exit, 2) << C.Args;
+      EXPECT_EQ(Fr.Status, "incomplete") << C.Args;
+      if (C.SameBody)
+        EXPECT_EQ(Fr.Body, stripCommentLines(Out)) << C.Args;
+      else
+        for (const std::string &Body : {Fr.Body, Out})
+          EXPECT_NE(Body.find("\nINCOMPLETE: resource budget exhausted"),
+                    std::string::npos)
+              << C.Args << ": " << Body;
+    }
+  }
+  for (const std::string &Path : {Bad, NoEntry, Holds, V2, BadCnf, ErrFile})
+    std::remove(Path.c_str());
+}
+
 // --- cache keying -------------------------------------------------------------
 
 TEST(ServeLib, CacheMissesCountDistinctProgramOptionKeys) {

@@ -2,51 +2,18 @@
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
-// The user-facing entry point to the pipeline (docs/CLI.md is the full
-// reference):
-//
-//   bugassist localize <prog.ba> [--input "..."] [--golden N] ...
-//       parse -> sema -> unroll -> trace formula -> CoMSS enumeration on a
-//       mini-C source file; prints the ranked per-line report (text or
-//       --json). Without --input, a failing input is found by BMC.
-//
-//   bugassist repair <prog.ba> --input "..." [--golden N] ...
-//       localize, then run Algorithm 2 over the suspect lines: off-by-one
-//       and near-miss-operator mutants, screened on the failing tests and
-//       re-verified by BMC, all through the encode-once Pipeline seam.
-//
-//   bugassist fuzz <tcas|prog.ba> [--seed N] [--count N] ...
-//       deterministic differential sweep: seeded mutants of a golden
-//       subject, each localized with preprocessing on and off (reports
-//       must be byte-identical), scored
-//       against the known fault line, repaired on hits; Table-1-style
-//       JSON scorecard per fault class.
-//
-//   bugassist maxsat <file.wcnf>
-//       partial (weighted) MaxSAT on a DIMACS/WCNF instance, MaxSAT-
-//       Evaluation-style output (o/s/v lines).
-//
-//   bugassist sat <file.cnf>
-//       plain SAT on one solver (SAT-competition-style s/v lines).
-//
-//   bugassist dump-tcas [N | --list]
-//       prints the checked-in TCAS sources (0 = correct version, 1..41 =
-//       the faulty Siemens-style mutants) so they can be fed back into
-//       `bugassist localize`.
-//
-// The localize report is canonical: the session canonicalizes each optimum
-// in one preference-ordered solve (see maxsat/FuMalik.cpp), and solver
-// statistics -- which depend on search history -- are printed only under
-// --stats.
+// The user-facing entry point to the pipeline; docs/CLI.md is the
+// reference and `bugassist --help` lists every command and flag. The
+// option table (core/OptionTable.h) decodes every command's flags.
+// localize, repair, maxsat and sat read their positional file and run
+// through the runner serve answers requests with (core/Command.h), so
+// their stdout is a serve frame body, plus the DIMACS `c` lines and
+// `--stats`. fuzz, serve and dump-tcas are driven here.
 //
 //===----------------------------------------------------------------------===//
 
-#include "cnf/DimacsReader.h"
-#include "core/OptionTable.h"
-#include "core/Pipeline.h"
+#include "core/Command.h"
 #include "lang/Sema.h"
-#include "maxsat/Answer.h"
-#include "maxsat/MaxSat.h"
 #include "mutate/FuzzSweep.h"
 #include "programs/FaultCatalog.h"
 #include "programs/Tcas.h"
@@ -83,94 +50,56 @@ int usage(const char *Argv0) {
   return ExitInputError;
 }
 
-// --- localize ----------------------------------------------------------------
+// --- localize / repair / maxsat / sat ----------------------------------------
 
-int cmdLocalize(const std::string &Path, CommandOptions &O) {
+/// The `--stats` block of maxsat and sat: two `c` lines, the second with
+/// the inprocessing counters.
+void printDimacsStats(uint64_t SatCalls, const SolverStats &S) {
+  std::printf("c sat_calls=%llu conflicts=%llu propagations=%llu "
+              "restarts=%llu\n",
+              static_cast<unsigned long long>(SatCalls),
+              static_cast<unsigned long long>(S.Conflicts),
+              static_cast<unsigned long long>(S.Propagations),
+              static_cast<unsigned long long>(S.Restarts));
+  std::printf("c vars_eliminated=%llu clauses_subsumed=%llu "
+              "lits_self_subsumed=%llu reconstruction_bytes=%llu\n",
+              static_cast<unsigned long long>(S.VarsEliminated),
+              static_cast<unsigned long long>(S.ClausesSubsumed),
+              static_cast<unsigned long long>(S.LitsSelfSubsumed),
+              static_cast<unsigned long long>(S.ReconstructBytes));
+}
+
+/// localize, repair, maxsat and sat: the file is the program or formula,
+/// answered by the runner serve uses too, on a fresh program and session.
+int cmdServed(const std::string &Path, CommandOptions &O) {
   O.Query.Localize.Budget.startClock(); // --timeout counts from here
   auto Source = readFileToString(Path);
   if (!Source) {
     std::fprintf(stderr, "bugassist: cannot read '%s'\n", Path.c_str());
-    return 1;
+    return ExitInputError;
   }
+  O.Source = std::move(*Source);
 
-  PipelineResult Res = runLocalizePipeline(*Source, O.localizeRequest());
-  switch (Res.Status) {
-  case PipelineStatus::CompileError:
-    std::fprintf(stderr, "bugassist: %s does not compile:\n%s", Path.c_str(),
-                 Res.Message.c_str());
-    return 1;
-  case PipelineStatus::InputNotFailing:
-    std::fprintf(stderr, "bugassist: nothing to localize: %s\n",
-                 Res.Message.c_str());
-    return 1;
-  case PipelineStatus::NoCounterexample:
-  case PipelineStatus::Localized:
-    break;
+  CommandEnv Env;
+  Env.CommentLabel = Path.c_str();
+  CommandResult R = runCommand(O, Env);
+  if (R.failed()) {
+    bool Newline = !R.Error.empty() && R.Error.back() == '\n';
+    std::fprintf(stderr, "bugassist: %s%s", R.Error.c_str(),
+                 Newline ? "" : "\n");
+    return ExitInputError;
   }
-
-  // The canonical output bytes, shared with serve mode so batch responses
-  // diff clean against one-shot runs.
-  std::string Body = renderLocalizeOutput(Res, O.Json);
-  std::fwrite(Body.data(), 1, Body.size(), stdout);
-  if (O.Stats && Res.Status == PipelineStatus::Localized)
-    std::printf("%s", renderSearchStats(Res.Report).c_str());
-  // The partial report was still printed (INCOMPLETE-marked); the exit
-  // code tells scripts the BMC search or the enumeration did not finish.
-  return Res.Code == ErrorCode::BudgetExhausted ? ExitBudgetExhausted
-                                                : ExitComplete;
-}
-
-// --- repair ------------------------------------------------------------------
-
-int cmdRepair(const std::string &Path, CommandOptions &O) {
-  // --timeout bounds the whole command, parsing and encoding included.
-  O.Query.Localize.Budget.startClock();
-  const RepairRequest &R = O.Query;
-  if (R.Inputs.empty()) {
-    std::fprintf(stderr, "bugassist: repair requires at least one --input\n");
-    return 1;
-  }
-  if (!R.Goldens.empty() && R.Goldens.size() != R.Inputs.size()) {
-    std::fprintf(stderr,
-                 "bugassist: %zu --golden values for %zu --input values\n",
-                 R.Goldens.size(), R.Inputs.size());
-    return 1;
-  }
-  auto Source = readFileToString(Path);
-  if (!Source) {
-    std::fprintf(stderr, "bugassist: cannot read '%s'\n", Path.c_str());
-    return 1;
-  }
-
-  std::string Error;
-  ErrorCode Code = ErrorCode::Ok;
-  auto Prepared =
-      prepareProgram(*Source, R.Entry, R.Unroll, R.Encode, Error, &Code);
-  if (!Prepared) {
-    if (Code == ErrorCode::BadRequest)
-      std::fprintf(stderr, "bugassist: nothing to repair: %s\n",
-                   Error.c_str());
+  std::fwrite(R.Body.data(), 1, R.Body.size(), stdout);
+  if (O.Stats && R.Searched) {
+    if (O.Cmd == Command::Localize)
+      std::fputs(renderSearchStats(R.SatCalls, R.Search).c_str(), stdout);
     else
-      std::fprintf(stderr, "bugassist: %s does not compile:\n%s",
-                   Path.c_str(), Error.c_str());
-    return 1;
+      printDimacsStats(R.SatCalls, R.Search);
   }
-  RepairPipelineResult Res = runRepairPipeline(*Prepared, R);
-  switch (Res.Status) {
-  case PipelineStatus::CompileError:
-  case PipelineStatus::NoCounterexample:
-  case PipelineStatus::InputNotFailing:
-    std::fprintf(stderr, "bugassist: nothing to repair: %s\n",
-                 Res.Message.c_str());
-    return 1;
-  case PipelineStatus::Localized:
-    break;
-  }
-  // Canonical output bytes, shared with serve's `repair` command.
-  std::string Body = renderRepairOutput(Res, O.Json);
-  std::fwrite(Body.data(), 1, Body.size(), stdout);
-  return Res.Code == ErrorCode::BudgetExhausted ? ExitBudgetExhausted
-                                                : ExitComplete;
+  // A budget stop still printed its best-so-far answer, marked INCOMPLETE
+  // or UNKNOWN; the exit code tells scripts the run did not finish.
+  return R.Code == ErrorCode::BudgetExhausted ? ExitBudgetExhausted
+                                              : ExitComplete;
 }
 
 // --- fuzz --------------------------------------------------------------------
@@ -287,98 +216,6 @@ int cmdFuzz(const std::string &Target, CommandOptions &O) {
   return Res.TotalMismatches == 0 ? ExitComplete : ExitInputError;
 }
 
-// --- maxsat / sat ------------------------------------------------------------
-
-/// The `--stats` block of maxsat and sat: two `c` lines, the second with
-/// the inprocessing counters.
-void printDimacsStats(uint64_t SatCalls, const SolverStats &S) {
-  std::printf("c sat_calls=%llu conflicts=%llu propagations=%llu "
-              "restarts=%llu\n",
-              static_cast<unsigned long long>(SatCalls),
-              static_cast<unsigned long long>(S.Conflicts),
-              static_cast<unsigned long long>(S.Propagations),
-              static_cast<unsigned long long>(S.Restarts));
-  std::printf("c vars_eliminated=%llu clauses_subsumed=%llu "
-              "lits_self_subsumed=%llu reconstruction_bytes=%llu\n",
-              static_cast<unsigned long long>(S.VarsEliminated),
-              static_cast<unsigned long long>(S.ClausesSubsumed),
-              static_cast<unsigned long long>(S.LitsSelfSubsumed),
-              static_cast<unsigned long long>(S.ReconstructBytes));
-}
-
-int cmdMaxsat(const std::string &Path, CommandOptions &O) {
-  const LocalizeOptions &Knobs = O.Query.Localize;
-
-  DimacsParseError Err;
-  auto Parsed = readDimacsFile(Path, Err);
-  if (!Parsed) {
-    std::fprintf(stderr, "bugassist: %s: %s\n", Path.c_str(),
-                 Err.render().c_str());
-    return 1;
-  }
-
-  bool FromWcnf = Parsed->Weighted;
-  MaxSatInstance Inst = toMaxSatInstance(std::move(*Parsed));
-  Inst.Witness = O.Model; // no v line, no model to rebuild
-  std::printf("c %s: %d vars, %zu hard, %zu soft%s\n", Path.c_str(),
-              Inst.NumVars, Inst.Hard.size(), Inst.Soft.size(),
-              FromWcnf ? "" : " (cnf)");
-
-  Solver::Options SOpts;
-  SOpts.Preprocess = Knobs.Preprocess;
-  Solver::Budget Bud = Knobs.Budget.solverBudget();
-  MaxSatResult R; // Unknown when the variables alone overflow the cap
-  if (Bud.admitsVars(Inst.NumVars)) {
-    std::unique_ptr<MaxSatSession> Session =
-        makeFuMalikSession(Inst, /*ConflictBudget=*/0, SOpts);
-    if (Knobs.Budget.any())
-      Session->setBudget(Bud);
-    R = Session->solve();
-  }
-
-  std::fputs(renderMaxSatAnswer(R, Inst.NumVars, O.Model, /*Comments=*/true)
-                 .c_str(),
-             stdout);
-  if (O.Stats)
-    printDimacsStats(R.SatCalls, R.Search);
-  return R.Status == MaxSatStatus::Unknown ? ExitBudgetExhausted
-                                           : ExitComplete;
-}
-
-int cmdSat(const std::string &Path, CommandOptions &O) {
-  const LocalizeOptions &Knobs = O.Query.Localize;
-
-  DimacsParseError Err;
-  auto Parsed = readDimacsFile(Path, Err);
-  if (!Parsed) {
-    std::fprintf(stderr, "bugassist: %s: %s\n", Path.c_str(),
-                 Err.render().c_str());
-    return 1;
-  }
-  // Soft clauses of a WCNF are solved as hard here; warn instead of
-  // silently deciding a different formula.
-  std::vector<Clause> Clauses = std::move(Parsed->Hard);
-  if (!Parsed->Soft.empty()) {
-    std::printf("c warning: treating %zu soft clauses as hard (use the "
-                "maxsat command for optimization)\n",
-                Parsed->Soft.size());
-    for (DimacsSoftClause &C : Parsed->Soft)
-      Clauses.push_back(std::move(C.Lits));
-  }
-  std::printf("c %s: %d vars, %zu clauses\n", Path.c_str(),
-              Parsed->NumVars, Clauses.size());
-
-  Solver::Options SOpts;
-  SOpts.Preprocess = Knobs.Preprocess;
-  SatAnswer R = solveSat(Clauses, Parsed->NumVars, O.Model, SOpts,
-                         Knobs.Budget.solverBudget());
-  std::fputs(renderSatAnswer(R, Parsed->NumVars, O.Model).c_str(), stdout);
-  // One solve call, as serve's sat trailer counts it.
-  if (O.Stats)
-    printDimacsStats(/*SatCalls=*/1, R.Stats);
-  return R.Result == LBool::Undef ? ExitBudgetExhausted : ExitComplete;
-}
-
 // --- serve -------------------------------------------------------------------
 
 /// SIGINT/SIGTERM -> graceful drain. requestDrain is one atomic store
@@ -472,9 +309,9 @@ int main(int argc, char **argv) {
   }
   using Runner = int (*)(const std::string &, CommandOptions &);
   static const std::pair<Command, Runner> Commands[] = {
-      {Command::Localize, cmdLocalize}, {Command::Repair, cmdRepair},
-      {Command::Fuzz, cmdFuzz},         {Command::MaxSat, cmdMaxsat},
-      {Command::Sat, cmdSat},           {Command::Serve, cmdServe}};
+      {Command::Localize, cmdServed}, {Command::Repair, cmdServed},
+      {Command::Fuzz, cmdFuzz},        {Command::MaxSat, cmdServed},
+      {Command::Sat, cmdServed},       {Command::Serve, cmdServe}};
   for (const auto &[C, Run] : Commands) {
     if (std::strcmp(Cmd, commandName(C)) != 0)
       continue;
