@@ -6,6 +6,7 @@
 
 #include "bmc/Encoder.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -209,6 +210,7 @@ Encoder::Slot Encoder::encodeExpr(const SymExpr *E) {
 
 EncodedProgram Encoder::run() {
   Slots.resize(UP.Vars.size());
+  const std::vector<bool> Cone = specCone(UP);
 
   for (const TraceDef &D : UP.Defs) {
     bool IsBool = UP.Vars[D.Def].IsBool;
@@ -251,6 +253,14 @@ EncodedProgram Encoder::run() {
     GroupId G = Soft ? groupFor(D) : NoGroup;
     BB->setGroup(G);
 
+    // A definition outside the spec's cone is a circuit over fresh
+    // variables that nothing live reads: mark its clauses and variables
+    // out of the localization formulas (EncodedProgram::OutsideCone).
+    // Counting starts after groupFor, so a selector the definition opened
+    // -- soft, and shared with any later definition of its line -- stays.
+    size_t FirstClause = EP.Formula.numClauses();
+    Var FirstVar = EP.Formula.numVars();
+
     Slot Rhs = encodeExpr(D.Rhs.get());
 
     // The defined variable needs its own formula variables when soft
@@ -274,6 +284,14 @@ EncodedProgram Encoder::run() {
     }
     Slots[D.Def] = S;
     BB->setGroup(NoGroup);
+
+    if (!Cone[D.Def]) {
+      EP.OutsideCone.resize(EP.Formula.numClauses(), false);
+      std::fill(EP.OutsideCone.begin() + FirstClause, EP.OutsideCone.end(),
+                true);
+      for (Var V = FirstVar; V < EP.Formula.numVars(); ++V)
+        EP.OutsideVars.push_back(V);
+    }
   }
 
   // Assumptions: (guard => cond), hard.
@@ -299,6 +317,7 @@ EncodedProgram Encoder::run() {
     else
       EP.RetWord = wordOf(UP.RetVal);
   }
+  EP.OutsideCone.resize(EP.Formula.numClauses(), false);
   EP.Inputs = UP.Inputs;
   EP.InputShapes = UP.InputShapes;
   return std::move(EP);

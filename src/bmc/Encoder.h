@@ -26,6 +26,7 @@
 #include "bmc/Trace.h"
 #include "cnf/Cnf.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -60,6 +61,21 @@ struct EncodedProgram {
   std::vector<TraceInput> Inputs;
   std::vector<InputShape> InputShapes;
   bool RetIsBool = false;
+  /// One mark per hard clause of Formula, set when the clause encodes a
+  /// definition outside specCone (bmc/Trace.h). Such a definition is a
+  /// Tseitin circuit over fresh variables that nothing live reads, so the
+  /// localization instances (TraceFormula::sharedInstance) leave its
+  /// clauses out; the BMC counterexample search loads every clause.
+  std::vector<bool> OutsideCone;
+  /// The variables only marked clauses mention: the fresh variables of the
+  /// definitions outside the cone, never a group selector.
+  std::vector<Var> OutsideVars;
+
+  /// \returns how many clauses OutsideCone marks.
+  size_t numOutsideClauses() const {
+    return static_cast<size_t>(
+        std::count(OutsideCone.begin(), OutsideCone.end(), true));
+  }
 
   /// \returns every selector literal, i.e. the paper's TF2.
   std::vector<Lit> allSelectors() const {

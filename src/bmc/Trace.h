@@ -228,6 +228,15 @@ struct UnrolledProgram {
   }
 };
 
+/// The backward cone of influence of \p UP's specification (the mark phase
+/// of Section 6.2's "S" reduction): \returns one flag per SSA id, set for
+/// every id an obligation, an assumption or the return value depends on,
+/// transitively through definition right-hand sides. A definition outside
+/// it can never appear in a CoMSS. sliceProgram (reduce/Slicer.h) keeps
+/// only the definitions inside it; the encoder marks the rest out of every
+/// localization formula (bmc/Encoder.h, EncodedProgram::OutsideCone).
+std::vector<bool> specCone(const UnrolledProgram &UP);
+
 } // namespace bugassist
 
 #endif // BUGASSIST_BMC_TRACE_H

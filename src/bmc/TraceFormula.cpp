@@ -49,6 +49,15 @@ MaxSatInstance TraceFormula::sharedInstance() const {
   MaxSatInstance Inst;
   Inst.NumVars = EP.Formula.numVars();
   Inst.Formula = &EP.Formula;
+  // Only the spec's cone: a definition outside it is a circuit over fresh
+  // variables nothing live reads, so leaving its clauses out keeps the
+  // formula's models over every other variable, under every selector
+  // assignment. A root unit fixes each variable only those clauses
+  // mention, which keeps it out of the search.
+  Inst.Omit = &EP.OutsideCone;
+  Inst.Hard.reserve(EP.OutsideVars.size());
+  for (Var V : EP.OutsideVars)
+    Inst.Hard.push_back({mkLit(V, /*Negated=*/true)});
   // Localization reads only which selectors the optimum falsifies, never
   // the assignment behind it, so no session rebuilds eliminated variables.
   Inst.Witness = false;
@@ -96,11 +105,13 @@ std::vector<Clause> TraceFormula::testClauses(const InputVector &Test,
 
 MaxSatInstance TraceFormula::localizationInstance(const InputVector &Test,
                                                   const Spec &S) const {
-  // Keep the historical clause order: TF1 (the borrowed Formula, loaded
-  // first), then [[test]] /\ p in Hard, with the soft selector units after
-  // NumVars -- sharedInstance already placed the soft side.
+  // Keep the clause order of a sharedInstance session completed with
+  // testClauses: TF1's cone (the borrowed Formula, loaded first), the
+  // outside-only units, then [[test]] /\ p, with the soft selector units
+  // after NumVars -- sharedInstance already placed the soft side.
   MaxSatInstance Inst = sharedInstance();
-  Inst.Hard = testClauses(Test, S);
+  for (Clause &C : testClauses(Test, S))
+    Inst.Hard.push_back(std::move(C));
   return Inst;
 }
 

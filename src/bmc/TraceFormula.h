@@ -53,9 +53,15 @@ public:
                                       const Spec &S) const;
 
   /// The test-independent part of localizationInstance: Formula = TF1
-  /// (borrowed, same lifetime rule), Hard empty, Soft/PreferTrue = the full
-  /// selector structure, and no witness model (MaxSatInstance::Witness
-  /// false: reports need only the falsified selectors). Every
+  /// (borrowed, same lifetime rule) restricted to the spec's cone (Omit =
+  /// EncodedProgram::OutsideCone), Hard = one root unit per outside-only
+  /// variable (EncodedProgram::OutsideVars) so the search never decides
+  /// it, Soft/PreferTrue = the full selector structure, and no witness
+  /// model (MaxSatInstance::Witness false: reports need only the falsified
+  /// selectors). Leaving the outside definitions out is exact: they are
+  /// circuits over fresh variables nothing live reads, so the cone and
+  /// the whole formula are equisatisfiable under every selector assignment
+  /// and test, and every canonical report is the same. Every
   /// localization session is built over this instance and completed with
   /// testClauses() (localizeFault); a never-solved one can first be
   /// preprocessed and cloned per query (serve). Selector guard variables
@@ -64,14 +70,18 @@ public:
   MaxSatInstance sharedInstance() const;
 
   /// The per-test hard clauses ([[test]] /\ p) that localizationInstance
-  /// appends to TF1, in the same order: input bindings, the SpecLit unit,
-  /// then golden-return units. Add them to a sharedInstance() session (or
-  /// a clone of one) to obtain the exact per-test instance.
+  /// appends to sharedInstance's, in the same order: input bindings, the
+  /// SpecLit unit, then golden-return units. Add them to a
+  /// sharedInstance() session (or a clone of one) to obtain the exact
+  /// per-test instance.
   std::vector<Clause> testClauses(const InputVector &Test, const Spec &S) const;
 
   /// Searches for an input violating \p S with every statement enabled
-  /// (bounded model checking; Section 4.1). \returns the counterexample
-  /// input, or std::nullopt if none exists within the encoding bounds --
+  /// (bounded model checking; Section 4.1) over every clause of TF1, the
+  /// definitions outside the spec's cone included: the model the search
+  /// lands on, and so the failing input it reports, depends on the whole
+  /// formula and its clause order. \returns the counterexample input, or
+  /// std::nullopt if none exists within the encoding bounds --
   /// decided, also when no run is feasible at all -- or when the conflict
   /// budget or \p Budget (e.g. a request deadline) ran out first, which
   /// leaves \p Decided false.

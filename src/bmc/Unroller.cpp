@@ -50,6 +50,47 @@ void bugassist::collectSymExprUses(const SymExpr *E, std::vector<SsaId> &Out) {
     collectSymExprUses(Op.get(), Out);
 }
 
+std::vector<bool> bugassist::specCone(const UnrolledProgram &UP) {
+  std::vector<bool> Needed(UP.Vars.size(), false);
+  std::vector<SsaId> Work;
+  auto Mark = [&](SsaId Id) {
+    if (Id != NoSsa && !Needed[Id]) {
+      Needed[Id] = true;
+      Work.push_back(Id);
+    }
+  };
+
+  // Roots: the spec and everything that constrains feasibility.
+  for (const TraceObligation &O : UP.Obligations) {
+    Mark(O.Guard);
+    Mark(O.Cond);
+  }
+  for (const TraceAssumption &A : UP.Assumptions) {
+    Mark(A.Guard);
+    Mark(A.Cond);
+  }
+  Mark(UP.RetVal);
+
+  std::vector<const TraceDef *> DefOf(UP.Vars.size(), nullptr);
+  for (const TraceDef &D : UP.Defs)
+    DefOf[D.Def] = &D;
+
+  // Transitive closure over RHS uses.
+  std::vector<SsaId> Uses;
+  while (!Work.empty()) {
+    SsaId Id = Work.back();
+    Work.pop_back();
+    const TraceDef *D = DefOf[Id];
+    if (!D || !D->Rhs)
+      continue;
+    Uses.clear();
+    collectSymExprUses(D->Rhs.get(), Uses);
+    for (SsaId U : Uses)
+      Mark(U);
+  }
+  return Needed;
+}
+
 namespace {
 
 /// Light constant folding on SymExpr builders -- only within a single

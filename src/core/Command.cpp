@@ -56,6 +56,11 @@ CommandResult runProgram(const CommandOptions &O, const QueryBudget &Budget,
   // verifications answer to verify_budget and the request's deadline.
   SolvingScope Scope(Env, P.Session.get());
   CommandResult Out;
+  if (O.Stats) {
+    const EncodedProgram &EP = P.Prepared->Driver->formula().encoded();
+    Out.OutsideClauses = EP.numOutsideClauses();
+    Out.ConeClauses = EP.Formula.numClauses() - Out.OutsideClauses;
+  }
   if (O.Cmd == Command::Localize) {
     PipelineResult Res = runLocalizePipeline(
         *P.Prepared, firstTestRequest(Q), P.Session.get());

@@ -63,6 +63,11 @@ struct CommandResult {
   bool Searched = false;
   uint64_t SatCalls = 0;
   SolverStats Search;
+  /// localize and repair under O.Stats: the trace formula's clauses the
+  /// localization formula loads, and those outside the spec's cone it
+  /// leaves out (EncodedProgram::OutsideCone).
+  size_t ConeClauses = 0;
+  size_t OutsideClauses = 0;
 
   bool failed() const {
     return Code != ErrorCode::Ok && Code != ErrorCode::BudgetExhausted;

@@ -511,10 +511,20 @@ std::string bugassist::renderLocalizationJson(const LocalizationReport &R) {
 }
 
 std::string bugassist::renderSearchStats(uint64_t SatCalls,
-                                         const SolverStats &S) {
+                                         const SolverStats &S,
+                                         size_t ConeClauses,
+                                         size_t OutsideClauses) {
   std::string Out;
+  // The trace formula's clauses the localization loads, and those of the
+  // definitions outside the spec's cone it leaves out.
+  Out += "formula:      " + std::to_string(ConeClauses) + " clauses, " +
+         std::to_string(OutsideClauses) + " outside the spec's cone\n";
   Out += "sat calls:    " + std::to_string(SatCalls) + "\n";
+  // The budgeted search only; the anytime upper-bound probe that runs
+  // after a budget stop counts on its own line.
   Out += "conflicts:    " + std::to_string(S.Conflicts) + "\n";
+  Out += "probe:        " + std::to_string(S.ProbeConflicts) +
+         " conflicts\n";
   Out += "decisions:    " + std::to_string(S.Decisions) + "\n";
   Out += "propagations: " + std::to_string(S.Propagations) + "\n";
   Out += "restarts:     " + std::to_string(S.Restarts) + " (+" +

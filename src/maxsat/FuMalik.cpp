@@ -298,6 +298,8 @@ public:
         Res.Model = Res.BestModel;
     }
     Res.Search = S.stats();
+    Res.Search.Conflicts -= ProbeConflicts;
+    Res.Search.ProbeConflicts = ProbeConflicts;
     return Res;
   }
 
@@ -327,7 +329,9 @@ private:
     Allowance.MaxConflicts = 1000;
     S.setBudget(Allowance);
     ++Res.SatCalls;
+    uint64_t Before = S.stats().Conflicts;
     bool Found = S.solve() == LBool::True;
+    ProbeConflicts += S.stats().Conflicts - Before;
     if (Found) {
       uint64_t Ub = 0;
       for (const SoftClause &SC : Soft)
@@ -399,6 +403,8 @@ private:
   std::vector<Var> SatisfySelector; ///< soft idx -> canonicalization selector
   /// Proven lower bound on the optimum: the sum of every round's w_min.
   uint64_t LowerBound = 0;
+  /// Conflicts harvestUpperBound spent, over the session's life.
+  uint64_t ProbeConflicts = 0;
   bool Witness; ///< fill Model/BestModel (MaxSatInstance::Witness)
   bool HardBroken = false;
 };

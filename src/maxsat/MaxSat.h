@@ -72,6 +72,11 @@ struct MaxSatInstance {
   /// this instance only -- sessions copy the clauses into their solver's
   /// arena and keep no reference to the formula.
   const CnfFormula *Formula = nullptr;
+  /// Borrowed per-clause mark over Formula (may be null): clause I is left
+  /// out when (*Omit)[I]. The trace formula's instances omit the clauses
+  /// of definitions outside the spec's cone (EncodedProgram::OutsideCone),
+  /// under the same lifetime rule as Formula.
+  const std::vector<bool> *Omit = nullptr;
   /// Owned hard clauses, loaded after Formula's.
   std::vector<Clause> Hard;
   std::vector<SoftClause> Soft;
@@ -100,15 +105,17 @@ struct MaxSatInstance {
   /// FalsifiedSoft, the bounds and the search are the same either way.
   bool Witness = true;
 
-  /// Visits every hard clause as a ClauseView: Formula's, then Hard, in
-  /// order. Stops early, returning false, as soon as \p Fn returns false.
-  /// This order is the load order every reader (the sessions, repair
-  /// validation, the test oracles) must share.
+  /// Visits every hard clause as a ClauseView: Formula's (minus Omit's),
+  /// then Hard, in order. Stops early, returning false, as soon as \p Fn
+  /// returns false. This order is the load order every reader (the
+  /// sessions, repair validation, the test oracles) must share.
   template <typename Fn> bool forEachHard(Fn &&F) const {
-    if (Formula)
-      for (ClauseView C : Formula->hardClauses())
-        if (!F(C))
+    if (Formula) {
+      ClauseRange R = Formula->hardClauses();
+      for (size_t I = 0; I < R.size(); ++I)
+        if (!(Omit && (*Omit)[I]) && !F(R[I]))
           return false;
+    }
     for (const Clause &C : Hard)
       if (!F(ClauseView(C)))
         return false;
@@ -183,6 +190,8 @@ struct MaxSatResult {
   std::vector<LBool> BestModel;
   /// Cumulative statistics of the underlying solver (for a session, totals
   /// since the session was created; for one-shot calls, totals of the call).
+  /// The anytime upper-bound probe's conflicts are in ProbeConflicts, not
+  /// in Conflicts.
   SolverStats Search;
 
   /// True when the run finished (Optimum or HardUnsat) rather than running

@@ -12,44 +12,7 @@ using namespace bugassist;
 
 UnrolledProgram bugassist::sliceProgram(const UnrolledProgram &UP,
                                         SliceStats *Stats) {
-  std::vector<bool> Needed(UP.Vars.size(), false);
-  std::vector<SsaId> Work;
-
-  auto Mark = [&](SsaId Id) {
-    if (Id != NoSsa && !Needed[Id]) {
-      Needed[Id] = true;
-      Work.push_back(Id);
-    }
-  };
-
-  // Roots: the spec and everything that constrains feasibility.
-  for (const TraceObligation &O : UP.Obligations) {
-    Mark(O.Guard);
-    Mark(O.Cond);
-  }
-  for (const TraceAssumption &A : UP.Assumptions) {
-    Mark(A.Guard);
-    Mark(A.Cond);
-  }
-  Mark(UP.RetVal);
-
-  // Def lookup by SSA id.
-  std::vector<const TraceDef *> DefOf(UP.Vars.size(), nullptr);
-  for (const TraceDef &D : UP.Defs)
-    DefOf[D.Def] = &D;
-
-  // Transitive closure over RHS uses.
-  while (!Work.empty()) {
-    SsaId Id = Work.back();
-    Work.pop_back();
-    const TraceDef *D = DefOf[Id];
-    if (!D || !D->Rhs)
-      continue;
-    std::vector<SsaId> Uses;
-    collectSymExprUses(D->Rhs.get(), Uses);
-    for (SsaId U : Uses)
-      Mark(U);
-  }
+  std::vector<bool> Needed = specCone(UP);
 
   UnrolledProgram Out;
   Out.Vars = UP.Vars;

@@ -28,9 +28,10 @@ struct SliceStats {
 };
 
 /// Backward-slices \p UP from its obligations, assumptions, and return
-/// value. Input definitions survive unconditionally (the test binding
-/// needs them). SSA ids are preserved; dropped definitions simply vanish
-/// from Defs.
+/// value: copies out the definitions inside specCone (bmc/Trace.h), the
+/// one cone the encoder also marks. Input definitions survive
+/// unconditionally (the test binding needs them). SSA ids are preserved;
+/// dropped definitions simply vanish from Defs.
 UnrolledProgram sliceProgram(const UnrolledProgram &UP,
                              SliceStats *Stats = nullptr);
 

@@ -123,17 +123,19 @@ const CachedProgram &FormulaCache::lookup(const std::string &Source,
   // Build outside the map lock so a slow encode does not serialize
   // lookups of *other* keys; same-key requesters block here until the
   // one build completes. A build that *throws* (the CacheFill fault
-  // below, a real OOM in the encoder) leaves the once_flag unset, so the
-  // next same-key request re-runs the build cleanly -- entries are never
-  // poisoned by a half-finished fill.
-  std::call_once(P->Built, [&] {
+  // below, a real OOM in the encoder) unwinds before Built is set and
+  // releases the lock, so the next same-key request re-runs the build
+  // cleanly -- entries are never poisoned by a half-finished fill.
+  std::lock_guard<std::mutex> Lock(P->BuildMu);
+  if (!P->Built) {
     // Test-only fault hook (one relaxed load when disarmed).
     if (faultinject::active() &&
         faultinject::onEvent(faultinject::Event::CacheFill))
       throw std::runtime_error("injected cache-fill fault");
     P->Prepared =
         prepareProgram(Source, Entry, Unroll, Encode, P->Error, &P->Code);
-  });
+    P->Built = true;
+  }
   return *P;
 }
 

@@ -16,10 +16,11 @@
 /// loading TF1 into a solver is also paid once per formula.
 ///
 /// Concurrency: lookups from any number of pool workers are safe. The
-/// first thread to request a key builds the entry under a per-entry
-/// std::call_once; concurrent requesters of the same key block until it is
-/// ready (encoding still happens exactly once -- the invariant the tests
-/// assert via the miss counter). Base sessions are built under a per-entry
+/// first thread to request a key builds the entry under a per-entry mutex
+/// and sets its built flag; concurrent requesters of the same key block on
+/// the mutex until it is ready (encoding still happens exactly once -- the
+/// invariant the tests assert via the miss counter). A build that throws
+/// leaves the flag unset, so the next request builds the entry again. Base sessions are built under a per-entry
 /// mutex on first use and are immutable afterwards, so concurrent clone()
 /// calls need no further locking.
 ///
@@ -63,7 +64,10 @@ public:
 private:
   friend class FormulaCache;
 
-  std::once_flag Built;
+  /// Guards the one build; Built is set once it completed. Everything
+  /// below up to BaseMu is written only under BuildMu, before Built.
+  std::mutex BuildMu;
+  bool Built = false;
   std::unique_ptr<PreparedProgram> Prepared;
   std::string Error;
   ErrorCode Code = ErrorCode::Ok;

@@ -6,15 +6,43 @@
 
 #include "core/LoopDiagnosis.h"
 
+#include "bmc/Unroller.h"
 #include "core/Pipeline.h"
 #include "lang/Sema.h"
 #include "programs/TcasMutants.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace bugassist;
 
+namespace bugassist {
+/// White-box access to the solver's root assignment (Solver befriends it).
+struct SolverTestAccess {
+  static bool fixedAtRoot(const Solver &S, Var V) {
+    return S.Assigns[V] != LBool::Undef && S.VarLevel[V] == 0;
+  }
+};
+} // namespace bugassist
+
 namespace {
+
+/// The sum loop of the deep-unwind benchmark workload at its variant 2
+/// (fault threshold 36); line 5 is the loop head.
+const char *const SumLoopSrc = "int main(int n, int k) {\n"
+                               "  assume(n >= 0 && n <= 60);\n"
+                               "  int i = 0;\n"
+                               "  int s = 0;\n"
+                               "  while (i < n) {\n"
+                               "    s = s + k;\n"
+                               "    i = i + 1;\n"
+                               "  }\n"
+                               "  if (n > 36)\n"
+                               "    s = s + 1;\n"
+                               "  assert(s == n * k);\n"
+                               "  return s;\n"
+                               "}\n";
 
 std::unique_ptr<Program> compile(std::string_view Src) {
   DiagEngine Diags;
@@ -174,41 +202,27 @@ TEST(LoopDiagnosis, NoLoopMeansNoIterationSuspects) {
 // (watch-list maintenance, root-level simplification) may get cheaper, but
 // it must hand the search the same clauses in the same order, or the
 // counterexample BMC finds -- and every report built on it -- moves. The
-// program is the sum loop of the deep-unwind benchmark workload at its
-// variant 2 (fault threshold 36); the search figures were recorded once
-// each optimum was canonicalized in one preference-ordered solve, the
-// elimination counters before variable elimination counted its resolvents
-// instead of building them.
+// program is the sum loop; the search figures were recorded once
+// the localization formula left out the definitions outside the spec's
+// cone (the loop line's unread per-iteration phis), whose variables no
+// longer reach the search or the elimination.
 TEST(SearchPath, DeepUnwindSumLoopIsPinned) {
-  const char *Src = "int main(int n, int k) {\n"
-                    "  assume(n >= 0 && n <= 60);\n"
-                    "  int i = 0;\n"
-                    "  int s = 0;\n"
-                    "  while (i < n) {\n"
-                    "    s = s + k;\n"
-                    "    i = i + 1;\n"
-                    "  }\n"
-                    "  if (n > 36)\n"
-                    "    s = s + 1;\n"
-                    "  assert(s == n * k);\n"
-                    "  return s;\n"
-                    "}\n";
   PipelineRequest Req;
   Req.Unroll.MaxLoopUnwind = 200;
   Req.Unroll.BitWidth = 8;
   Req.Localize.MaxDiagnoses = 8;
-  PipelineResult R = runLocalizePipeline(Src, Req);
+  PipelineResult R = runLocalizePipeline(SumLoopSrc, Req);
   ASSERT_EQ(R.Status, PipelineStatus::Localized) << R.Message;
   EXPECT_EQ(renderInputVector(R.FailingInput), "42,-113");
   EXPECT_EQ(R.Report.AllLines, (std::vector<uint32_t>{4, 5, 6, 7, 9, 10}));
-  EXPECT_EQ(R.Report.SatCalls, 14u);
-  EXPECT_EQ(R.Report.Search.Conflicts, 31u);
-  EXPECT_EQ(R.Report.Search.Decisions, 9269u);
-  EXPECT_EQ(R.Report.Search.Propagations, 138055u);
-  EXPECT_EQ(R.Report.Search.VarsEliminated, 13122u);
-  EXPECT_EQ(R.Report.Search.ClausesSubsumed, 2965u);
-  EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 4438u);
-  EXPECT_EQ(R.Report.Search.ReconstructBytes, 2226632u);
+  EXPECT_EQ(R.Report.SatCalls, 13u);
+  EXPECT_EQ(R.Report.Search.Conflicts, 71u);
+  EXPECT_EQ(R.Report.Search.Decisions, 9489u);
+  EXPECT_EQ(R.Report.Search.Propagations, 149991u);
+  EXPECT_EQ(R.Report.Search.VarsEliminated, 11575u);
+  EXPECT_EQ(R.Report.Search.ClausesSubsumed, 2823u);
+  EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 3241u);
+  EXPECT_EQ(R.Report.Search.ReconstructBytes, 1370652u);
 }
 
 TEST(SearchPath, TcasV2LocalizeCountersArePinned) {
@@ -219,9 +233,89 @@ TEST(SearchPath, TcasV2LocalizeCountersArePinned) {
   EXPECT_EQ(R.Report.SatCalls, 17u);
   EXPECT_EQ(R.Report.Search.Conflicts, 1u);
   EXPECT_EQ(R.Report.Search.Decisions, 89u);
-  EXPECT_EQ(R.Report.Search.Propagations, 7018u);
-  EXPECT_EQ(R.Report.Search.VarsEliminated, 1468u);
+  EXPECT_EQ(R.Report.Search.Propagations, 7024u);
+  EXPECT_EQ(R.Report.Search.VarsEliminated, 1462u);
   EXPECT_EQ(R.Report.Search.ClausesSubsumed, 770u);
   EXPECT_EQ(R.Report.Search.LitsSelfSubsumed, 999u);
-  EXPECT_EQ(R.Report.Search.ReconstructBytes, 133712u);
+  EXPECT_EQ(R.Report.Search.ReconstructBytes, 133552u);
+}
+
+// The localization formula leaves out the definitions outside the spec's
+// cone and nothing else. On the sum loop at unwind 200 they are the loop
+// head's per-iteration phis that nothing reads: their clauses are exactly
+// the marked ones, the group selectors stay soft and free, and the
+// variables only those clauses mention are fixed at the root, so the
+// search never decides them.
+TEST(SpecCone, SumLoopLeavesOutOnlyTheUnreadLoopPhis) {
+  auto P = compile(SumLoopSrc);
+  UnrollOptions UO;
+  UO.MaxLoopUnwind = 200;
+  UO.BitWidth = 8;
+  UnrolledProgram UP = unrollProgram(*P, "main", UO);
+  EncodeOptions EO;
+  EO.BitWidth = 8;
+  TraceFormula TF(encodeProgram(UP, EO));
+  const EncodedProgram &EP = TF.encoded();
+
+  // Outside the cone: one loop-head phi per iteration, plus three
+  // constant definitions that emit nothing (checked below).
+  std::vector<bool> Cone = specCone(UP);
+  auto IsDeadPhi = [&](const TraceDef &D) {
+    return !Cone[D.Def] && D.Role == DefRole::Phi && D.Line == 5;
+  };
+  size_t DeadPhis = 0, Dead = 0;
+  for (const TraceDef &D : UP.Defs) {
+    Dead += D.Role != DefRole::Input && !Cone[D.Def];
+    DeadPhis += IsDeadPhi(D);
+  }
+  EXPECT_EQ(DeadPhis, 200u);
+  EXPECT_EQ(Dead, 203u);
+
+  // The marked clauses are exactly what the dead phis emitted: the program
+  // without them encodes to the rest. A marked clause mentions an
+  // outside-only variable; no other clause does.
+  UnrolledProgram NoPhis = unrollProgram(*P, "main", UO);
+  NoPhis.Defs.erase(
+      std::remove_if(NoPhis.Defs.begin(), NoPhis.Defs.end(), IsDeadPhi),
+      NoPhis.Defs.end());
+  const EncodedProgram Rest = encodeProgram(NoPhis, EO);
+  ASSERT_GT(EP.numOutsideClauses(), 0u);
+  EXPECT_EQ(EP.Formula.numClauses() - EP.numOutsideClauses(),
+            Rest.Formula.numClauses());
+  EXPECT_EQ(static_cast<size_t>(EP.Formula.numVars()) - EP.OutsideVars.size(),
+            static_cast<size_t>(Rest.Formula.numVars()));
+  EXPECT_EQ(Rest.numOutsideClauses(), 0u);
+  std::vector<bool> Outside(EP.Formula.numVars(), false);
+  for (Var V : EP.OutsideVars)
+    Outside[V] = true;
+  ClauseRange TF1 = EP.Formula.hardClauses();
+  ASSERT_EQ(EP.OutsideCone.size(), TF1.size());
+  size_t Mismatched = 0;
+  for (size_t I = 0; I < TF1.size(); ++I) {
+    bool Mentions = false;
+    for (Lit L : TF1[I])
+      Mentions = Mentions || Outside[L.var()];
+    Mismatched += Mentions != EP.OutsideCone[I];
+  }
+  EXPECT_EQ(Mismatched, 0u);
+
+  // Group selectors stay free: soft, and never fixed as outside-only.
+  MaxSatInstance Inst = TF.sharedInstance();
+  ASSERT_EQ(Inst.Soft.size(), EP.Formula.numGroups());
+  for (const ClauseGroup &G : EP.Formula.groups())
+    EXPECT_FALSE(Outside[G.Selector]) << G.Label;
+
+  // Outside-only variables are fixed at the root, before and after the
+  // search, so no decision ever lands on one.
+  LocalizeOptions LO;
+  LO.MaxDiagnoses = 8;
+  auto Session = makeLocalizationSession(Inst, LO);
+  for (Var V : EP.OutsideVars)
+    ASSERT_TRUE(SolverTestAccess::fixedAtRoot(Session->solver(), V)) << V;
+  LocalizationReport Rep =
+      localizeFault(TF, {InputValue::scalar(42), InputValue::scalar(-113)},
+                    Spec{}, LO, Session.get());
+  EXPECT_EQ(Rep.AllLines, (std::vector<uint32_t>{4, 5, 6, 7, 9, 10}));
+  for (Var V : EP.OutsideVars)
+    ASSERT_TRUE(SolverTestAccess::fixedAtRoot(Session->solver(), V)) << V;
 }

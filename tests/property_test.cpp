@@ -18,6 +18,8 @@
 
 #include "bmc/Encoder.h"
 #include "bmc/Unroller.h"
+#include "core/BugAssist.h"
+#include "core/Pipeline.h"
 #include "lang/Sema.h"
 #include "reduce/Slicer.h"
 #include "support/Rng.h"
@@ -261,4 +263,49 @@ TEST(DifferentialSlicing, SlicedFormulaEquivalent) {
       }
     }
   }
+}
+
+// Property: localization over the spec's cone reports exactly what the
+// whole formula reports. The product path (localizeFault on a
+// sharedInstance session) leaves out the definitions outside the cone;
+// the reference instance loads every encoded clause, as BMC does.
+TEST(DifferentialSlicing, ConeLocalizationMatchesWholeFormula) {
+  Rng R(5151);
+  int Localized = 0;
+  for (int N = 0; N < 20; ++N) {
+    ProgramGen Gen(R);
+    std::string Src = Gen.generate();
+    DiagEngine Diags;
+    auto Prog = parseAndAnalyze(Src, Diags);
+    ASSERT_TRUE(Prog != nullptr) << Diags.render();
+
+    UnrollOptions UO;
+    UO.BitWidth = 8;
+    UO.MaxLoopUnwind = 5;
+    EncodeOptions EO;
+    EO.BitWidth = 8;
+    TraceFormula TF(encodeProgram(unrollProgram(*Prog, "main", UO), EO));
+
+    for (int T = 0; T < 3; ++T) {
+      InputVector In = {
+          InputValue::scalar(wrapToWidth(static_cast<int64_t>(R.next()), 8)),
+          InputValue::scalar(wrapToWidth(static_cast<int64_t>(R.next()), 8)),
+          InputValue::scalar(R.chance(1, 2) ? 1 : 0)};
+      LocalizeOptions LO;
+      LO.MaxDiagnoses = 8;
+      LocalizationReport Cone = localizeFault(TF, In, Spec{}, LO);
+
+      MaxSatInstance Whole = TF.localizationInstance(In, Spec{});
+      Whole.Omit = nullptr;
+      Whole.Hard = TF.testClauses(In, Spec{});
+      auto Session = makeLocalizationSession(Whole, LO);
+      LocalizationReport Ref =
+          enumerateCoMSSesOn(*Session, TF.encoded().Formula, LO);
+      EXPECT_EQ(renderLocalizationReport(Cone), renderLocalizationReport(Ref))
+          << Src << "inputs: " << In[0].Scalar << "," << In[1].Scalar << ","
+          << In[2].Scalar;
+      Localized += !Cone.Diagnoses.empty();
+    }
+  }
+  EXPECT_GT(Localized, 0) << "no generated test failed";
 }

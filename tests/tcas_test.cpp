@@ -225,11 +225,13 @@ TEST(Tcas, LocalizationSampleAcrossVersions) {
 }
 
 TEST(Tcas, BorrowedFormulaLoadsLikeACopyInHard) {
-  // localizationInstance borrows TF1 through MaxSatInstance::Formula and
-  // keeps only [[test]] /\ p in Hard. Loading it must equal loading the
-  // same clauses copied into Hard in that order: Formula first. Loaded
-  // after the test units, TF1 would be simplified against them, and the
-  // arena -- and with it the search -- would differ.
+  // localizationInstance borrows TF1 through MaxSatInstance::Formula, with
+  // the clauses outside the spec's cone marked off through Omit, and keeps
+  // only the outside-only units and [[test]] /\ p in Hard. Loading it must
+  // equal loading the same clauses copied into Hard in that order: the
+  // cone's clauses of Formula first. Loaded after the test units, TF1
+  // would be simplified against them, and the arena -- and with it the
+  // search -- would differ.
   auto Faulty = compile(tcasMutants()[1].Source);
   int64_t Want = 0;
   InputVector Failing = firstFailingTest(*Faulty, Want);
@@ -242,12 +244,18 @@ TEST(Tcas, BorrowedFormulaLoadsLikeACopyInHard) {
 
   MaxSatInstance Borrowed = TF.localizationInstance(Failing, S);
   ASSERT_EQ(Borrowed.Formula, &TF.encoded().Formula);
+  ASSERT_EQ(Borrowed.Omit, &TF.encoded().OutsideCone);
+  ASSERT_GT(TF.encoded().numOutsideClauses(), 0u)
+      << "v2 has definitions outside the spec's cone";
   ASSERT_FALSE(Borrowed.Hard.empty());
   MaxSatInstance Copied = Borrowed;
   Copied.Formula = nullptr;
+  Copied.Omit = nullptr;
   Copied.Hard.clear();
-  for (ClauseView C : TF.encoded().Formula.hardClauses())
-    Copied.Hard.push_back(C.vec());
+  ClauseRange TF1 = TF.encoded().Formula.hardClauses();
+  for (size_t I = 0; I < TF1.size(); ++I)
+    if (!TF.encoded().OutsideCone[I])
+      Copied.Hard.push_back(TF1[I].vec());
   for (const Clause &C : Borrowed.Hard)
     Copied.Hard.push_back(C);
 

@@ -92,7 +92,10 @@ int cmdServed(const std::string &Path, CommandOptions &O) {
   std::fwrite(R.Body.data(), 1, R.Body.size(), stdout);
   if (O.Stats && R.Searched) {
     if (O.Cmd == Command::Localize)
-      std::fputs(renderSearchStats(R.SatCalls, R.Search).c_str(), stdout);
+      std::fputs(renderSearchStats(R.SatCalls, R.Search, R.ConeClauses,
+                                   R.OutsideClauses)
+                     .c_str(),
+                 stdout);
     else
       printDimacsStats(R.SatCalls, R.Search);
   }
