@@ -29,6 +29,7 @@ LocalizationReport bugassist::enumerateCoMSSesOn(MaxSatSession &Session,
     MaxSatResult R = Session.solve();
     Report.SatCalls += R.SatCalls;
     Report.Search = R.Search; // cumulative over the session
+    Report.ProbeConflicts = R.ProbeConflicts;
     if (R.Status == MaxSatStatus::HardUnsat) {
       Report.Exhausted = true; // "No more suspects"
       break;

@@ -73,6 +73,9 @@ struct LocalizationReport {
   /// Cumulative statistics of the incremental MaxSAT session's solver
   /// (conflicts, propagations, ...) over the whole enumeration.
   SolverStats Search;
+  /// The anytime upper-bound probe's share of Search.Conflicts
+  /// (MaxSatResult::ProbeConflicts).
+  uint64_t ProbeConflicts = 0;
 };
 
 /// A resource budget for one whole query, as the user states it (the CLI's

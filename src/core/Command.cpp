@@ -56,12 +56,12 @@ CommandResult runProgram(const CommandOptions &O, const QueryBudget &Budget,
   // verifications answer to verify_budget and the request's deadline.
   SolvingScope Scope(Env, P.Session.get());
   CommandResult Out;
-  if (O.Stats) {
-    const EncodedProgram &EP = P.Prepared->Driver->formula().encoded();
-    Out.OutsideClauses = EP.numOutsideClauses();
-    Out.ConeClauses = EP.Formula.numClauses() - Out.OutsideClauses;
-  }
   if (O.Cmd == Command::Localize) {
+    if (O.Stats) {
+      const EncodedProgram &EP = P.Prepared->Driver->formula().encoded();
+      Out.OutsideClauses = EP.numOutsideClauses();
+      Out.ConeClauses = EP.Formula.numClauses() - Out.OutsideClauses;
+    }
     PipelineResult Res = runLocalizePipeline(
         *P.Prepared, firstTestRequest(Q), P.Session.get());
     if (Res.Status == PipelineStatus::InputNotFailing)
@@ -72,6 +72,7 @@ CommandResult runProgram(const CommandOptions &O, const QueryBudget &Budget,
     Out.Searched = Res.Status == PipelineStatus::Localized;
     Out.SatCalls = Res.Report.SatCalls;
     Out.Search = Res.Report.Search;
+    Out.ProbeConflicts = Res.Report.ProbeConflicts;
     return Out;
   }
   RepairPipelineResult Res =

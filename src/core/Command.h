@@ -63,9 +63,11 @@ struct CommandResult {
   bool Searched = false;
   uint64_t SatCalls = 0;
   SolverStats Search;
-  /// localize and repair under O.Stats: the trace formula's clauses the
-  /// localization formula loads, and those outside the spec's cone it
+  /// localize only: the anytime upper-bound probe's share of
+  /// Search.Conflicts, and under O.Stats the trace formula's clauses the
+  /// localization formula loads and those outside the spec's cone it
   /// leaves out (EncodedProgram::OutsideCone).
+  uint64_t ProbeConflicts = 0;
   size_t ConeClauses = 0;
   size_t OutsideClauses = 0;
 

@@ -512,6 +512,7 @@ std::string bugassist::renderLocalizationJson(const LocalizationReport &R) {
 
 std::string bugassist::renderSearchStats(uint64_t SatCalls,
                                          const SolverStats &S,
+                                         uint64_t ProbeConflicts,
                                          size_t ConeClauses,
                                          size_t OutsideClauses) {
   std::string Out;
@@ -522,9 +523,9 @@ std::string bugassist::renderSearchStats(uint64_t SatCalls,
   Out += "sat calls:    " + std::to_string(SatCalls) + "\n";
   // The budgeted search only; the anytime upper-bound probe that runs
   // after a budget stop counts on its own line.
-  Out += "conflicts:    " + std::to_string(S.Conflicts) + "\n";
-  Out += "probe:        " + std::to_string(S.ProbeConflicts) +
-         " conflicts\n";
+  Out += "conflicts:    " + std::to_string(S.Conflicts - ProbeConflicts) +
+         "\n";
+  Out += "probe:        " + std::to_string(ProbeConflicts) + " conflicts\n";
   Out += "decisions:    " + std::to_string(S.Decisions) + "\n";
   Out += "propagations: " + std::to_string(S.Propagations) + "\n";
   Out += "restarts:     " + std::to_string(S.Restarts) + " (+" +

@@ -258,11 +258,14 @@ std::string renderLocalizationJson(const LocalizationReport &R);
 /// Solver statistics block of a localization (\p SatCalls and \p S of its
 /// report: conflicts, propagations, simplification...), headed by the
 /// localization formula's size (\p ConeClauses loaded, \p OutsideClauses
-/// outside the spec's cone left out). Depends on search history (a cloned
-/// session searches differently from a fresh one); kept out of the
-/// canonical report so that byte-for-byte comparisons stay meaningful.
+/// outside the spec's cone left out). The anytime upper-bound probe's
+/// \p ProbeConflicts print apart from the budgeted search's conflicts.
+/// Depends on search history (a cloned session searches differently from
+/// a fresh one); kept out of the canonical report so that byte-for-byte
+/// comparisons stay meaningful.
 std::string renderSearchStats(uint64_t SatCalls, const SolverStats &S,
-                              size_t ConeClauses, size_t OutsideClauses);
+                              uint64_t ProbeConflicts, size_t ConeClauses,
+                              size_t OutsideClauses);
 
 /// The canonical stdout of a localize run: exactly what `bugassist
 /// localize` prints for \p Res (the CLI and serve mode both emit this

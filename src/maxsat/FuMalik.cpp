@@ -298,8 +298,7 @@ public:
         Res.Model = Res.BestModel;
     }
     Res.Search = S.stats();
-    Res.Search.Conflicts -= ProbeConflicts;
-    Res.Search.ProbeConflicts = ProbeConflicts;
+    Res.ProbeConflicts = ProbeConflicts;
     return Res;
   }
 

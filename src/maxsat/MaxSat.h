@@ -190,9 +190,10 @@ struct MaxSatResult {
   std::vector<LBool> BestModel;
   /// Cumulative statistics of the underlying solver (for a session, totals
   /// since the session was created; for one-shot calls, totals of the call).
-  /// The anytime upper-bound probe's conflicts are in ProbeConflicts, not
-  /// in Conflicts.
   SolverStats Search;
+  /// The part of Search.Conflicts that the anytime upper-bound probe spent
+  /// after the query budget stopped the search (same cumulative scope).
+  uint64_t ProbeConflicts = 0;
 
   /// True when the run finished (Optimum or HardUnsat) rather than running
   /// out of budget.

@@ -110,12 +110,6 @@ struct SolverStats {
   /// Assumption decision levels solve() kept from the previous call
   /// instead of deciding and propagating them again.
   uint64_t ReusedLevels = 0;
-  /// Conflicts of a MaxSAT session's anytime upper-bound probe, which runs
-  /// after the query budget stopped the search (maxsat/FuMalik.cpp). The
-  /// session's result snapshots (MaxSatResult::Search) move them here out
-  /// of Conflicts, so Conflicts counts only the budgeted search; a Solver's
-  /// own stats() leave this 0.
-  uint64_t ProbeConflicts = 0;
 
   /// Average learn-time LBD per conflict (unit learnts count with LBD 1),
   /// glucose's "average LBD" signal.

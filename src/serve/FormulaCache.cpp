@@ -125,16 +125,20 @@ const CachedProgram &FormulaCache::lookup(const std::string &Source,
   // one build completes. A build that *throws* (the CacheFill fault
   // below, a real OOM in the encoder) unwinds before Built is set and
   // releases the lock, so the next same-key request re-runs the build
-  // cleanly -- entries are never poisoned by a half-finished fill.
+  // cleanly -- entries are never poisoned by a half-finished fill. A
+  // built entry is read without the lock: the acquire load pairs with
+  // the release store that publishes the fill.
+  if (P->Built.load(std::memory_order_acquire))
+    return *P;
   std::lock_guard<std::mutex> Lock(P->BuildMu);
-  if (!P->Built) {
+  if (!P->Built.load(std::memory_order_relaxed)) {
     // Test-only fault hook (one relaxed load when disarmed).
     if (faultinject::active() &&
         faultinject::onEvent(faultinject::Event::CacheFill))
       throw std::runtime_error("injected cache-fill fault");
     P->Prepared =
         prepareProgram(Source, Entry, Unroll, Encode, P->Error, &P->Code);
-    P->Built = true;
+    P->Built.store(true, std::memory_order_release);
   }
   return *P;
 }

@@ -19,10 +19,11 @@
 /// first thread to request a key builds the entry under a per-entry mutex
 /// and sets its built flag; concurrent requesters of the same key block on
 /// the mutex until it is ready (encoding still happens exactly once -- the
-/// invariant the tests assert via the miss counter). A build that throws
-/// leaves the flag unset, so the next request builds the entry again. Base sessions are built under a per-entry
-/// mutex on first use and are immutable afterwards, so concurrent clone()
-/// calls need no further locking.
+/// invariant the tests assert via the miss counter), and later ones see
+/// the flag without locking. A build that throws leaves the flag unset, so
+/// the next request builds the entry again. Base sessions are built under
+/// a per-entry mutex on first use and are immutable afterwards, so
+/// concurrent clone() calls need no further locking.
 ///
 /// Keys hash with FNV-1a for bucket placement but compare by the full
 /// serialized key, so a hash collision costs a probe, never a wrong
@@ -35,6 +36,7 @@
 
 #include "core/Pipeline.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -64,10 +66,11 @@ public:
 private:
   friend class FormulaCache;
 
-  /// Guards the one build; Built is set once it completed. Everything
-  /// below up to BaseMu is written only under BuildMu, before Built.
+  /// Guards the one build; Built is set (release) once it completed.
+  /// Everything below up to BaseMu is written only under BuildMu, before
+  /// Built, and read only after an acquire load of Built saw it set.
   std::mutex BuildMu;
-  bool Built = false;
+  std::atomic<bool> Built{false};
   std::unique_ptr<PreparedProgram> Prepared;
   std::string Error;
   ErrorCode Code = ErrorCode::Ok;

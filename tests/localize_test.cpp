@@ -227,7 +227,11 @@ namespace {
 /// programs.
 std::vector<Diagnosis> selectorOracle(const TraceFormula &TF,
                                       const InputVector &Fail, size_t Count) {
+  // The whole trace formula, as BMC loads it, not the spec's cone the
+  // localization instances load: the oracle stays an independent reference.
   MaxSatInstance Inst = TF.localizationInstance(Fail, Spec{});
+  Inst.Omit = nullptr;
+  Inst.Hard = TF.testClauses(Fail, Spec{});
   const std::vector<ClauseGroup> &Groups = TF.encoded().Formula.groups();
   const size_t N = Groups.size();
   EXPECT_LE(N, 16u) << "too many groups to enumerate";

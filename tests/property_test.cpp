@@ -272,6 +272,7 @@ TEST(DifferentialSlicing, SlicedFormulaEquivalent) {
 TEST(DifferentialSlicing, ConeLocalizationMatchesWholeFormula) {
   Rng R(5151);
   int Localized = 0;
+  int ConeCut = 0; // failing tests whose formula had clauses outside the cone
   for (int N = 0; N < 20; ++N) {
     ProgramGen Gen(R);
     std::string Src = Gen.generate();
@@ -304,8 +305,12 @@ TEST(DifferentialSlicing, ConeLocalizationMatchesWholeFormula) {
       EXPECT_EQ(renderLocalizationReport(Cone), renderLocalizationReport(Ref))
           << Src << "inputs: " << In[0].Scalar << "," << In[1].Scalar << ","
           << In[2].Scalar;
-      Localized += !Cone.Diagnoses.empty();
+      bool Failed = !Ref.Diagnoses.empty();
+      Localized += Failed;
+      ConeCut += Failed && TF.encoded().numOutsideClauses() > 0;
     }
   }
   EXPECT_GT(Localized, 0) << "no generated test failed";
+  // The comparison means something only where the cone left clauses out.
+  EXPECT_GT(ConeCut, 0) << "no failing test had clauses outside the cone";
 }

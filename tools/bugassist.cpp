@@ -92,8 +92,8 @@ int cmdServed(const std::string &Path, CommandOptions &O) {
   std::fwrite(R.Body.data(), 1, R.Body.size(), stdout);
   if (O.Stats && R.Searched) {
     if (O.Cmd == Command::Localize)
-      std::fputs(renderSearchStats(R.SatCalls, R.Search, R.ConeClauses,
-                                   R.OutsideClauses)
+      std::fputs(renderSearchStats(R.SatCalls, R.Search, R.ProbeConflicts,
+                                   R.ConeClauses, R.OutsideClauses)
                      .c_str(),
                  stdout);
     else
