@@ -120,6 +120,8 @@ TraceFormula::findCounterexample(const Spec &S, bool &Decided,
                                  uint64_t ConflictBudget,
                                  const Solver::Budget &Budget) const {
   Decided = false;
+  if (Budget.expired())
+    return std::nullopt; // nothing to load for a search that cannot run
   Solver Solve;
   if (!Budget.unlimited())
     Solve.setBudget(Budget);

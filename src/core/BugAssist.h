@@ -35,6 +35,7 @@
 #include "lang/Ast.h"
 #include "maxsat/MaxSat.h"
 
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <set>
@@ -94,30 +95,33 @@ struct QueryBudget {
   /// call starts its own clock; a request with several stages (repair)
   /// pins it once through startClock() so all of them share one deadline.
   std::optional<std::chrono::steady_clock::time_point> Started;
+  /// Cancels the request once it reads true (Solver::Budget::Cancel). Serve
+  /// points it at its drain flag; unset on the CLI.
+  const std::atomic<bool> *Cancel = nullptr;
 
   /// True when any knob is set.
   bool any() const {
-    return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0;
+    return TimeoutSeconds > 0 || MaxConflicts > 0 || MaxMemoryMb > 0 ||
+           Cancel;
   }
   /// Starts the deadline clock now (no-op once started).
   void startClock() {
     if (!Started)
       Started = std::chrono::steady_clock::now();
   }
-  /// The deadline alone, for solvers that keep their own conflict and
-  /// memory limits (repair's prescreen and candidate verification).
+  /// The deadline and the cancel flag alone, for solvers that keep their
+  /// own conflict and memory limits (the BMC search, serve's cache build,
+  /// repair's prescreen and candidate verification).
   Solver::Budget deadline() const {
     Solver::Budget B;
     if (TimeoutSeconds > 0)
       B.setDeadlineAfter(Started ? *Started : std::chrono::steady_clock::now(),
                          TimeoutSeconds);
+    B.Cancel = Cancel;
     return B;
   }
-  /// True once the deadline has passed (never without a timeout).
-  bool expired() const {
-    Solver::Budget B = deadline();
-    return B.HasDeadline && std::chrono::steady_clock::now() >= B.Deadline;
-  }
+  /// True once the deadline has passed or the request was cancelled.
+  bool expired() const { return deadline().expired(); }
   /// The Solver::Budget equivalent: deadline() plus the conflict and arena
   /// caps.
   Solver::Budget solverBudget() const {

@@ -15,24 +15,6 @@ using namespace bugassist;
 
 namespace {
 
-/// Reports \p S to Env.Solving for the scope's lifetime.
-class SolvingScope {
-public:
-  SolvingScope(const CommandEnv &Env, MaxSatSession *S)
-      : Env(Env), On(S && Env.Solving) {
-    if (On)
-      Env.Solving(&S->solver());
-  }
-  ~SolvingScope() {
-    if (On)
-      Env.Solving(nullptr);
-  }
-
-private:
-  const CommandEnv &Env;
-  bool On;
-};
-
 /// localize and repair on a resolved mini-C program.
 CommandResult runProgram(const CommandOptions &O, const QueryBudget &Budget,
                          const CommandEnv &Env) {
@@ -40,7 +22,7 @@ CommandResult runProgram(const CommandOptions &O, const QueryBudget &Budget,
   Q.Localize.Budget = Budget;
   ResolvedProgram P;
   if (Env.Resolve) {
-    P = Env.Resolve(O);
+    P = Env.Resolve(O, Budget);
   } else {
     P.Owned = prepareProgram(O.Source, Q.Entry, Q.Unroll, Q.Encode, P.Error,
                              &P.Code);
@@ -52,9 +34,6 @@ CommandResult runProgram(const CommandOptions &O, const QueryBudget &Budget,
                     ? "program does not compile: " + P.Error
                     : P.Error);
 
-  // Repair's hook covers its localization; the prescreen and candidate
-  // verifications answer to verify_budget and the request's deadline.
-  SolvingScope Scope(Env, P.Session.get());
   CommandResult Out;
   if (O.Cmd == Command::Localize) {
     if (O.Stats) {
@@ -111,7 +90,6 @@ CommandResult runMaxSat(const CommandOptions &O, DimacsInstance D,
         makeFuMalikSession(Inst, /*ConflictBudget=*/0, SOpts);
     if (Budget.any())
       Session->setBudget(Bud);
-    SolvingScope Scope(Env, Session.get());
     R = Session->solve();
   }
   Out.Body += renderMaxSatAnswer(R, Inst.NumVars, O.Model,

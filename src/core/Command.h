@@ -10,8 +10,9 @@
 /// (core/OptionTable.h) and hand them to runCommand, which starts the
 /// budget clock, resolves the program, solves, classifies the outcome and
 /// renders the canonical body. What a surface changes goes through
-/// CommandEnv: serve resolves programs through its FormulaCache and
-/// registers the solving solver in its flight table.
+/// CommandEnv: serve resolves programs through its FormulaCache. Every
+/// solver of a command answers to the one QueryBudget, whose deadline and
+/// cancel flag also bound serve's watchdog and drain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,13 +41,12 @@ struct ResolvedProgram {
 
 /// The default is the one-shot CLI's: a fresh program and session.
 struct CommandEnv {
-  /// Resolves O.Source for localize and repair. Unset: prepareProgram and
-  /// no session, search-identical to runLocalizePipeline on source text.
-  std::function<ResolvedProgram(const CommandOptions &O)> Resolve;
-  /// Called with the solver of the main solve (localization, repair's
-  /// localization, maxsat) before it starts and with nullptr after it.
-  /// sat solves inside solveSat, out of its reach.
-  std::function<void(Solver *)> Solving;
+  /// Resolves O.Source for localize and repair under the command's started
+  /// \p Budget. Unset: prepareProgram and no session, search-identical to
+  /// runLocalizePipeline on source text.
+  std::function<ResolvedProgram(const CommandOptions &O,
+                                const QueryBudget &Budget)>
+      Resolve;
   /// Set: maxsat and sat bodies carry the DIMACS `c` comment lines, which
   /// name the input by this label.
   const char *CommentLabel = nullptr;

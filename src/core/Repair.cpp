@@ -146,6 +146,9 @@ RepairResult bugassist::repairProgram(
     LocalizationReport R =
         enumerateCoMSSesOn(*Session, TF.encoded().Formula, Localize);
     Lines = candidateLines(R);
+    // A budget-stopped localization leaves lines unsearched: no candidate
+    // list drawn from it is exhaustive.
+    Result.Truncated = R.Incomplete;
     if (Report)
       *Report = std::move(R);
     if (Lines.empty())

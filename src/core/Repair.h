@@ -92,9 +92,10 @@ struct RepairResult {
   size_t CandidatesTried = 0;
   /// Lines localization proposed (useful when no repair validated).
   std::vector<uint32_t> SuspectLines;
-  /// MaxCandidates or the request deadline (Localize.Budget's timeout)
-  /// stopped the search before the plan was exhausted; the "no repair"
-  /// answer is budget-truncated, not a decided negative.
+  /// MaxCandidates or the request's budget (Localize.Budget's deadline or
+  /// cancel flag) stopped the search before the plan was exhausted, or the
+  /// budget stopped localization; the "no repair" answer is
+  /// budget-truncated, not a decided negative.
   bool Truncated = false;
   RepairStats Stats;
 };
@@ -126,7 +127,7 @@ std::vector<uint32_t> candidateLines(const LocalizationReport &Report);
 /// counted from the call (or from an earlier QueryBudget::startClock):
 /// localization, the prescreen and every verification solver stop at it,
 /// and the candidate loop checks it between candidates; expiry ends the
-/// search with Truncated.
+/// search with Truncated. The budget's cancel flag stops them the same way.
 RepairResult repairProgram(const Program &Prog, const BugAssistDriver &Driver,
                            const std::string &Entry,
                            const std::vector<InputVector> &FailingTests,

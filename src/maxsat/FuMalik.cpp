@@ -317,15 +317,17 @@ private:
   /// clauses alone bounds the optimum by its falsified-soft weight, so
   /// probe without the guard assumptions under a small bounded allowance.
   /// Only runs when the query budget (not the legacy per-call conflict
-  /// cap) tripped, so unbudgeted flows behave exactly as before.
+  /// cap) tripped, so unbudgeted flows behave exactly as before; never on
+  /// a cancelled or fault-interrupted solve, and a cancel stops it too.
   /// \returns true when a model was found (S's model then witnesses it).
   bool harvestUpperBound(MaxSatResult &Res) {
-    if (!S.budgetExhausted() || S.interrupted())
+    if (!S.budgetExhausted() || S.interrupted() || S.budget().cancelled())
       return false;
     Solver::Budget Saved = S.budget();
     S.clearBudget();
     Solver::Budget Allowance;
     Allowance.MaxConflicts = 1000;
+    Allowance.Cancel = Saved.Cancel;
     S.setBudget(Allowance);
     ++Res.SatCalls;
     uint64_t Before = S.stats().Conflicts;

@@ -237,9 +237,9 @@ public:
   virtual const SolverStats &stats() const = 0;
 
   /// The persistent solver behind this session. Exposed so callers can
-  /// preprocess a never-solved session and so serve's watchdog can
-  /// interrupt a running solve; ordinary callers should not steer the
-  /// solver mid-session.
+  /// preprocess a never-solved session; ordinary callers should not steer
+  /// the solver mid-session (a running solve is stopped through its
+  /// budget's deadline or cancel flag, setBudget below).
   virtual Solver &solver() = 0;
 
   /// Installs a query-wide resource budget (sat/Solver.h's Solver::Budget)

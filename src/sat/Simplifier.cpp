@@ -154,7 +154,7 @@ void Solver::extendModel() {
 bool Simplifier::aborted() {
   if (AbortLatch)
     return true;
-  if (S.InterruptRequested.load(std::memory_order_relaxed) || S.pollBudget())
+  if (S.Interrupted || S.pollBudget())
     AbortLatch = true;
   return AbortLatch;
 }

@@ -60,8 +60,8 @@
 /// freed clause.
 ///
 /// A Simplifier is a transient: constructed on a Solver at decision level
-/// 0, run once, discarded. It honours the solver's cooperative interrupt
-/// and resource Budget (a pass aborted mid-way leaves the database in a
+/// 0, run once, discarded. It honours the solver's resource Budget, its
+/// cancel flag included (a pass aborted mid-way leaves the database in a
 /// consistent state -- every individual rewrite commits atomically).
 ///
 //===----------------------------------------------------------------------===//
@@ -144,12 +144,12 @@ private:
   // Variables assumed by the in-flight solve() are frozen for this pass
   // only (the assumptions of *future* solves must be frozen by the caller).
   std::vector<char> TempFrozen;
-  bool AbortLatch = false; // sticky interrupt/budget trip for this pass
+  bool AbortLatch = false; // sticky budget/cancel trip for this pass
 
   bool prepare();            // root propagate + simplify + collect entries
   void collect();            // build Cs/Occ/Queue from the problem clauses
   uint64_t signatureOf(ClauseRef CR) const;
-  bool aborted();            // interrupt / budget poll (amortized)
+  bool aborted();            // budget/cancel poll (amortized)
   bool varTouchable(Var V) const; // unassigned, unfrozen, not eliminated
   bool entrySatisfied(int EI);    // root-satisfied? (marks Dead, removes)
   void enqueue(int EI);

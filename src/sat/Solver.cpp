@@ -180,7 +180,7 @@ bool Solver::pollBudget() {
   if ((Bud.MaxPropagations != 0 &&
        Stats.Propagations - BudgetStartPropagations >= Bud.MaxPropagations) ||
       (Bud.MaxArenaBytes != 0 && budgetedBytes() > Bud.MaxArenaBytes) ||
-      (Bud.HasDeadline && std::chrono::steady_clock::now() >= Bud.Deadline))
+      Bud.expired())
     BudgetExhaustedFlag = true;
   return BudgetExhaustedFlag;
 }
@@ -189,7 +189,7 @@ Solver::ClauseRef Solver::allocClause(const std::vector<Lit> &Lits,
                                       bool Learnt) {
   if (faultinject::active() &&
       faultinject::onEvent(faultinject::Event::Allocation))
-    InterruptRequested.store(true, std::memory_order_relaxed);
+    Interrupted = true;
   // The arena cap degrades, never throws: the clause is still allocated
   // (one-clause overshoot) and the sticky flag makes the search loop hand
   // back Undef on its next iteration.
@@ -739,8 +739,8 @@ LBool Solver::search() {
   uint32_t Lbd = 0;
 
   for (;;) {
-    if (InterruptRequested.load(std::memory_order_relaxed))
-      return LBool::Undef; // cooperative cancellation (interrupt())
+    if (Interrupted)
+      return LBool::Undef; // a fault hook stopped the search
     if (BudgetArmed && (BudgetExhaustedFlag || --BudgetPollCountdown <= 0)) {
       BudgetPollCountdown = BudgetPollPeriod;
       if (pollBudget())
@@ -868,13 +868,13 @@ LBool Solver::solve(const std::vector<Lit> &Assumptions,
     ConflictsSinceRestart = 0;
     Result = search();
     if (Result == LBool::Undef) {
-      if (InterruptRequested.load(std::memory_order_relaxed))
+      if (Interrupted)
         break; // interrupted: hand back Undef without counting a restart
       if (BudgetExhaustedFlag)
-        break; // budget exhausted: same contract as an interrupt
+        break; // budget exhausted (or cancelled): same contract
       if (faultinject::active() &&
           faultinject::onEvent(faultinject::Event::Restart))
-        InterruptRequested.store(true, std::memory_order_relaxed);
+        Interrupted = true;
       ++Stats.Restarts;
       if (ConflictBudget != 0 && ConflictsThisSolve >= ConflictBudget)
         break;

@@ -57,9 +57,9 @@
 /// every list is always read in the order eager removal would have left it
 /// (see the watch-list section of the private state below).
 ///
-/// A running solve() can be cancelled from another thread: interrupt()
-/// raises an atomic flag polled once per search-loop iteration (serve's
-/// watchdog uses it).
+/// A running solve() can be cancelled from another thread through its
+/// Budget's Cancel flag, which is polled with the deadline (serve's drain
+/// sets it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -174,9 +174,8 @@ public:
   /// cloning (maxsat/MaxSat.h `MaxSatSession::clone`): one base solver is
   /// loaded with the shared hard clauses once and copied per query, which
   /// is a flat memcpy of the arena instead of per-clause re-simplification.
-  /// Copying a solver whose solve() is in flight is undefined; a pending
-  /// interrupt() is snapshotted as a plain value (interrupting the original
-  /// never cancels the copy).
+  /// Copying a solver whose solve() is in flight is undefined. The copy
+  /// keeps the budget, and with it the pointer to the same Cancel flag.
   Solver(const Solver &) = default;
   Solver &operator=(const Solver &) = default;
 
@@ -296,7 +295,7 @@ public:
   /// above, every cap is cumulative across all solve() calls since
   /// setBudget() -- the MaxSAT sessions install one budget per user query
   /// and make dozens of solve() calls against it. A zero cap (or an unset
-  /// deadline) means that dimension is unlimited.
+  /// deadline or cancel flag) means that dimension is unlimited.
   struct Budget {
     uint64_t MaxConflicts = 0;    ///< conflicts since setBudget (0 = off)
     uint64_t MaxPropagations = 0; ///< propagations since setBudget (0 = off)
@@ -304,10 +303,21 @@ public:
     uint64_t MaxArenaBytes = 0;
     std::chrono::steady_clock::time_point Deadline{};
     bool HasDeadline = false;
+    /// Cooperative cancellation: the budget trips once *Cancel reads true.
+    /// The owner sets it from any thread; the solver only reads it.
+    const std::atomic<bool> *Cancel = nullptr;
 
     bool unlimited() const {
       return MaxConflicts == 0 && MaxPropagations == 0 && MaxArenaBytes == 0 &&
-             !HasDeadline;
+             !HasDeadline && !Cancel;
+    }
+    bool cancelled() const {
+      return Cancel && Cancel->load(std::memory_order_relaxed);
+    }
+    /// True once the deadline has passed or the cancel flag is up.
+    bool expired() const {
+      return (HasDeadline && std::chrono::steady_clock::now() >= Deadline) ||
+             cancelled();
     }
     /// True when the per-variable state of \p NumVars variables fits under
     /// MaxArenaBytes (always, with the cap off). Check it before sizing a
@@ -354,22 +364,9 @@ public:
       BudgetExhaustedFlag = true;
   }
 
-  // --- cooperative cancellation -------------------------------------------
-
-  /// Asks a running solve() to stop at the next search-loop iteration; the
-  /// call returns Undef. Safe to call from any thread; the flag is sticky
-  /// until clearInterrupt(), so a solve() that has not started yet returns
-  /// promptly too.
-  void interrupt() { InterruptRequested.store(true, std::memory_order_relaxed); }
-
-  /// Re-arms the solver after an interrupt. Call between solve()s only.
-  void clearInterrupt() {
-    InterruptRequested.store(false, std::memory_order_relaxed);
-  }
-
-  bool interrupted() const {
-    return InterruptRequested.load(std::memory_order_relaxed);
-  }
+  /// True once a test-only fault hook (support/FaultInject.h) stopped the
+  /// search. Sticky for the solver's lifetime.
+  bool interrupted() const { return Interrupted; }
 
   const SolverStats &stats() const { return Stats; }
 
@@ -792,23 +789,8 @@ private:
   uint64_t RandState = 0x1234567890abcdefull;
   static constexpr uint32_t RandBranchThreshold = 20;
 
-  /// std::atomic is not copyable; this wrapper snapshots the flag value so
-  /// the defaulted Solver copy constructor (session cloning) stays
-  /// member-wise. Memory ordering is the caller's choice, as before.
-  struct CopyableAtomicBool {
-    std::atomic<bool> V{false};
-    CopyableAtomicBool() = default;
-    CopyableAtomicBool(const CopyableAtomicBool &O)
-        : V(O.V.load(std::memory_order_relaxed)) {}
-    CopyableAtomicBool &operator=(const CopyableAtomicBool &O) {
-      V.store(O.V.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-    void store(bool B, std::memory_order M) { V.store(B, M); }
-    bool load(std::memory_order M) const { return V.load(M); }
-  };
-
-  CopyableAtomicBool InterruptRequested;
+  // Set only by the fault hooks, on the solving thread.
+  bool Interrupted = false;
 
   SolverStats Stats;
 

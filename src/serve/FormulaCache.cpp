@@ -74,28 +74,28 @@ std::string bugassist::serializeCacheKey(const std::string &Source,
 }
 
 std::unique_ptr<MaxSatSession>
-CachedProgram::cloneSession(bool) const {
-  const TraceFormula &TF = Prepared->Driver->formula();
+CachedProgram::cloneSession(const Solver::Budget &Budget) const {
   std::lock_guard<std::mutex> Lock(BaseMu);
-  if (!Base) {
-    Base = makeFuMalikSession(TF.sharedInstance());
-    // Preprocess the shared base once; clones inherit the shrunken clause
-    // database (and the eliminated-variable reconstruction stack) via the
-    // member-wise Solver copy, so per-request solves skip the pass. The
-    // test-interface variables are frozen by sharedInstance, so the
-    // per-test unit clauses added to clones stay legal.
-    //
-    // If the pass throws (an injected OOM, a real one), the half-built
-    // session must not stay behind: a later same-key request would clone
-    // a base whose clause database is mid-preprocess. Drop it so the next
-    // request rebuilds from scratch.
-    try {
-      Base->solver().preprocess();
-    } catch (...) {
-      Base.reset();
-      throw;
-    }
-  }
+  if (Base)
+    return Base->clone();
+  // Preprocess the shared base once; clones inherit the shrunken clause
+  // database (and the eliminated-variable reconstruction stack) via the
+  // member-wise Solver copy, so per-request solves skip the pass. The
+  // test-interface variables are frozen by sharedInstance, so the
+  // per-test unit clauses added to clones stay legal. The session stays
+  // local until the pass completes: one that throws (an injected OOM, a
+  // real one) or that the budget stopped never becomes the base, and the
+  // next request builds it again.
+  std::unique_ptr<MaxSatSession> S =
+      makeFuMalikSession(Prepared->Driver->formula().sharedInstance());
+  if (!Budget.unlimited())
+    S->setBudget(Budget);
+  S->solver().preprocess();
+  bool Stopped = S->solver().budgetExhausted();
+  S->clearBudget();
+  if (Stopped)
+    return S;
+  Base = std::move(S);
   return Base->clone();
 }
 

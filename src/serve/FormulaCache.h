@@ -57,11 +57,19 @@ public:
   const std::string &error() const { return Error; }
   ErrorCode errorCode() const { return Code; }
 
-  /// A fresh session for one query: a clone of the base session (built on
-  /// first use). Requires prepared() != nullptr. The parameter exists only
-  /// for perfbench, which still passes it, and is ignored.
+  /// A fresh session for one query: a clone of the base session. The
+  /// first call builds the base and preprocesses it under \p Budget, the
+  /// requesting query's deadline() (its deadline and cancel flag). A pass
+  /// the budget stopped goes to that caller alone and is not cached, and
+  /// the cached base carries no budget, so no clone inherits another
+  /// request's deadline. Requires prepared() != nullptr.
   std::unique_ptr<MaxSatSession>
-  cloneSession(bool /*Weighted*/ = false) const;
+  cloneSession(const Solver::Budget &Budget) const;
+  /// cloneSession with no budget. The parameter exists only for
+  /// perfbench, which still passes it, and is ignored.
+  std::unique_ptr<MaxSatSession> cloneSession(bool /*Weighted*/ = false) const {
+    return cloneSession(Solver::Budget());
+  }
 
 private:
   friend class FormulaCache;
@@ -76,7 +84,7 @@ private:
   ErrorCode Code = ErrorCode::Ok;
 
   /// The base session, built lazily under BaseMu and immutable afterwards
-  /// (cloned, never solved).
+  /// (cloned, never solved). Only a completed preprocess pass is kept.
   mutable std::mutex BaseMu;
   mutable std::unique_ptr<MaxSatSession> Base;
 };

@@ -46,7 +46,8 @@ using Clock = std::chrono::steady_clock;
 
 /// The process-global drain request: SIGINT/SIGTERM handlers (installed
 /// by the CLI) set it via LocalizeServer::requestDrain, run() clears it
-/// on entry and polls it at every stage boundary.
+/// on entry and polls it between requests, and every request's budget
+/// carries it as its cancel flag (QueryBudget::Cancel).
 std::atomic<bool> DrainFlag{false};
 
 /// Degraded budget for the final retry of a crash-looping request: enough
@@ -197,69 +198,18 @@ Outcome respond(const Request &Req, const CommandResult &R,
   return O;
 }
 
-// --- in-flight registry ------------------------------------------------------
-
-/// Per-worker registry of the solver answering the in-flight request,
-/// with its watchdog deadline. The watchdog thread and the drain sweep
-/// call interrupt() under the same mutex the worker uses to register /
-/// clear, so an interrupt can never land on a destroyed solver.
-class FlightTable {
-public:
-  explicit FlightTable(size_t Workers)
-      : Solvers(Workers, nullptr), Deadline(Workers), HasDeadline(Workers, 0) {
-  }
-
-  /// Registers \p S as worker \p W's solver; nullptr clears the slot.
-  void set(size_t W, Solver *S, double WatchdogSeconds) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Solvers[W] = S;
-    HasDeadline[W] = WatchdogSeconds > 0;
-    if (WatchdogSeconds > 0)
-      Deadline[W] = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(
-                                           WatchdogSeconds));
-  }
-
-  /// Drain: interrupt every in-flight solve.
-  void interruptAll() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (Solver *S : Solvers)
-      if (S)
-        S->interrupt();
-  }
-
-  /// Watchdog tick: interrupt solves past their deadline. \returns how
-  /// many were escalated (the summary does not report it; tests can).
-  size_t interruptOverdue() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Clock::time_point Now = Clock::now();
-    size_t N = 0;
-    for (size_t W = 0; W < Solvers.size(); ++W)
-      if (Solvers[W] && HasDeadline[W] && Now >= Deadline[W]) {
-        Solvers[W]->interrupt();
-        ++N;
-      }
-    return N;
-  }
-
-private:
-  std::mutex Mu;
-  std::vector<Solver *> Solvers;
-  std::vector<Clock::time_point> Deadline;
-  std::vector<char> HasDeadline;
-};
-
-/// Answers one request through the command runner (core/Command.h) on
-/// worker \p W: programs resolve through \p Cache, localization runs on a
-/// clone of the cached base session, and the solving solver sits in
-/// \p Flights, where the watchdog and the drain interrupt it. \p Degraded
-/// marks the final retry of a crash-looping request: its conflict budget is
-/// clamped so the attempt ends `incomplete` rather than in another crash.
-/// Budgets never change *what* is computed, only how far, so a degraded
-/// attempt that completes is still byte-identical.
+/// Answers one request through the command runner (core/Command.h):
+/// programs resolve through \p Cache and localization runs on a clone of
+/// the cached base session. The watchdog is the request's deadline (the
+/// smaller of its timeout and \p WatchdogSeconds) and the drain its cancel
+/// flag, so every solver of the request -- the base build, the BMC search,
+/// localization, repair's prescreen and verifications -- answers to both.
+/// \p Degraded marks the final retry of a crash-looping request: its
+/// conflict budget is clamped so the attempt ends `incomplete` rather than
+/// in another crash. Budgets never change *what* is computed, only how
+/// far, so a request that completes is byte-identical.
 Outcome processRequest(const Request &Req, FormulaCache &Cache,
-                       FlightTable &Flights, size_t W, double WatchdogSeconds,
-                       bool Degraded) {
+                       double WatchdogSeconds, bool Degraded) {
   auto Start = Clock::now();
   CommandOptions O = Req.Opts;
   QueryBudget &B = O.Query.Localize.Budget;
@@ -267,14 +217,15 @@ Outcome processRequest(const Request &Req, FormulaCache &Cache,
     B.MaxConflicts = B.MaxConflicts
                          ? std::min(B.MaxConflicts, DegradedMaxConflicts)
                          : DegradedMaxConflicts;
-  // sat solves inside solveSat, out of the flight table's reach: the
-  // watchdog rides in as its deadline instead.
-  if (O.Cmd == Command::Sat && B.TimeoutSeconds <= 0)
-    B.TimeoutSeconds = WatchdogSeconds;
+  if (WatchdogSeconds > 0)
+    B.TimeoutSeconds = B.TimeoutSeconds > 0
+                           ? std::min(B.TimeoutSeconds, WatchdogSeconds)
+                           : WatchdogSeconds;
+  B.Cancel = &DrainFlag;
 
   const char *CacheStr = nullptr;
   CommandEnv Env;
-  Env.Resolve = [&](const CommandOptions &Q) {
+  Env.Resolve = [&](const CommandOptions &Q, const QueryBudget &Budget) {
     bool Hit = false;
     const CachedProgram &CP = Cache.lookup(Q.Source, Q.Query.Entry,
                                            Q.Query.Unroll, Q.Query.Encode,
@@ -285,12 +236,13 @@ Outcome processRequest(const Request &Req, FormulaCache &Cache,
     P.Code = CP.errorCode();
     P.Error = CP.error();
     // The encode-once fast path: a clone of the cached base session,
-    // primed with TF1 + the soft selectors, completed per test.
-    if (P.Prepared)
-      P.Session = CP.cloneSession();
+    // primed with TF1 + the soft selectors, completed per test. A request
+    // whose budget ran out while resolving builds no base it cannot use;
+    // its pipeline stages then stop at their first budget poll.
+    if (P.Prepared && !Budget.expired())
+      P.Session = CP.cloneSession(Budget.deadline());
     return P;
   };
-  Env.Solving = [&](Solver *S) { Flights.set(W, S, WatchdogSeconds); };
   CommandResult R = runCommand(O, Env); // sets CacheStr
   return respond(Req, R, CacheStr, elapsedMs(Start));
 }
@@ -343,7 +295,6 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
   RequestQueue Queue(Threads);
   OrderedEmitter Emitter(Out);
   Tally T;
-  FlightTable Flights(Threads);
   std::atomic<uint64_t> Respawns{0}, Retries{0};
 
   // Request slots live here; the queue carries indexes. The mutex covers
@@ -380,8 +331,8 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
     }
   };
 
-  // One request attempt on worker W. Throws = this worker dies.
-  auto handle = [&](size_t W, size_t Index, int Attempt) {
+  // One request attempt. Throws = this worker dies.
+  auto handle = [&](size_t Index, int Attempt) {
     const Request &Req = slot(Index);
     if (DrainFlag.load(std::memory_order_relaxed)) {
       // Accepted but drained before any work started: answer `cancelled`
@@ -394,8 +345,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
     }
     bool Degraded = Attempt > 0 && Attempt >= Opts.MaxRetries;
     tallyAndEmit(Index, Req,
-                 processRequest(Req, Cache, Flights, W, Opts.WatchdogSeconds,
-                                Degraded));
+                 processRequest(Req, Cache, Opts.WatchdogSeconds, Degraded));
   };
 
   // Death notes flow from dying workers to the monitor thread.
@@ -423,7 +373,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
         InFlight = true;
         Cur = ResumeIndex;
         Attempt = ResumeAttempt;
-        handle(W, Cur, Attempt);
+        handle(Cur, Attempt);
         InFlight = false;
       }
       for (;;) {
@@ -437,14 +387,12 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
         InFlight = true;
         Cur = Index;
         Attempt = 0;
-        handle(W, Cur, 0);
+        handle(Cur, 0);
       }
       postNote({W, /*Clean=*/true, false, 0, 0, ""});
     } catch (const std::exception &E) {
-      Flights.set(W, nullptr, 0); // belt and braces: the runner clears it
       postNote({W, false, InFlight, Cur, Attempt, E.what()});
     } catch (...) {
-      Flights.set(W, nullptr, 0);
       postNote({W, false, InFlight, Cur, Attempt, "unknown exception"});
     }
   };
@@ -456,7 +404,6 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
   // The monitor: joins dead workers, emits the final error when a request
   // exhausted its retries, and respawns the slot. Exits once every slot
   // has posted a clean (queue-drained) exit.
-  std::atomic<bool> PoolDone{false};
   std::thread Monitor([&] {
     size_t Remaining = Threads;
     while (Remaining > 0) {
@@ -503,26 +450,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       Pool[N.Slot] = std::thread(workerBody, N.Slot, Resume, N.Index,
                                  Resume ? NextAttempt : 0);
     }
-    PoolDone.store(true, std::memory_order_relaxed);
   });
-
-  // The watchdog: escalates past-deadline queries via Solver::interrupt()
-  // so a stuck solve frees its worker as an `incomplete` response instead
-  // of holding its response slot forever.
-  std::mutex WdMu;
-  std::condition_variable WdCv;
-  bool WdStop = false;
-  std::thread Watchdog;
-  if (Opts.WatchdogSeconds > 0)
-    Watchdog = std::thread([&] {
-      std::unique_lock<std::mutex> Lock(WdMu);
-      while (!WdCv.wait_for(Lock, std::chrono::milliseconds(20),
-                            [&] { return WdStop; })) {
-        Flights.interruptOverdue();
-        if (DrainFlag.load(std::memory_order_relaxed))
-          Flights.interruptAll();
-      }
-    });
 
   // Reader loop (this thread): one JSON object per line; blank lines are
   // ignored. A line that fails to parse or validate is answered with an
@@ -573,25 +501,12 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
   }
   bool Drained = DrainFlag.load(std::memory_order_relaxed);
   Queue.close();
-  // Drain: keep interrupting in-flight solves until the pool is done, so
-  // a request that registered its solver between sweeps is still caught.
-  // Queued-not-started requests answer themselves `cancelled` in handle().
-  while (Drained && !PoolDone.load(std::memory_order_relaxed)) {
-    Flights.interruptAll();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // On a drain, in-flight requests see the flag through their budgets and
+  // end `incomplete`; queued ones answer themselves `cancelled` in handle().
   Monitor.join();
   for (std::thread &Worker : Pool)
     if (Worker.joinable())
       Worker.join();
-  if (Watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> Lock(WdMu);
-      WdStop = true;
-    }
-    WdCv.notify_one();
-    Watchdog.join();
-  }
   // A worker that died between recording its response and flushing it
   // leaves the payload stranded in the emitter; write whatever became
   // contiguous so every accepted request's response reaches the stream.

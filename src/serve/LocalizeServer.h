@@ -31,9 +31,11 @@
 /// exponential backoff, the last attempt under a degraded budget, and a
 /// request that crashes every attempt gets a `worker-crashed` error
 /// response -- the pool never shrinks and no accepted request goes
-/// unanswered. A watchdog (WatchdogSeconds) escalates past-deadline
-/// queries via Solver::interrupt(). requestDrain() -- wired to
-/// SIGINT/SIGTERM by the CLI -- stops intake, interrupts in-flight work,
+/// unanswered. Both ways to stop a request ride on its one QueryBudget,
+/// which every solver of the request polls: the watchdog
+/// (WatchdogSeconds) is a deadline counted from the request's start, and
+/// requestDrain() -- wired to SIGINT/SIGTERM by the CLI -- is its cancel
+/// flag. A drain stops intake, ends in-flight requests `incomplete`,
 /// answers still-queued requests with `cancelled`, and flushes the
 /// emitter so every accepted request still gets exactly one well-formed
 /// response.
@@ -63,9 +65,10 @@ struct ServeOptions {
   /// Base of the exponential backoff between retries, in milliseconds
   /// (attempt k sleeps Base * 2^(k-1) ms).
   double RetryBackoffMs = 5.0;
-  /// Per-request wall deadline enforced by the watchdog thread: a query
-  /// running longer is interrupted via Solver::interrupt() and comes back
-  /// `incomplete`, freeing its worker. 0 disables the watchdog.
+  /// Per-request wall deadline, counted from the request's start: the
+  /// request's deadline is the smaller of this and its own timeout, so a
+  /// request running longer comes back `incomplete`, freeing its worker.
+  /// 0 disables the watchdog.
   double WatchdogSeconds = 0;
 };
 
@@ -99,8 +102,9 @@ public:
   ServeSummary run(std::istream &In, std::ostream &Out, std::ostream &Err);
 
   /// Initiates a graceful drain of the (process-global) running serve
-  /// loop: intake stops, in-flight solvers are interrupted, queued
-  /// requests are answered `cancelled`, the emitter is flushed, and run()
+  /// loop: intake stops, in-flight requests see their cancel flag and end
+  /// `incomplete`, queued requests are answered `cancelled`, the emitter is
+  /// flushed, and run()
   /// returns with Drained set. Async-signal-safe (one atomic store) --
   /// the CLI's SIGINT/SIGTERM handlers call exactly this.
   static void requestDrain();

@@ -681,6 +681,40 @@ TEST(BugassistCli, RepairTimeoutBoundsTheWholeRequest) {
   std::remove(Prog.c_str());
 }
 
+TEST(BugassistCli, RepairOnABudgetStoppedLocalizationIsTruncated) {
+  // A deadline that expires before localization's first solve leaves no
+  // suspect line. That is a budget stop, not a searched-and-empty
+  // template space: the text and the JSON both say truncated.
+  std::string Prog = writeTempFile("int main(int n, int k) {\n"
+                                   "  assume(n >= 0 && n <= 60);\n"
+                                   "  int i = 0;\n"
+                                   "  int s = 0;\n"
+                                   "  while (i < n) {\n"
+                                   "    s = s + k;\n"
+                                   "    i = i + 1;\n"
+                                   "  }\n"
+                                   "  if (n > 36)\n"
+                                   "    s = s + 1;\n"
+                                   "  assert(s == n * k);\n"
+                                   "  return s;\n"
+                                   "}\n");
+  std::string Cmd = Cli + " repair " + Prog +
+                    " --unwind 100 --bitwidth 8 --input \"42,-31\""
+                    " --timeout 0.000001";
+  int Exit = 0;
+  std::string Out = runCommand(Cmd, Exit);
+  EXPECT_EQ(exitStatus(Exit), 2) << Out;
+  EXPECT_NE(Out.find("suspect lines:\n"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("repair: NONE within candidate budget (more candidates "
+                     "exist)\n"),
+            std::string::npos)
+      << Out;
+  Out = runCommand(Cmd + " --json", Exit);
+  EXPECT_EQ(exitStatus(Exit), 2) << Out;
+  EXPECT_NE(Out.find("\"truncated\": true"), std::string::npos) << Out;
+  std::remove(Prog.c_str());
+}
+
 // --- fuzz ---------------------------------------------------------------------
 
 TEST(BugassistCli, FuzzTcasScorecardIsDeterministicAndMismatchFree) {

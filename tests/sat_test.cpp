@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
@@ -910,26 +911,32 @@ TEST(SolverBudget, UnlimitedBudgetIsANoOp) {
   EXPECT_FALSE(S.budgetExhausted());
 }
 
-// --- interrupt edge cases ----------------------------------------------------
+// --- cancellation through the budget ------------------------------------------
 
-TEST(SolverInterrupt, InterruptBeforeSolveReturnsUndef) {
+TEST(SolverCancel, CancelBeforeSolveReturnsAtOnce) {
+  std::atomic<bool> Cancel{true};
   Solver S;
-  S.ensureVars(2);
-  ASSERT_TRUE(S.addClause({mkLit(0), mkLit(1)}));
-  S.interrupt();
+  loadPigeonhole(S, 9);
+  Solver::Budget B;
+  B.Cancel = &Cancel;
+  EXPECT_FALSE(B.unlimited());
+  S.setBudget(B);
+  Timer Total;
   EXPECT_EQ(S.solve(), LBool::Undef);
-  EXPECT_TRUE(S.interrupted());
-  // The flag is sticky until cleared; afterwards the solver works again.
+  EXPECT_TRUE(S.budgetExhausted());
+  EXPECT_LT(Total.seconds(), 1.0);
+  EXPECT_EQ(S.stats().Conflicts, 0u); // stopped at the first poll
+  // The trip is sticky until the budget is re-armed, even with the flag
+  // down again.
+  Cancel.store(false);
   EXPECT_EQ(S.solve(), LBool::Undef);
-  S.clearInterrupt();
-  EXPECT_EQ(S.solve(), LBool::True);
 }
 
-TEST(SolverInterrupt, InterruptDuringLongImplicationChainPropagation) {
+TEST(SolverCancel, CancelDuringLongImplicationChainPropagation) {
   // A 30k-step binary implication chain hangs off a pigeonhole core. The
-  // chain is propagated in full inside single search iterations (interrupt
-  // polls sit between iterations, not inside propagate()), so the
-  // interrupt must land cleanly with the trail mid-chain-consistent.
+  // chain is propagated in full inside single search iterations (budget
+  // polls sit between iterations, not inside propagate()), so the cancel
+  // must land cleanly with the trail mid-chain-consistent.
   const int ChainLen = 30000;
   const int Holes = 9;
   Solver S;
@@ -939,34 +946,64 @@ TEST(SolverInterrupt, InterruptDuringLongImplicationChainPropagation) {
   ASSERT_TRUE(S.addClause({mkLit(Base)}));
   for (int I = 0; I < ChainLen - 1; ++I)
     ASSERT_TRUE(S.addClause({~mkLit(Base + I), mkLit(Base + I + 1)}));
+  std::atomic<bool> Cancel{false};
+  Solver::Budget B;
+  B.Cancel = &Cancel;
+  S.setBudget(B);
 
   Timer Total;
   LBool Result = LBool::True;
   std::thread Runner([&] { Result = S.solve(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  S.interrupt();
+  Cancel.store(true);
   Runner.join();
   EXPECT_EQ(Result, LBool::Undef);
-  EXPECT_TRUE(S.interrupted());
+  EXPECT_TRUE(S.budgetExhausted());
   // "Promptly": seconds, not the hours the PHP(10, 9) refutation would need.
   EXPECT_LT(Total.seconds(), 10.0);
   // The unit head forces the whole chain at level 0.
   EXPECT_GE(S.stats().Propagations, static_cast<uint64_t>(ChainLen));
 }
 
-TEST(SolverInterrupt, SolverReuseAfterInterruptKeepsSaneStats) {
-  // interrupt -> solve -> clear -> solve -> solve on ONE solver: the
-  // post-interrupt solve must decide correctly and cumulative stats must
+TEST(SolverCancel, CopiedSolverSharesTheCancelFlag) {
+  // A copy keeps the budget, and with it the pointer to the one flag: the
+  // owner cancels the original and every clone of it at once.
+  std::atomic<bool> Cancel{false};
+  Solver S;
+  loadPigeonhole(S, 9);
+  Solver::Budget B;
+  B.Cancel = &Cancel;
+  S.setBudget(B);
+  Solver Copy(S);
+  EXPECT_EQ(Copy.budget().Cancel, &Cancel);
+  LBool Result = LBool::True;
+  std::thread Runner([&] { Result = Copy.solve(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Cancel.store(true);
+  Runner.join();
+  EXPECT_EQ(Result, LBool::Undef);
+  EXPECT_TRUE(Copy.budgetExhausted());
+  EXPECT_EQ(S.solve(), LBool::Undef);
+  EXPECT_TRUE(S.budgetExhausted());
+}
+
+TEST(SolverCancel, SolverReuseAfterCancelKeepsSaneStats) {
+  // cancel -> solve -> lower the flag -> solve -> solve on ONE solver: the
+  // post-cancel solve must decide correctly and cumulative stats must
   // stay monotone across the whole sequence.
+  std::atomic<bool> Cancel{true};
+  Solver::Budget B;
+  B.Cancel = &Cancel;
   Solver S;
   loadPigeonhole(S, 6);
-  S.interrupt();
+  S.setBudget(B);
   EXPECT_EQ(S.solve(), LBool::Undef);
   SolverStats After1 = S.stats();
 
-  S.clearInterrupt();
-  EXPECT_FALSE(S.interrupted());
+  Cancel.store(false);
+  S.setBudget(B);
   EXPECT_EQ(S.solve(), LBool::False);
+  EXPECT_FALSE(S.budgetExhausted());
   SolverStats After2 = S.stats();
   EXPECT_GE(After2.Conflicts, After1.Conflicts);
   EXPECT_GE(After2.Propagations, After1.Propagations);
@@ -994,8 +1031,9 @@ TEST(SolverFaultInject, SpuriousInterruptAtNthAllocationStopsSolve) {
   }
   EXPECT_EQ(R, LBool::Undef);
   EXPECT_TRUE(S.interrupted());
-  S.clearInterrupt();
-  EXPECT_EQ(S.solve(), LBool::False);
+  // The injected stop is sticky; a copy taken now carries it too.
+  EXPECT_EQ(S.solve(), LBool::Undef);
+  EXPECT_TRUE(Solver(S).interrupted());
 }
 
 TEST(SolverFaultInject, InjectedBadAllocPropagatesOutOfSolve) {

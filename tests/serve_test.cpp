@@ -20,6 +20,7 @@
 #include "core/Pipeline.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
+#include "serve/FormulaCache.h"
 #include "serve/Json.h"
 #include "serve/LocalizeServer.h"
 #include "serve/OrderedEmitter.h"
@@ -27,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -70,7 +73,7 @@ struct Frame {
   std::string CacheField; ///< "hit", "miss", or "" when absent
   std::string ErrorField; ///< "" when absent
   std::string Body;
-  std::vector<std::string> TrailerKeys;
+  JsonValue Trailer;
 };
 
 /// Splits a serve output stream into frames, failing the test on any
@@ -130,8 +133,7 @@ std::vector<Frame> parseFrames(const std::string &Raw) {
     auto Trailer = parseJson(Raw.substr(Pos, Nl - Pos), Error);
     EXPECT_TRUE(Trailer.has_value()) << "bad trailer: " << Error;
     if (Trailer)
-      for (const auto &KV : Trailer->Members)
-        F.TrailerKeys.push_back(KV.first);
+      F.Trailer = std::move(*Trailer);
     Pos = Nl + 1;
     Frames.push_back(std::move(F));
   }
@@ -670,8 +672,12 @@ TEST(ServeLib, FramesCarryTheDocumentedFieldsInRequestOrder) {
       "conflicts",    "decisions",       "propagations",
       "restarts",     "vars_eliminated", "clauses_subsumed",
       "lits_self_subsumed", "reconstruction_bytes"};
-  for (const Frame &F : R.Frames)
-    EXPECT_EQ(F.TrailerKeys, Keys) << "trailer keys for id " << F.Id;
+  for (const Frame &F : R.Frames) {
+    std::vector<std::string> Got;
+    for (const auto &KV : F.Trailer.Members)
+      Got.push_back(KV.first);
+    EXPECT_EQ(Got, Keys) << "trailer keys for id " << F.Id;
+  }
 }
 
 TEST(ServeLib, LargeWeightsAreSolved) {
@@ -940,14 +946,24 @@ TEST(ServeSelfHealing, WatchdogEscalatesOverdueQueries) {
 namespace {
 
 /// An istream buffer that serves a fixed prefix, then *blocks* on
-/// underflow until release() -- a stand-in for a daemon's idle stdin, so
-/// drain tests can interrupt a server that is mid-batch rather than one
-/// that already saw EOF.
+/// underflow until feed() or release() -- a stand-in for a daemon's idle
+/// stdin, so drain tests can interrupt a server that is mid-batch rather
+/// than one that already saw EOF, and ordering tests can send a request
+/// only after an earlier one was answered.
 class BlockingStringBuf : public std::streambuf {
 public:
   explicit BlockingStringBuf(std::string T) : Text(std::move(T)) {
     setg(Text.data(), Text.data(), Text.data() + Text.size());
   }
+  /// Appends \p More to what the reader sees next.
+  void feed(std::string More) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Pending += More;
+    }
+    Cv.notify_all();
+  }
+  /// Ends the stream once everything fed was read.
   void release() {
     {
       std::lock_guard<std::mutex> Lock(Mu);
@@ -959,15 +975,52 @@ public:
 protected:
   int_type underflow() override {
     std::unique_lock<std::mutex> Lock(Mu);
-    Cv.wait(Lock, [&] { return Released; });
-    return traits_type::eof();
+    Cv.wait(Lock, [&] { return Released || !Pending.empty(); });
+    if (Pending.empty())
+      return traits_type::eof();
+    Text = std::move(Pending);
+    Pending.clear();
+    setg(Text.data(), Text.data(), Text.data() + Text.size());
+    return traits_type::to_int_type(Text[0]);
   }
 
 private:
   std::string Text;
+  std::string Pending;
   std::mutex Mu;
   std::condition_variable Cv;
   bool Released = false;
+};
+
+/// An ostream buffer that counts the frames flushed into it, so a test can
+/// wait for a response. Only the writer touches the text until the server
+/// returns.
+class FrameCountingBuf : public std::stringbuf {
+public:
+  void waitForFrames(size_t N) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [&] { return Frames >= N; });
+  }
+
+protected:
+  int sync() override {
+    size_t N = 0;
+    for (size_t Pos = 0;
+         (Pos = str().find("\"elapsed_ms\":", Pos)) != std::string::npos;
+         ++Pos)
+      ++N; // one trailer per frame
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Frames = N;
+    }
+    Cv.notify_all();
+    return 0;
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  size_t Frames = 0;
 };
 
 } // namespace
@@ -1022,6 +1075,203 @@ TEST(ServeSelfHealing, DrainAnswersEveryAcceptedRequestExactlyOnce) {
   EXPECT_EQ(Summary.Cancelled, 2u);
   EXPECT_EQ(Summary.Incomplete, 1u);
   EXPECT_EQ(Summary.ExitCode, 2);
+}
+
+// --- one cancellation path: the request's budget -----------------------------
+
+namespace {
+
+/// Two nested countdown loops (CI's nest.ba): without an input, the BMC
+/// counterexample search runs for seconds at unwind 60.
+const char *NestProgram = "int main(int n, int m) {\n"
+                          "  assume(n >= 0 && n <= 50);\n"
+                          "  assume(m >= 0 && m <= 50);\n"
+                          "  int s = 0;\n"
+                          "  int i = n;\n"
+                          "  while (i > 0) {\n"
+                          "    int j = m;\n"
+                          "    while (j > 0) {\n"
+                          "      s = s + 1;\n"
+                          "      j = j - 1;\n"
+                          "    }\n"
+                          "    i = i - 1;\n"
+                          "  }\n"
+                          "  assert(s == n * m + 1);\n"
+                          "  return s;\n"
+                          "}\n";
+
+/// Localizes in milliseconds, but its right fix (line 6, `d = 0`) leaves
+/// the verifier a proof that 16-bit multiplication commutes: seconds of
+/// search per candidate, all inside candidate verification.
+const char *CommuteProgram = "int main(int x, int y) {\n"
+                             "  int a = x * y;\n"
+                             "  int b = y * x;\n"
+                             "  int d = 0;\n"
+                             "  if (x == 3)\n"
+                             "    d = 1;\n"
+                             "  assert(a - b + d == 0);\n"
+                             "  return d;\n"
+                             "}\n";
+
+std::string commuteRepairRequest(const std::string &Id) {
+  return "{\"id\":\"" + Id + "\",\"cmd\":\"repair\",\"source\":\"" +
+         jsonEscape(CommuteProgram) + "\",\"inputs\":[\"3,5\"]}\n";
+}
+
+double secondsSince(std::chrono::steady_clock::time_point T) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T)
+      .count();
+}
+
+} // namespace
+
+TEST(ServeCancel, WatchdogBoundsTheCounterexampleSearch) {
+  // The watchdog is the request's deadline, so it stops the BMC search
+  // too: the answer is the one INCOMPLETE line, not a localization of
+  // whatever input the search found after the deadline.
+  std::string Batch = "{\"id\":\"nest\",\"cmd\":\"localize\",\"source\":\"" +
+                      jsonEscape(NestProgram) +
+                      "\",\"unwind\":60,\"bitwidth\":8}\n";
+  ServeOptions SO;
+  SO.WatchdogSeconds = 0.25;
+  LibRun R = runServeOpts(Batch, SO);
+  ASSERT_EQ(R.Frames.size(), 1u);
+  EXPECT_EQ(R.Frames[0].Status, "incomplete");
+  EXPECT_EQ(R.Frames[0].Exit, 2);
+  EXPECT_EQ(R.Frames[0].Body,
+            "INCOMPLETE: resource budget exhausted before the counterexample "
+            "search found a failing input\n");
+}
+
+TEST(ServeCancel, WatchdogStopsARepairInsideCandidateVerification) {
+  // Localization and the prescreen finish well inside the watchdog; the
+  // second candidate's verification does not, and the deadline stops it
+  // there instead of letting it run its full conflict budget.
+  ServeOptions SO;
+  SO.WatchdogSeconds = 1.5;
+  auto Start = std::chrono::steady_clock::now();
+  LibRun R = runServeOpts(commuteRepairRequest("c"), SO);
+  ASSERT_EQ(R.Frames.size(), 1u);
+  EXPECT_EQ(R.Frames[0].Status, "incomplete");
+  EXPECT_EQ(R.Frames[0].Exit, 2);
+  EXPECT_EQ(R.Frames[0].Body,
+            "failing input: 3,5\n"
+            "suspect lines: 6 5 3 2\n"
+            "prescreen: 0 of 4 lines ruled out (4 sat calls)\n"
+            "candidates: 2 tried of 7 planned (1 failed tests, 1 failed "
+            "verification)\n"
+            "repair: NONE within candidate budget (more candidates exist)\n");
+  EXPECT_LT(secondsSince(Start), 10.0);
+}
+
+TEST(ServeCancel, DrainDuringARepairAnswersEveryRequestExactlyOnce) {
+  // The drain reaches the in-flight repair through its budget's cancel
+  // flag wherever it is -- here inside a candidate's verification -- and
+  // the queued repairs answer `cancelled`: one frame per id, promptly.
+  std::string Batch = commuteRepairRequest("r0") +
+                      commuteRepairRequest("r1") +
+                      commuteRepairRequest("r2");
+  BlockingStringBuf Buf(Batch);
+  std::istream In(&Buf);
+  std::ostringstream Out, Err;
+  LocalizeServer Server(ServeOptions{});
+  ServeSummary Summary;
+  std::thread Runner([&] { Summary = Server.run(In, Out, Err); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto Drained = std::chrono::steady_clock::now();
+  LocalizeServer::requestDrain();
+  Buf.release();
+  Runner.join();
+  EXPECT_LT(secondsSince(Drained), 10.0);
+
+  std::vector<Frame> Frames = parseFrames(Out.str());
+  ASSERT_EQ(Frames.size(), 3u);
+  size_t Incomplete = 0, Cancelled = 0;
+  for (size_t I = 0; I < 3; ++I) {
+    const Frame &F = Frames[I];
+    EXPECT_EQ(F.Id, "r" + std::to_string(I));
+    EXPECT_EQ(F.Exit, 2) << "id " << F.Id;
+    if (F.Status == "incomplete") {
+      ++Incomplete;
+      EXPECT_NE(F.Body.find("repair: NONE within candidate budget"),
+                std::string::npos)
+          << F.Body;
+    } else {
+      ++Cancelled;
+      EXPECT_EQ(F.Status, "cancelled") << "id " << F.Id;
+    }
+  }
+  EXPECT_EQ(Incomplete, 1u);
+  EXPECT_EQ(Cancelled, 2u);
+  EXPECT_EQ(Summary.Cancelled, 2u);
+  EXPECT_EQ(Summary.Incomplete, 1u);
+}
+
+TEST(ServeCancel, ABaseBuildTheTimeoutStoppedIsNotCached) {
+  // The first request's timeout stops the base session's preprocessing
+  // (or, on a slow build, arrives before it starts). The next same-key
+  // request has no timeout and must get what a fresh server answers --
+  // report and preprocessing counters -- so no stopped base was cached.
+  std::string Fields = "\"cmd\":\"localize\",\"source\":\"" +
+                       jsonEscape(NestProgram) +
+                       "\",\"unwind\":30,\"bitwidth\":8,\"input\":\"3,48\","
+                       "\"max_diagnoses\":1";
+  std::string Timed = "{\"id\":\"t\"," + Fields + ",\"timeout\":0.2}\n";
+  std::string Full = "{\"id\":\"f\"," + Fields + "}\n";
+  LibRun Fresh = runServe(Full, /*Threads=*/1);
+  ASSERT_EQ(Fresh.Frames.size(), 1u);
+  ASSERT_EQ(Fresh.Frames[0].Status, "ok");
+
+  // Send the second request only once the first was answered.
+  BlockingStringBuf Buf(Timed);
+  std::istream In(&Buf);
+  FrameCountingBuf OutBuf;
+  std::ostream Out(&OutBuf);
+  std::ostringstream Err;
+  LocalizeServer Server(ServeOptions{});
+  ServeSummary Summary;
+  std::thread Runner([&] { Summary = Server.run(In, Out, Err); });
+  OutBuf.waitForFrames(1);
+  Buf.feed(Full);
+  Buf.release();
+  Runner.join();
+
+  std::vector<Frame> Frames = parseFrames(OutBuf.str());
+  ASSERT_EQ(Frames.size(), 2u);
+  EXPECT_EQ(Frames[0].Status, "incomplete");
+  EXPECT_EQ(Frames[0].Exit, 2);
+  EXPECT_EQ(Frames[1].Status, "ok");
+  EXPECT_EQ(Frames[1].CacheField, "hit");
+  EXPECT_EQ(Frames[1].Body, Fresh.Frames[0].Body);
+  for (const char *Key : {"vars_eliminated", "clauses_subsumed",
+                          "lits_self_subsumed", "reconstruction_bytes"}) {
+    const JsonValue *Got = Frames[1].Trailer.find(Key);
+    const JsonValue *Want = Fresh.Frames[0].Trailer.find(Key);
+    ASSERT_TRUE(Got && Want) << Key;
+    EXPECT_EQ(Got->Text, Want->Text) << Key;
+  }
+  EXPECT_EQ(Summary.CacheMisses, 1u);
+}
+
+TEST(ServeCancel, ACancelledBasePassIsHandedOutButNotCached) {
+  // The cache build itself, without timing: a pass the cancel flag stops
+  // at its first poll goes to that caller alone, carries no budget, and
+  // the next clone gets a freshly built, fully preprocessed base.
+  FormulaCache Cache;
+  const CachedProgram &CP =
+      Cache.lookup(NestProgram, "main", UnrollOptions{}, EncodeOptions{});
+  ASSERT_NE(CP.prepared(), nullptr);
+  std::atomic<bool> Cancel{true};
+  Solver::Budget B;
+  B.Cancel = &Cancel;
+  std::unique_ptr<MaxSatSession> Stopped = CP.cloneSession(B);
+  EXPECT_EQ(Stopped->stats().VarsEliminated, 0u);
+  EXPECT_TRUE(Stopped->solver().budget().unlimited());
+  std::unique_ptr<MaxSatSession> First = CP.cloneSession();
+  std::unique_ptr<MaxSatSession> Second = CP.cloneSession(B);
+  EXPECT_GT(First->stats().VarsEliminated, 0u);
+  EXPECT_EQ(Second->stats().VarsEliminated, First->stats().VarsEliminated);
+  EXPECT_TRUE(Second->solver().budget().unlimited());
 }
 
 // --- the checked-in smoke batch -----------------------------------------------
