@@ -6,10 +6,12 @@
 
 #include "core/OptionTable.h"
 
+#include "programs/FaultCatalog.h"
 #include "programs/Tcas.h"
 #include "programs/TcasMutants.h"
 #include "serve/Json.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -181,10 +183,11 @@ const std::vector<OptionRow> Table = {
     intRow("--pool", nullptr, InFuzz, 1, 1000000,
            "test-pool size (default: 400 tcas, 256 file)",
            SET(O.FuzzPool = X.Int)),
-    row("--classes", nullptr, OptionKind::Text, InFuzz, "a,b,..",
+    row("--classes", nullptr, OptionKind::Classes, InFuzz, "a,b,..",
         "restrict fault classes (op,const,assign,code,\n"
         "addcode,init,index,branch)",
-        SET(O.FuzzClasses.push_back(X.Text))),
+        SET(O.Fuzz.Classes.insert(O.Fuzz.Classes.end(), X.Classes.begin(),
+                                  X.Classes.end()))),
     intRow("--max-tests", nullptr, InFuzz, 1, INT64_MAX,
            "failing tests kept per mutant (default: 4)",
            SET(O.Fuzz.MaxFailingTests = X.Int)),
@@ -234,7 +237,7 @@ bool parseSeconds(std::string_view Text, double &Out) {
 }
 
 /// Parses the textual form of a non-switch value. \p Why receives the
-/// --input syntax error.
+/// --input syntax error or the unknown --classes tag.
 bool parseValue(const OptionRow &Row, std::string_view Text, OptionValue &Out,
                 std::string &Why) {
   switch (Row.Kind) {
@@ -255,6 +258,19 @@ bool parseValue(const OptionRow &Row, std::string_view Text, OptionValue &Out,
   }
   case OptionKind::HardLines:
     return parseHardLinesSpec(Text, Out.Lines);
+  case OptionKind::Classes:
+    for (size_t Pos = 0; Pos < Text.size();) {
+      size_t Comma = std::min(Text.find(',', Pos), Text.size());
+      std::string Name(Text.substr(Pos, Comma - Pos));
+      ErrorType T;
+      if (!errorTypeFromName(Name.c_str(), T)) {
+        Why = "unknown fault class '" + Name + "'";
+        return false;
+      }
+      Out.Classes.push_back(T);
+      Pos = Comma + 1;
+    }
+    return true;
   }
   return false;
 }
@@ -393,8 +409,8 @@ bool bugassist::parseCommandLine(int Argc, char *const *Argv,
       }
       std::string Why;
       if (!parseValue(*Row, Text, X, Why)) {
-        Error = Row->Kind == OptionKind::Input
-                    ? "bad --input: " + Why
+        Error = !Why.empty()
+                    ? std::string("bad ") + Row->Flag + ": " + Why
                     : std::string("bad ") + Row->Flag +
                           (Row->Kind == OptionKind::HardLines ? " spec '"
                                                               : " value '") +

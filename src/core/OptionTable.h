@@ -69,7 +69,6 @@ struct CommandOptions {
   RepairRequest Query;
   FuzzOptions Fuzz;
   size_t FuzzPool = 0; ///< 0 = the subject's default pool size
-  std::vector<std::string> FuzzClasses; ///< one `a,b,..` list per flag
   bool FuzzProgress = false;
   ServeOptions Serve;
   std::string ServeBatch;  ///< empty = daemon on stdin
@@ -86,6 +85,7 @@ enum class OptionKind : uint8_t {
   Text,      ///< a string
   Input,     ///< the `--input` syntax, `V,[A,B],..`
   HardLines, ///< the `--hard-lines` syntax, `3,10-12`
+  Classes,   ///< a list of fault class tags, `op,const,..`
 };
 
 /// One parsed value; the row's kind says which member is meaningful.
@@ -96,6 +96,7 @@ struct OptionValue {
   std::string Text;
   InputVector Input;
   std::set<uint32_t> Lines;
+  std::vector<ErrorType> Classes;
 };
 
 struct OptionRow {

@@ -674,6 +674,9 @@ std::string bugassist::renderRepairOutput(const RepairPipelineResult &Res,
       Out += "repair: line " + std::to_string(R.Suggestion.Line) + ": " +
              R.Suggestion.Description + "\n";
       Out += "fixed program:\n" + printProgram(*R.Suggestion.FixedProgram);
+    } else if (R.Truncated && R.SuspectLines.empty()) {
+      Out += "repair: NONE (budget stopped localization before any suspect "
+             "line)\n";
     } else if (R.Truncated) {
       Out += "repair: NONE within candidate budget (more candidates exist)\n";
     } else {

@@ -2,18 +2,16 @@
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
-// Self-healing pool protocol (docs/SERVE.md, "Failure semantics"): each
-// worker thread runs workerBody; an exception escaping it -- a crashed
-// request, an injected queue-pop fault -- is caught at the thread
-// boundary, a death note naming the in-flight request (if any) goes to
-// the monitor thread, and the thread exits. The monitor joins the corpse,
-// respawns the slot, and hands the replacement the in-flight request with
-// an incremented attempt count: bounded retries under exponential
+// The pool (docs/SERVE.md, "Worker crashes"): the calling thread reads
+// and decodes request lines into a bounded FIFO, and Threads identical
+// workers each loop pop -> attempt -> emit. An exception escaping an
+// attempt -- a real OOM, an injected fault -- is caught in the worker,
+// which retries the request in place: bounded retries under exponential
 // backoff, the last attempt under a degraded budget, and an error
-// response with code `worker-crashed` when every attempt dies. Response
-// emission is idempotent per request index (OrderedEmitter), and outcome
-// tallying is once per request (Request::Tallied), so no crash/retry
-// interleaving can lose, duplicate, or double-count a response.
+// response with code `worker-crashed` when every attempt threw. A request
+// is tallied once, by the worker that emits its frame, and freed as soon
+// as the frame is emitted; emission is idempotent per request index
+// (OrderedEmitter), so a failed emit cannot lose or duplicate a frame.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <istream>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <thread>
@@ -55,6 +50,16 @@ std::atomic<bool> DrainFlag{false};
 /// pathological one comes back `incomplete` instead of crashing forever.
 constexpr uint64_t DegradedMaxConflicts = 200000;
 
+/// Base of the exponential backoff between crash retries: retry k sleeps
+/// RetryBackoffMs * 2^(k-1) ms, at most a second, so transient conditions
+/// (memory pressure, a fault campaign burst) get time to pass.
+constexpr double RetryBackoffMs = 5.0;
+
+/// Queued requests per worker. The reader blocks once 2 x Threads
+/// decoded requests wait, so a run holds at most 3 x Threads + 1 requests
+/// (queued, one per worker, one being pushed) whatever its input length.
+constexpr size_t QueuedPerWorker = 2;
+
 uint64_t elapsedMs(Clock::time_point Start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
@@ -63,23 +68,6 @@ uint64_t elapsedMs(Clock::time_point Start) {
 }
 
 // --- requests ----------------------------------------------------------------
-
-/// One request line, decoded. Invalid lines never become one of these --
-/// the reader answers them directly.
-struct Request {
-  std::string Id;
-  /// The decoded fields of every option the request's `cmd` takes, its
-  /// program or formula text included (core/OptionTable.h); Opts.Cmd is
-  /// the command.
-  CommandOptions Opts{Command::Localize};
-  /// The header's `cmd`: "unknown" until a valid one parsed.
-  const char *Cmd = "unknown";
-
-  /// Set by the first attempt to record this request's outcome in the
-  /// summary counters; retries of a crashed worker re-compute the
-  /// response (emission is idempotent) but must not re-count it.
-  mutable std::atomic<bool> Tallied{false};
-};
 
 /// Decodes one request object through the option table, then reads its
 /// `file`, if any. An explicit id replaces \p Req.Id as soon as it parses,
@@ -144,9 +132,8 @@ bool parseRequest(const JsonValue &Root, Request &Req, std::string &Error,
 
 // --- responses ---------------------------------------------------------------
 
-/// A computed response plus its summary classification. The class is
-/// applied to the counters exactly once per request (Request::Tallied),
-/// no matter how many crash retries re-compute the response.
+/// A computed response plus its summary classification, which the worker
+/// emitting the frame applies to the counters.
 struct Outcome {
   std::string Frame;
   enum Class : char { Ok = 'o', Incomplete = 'i', Error = 'e',
@@ -264,17 +251,6 @@ struct Tally {
   }
 };
 
-/// A worker's death note to the monitor: which pool slot died, and which
-/// request (if any) was in flight at what attempt number.
-struct DeathNote {
-  size_t Slot = 0;
-  bool Clean = false; ///< normal exit (queue drained), not a crash
-  bool HasIndex = false;
-  size_t Index = 0;
-  int Attempt = 0;
-  std::string What; ///< exception text, for the final error response
-};
-
 } // namespace
 
 void LocalizeServer::requestDrain() {
@@ -292,165 +268,70 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
   size_t Threads = Opts.Threads ? Opts.Threads : 1;
 
   FormulaCache Cache;
-  RequestQueue Queue(Threads);
+  RequestQueue Queue(QueuedPerWorker * Threads);
   OrderedEmitter Emitter(Out);
   Tally T;
   std::atomic<uint64_t> Respawns{0}, Retries{0};
 
-  // Request slots live here; the queue carries indexes. The mutex covers
-  // only the vector itself (push_back can reallocate under a reader) --
-  // each Request is immutable once enqueued (Tallied aside, which is
-  // atomic).
-  std::mutex SlotsMu;
-  std::vector<std::unique_ptr<Request>> Slots;
-  auto slot = [&](size_t Index) -> const Request & {
-    std::lock_guard<std::mutex> Lock(SlotsMu);
-    return *Slots[Index];
-  };
-
-  // Tally exactly once per request, then emit (emission is idempotent, so
-  // the order does not matter for the stream, only for the counters).
-  auto tally = [&](const Request &Req, Outcome::Class K) {
-    if (!Req.Tallied.exchange(true, std::memory_order_relaxed))
-      T.count(K);
-  };
-  auto tallyAndEmit = [&](size_t Index, const Request &Req, Outcome O) {
-    tally(Req, O.Kind);
-    Emitter.emit(Index, std::move(O.Frame));
-  };
-  // Emission from the reader and monitor threads must never throw: emit()
-  // records the payload before writing a byte, so after a failure -- a
-  // real OOM, an injected flush fault -- the response is already recorded
-  // and the next emit or the final flushReady() writes it. Workers
-  // deliberately do NOT go through this: an emit-time crash there is a
-  // worker death, contained and retried by the pool protocol.
+  // emit() records the payload before writing a byte, so after it threw
+  // -- a real OOM, an injected flush fault -- the frame is recorded and
+  // flushReady() writes it; the thread goes on.
   auto emitNoThrow = [&](size_t Index, std::string Frame) {
     try {
       Emitter.emit(Index, std::move(Frame));
     } catch (...) {
-    }
-  };
-
-  // One request attempt. Throws = this worker dies.
-  auto handle = [&](size_t Index, int Attempt) {
-    const Request &Req = slot(Index);
-    if (DrainFlag.load(std::memory_order_relaxed)) {
-      // Accepted but drained before any work started: answer `cancelled`
-      // so the client still gets exactly one response for the id.
-      tallyAndEmit(Index, Req,
-                   respond(Req, CommandResult::failure(
-                                    ErrorCode::Cancelled,
-                                    "request drained before execution")));
-      return;
-    }
-    bool Degraded = Attempt > 0 && Attempt >= Opts.MaxRetries;
-    tallyAndEmit(Index, Req,
-                 processRequest(Req, Cache, Opts.WatchdogSeconds, Degraded));
-  };
-
-  // Death notes flow from dying workers to the monitor thread.
-  std::mutex NotesMu;
-  std::condition_variable NotesCv;
-  std::deque<DeathNote> Notes;
-  auto postNote = [&](DeathNote N) {
-    {
-      std::lock_guard<std::mutex> Lock(NotesMu);
-      Notes.push_back(std::move(N));
-    }
-    NotesCv.notify_one();
-  };
-
-  // The worker thread body. Resume carries a dead predecessor's in-flight
-  // request into the respawned thread: it is re-run first (at its bumped
-  // attempt count), then the worker joins the ordinary pop loop.
-  auto workerBody = [&](size_t W, bool Resume, size_t ResumeIndex,
-                        int ResumeAttempt) {
-    bool InFlight = false;
-    size_t Cur = 0;
-    int Attempt = 0;
-    try {
-      if (Resume) {
-        InFlight = true;
-        Cur = ResumeIndex;
-        Attempt = ResumeAttempt;
-        handle(Cur, Attempt);
-        InFlight = false;
-      }
-      for (;;) {
-        InFlight = false;
-        size_t Index;
-        // pop() itself can be a crash site (injected queue-pop faults);
-        // it throws *before* dequeuing, so no request is lost with the
-        // worker -- whoever pops next (usually the respawn) gets it.
-        if (!Queue.pop(W, Index))
-          break;
-        InFlight = true;
-        Cur = Index;
-        Attempt = 0;
-        handle(Cur, 0);
-      }
-      postNote({W, /*Clean=*/true, false, 0, 0, ""});
-    } catch (const std::exception &E) {
-      postNote({W, false, InFlight, Cur, Attempt, E.what()});
-    } catch (...) {
-      postNote({W, false, InFlight, Cur, Attempt, "unknown exception"});
-    }
-  };
-
-  std::vector<std::thread> Pool(Threads);
-  for (size_t W = 0; W < Threads; ++W)
-    Pool[W] = std::thread(workerBody, W, false, size_t{0}, 0);
-
-  // The monitor: joins dead workers, emits the final error when a request
-  // exhausted its retries, and respawns the slot. Exits once every slot
-  // has posted a clean (queue-drained) exit.
-  std::thread Monitor([&] {
-    size_t Remaining = Threads;
-    while (Remaining > 0) {
-      DeathNote N;
-      {
-        std::unique_lock<std::mutex> Lock(NotesMu);
-        NotesCv.wait(Lock, [&] { return !Notes.empty(); });
-        N = std::move(Notes.front());
-        Notes.pop_front();
-      }
-      if (N.Clean) {
-        --Remaining;
-        continue;
-      }
-      // The dead thread posted its note as its final act; join reclaims
-      // it, then the slot is respawned -- the pool never shrinks.
-      Pool[N.Slot].join();
       ++Respawns;
-      bool Resume = N.HasIndex;
-      int NextAttempt = N.Attempt + 1;
-      if (Resume && NextAttempt > Opts.MaxRetries) {
-        // Every attempt crashed: answer the request with a structured
-        // error so it is not lost, and respawn the worker fresh.
-        const Request &Req = slot(N.Index);
-        Outcome O = respond(
-            Req, CommandResult::failure(ErrorCode::WorkerCrashed,
-                                        "worker crashed on every attempt: " +
-                                            N.What));
-        tally(Req, O.Kind);
-        emitNoThrow(N.Index, std::move(O.Frame));
-        Resume = false;
-      } else if (Resume) {
-        ++Retries;
-        // Exponential backoff before the retry: transient conditions
-        // (memory pressure, a fault campaign burst) get time to pass.
-        double Ms = Opts.RetryBackoffMs;
-        for (int K = 1; K < NextAttempt; ++K)
-          Ms *= 2;
-        Ms = std::min(Ms, 1000.0);
-        if (Ms > 0)
-          std::this_thread::sleep_for(std::chrono::duration<double,
-                                                            std::milli>(Ms));
-      }
-      Pool[N.Slot] = std::thread(workerBody, N.Slot, Resume, N.Index,
-                                 Resume ? NextAttempt : 0);
+      Emitter.flushReady();
     }
-  });
+  };
+
+  // Answers one request, retrying in place an attempt that threw.
+  auto answer = [&](const Request &Req) -> Outcome {
+    for (int Attempt = 0;; ++Attempt) {
+      std::string What;
+      try {
+        if (DrainFlag.load(std::memory_order_relaxed))
+          // Accepted but drained before any work started: answer
+          // `cancelled` so the client still gets exactly one response.
+          return respond(Req, CommandResult::failure(
+                                  ErrorCode::Cancelled,
+                                  "request drained before execution"));
+        bool Degraded = Attempt > 0 && Attempt >= Opts.MaxRetries;
+        return processRequest(Req, Cache, Opts.WatchdogSeconds, Degraded);
+      } catch (const std::exception &E) {
+        What = E.what();
+      } catch (...) {
+        What = "unknown exception";
+      }
+      ++Respawns;
+      if (Attempt >= Opts.MaxRetries)
+        return respond(Req, CommandResult::failure(
+                                ErrorCode::WorkerCrashed,
+                                "worker crashed on every attempt: " + What));
+      ++Retries;
+      double Ms = std::min(RetryBackoffMs * (1 << Attempt), 1000.0);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(Ms));
+    }
+  };
+
+  std::vector<std::thread> Pool;
+  for (size_t W = 0; W < Threads; ++W)
+    Pool.emplace_back([&] {
+      for (;;) {
+        std::unique_ptr<Request> Req;
+        try {
+          if (!Queue.pop(Req))
+            return;
+        } catch (...) {
+          ++Respawns; // pop throws before taking anything: pop again
+          continue;
+        }
+        Outcome O = answer(*Req);
+        T.count(O.Kind);
+        emitNoThrow(Req->Index, std::move(O.Frame));
+      }
+    });
 
   // Reader loop (this thread): one JSON object per line; blank lines are
   // ignored. A line that fails to parse or validate is answered with an
@@ -466,6 +347,7 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
       continue;
     size_t Index = NumRequests++;
     auto Req = std::make_unique<Request>();
+    Req->Index = Index;
     Req->Id = std::to_string(Index + 1); // the 1-based request number
     std::string Error;
     ErrorCode Code = ErrorCode::BadRequest;
@@ -491,26 +373,14 @@ ServeSummary LocalizeServer::run(std::istream &In, std::ostream &Out,
                   respond(*Req, CommandResult::failure(Code, Error)).Frame);
       continue;
     }
-    {
-      std::lock_guard<std::mutex> Lock(SlotsMu);
-      if (Slots.size() <= Index)
-        Slots.resize(Index + 1);
-      Slots[Index] = std::move(Req);
-    }
-    Queue.push(Index);
+    Queue.push(std::move(Req));
   }
   bool Drained = DrainFlag.load(std::memory_order_relaxed);
   Queue.close();
   // On a drain, in-flight requests see the flag through their budgets and
-  // end `incomplete`; queued ones answer themselves `cancelled` in handle().
-  Monitor.join();
+  // end `incomplete`; queued ones answer themselves `cancelled`.
   for (std::thread &Worker : Pool)
-    if (Worker.joinable())
-      Worker.join();
-  // A worker that died between recording its response and flushing it
-  // leaves the payload stranded in the emitter; write whatever became
-  // contiguous so every accepted request's response reaches the stream.
-  Emitter.flushReady();
+    Worker.join();
 
   ServeSummary S;
   S.Requests = NumRequests;

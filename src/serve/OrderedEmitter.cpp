@@ -16,13 +16,13 @@ using namespace bugassist;
 void OrderedEmitter::emit(size_t Index, std::string Payload) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Index < Next)
-    return; // already written: a retry of a worker that died post-flush
+    return; // already written: the first payload won
   Pending.emplace(Index, std::move(Payload)); // first payload wins
   // Test-only fault hook (one relaxed load when disarmed), fired after
-  // the payload is recorded but before any byte is written: a worker
-  // killed here strands a fully recorded response, which the retry's
-  // emit() or the server's final flushReady() then writes -- the
-  // exactly-once, no-partial-frame property the emitter tests pin down.
+  // the payload is recorded but before any byte is written: the throw
+  // leaves a fully recorded response, which the caller's flushReady() or
+  // the next emit() then writes -- the exactly-once, no-partial-frame
+  // property the emitter tests pin down.
   if (faultinject::active() &&
       faultinject::onEvent(faultinject::Event::EmitterFlush))
     throw std::runtime_error("injected emitter-flush fault");

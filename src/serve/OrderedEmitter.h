@@ -12,15 +12,15 @@
 /// run -- no dedicated writer thread, and a daemon client sees each
 /// response the moment its turn arrives.
 ///
-/// Crash safety (docs/SERVE.md, "Failure semantics"): emit() is
-/// *idempotent per index*. A worker that dies between computing a
-/// response and completing the flush is respawned and re-runs its
-/// request; the retry's emit() finds the index already recorded (or
-/// already written) and the first payload wins, so a response is written
-/// exactly once no matter how many times its worker crashed around it.
-/// Writes happen under the same lock as recording, each payload in one
-/// write() call, so a dying writer can never leave a partial frame
-/// interleaved with another response.
+/// Crash safety (docs/SERVE.md, "Failure semantics"): emit() records the
+/// payload before writing a byte, so an emit that throws (an injected
+/// flush fault, a real OOM) leaves the response recorded, and the
+/// caller's flushReady() -- or the next emit() -- writes it whole. emit()
+/// is also *idempotent per index*: a second submission for a recorded or
+/// written index is dropped and the first payload wins, so a response is
+/// written exactly once. Writes happen under the same lock as recording,
+/// each payload in one write() call, so a failing writer can never leave
+/// a partial frame interleaved with another response.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,14 +41,14 @@ public:
 
   /// Records \p Payload for request \p Index and flushes the contiguous
   /// run starting at the next unwritten index, if this submission
-  /// completed one. Idempotent per index: re-submissions (a crashed
-  /// worker's retry) are dropped, the first payload wins.
+  /// completed one. Idempotent per index: re-submissions are dropped,
+  /// the first payload wins.
   void emit(size_t Index, std::string Payload);
 
   /// Flushes whatever contiguous run is ready without submitting
-  /// anything. run() calls this after the pool drains so a payload
-  /// stranded by a worker that died mid-flush (recorded but not yet
-  /// written) still reaches the stream.
+  /// anything. The server calls this after an emit() threw, so the
+  /// payload it recorded reaches the stream without waiting for the next
+  /// emit() -- which a daemon client awaiting this response never sends.
   void flushReady();
 
   /// Responses fully written so far (== the next index awaited).

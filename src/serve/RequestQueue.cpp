@@ -1,4 +1,4 @@
-//===- RequestQueue.cpp - Work-stealing queue for the serve pool ----------------===//
+//===- RequestQueue.cpp - Bounded FIFO of serve requests ------------------------===//
 //
 // Part of BugAssist-Repro (Jose & Majumdar, PLDI 2011 reproduction).
 //
@@ -13,52 +13,36 @@
 
 using namespace bugassist;
 
-RequestQueue::RequestQueue(size_t Workers) : Deques(Workers ? Workers : 1) {}
+RequestQueue::RequestQueue(size_t Capacity) : Capacity(Capacity) {
+  assert(Capacity > 0 && "a queue that holds nothing blocks the reader");
+}
 
-void RequestQueue::push(size_t Item) {
+void RequestQueue::push(std::unique_ptr<Request> Req) {
   {
-    std::lock_guard<std::mutex> Lock(Mu);
+    std::unique_lock<std::mutex> Lock(Mu);
     assert(!Closed && "push after close");
-    Deques[NextWorker].push_back(Item);
-    NextWorker = (NextWorker + 1) % Deques.size();
+    NonFull.wait(Lock, [&] { return Items.size() < Capacity; });
+    Items.push_back(std::move(Req));
   }
   NonEmpty.notify_one();
 }
 
-bool RequestQueue::pop(size_t Worker, size_t &Item) {
-  assert(Worker < Deques.size() && "worker id out of range");
+bool RequestQueue::pop(std::unique_ptr<Request> &Req) {
   // Test-only fault hook (one relaxed load when disarmed), fired before
-  // anything is dequeued so a killed worker loses no item: the request
-  // stays queued for whoever pops next -- typically the respawned worker.
+  // anything is dequeued: the request stays queued for the next pop.
   if (faultinject::active() &&
       faultinject::onEvent(faultinject::Event::QueuePop))
     throw std::runtime_error("injected queue-pop fault");
-  std::unique_lock<std::mutex> Lock(Mu);
-  for (;;) {
-    // Own deque, newest first.
-    if (!Deques[Worker].empty()) {
-      Item = Deques[Worker].back();
-      Deques[Worker].pop_back();
-      return true;
-    }
-    // Steal from the longest backlog, oldest first (FIFO keeps stolen
-    // work close to submission order).
-    size_t Victim = Deques.size();
-    size_t Longest = 0;
-    for (size_t W = 0; W < Deques.size(); ++W)
-      if (W != Worker && Deques[W].size() > Longest) {
-        Longest = Deques[W].size();
-        Victim = W;
-      }
-    if (Victim != Deques.size()) {
-      Item = Deques[Victim].front();
-      Deques[Victim].pop_front();
-      return true;
-    }
-    if (Closed)
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    NonEmpty.wait(Lock, [&] { return !Items.empty() || Closed; });
+    if (Items.empty())
       return false;
-    NonEmpty.wait(Lock);
+    Req = std::move(Items.front());
+    Items.pop_front();
   }
+  NonFull.notify_one();
+  return true;
 }
 
 void RequestQueue::close() {

@@ -10,9 +10,9 @@
 /// optionally repeating every P occurrences after that) and seeded
 /// probabilistic (fire each occurrence with probability p) -- and the next
 /// thread to reach an instrumented event site suffers the configured fault.
-/// The serve soak harness uses this to crash workers, poison cache fills,
-/// and raise spurious interrupts by the hundred while asserting that no
-/// response is ever lost, duplicated, or changed.
+/// The serve soak harness uses this to throw inside workers, poison cache
+/// fills, and raise spurious interrupts by the hundred while asserting that
+/// no response is ever lost, duplicated, or changed.
 ///
 /// The hooks are compiled in unconditionally but cost a single relaxed
 /// atomic load when disarmed (the default), so production paths pay
@@ -41,7 +41,7 @@ enum class Event : uint8_t {
   Restart,      ///< Solver::solve restart boundary
   CacheFill,    ///< FormulaCache entry build (parse + encode)
   JsonParse,    ///< serve request-line JSON parse
-  QueuePop,     ///< serve worker RequestQueue::pop return
+  QueuePop,     ///< serve RequestQueue::pop, before anything is taken
   EmitterFlush, ///< OrderedEmitter flush (after recording the payload)
   SimplifyStep  ///< Simplifier elimination-queue step
 };

@@ -705,8 +705,8 @@ TEST(BugassistCli, RepairOnABudgetStoppedLocalizationIsTruncated) {
   std::string Out = runCommand(Cmd, Exit);
   EXPECT_EQ(exitStatus(Exit), 2) << Out;
   EXPECT_NE(Out.find("suspect lines:\n"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("repair: NONE within candidate budget (more candidates "
-                     "exist)\n"),
+  EXPECT_NE(Out.find("repair: NONE (budget stopped localization before any "
+                     "suspect line)\n"),
             std::string::npos)
       << Out;
   Out = runCommand(Cmd + " --json", Exit);
@@ -736,6 +736,12 @@ TEST(BugassistCli, FuzzRejectsUnknownClass) {
   int Exit = 0;
   runCommand(Cli + " fuzz tcas --classes bogus 2>/dev/null", Exit);
   EXPECT_EQ(exitStatus(Exit), 1);
+  // The option table decodes the list: the sweep never starts, and the
+  // message names the tag.
+  std::string Out =
+      runCommand(Cli + " fuzz tcas --classes op,bogus 2>&1", Exit);
+  EXPECT_EQ(exitStatus(Exit), 1);
+  EXPECT_EQ(Out, "bugassist: bad --classes: unknown fault class 'bogus'\n");
 }
 
 TEST(BugassistCli, FuzzRunsOnAFileSubject) {

@@ -199,10 +199,10 @@ TEST(ServeSoak, MixedBatchSurvivesTheFaultCampaignAtEveryWidth) {
   ASSERT_EQ(Clean.Summary.Requests, N);
   ASSERT_EQ(Clean.Summary.Errors, N / 40); // the invalid lines, nothing else
 
-  // The campaign arms every crash site in the serve path: workers die
+  // The campaign arms every crash site in the serve path: workers throw
   // before dequeue (queue-pop), after computing but before writing
   // (emitter-flush), inside the cache's once-fill, and mid-preprocess.
-  // All are badalloc (kill-the-worker) faults, so with the default two
+  // All are badalloc (crash) faults, so with the default two
   // retries every request must still heal to its reference answer.
   const char *Campaign = "queuepop:badalloc@5/7;"
                          "emitterflush:badalloc@13/29;"
@@ -214,7 +214,6 @@ TEST(ServeSoak, MixedBatchSurvivesTheFaultCampaignAtEveryWidth) {
       faultinject::ScopedFault Fault(Campaign);
       ServeOptions SO;
       SO.Threads = Width;
-      SO.RetryBackoffMs = 0.1; // soak fast; policy is pinned elsewhere
       Faulty = runRaw(Batch, SO);
     }
     SCOPED_TRACE("width " + std::to_string(Width) + ": " + Faulty.ErrLine);
@@ -231,11 +230,11 @@ TEST(ServeSoak, MixedBatchSurvivesTheFaultCampaignAtEveryWidth) {
 }
 
 TEST(ServeSoak, EveryWorkerCrashingRepeatedlyStillCompletesTheBatch) {
-  // Every second queue-pop kills its worker -- across the whole pool,
-  // for the whole batch. Pops fire *before* dequeue, so no request is
-  // lost with its worker and no retry budget is consumed: the batch must
-  // complete clean (exit 0), answered in order, identical to the
-  // fault-free run, with the monitor respawning workers throughout.
+  // Every second queue-pop throws -- across the whole pool, for the
+  // whole batch. Pops fire *before* dequeue, so no request is lost and
+  // no retry budget is consumed: the batch must complete clean (exit 0),
+  // answered in order, identical to the fault-free run, with every
+  // crash contained and counted.
   const size_t N = 60;
   std::string Batch;
   for (size_t I = 0; I < N; ++I)

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -825,9 +826,9 @@ void expectSameFrames(const std::vector<Frame> &Got,
 } // namespace
 
 TEST(ServeSelfHealing, CacheFillCrashIsRetriedAndTheEntryIsNotPoisoned) {
-  // The first fill of the cache entry throws, killing the worker inside
-  // lookup(). The entry must not be poisoned: the respawned worker's
-  // retry re-runs the build under the same key and both requests succeed,
+  // The first fill of the cache entry throws, crashing the attempt inside
+  // lookup(). The entry must not be poisoned: the worker's retry re-runs
+  // the build under the same key and both requests succeed,
   // byte-identical to the fault-free run.
   std::string Req = "{\"cmd\":\"localize\",\"source\":\"" +
                     jsonEscape(ArrayProgram) + "\"}";
@@ -851,8 +852,8 @@ TEST(ServeSelfHealing, CacheFillCrashIsRetriedAndTheEntryIsNotPoisoned) {
 TEST(ServeSelfHealing, PreprocessCrashHealsAndTheBaseSessionIsNotPoisoned) {
   // The injected OOM escapes from the cached base session's preprocess
   // inside cloneSession(); the half-built base must be dropped (not left
-  // mid-pass for the next clone), the worker respawned, and the retry
-  // must rebuild and answer identically to the fault-free run.
+  // mid-pass for the next clone), and the worker's retry must rebuild
+  // and answer identically to the fault-free run.
   std::string Req = "{\"cmd\":\"localize\",\"source\":\"" +
                     jsonEscape(ArrayProgram) + "\"}";
   std::string Batch = Req + "\n" + Req + "\n";
@@ -881,7 +882,6 @@ TEST(ServeSelfHealing, RetriesExhaustedYieldsWorkerCrashedErrorResponse) {
   ServeOptions SO;
   SO.Threads = 1;
   SO.MaxRetries = 1;
-  SO.RetryBackoffMs = 0.1;
   LibRun R;
   {
     faultinject::ScopedFault Fault("cachefill:badalloc@1/1");
@@ -1001,6 +1001,10 @@ public:
     std::unique_lock<std::mutex> Lock(Mu);
     Cv.wait(Lock, [&] { return Frames >= N; });
   }
+  size_t frames() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Frames;
+  }
 
 protected:
   int sync() override {
@@ -1023,13 +1027,39 @@ private:
   size_t Frames = 0;
 };
 
+/// An istream buffer that hands the reader one line per underflow and
+/// records how many lines the reader has taken beyond the frames \p Out
+/// has been flushed.
+class LineFeedBuf : public std::streambuf {
+public:
+  LineFeedBuf(std::vector<std::string> Lines, FrameCountingBuf &Out)
+      : Lines(std::move(Lines)), Out(Out) {}
+  size_t maxAhead() const { return MaxAhead; }
+
+protected:
+  int_type underflow() override {
+    if (Next == Lines.size())
+      return traits_type::eof();
+    Cur = Lines[Next++];
+    MaxAhead = std::max(MaxAhead, Next - Out.frames());
+    setg(Cur.data(), Cur.data(), Cur.data() + Cur.size());
+    return traits_type::to_int_type(Cur[0]);
+  }
+
+private:
+  std::vector<std::string> Lines;
+  FrameCountingBuf &Out;
+  std::string Cur;
+  size_t Next = 0;
+  size_t MaxAhead = 0;
+};
+
 } // namespace
 
 TEST(ServeSelfHealing, DrainAnswersEveryAcceptedRequestExactlyOnce) {
   // Three unboundedly slow requests, width 1: one is in flight when the
-  // drain arrives, the others are still queued (the pool's own-deque pop
-  // order is newest-first, so which one is in flight is a scheduling
-  // accident -- the assertions below are order-agnostic). The drain must
+  // drain arrives, the others are still queued (the assertions below do
+  // not depend on which one is in flight). The drain must
   // interrupt the in-flight solve (-> incomplete), answer the queued ones
   // with `cancelled`, and produce exactly one well-formed frame per id.
   std::string Slow = jsonEscape(softPigeonWcnf(9));
@@ -1075,6 +1105,30 @@ TEST(ServeSelfHealing, DrainAnswersEveryAcceptedRequestExactlyOnce) {
   EXPECT_EQ(Summary.Cancelled, 2u);
   EXPECT_EQ(Summary.Incomplete, 1u);
   EXPECT_EQ(Summary.ExitCode, 2);
+}
+
+TEST(ServeLib, TheReaderRunsABoundedNumberOfLinesAheadOfTheFrames) {
+  // Twenty identical requests of tens of milliseconds each, width 1: the
+  // reader decodes lines far faster than the worker answers them, so only
+  // the queue's capacity (2 per worker) holds it back. At any time it has
+  // taken at most the queued requests, the one in flight and the one it
+  // is pushing beyond the frames written: capacity + threads + 1 lines.
+  std::string Req = "{\"cmd\":\"maxsat\",\"wcnf\":\"" +
+                    jsonEscape(softPigeonWcnf(9)) +
+                    "\",\"max_conflicts\":1000}\n";
+  FrameCountingBuf OutBuf;
+  LineFeedBuf InBuf(std::vector<std::string>(20, Req), OutBuf);
+  std::istream In(&InBuf);
+  std::ostream Out(&OutBuf);
+  std::ostringstream Err;
+  ServeOptions SO;
+  SO.Threads = 1;
+  ServeSummary Summary = LocalizeServer(SO).run(In, Out, Err);
+  EXPECT_EQ(Summary.Requests, 20u);
+  EXPECT_EQ(Summary.Incomplete, 20u) << Err.str();
+  EXPECT_EQ(OutBuf.frames(), 20u);
+  const size_t Capacity = 2 * SO.Threads;
+  EXPECT_LE(InBuf.maxAhead(), Capacity + SO.Threads + 1);
 }
 
 // --- one cancellation path: the request's budget -----------------------------

@@ -135,21 +135,6 @@ std::vector<InputVector> genericTestPool(const FunctionDecl &Entry,
 
 int cmdFuzz(const std::string &Target, CommandOptions &O) {
   FuzzOptions &Opts = O.Fuzz;
-  for (const std::string &List : O.FuzzClasses)
-    for (size_t Pos = 0; Pos < List.size();) {
-      size_t Comma = List.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = List.size();
-      std::string Name = List.substr(Pos, Comma - Pos);
-      ErrorType T;
-      if (!errorTypeFromName(Name.c_str(), T)) {
-        std::fprintf(stderr, "bugassist: unknown fault class '%s'\n",
-                     Name.c_str());
-        return 1;
-      }
-      Opts.Classes.push_back(T);
-      Pos = Comma + 1;
-    }
   const UnrollOptions &Unroll = O.Query.Unroll;
 
   FuzzSubject Subject;
